@@ -7,72 +7,4 @@ protocols of increasing robustness, and injectable adversaries to verify
 which attacks each protocol detects.
 """
 
-from .adversaries import (
-    AttackKind,
-    AttackSpec,
-    asym_delay,
-    install,
-    line_mod,
-    passive,
-    passive_bit_guess,
-    substitute_file,
-    substitute_message,
-)
-from .auth import AuthTag, Digest, KeyLedger, KeySpan, encrypt_digest, hash_message, verify
-from .bepfile import BepFile, build_bep_file, parse_bep_file, serialize_bep_file
-from .channel import (
-    ChannelState,
-    ClockState,
-    Direction,
-    Envelope,
-    Scheduler,
-    format_event_log,
-    local_time,
-    quantize,
-)
-from .errors import KljnError
-from .harness import (
-    RunReport,
-    ScenarioConfig,
-    bundled_scenario_names,
-    emit_plot_data,
-    load_bundled,
-    run_scenario,
-    sweep,
-)
-from .line import (
-    BepMeasurement,
-    BitState,
-    LineConfig,
-    Party,
-    ResistorChoice,
-    analytic_levels,
-    classify_bep,
-    infer_partner_choice,
-    simulate_bep,
-    timing_defaults,
-)
-from .noise import (
-    NoiseSpec,
-    NoiseTrace,
-    Unit,
-    empirical_autocorrelation,
-    generate_bandlimited_gaussian,
-    theoretical_autocorrelation,
-)
-from .protocols import (
-    ProtocolKind,
-    SearchGrid,
-    SyncMessage,
-    SyncResult,
-    combined_check,
-    estimate_offset,
-    exchange_files,
-    protocol_a,
-    protocol_b,
-    protocol_c,
-    residual_curve,
-)
-from .scenario import Scenario, make_scenario
-
 __version__ = "0.1.0"

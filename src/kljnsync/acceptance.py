@@ -14,16 +14,10 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
-from .adversaries import (
-    asym_delay,
-    install,
-    line_mod,
-    passive_bit_guess,
-    substitute_file,
-    substitute_message,
-)
+from .adversaries import AsymDelay, LineMod, Substitute, install, passive_bit_guess
 from .auth import AuthTag, KeyLedger, KeySpan, encrypt_digest, hash_message, verify
 from .bepfile import build_bep_file
+from .config import ChannelConfig, ClockConfig, ProtocolConfig
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -54,6 +48,16 @@ from .scenario import make_scenario
 
 LINE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 FS = LINE.sample_rate
+
+
+def _scenario(kind: str, seed: int, t0: float, tau: float, quantization=1e-6):
+    return make_scenario(
+        LINE,
+        seed=seed,
+        protocol=ProtocolConfig(kind),
+        clock=ClockConfig(t0=t0, quantization=quantization),
+        channel=ChannelConfig(tau=tau),
+    )
 
 
 def criterion_1_autocorrelation() -> tuple[bool, str]:
@@ -103,7 +107,7 @@ def criterion_3_exactness() -> tuple[bool, str]:
     for _ in range(1000):
         t0 = float(rng.uniform(-0.05, 0.05))
         tau = float(rng.uniform(1e-7, 0.02))
-        sc = make_scenario(LINE, seed=1, t0=t0, tau=tau, quantization=None)
+        sc = _scenario("A", seed=1, t0=t0, tau=tau, quantization=None)
         res = protocol_a(sc)
         worst = max(worst, abs(res.t0_est - t0), abs(res.tau_est - tau))
     elapsed = time.perf_counter() - started
@@ -118,9 +122,9 @@ def criterion_4_delay_algebra() -> tuple[bool, str]:
     checks = 0
     for delta in (1e-3, 2e-3, 4e-3, 8e-3):
         for leg, sign in (("AtoB", +1.0), ("BtoA", -1.0)):
-            for runner in (protocol_a, protocol_b):
-                sc = make_scenario(LINE, seed=7, t0=t0, tau=tau)
-                install(asym_delay(leg, delta), sc)
+            for kind, runner in (("A", protocol_a), ("B", protocol_b)):
+                sc = _scenario(kind, seed=7, t0=t0, tau=tau)
+                install(AsymDelay(leg, delta), sc)
                 res = runner(sc)
                 if res.attack_flag:
                     return False, f"{runner.__name__} flagged a pure delay"
@@ -146,11 +150,8 @@ def criterion_5_substitution_detection() -> tuple[bool, str]:
     for i in range(100):
         target, field_name = targets[i % len(targets)]
         delta = float(rng.uniform(1e-5, 1e-2))
-        sc = make_scenario(LINE, seed=1000 + i, t0=0.005, tau=0.002)
-        install(
-            substitute_message(target, field_name, delta=delta, fabricate_tag=bool(i % 3 == 0)),
-            sc,
-        )
+        sc = _scenario("B", seed=1000 + i, t0=0.005, tau=0.002)
+        install(Substitute(target, field_name, delta=delta, fabricate_tag=bool(i % 3 == 0)), sc)
         caught += protocol_b(sc).attack_flag
     if caught != 100:
         return False, f"only {caught}/100 message substitutions flagged"
@@ -159,10 +160,11 @@ def criterion_5_substitution_detection() -> tuple[bool, str]:
     file_a, file_b = build_bep_file(meas_a, LINE), build_bep_file(meas_b, LINE)
     caught_files = 0
     for i in range(100):
-        sc = make_scenario(LINE, seed=2000 + i, t0=0.0, tau=0.002)
+        sc = _scenario("C", seed=2000 + i, t0=0.0, tau=0.002)
         install(
-            substitute_file(
-                "alter_sample",
+            Substitute(
+                "file",
+                mode="alter_sample",
                 sample_index=int(rng.integers(len(file_a))),
                 delta=float(rng.uniform(1e-4, 1.0)),
                 direction="AtoB" if i % 2 else "BtoA",
@@ -197,7 +199,7 @@ def criterion_6_offset_recovery() -> tuple[bool, str]:
     for i in range(100):
         m = int(rng.integers(-25, 26))
         t0 = m / FS
-        sc = make_scenario(LINE, seed=3000 + i, t0=t0, tau=0.002)
+        sc = _scenario("C", seed=3000 + i, t0=t0, tau=0.002)
         res = protocol_c(sc)
         if res.attack_flag:
             continue
@@ -248,8 +250,8 @@ def criterion_7_integrity_detection() -> tuple[bool, str]:
             break
 
     for quanta in (4, 8, 4000):
-        sc = make_scenario(LINE, seed=42, t0=7.0 / FS, tau=0.002)
-        install(asym_delay("BtoA", quanta * 1e-6), sc)
+        sc = _scenario("Combined", seed=42, t0=7.0 / FS, tau=0.002)
+        install(AsymDelay("BtoA", quanta * 1e-6), sc)
         if not combined_check(sc).attack_flag:
             return False, f"combined check missed a {quanta}-quantum delay"
     return True, (
@@ -317,20 +319,20 @@ def criterion_9_attack_matrix() -> tuple[bool, str]:
         if got != want:
             flips.append(f"{name}: detected={got}, expected {want}")
 
-    sub_msg = lambda: substitute_message("Response", "t2_star", delta=1e-3)
-    sub_file = lambda: substitute_file("alter_sample", sample_index=3, delta=0.5)
-    delay = lambda: asym_delay("BtoA", 4e-3)
-    lm_tau = lambda: line_mod(tau=3e-3, at_time=0.004)
-    lm_wire = lambda: line_mod(r_wire_factor=1.5, at_bep=0, fraction=0.5)
-    lm_tau_late = lambda: line_mod(tau=3e-3, at_time=0.05)
+    sub_msg = Substitute("Response", "t2_star", delta=1e-3)
+    sub_file = Substitute("file", mode="alter_sample", sample_index=3, delta=0.5)
+    delay = AsymDelay("BtoA", 4e-3)
+    lm_tau = LineMod(tau=3e-3, at_time=0.004)
+    lm_wire = LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5)
+    lm_tau_late = LineMod(tau=3e-3, at_time=0.05)
 
     for label, attack, want in (
         ("A/Substitute", sub_msg, False),
         ("A/AsymDelay", delay, False),
         ("A/LineMod", lm_tau, False),
     ):
-        sc = make_scenario(LINE, seed=91, t0=0.005, tau=0.002)
-        install(attack(), sc)
+        sc = _scenario("A", seed=91, t0=0.005, tau=0.002)
+        install(attack, sc)
         expect(label, protocol_a(sc).attack_flag, want)
 
     for label, attack, want in (
@@ -338,8 +340,8 @@ def criterion_9_attack_matrix() -> tuple[bool, str]:
         ("B/AsymDelay", delay, False),
         ("B/LineMod", lm_tau, False),
     ):
-        sc = make_scenario(LINE, seed=92, t0=0.005, tau=0.002)
-        install(attack(), sc)
+        sc = _scenario("B", seed=92, t0=0.005, tau=0.002)
+        install(attack, sc)
         expect(label, protocol_b(sc).attack_flag, want)
 
     for label, attack, want in (
@@ -348,8 +350,8 @@ def criterion_9_attack_matrix() -> tuple[bool, str]:
         ("C+Combined/LineMod(wire)", lm_wire, True),
         ("C+Combined/LineMod(tau)", lm_tau_late, True),
     ):
-        sc = make_scenario(LINE, seed=93, t0=7.0 / FS, tau=0.002)
-        install(attack(), sc)
+        sc = _scenario("Combined", seed=93, t0=7.0 / FS, tau=0.002)
+        install(attack, sc)
         expect(label, combined_check(sc).attack_flag, want)
 
     if flips:

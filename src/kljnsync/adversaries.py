@@ -16,134 +16,142 @@ recorded in the event log.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import Optional
+from dataclasses import dataclass, replace as dc_replace
+from typing import Literal, Optional, Union
 
 import numpy as np
 
 from .auth import AuthTag
 from .channel import Direction, Envelope, Scheduler
+from .config import check_fields
 from .errors import ConfigError, ConflictingAttackError, InconsistentStateError
 from .line import BepMeasurement, BitState, LineConfig, Party, classify_bep
 from .noise import NoiseTrace, derive_seed
-from .protocols import FileTransfer, SyncMessage, bep_start_time
+from .protocols import MESSAGE_FIELDS, FileTransfer, MessageKind, SyncMessage, bep_start_time
 from .scenario import Scenario
 
 
-class AttackKind(enum.Enum):
-    PASSIVE = "Passive"
-    SUBSTITUTE = "Substitute"
-    ASYM_DELAY = "AsymDelay"
-    LINE_MOD = "LineMod"
+@dataclass(frozen=True)
+class Passive:
+    """Eve only listens, logging each BEP's levels and guessing its bit."""
+
+    def apply(self, scenario: Scenario, rng: np.random.Generator) -> None:
+        if scenario.passive_log is None:
+            scenario.passive_log = []
 
 
 @dataclass(frozen=True)
-class AttackSpec:
-    kind: AttackKind
-    params: dict = field(default_factory=dict)
+class AsymDelay:
+    """Eve adds delta seconds to every message on one leg."""
+
+    leg: Literal["AtoB", "BtoA"]
+    delta: float
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.delta < 0:
+            raise ConfigError("delta: must be >= 0")
+
+    def apply(self, scenario: Scenario, rng: np.random.Generator) -> None:
+        scenario.channel.hooks.append(_asym_delay_hook(Direction(self.leg), self.delta))
 
 
-def passive() -> AttackSpec:
-    return AttackSpec(AttackKind.PASSIVE)
+@dataclass(frozen=True)
+class Substitute:
+    """Eve rewrites or removes what crosses the channel.
 
-
-def asym_delay(leg: str, delta: float) -> AttackSpec:
-    """Add delta seconds to one leg: leg is 'AtoB' or 'BtoA'."""
-    if delta < 0:
-        raise ConfigError("delta: must be >= 0")
-    Direction(leg)  # validates
-    return AttackSpec(AttackKind.ASYM_DELAY, {"leg": leg, "delta": delta})
-
-
-def substitute_message(
-    target: str,
-    field_name: Optional[str] = None,
-    value: Optional[float] = None,
-    delta: Optional[float] = None,
-    fabricate_tag: bool = False,
-    drop: bool = False,
-) -> AttackSpec:
-    """Rewrite (or remove) a protocol message in flight.
-
-    target names the message kind ('TimeStamp', 'Response', 'Share').
-    Either a replacement value or an additive delta applies to field_name;
+    A message target ('TimeStamp', 'Response', 'Share') gets its field
+    replaced by value or shifted by delta, or is removed when drop is set;
     the original tag rides along unless fabricate_tag asks for a random one.
+    The target 'file' tampers with the measurement files sent in direction:
+    mode 'alter_sample' adds delta (1 + |sample| when delta is unset or 0)
+    to sample sample_index, 'replay' swaps in the first file seen on that
+    direction with its genuine old tag, and 'drop' removes the transfer.
     """
-    if not drop and field_name is None:
-        raise ConfigError("substitute_message: need a field_name unless dropping")
-    return AttackSpec(
-        AttackKind.SUBSTITUTE,
-        {
-            "target": target,
-            "field": field_name,
-            "value": value,
-            "delta": delta,
-            "fabricate_tag": fabricate_tag,
-            "drop": drop,
-        },
-    )
+
+    target: Literal["TimeStamp", "Response", "Share", "file"]
+    field: Optional[str] = None
+    value: Optional[float] = None
+    delta: Optional[float] = None
+    fabricate_tag: bool = False
+    drop: bool = False
+    mode: Literal["alter_sample", "replay", "drop"] = "alter_sample"
+    sample_index: int = 0
+    direction: Literal["AtoB", "BtoA"] = "AtoB"
+
+    def __post_init__(self):
+        check_fields(self)
+        problems = []
+        if self.target == "file":
+            unused = ("field", "value", "drop")
+        else:
+            unused = ("mode", "sample_index", "direction")
+            names = MESSAGE_FIELDS[MessageKind(self.target)]
+            if self.field is None and not self.drop:
+                problems.append("field: required unless drop is set")
+            elif self.field is not None and self.field not in names:
+                problems.append(f"field: a {self.target} message has only {', '.join(names)}")
+            if self.value is not None and self.delta is not None:
+                problems.append("value: give value or delta, not both")
+        for name in unused:
+            if getattr(self, name) != Substitute.__dataclass_fields__[name].default:
+                problems.append(f"{name}: not used with target {self.target!r}")
+        if problems:
+            raise ConfigError(problems)
+
+    def apply(self, scenario: Scenario, rng: np.random.Generator) -> None:
+        hook = _substitute_file_hook if self.target == "file" else _substitute_message_hook
+        scenario.channel.hooks.append(hook(self, rng))
 
 
-def substitute_file(
-    mode: str = "alter_sample",
-    sample_index: int = 0,
-    delta: float = 0.0,
-    direction: str = "AtoB",
-    fabricate_tag: bool = False,
-) -> AttackSpec:
-    """Tamper with a measurement file in flight.
+@dataclass(frozen=True)
+class LineMod:
+    """Eve changes the line itself at a chosen instant.
 
-    mode 'alter_sample' perturbs one voltage sample by delta; mode 'replay'
-    swaps in the previous file seen on that direction (with its genuine old
-    tag); mode 'drop' removes the transfer.
+    Exactly one of r_wire (ohms), r_wire_factor (times the configured
+    R_wire) or tau (the new one-way delay, seconds) says what changes. The
+    change starts at absolute time at_time, or at the given fraction of
+    BEP at_bep's record window.
     """
-    if mode not in ("alter_sample", "replay", "drop"):
-        raise ConfigError("substitute_file: unknown mode")
-    Direction(direction)
-    return AttackSpec(
-        AttackKind.SUBSTITUTE,
-        {
-            "target": "file",
-            "mode": mode,
-            "sample_index": sample_index,
-            "delta": delta,
-            "direction": direction,
-            "fabricate_tag": fabricate_tag,
-        },
-    )
+
+    r_wire: Optional[float] = None
+    r_wire_factor: Optional[float] = None
+    tau: Optional[float] = None
+    at_time: Optional[float] = None
+    at_bep: Optional[int] = None
+    fraction: float = 0.5
+
+    def __post_init__(self):
+        check_fields(self)
+        problems = []
+        if sum(x is not None for x in (self.r_wire, self.r_wire_factor, self.tau)) != 1:
+            problems.append("r_wire: choose exactly one of r_wire, r_wire_factor, tau")
+        if (self.at_time is None) == (self.at_bep is None):
+            problems.append("at_time: choose exactly one of at_time, at_bep")
+        for name in ("r_wire", "r_wire_factor", "tau", "at_bep"):
+            if (getattr(self, name) or 0) < 0:
+                problems.append(f"{name}: must be >= 0")
+        if not 0.0 <= self.fraction <= 1.0:
+            problems.append("fraction: must be in [0, 1]")
+        if problems:
+            raise ConfigError(problems)
+
+    def apply(self, scenario: Scenario, rng: np.random.Generator) -> None:
+        at = self.at_time
+        if at is None:
+            at = bep_start_time(scenario, self.at_bep) + self.fraction * scenario.line.bep_duration
+        if self.tau is not None:
+            scenario.channel.hooks.append(_tau_mod_hook(self.tau, at))
+            scenario.scheduler.record(at, "attack-linemod-tau", "-", None)
+            return
+        new_r = self.r_wire if self.r_wire is not None else scenario.line.R_wire * self.r_wire_factor
+        if any(t == at for t, _ in scenario.r_wire_schedule):
+            raise ConflictingAttackError(f"two line modifications at t={at}")
+        scenario.r_wire_schedule.append((at, new_r))
+        scenario.scheduler.record(at, "attack-linemod-rwire", "-", None)
 
 
-def line_mod(
-    r_wire: Optional[float] = None,
-    r_wire_factor: Optional[float] = None,
-    tau: Optional[float] = None,
-    at_time: Optional[float] = None,
-    at_bep: Optional[int] = None,
-    fraction: float = 0.5,
-) -> AttackSpec:
-    """Change the line itself at a chosen instant.
-
-    Exactly one of r_wire / r_wire_factor / tau selects what changes. The
-    activation instant is at_time, or (at_bep, fraction) relative to that
-    BEP's record window.
-    """
-    chosen = [x is not None for x in (r_wire, r_wire_factor, tau)]
-    if sum(chosen) != 1:
-        raise ConfigError("line_mod: choose exactly one of r_wire, r_wire_factor, tau")
-    if at_time is None and at_bep is None:
-        raise ConfigError("line_mod: need at_time or at_bep")
-    return AttackSpec(
-        AttackKind.LINE_MOD,
-        {
-            "r_wire": r_wire,
-            "r_wire_factor": r_wire_factor,
-            "tau": tau,
-            "at_time": at_time,
-            "at_bep": at_bep,
-            "fraction": fraction,
-        },
-    )
+Attack = Union[Passive, AsymDelay, Substitute, LineMod]
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +168,20 @@ def _asym_delay_hook(leg: Direction, delta: float):
     return hook
 
 
-def _substitute_message_hook(params: dict, rng: np.random.Generator):
-    target = params["target"]
-
+def _substitute_message_hook(spec: Substitute, rng: np.random.Generator):
     def hook(env: Envelope, sched: Scheduler):
         msg = env.payload
-        if not isinstance(msg, SyncMessage) or msg.kind.value != target:
+        if not isinstance(msg, SyncMessage) or msg.kind.value != spec.target:
             return env
-        if params["drop"]:
+        if spec.drop:
             return None
-        fname = params["field"]
-        if params["value"] is not None:
-            new_value = params["value"]
+        fname = spec.field
+        if spec.value is not None:
+            new_value = spec.value
         else:
-            new_value = getattr(msg, fname) + (params["delta"] or 0.0)
+            new_value = getattr(msg, fname) + (spec.delta or 0.0)
         forged = dc_replace(msg, **{fname: new_value})
-        if params["fabricate_tag"] and msg.tag is not None:
+        if spec.fabricate_tag and msg.tag is not None:
             forged = dc_replace(forged, tag=AuthTag(rng.bytes(32), msg.tag.span))
         env.payload = forged
         return env
@@ -183,15 +189,15 @@ def _substitute_message_hook(params: dict, rng: np.random.Generator):
     return hook
 
 
-def _substitute_file_hook(params: dict, rng: np.random.Generator):
-    direction = Direction(params["direction"])
+def _substitute_file_hook(spec: Substitute, rng: np.random.Generator):
+    direction = Direction(spec.direction)
     memory: list[FileTransfer] = []
 
     def hook(env: Envelope, sched: Scheduler):
         transfer = env.payload
         if not isinstance(transfer, FileTransfer) or env.direction is not direction:
             return env
-        mode = params["mode"]
+        mode = spec.mode
         if mode == "drop":
             return None
         if mode == "replay":
@@ -203,11 +209,11 @@ def _substitute_file_hook(params: dict, rng: np.random.Generator):
             return env
         # alter_sample
         volts = transfer.file.voltage_samples.copy()
-        idx = int(params["sample_index"]) % len(volts)
-        volts[idx] += params["delta"] if params["delta"] else 1.0 + abs(volts[idx])
+        idx = spec.sample_index % len(volts)
+        volts[idx] += spec.delta if spec.delta else 1.0 + abs(volts[idx])
         forged_file = dc_replace(transfer.file, voltage_samples=volts)
         tag = transfer.tag
-        if params["fabricate_tag"]:
+        if spec.fabricate_tag:
             tag = AuthTag(rng.bytes(len(tag.ciphertext)), tag.span)
         env.payload = FileTransfer(forged_file, tag)
         return env
@@ -225,41 +231,16 @@ def _tau_mod_hook(new_tau: float, at_time: float):
 
 
 def install(attacks, scenario: Scenario) -> Scenario:
-    """Install one AttackSpec (or a list, applied in order) into a scenario.
+    """Install one attack spec (or a list, applied in order) into a scenario.
 
     Substitutions and delays become channel hooks; wire-resistance changes
     append to the scenario's line-modification schedule; a passive Eve just
     gets a notebook. Two wire modifications at the same instant conflict.
     """
-    if isinstance(attacks, AttackSpec):
+    if not isinstance(attacks, (list, tuple)):
         attacks = [attacks]
     for n, attack in enumerate(attacks):
-        rng = np.random.default_rng(derive_seed(scenario.seed, 0xE5E, n))
-        if attack.kind is AttackKind.PASSIVE:
-            if scenario.passive_log is None:
-                scenario.passive_log = []
-        elif attack.kind is AttackKind.ASYM_DELAY:
-            leg = Direction(attack.params["leg"])
-            scenario.channel.hooks.append(_asym_delay_hook(leg, attack.params["delta"]))
-        elif attack.kind is AttackKind.SUBSTITUTE:
-            if attack.params.get("target") == "file":
-                scenario.channel.hooks.append(_substitute_file_hook(attack.params, rng))
-            else:
-                scenario.channel.hooks.append(_substitute_message_hook(attack.params, rng))
-        elif attack.kind is AttackKind.LINE_MOD:
-            p = attack.params
-            at = p["at_time"]
-            if at is None:
-                at = bep_start_time(scenario, p["at_bep"]) + p["fraction"] * scenario.line.bep_duration
-            if p["tau"] is not None:
-                scenario.channel.hooks.append(_tau_mod_hook(p["tau"], at))
-                scenario.scheduler.record(at, "attack-linemod-tau", "-", None)
-            else:
-                new_r = p["r_wire"] if p["r_wire"] is not None else scenario.line.R_wire * p["r_wire_factor"]
-                if any(t == at for t, _ in scenario.r_wire_schedule):
-                    raise ConflictingAttackError(f"two line modifications at t={at}")
-                scenario.r_wire_schedule.append((at, new_r))
-                scenario.scheduler.record(at, "attack-linemod-rwire", "-", None)
+        attack.apply(scenario, np.random.default_rng(derive_seed(scenario.seed, 0xE5E, n)))
     return scenario
 
 

@@ -17,6 +17,7 @@ to the built one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,21 +143,31 @@ def parse_bep_file(blob: bytes) -> tuple[BepFile, Optional[AuthTag]]:
         config_digest = bytes.fromhex(fields["config"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bep file: bad header ({exc})") from None
+    if not (math.isfinite(sample_rate) and math.isfinite(local_start)):
+        raise ConfigError("bep file: bad header (fs and local_start must be finite)")
 
     tag = None
     sample_lines = lines[1:]
     if sample_lines and sample_lines[-1].startswith("tag="):
-        tag = AuthTag.from_bytes(bytes.fromhex(sample_lines[-1][4:]))
+        try:
+            tag = AuthTag.from_bytes(bytes.fromhex(sample_lines[-1][4:]))
+        except ValueError:
+            raise ConfigError("bep file: tag is not hex") from None
         sample_lines = sample_lines[:-1]
 
     volts = np.empty(len(sample_lines))
     amps = np.empty(len(sample_lines))
-    for i, line in enumerate(sample_lines):
-        parts = line.split(",")
-        if len(parts) != 3 or int(parts[0]) != i:
-            raise ConfigError(f"bep file: malformed sample line {i}")
-        volts[i] = float(parts[1])
-        amps[i] = float(parts[2])
+    try:
+        for i, line in enumerate(sample_lines):
+            parts = line.split(",")
+            if len(parts) != 3 or int(parts[0]) != i:
+                raise ValueError
+            volts[i] = float(parts[1])
+            amps[i] = float(parts[2])
+    except ValueError:
+        raise ConfigError(f"bep file: malformed sample line {i}") from None
+    if not (np.isfinite(volts).all() and np.isfinite(amps).all()):
+        raise ConfigError("bep file: samples must be finite")
 
     return (
         BepFile(party, bep_index, sample_rate, local_start, volts, amps, config_digest),

@@ -37,17 +37,12 @@ class ClockState:
 
     party: Party
     offset_t0: float = 0.0
-    is_master: bool = False
 
     def local_time(self, absolute: float) -> float:
         return absolute + self.offset_t0
 
     def absolute_time(self, local: float) -> float:
         return local - self.offset_t0
-
-
-def local_time(clock: ClockState, absolute: float) -> float:
-    return clock.local_time(absolute)
 
 
 class Direction(enum.Enum):

@@ -18,22 +18,10 @@ from importlib import resources
 
 import numpy as np
 
-from .adversaries import (
-    AttackSpec,
-    asym_delay,
-    install,
-    line_mod,
-    passive,
-    substitute_file,
-    substitute_message,
-)
+from .adversaries import Attack, install
 from .channel import format_event_log
-from .errors import (
-    ConfigError,
-    ProtocolIncompleteError,
-    UnknownParameterError,
-    UnknownSeriesError,
-)
+from .config import ChannelConfig, ClockConfig, ProtocolConfig, check_fields, read, to_doc
+from .errors import ConfigError, ProtocolIncompleteError, UnknownParameterError, UnknownSeriesError
 from .line import BitState, LineConfig, analytic_levels, classification_thresholds
 from .noise import NoiseTrace, empirical_autocorrelation
 from .protocols import (
@@ -46,124 +34,31 @@ from .protocols import (
 )
 from .scenario import Scenario, make_scenario
 
-# ---------------------------------------------------------------------------
-# config schema (fail-closed)
-# ---------------------------------------------------------------------------
-
-_LINE_KEYS = {
-    "R_L": True,
-    "R_H": True,
-    "bandwidth_B": True,
-    "noise_scale": True,
-    "R_wire": False,
-    "tau_f": False,
-    "bep_duration": False,
-    "sample_rate": False,
-    "measurement_noise_rel": False,
-}
-_CLOCK_KEYS = {"t0": False, "quantization": False}
-_CHANNEL_KEYS = {"tau": False, "processing_delay": False}
-_PROTOCOL_KEYS = {
-    "kind": True,
-    "dt_window": False,
-    "residual_threshold": False,
-    "k_range": False,
-    "input": False,
-    "t0_tol_quanta": False,
-    "tau_tol_quanta": False,
-}
-_ATTACK_KEYS = {
-    "Passive": set(),
-    "AsymDelay": {"leg", "delta"},
-    "Substitute": {
-        "target", "field", "value", "delta", "fabricate_tag", "drop",
-        "mode", "sample_index", "direction",
-    },
-    "LineMod": {"r_wire", "r_wire_factor", "tau", "at_time", "at_bep", "fraction"},
-}
-_TOP_KEYS = {"seed": True, "line": True, "protocol": True, "clock": False, "channel": False, "attacks": False, "key_bits": False}
-
-
-def _check_keys(section: str, given: dict, allowed: dict, problems: list[str]) -> None:
-    for key in given:
-        if key not in allowed:
-            problems.append(f"{section}.{key}: unknown key")
-    for key, required in allowed.items():
-        if required and key not in given:
-            problems.append(f"{section}.{key}: required")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated form of a scenario config document."""
+    """A validated scenario config document (see the config module)."""
 
-    raw: dict
+    seed: int
+    line: LineConfig
+    protocol: ProtocolConfig
+    clock: ClockConfig = ClockConfig()
+    channel: ChannelConfig = ChannelConfig()
+    attacks: tuple[Attack, ...] = ()
+    key_bits: int = 8192
+    # the document this was read from; from_dict sets it
+    raw: dict = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_fields(self)
+        problems = [f"{name}: must be >= 0" for name in ("seed", "key_bits") if getattr(self, name) < 0]
+        if problems:
+            raise ConfigError(problems)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config: expected an object")
-        problems: list[str] = []
-        _check_keys("", doc, _TOP_KEYS, problems)
-        # strip the section-less prefix dots
-        problems = [p.lstrip(".") for p in problems]
-
-        if "seed" in doc and not isinstance(doc["seed"], int):
-            problems.append("seed: must be an integer")
-        if "key_bits" in doc and (not isinstance(doc["key_bits"], int) or doc["key_bits"] < 0):
-            problems.append("key_bits: must be a non-negative integer")
-
-        _check_keys("line", doc.get("line", {}), _LINE_KEYS, problems)
-        _check_keys("clock", doc.get("clock", {}), _CLOCK_KEYS, problems)
-        _check_keys("channel", doc.get("channel", {}), _CHANNEL_KEYS, problems)
-        _check_keys("protocol", doc.get("protocol", {}), _PROTOCOL_KEYS, problems)
-
-        proto = doc.get("protocol", {})
-        if "kind" in proto:
-            try:
-                ProtocolKind(proto["kind"])
-            except ValueError:
-                problems.append(f"protocol.kind: must be one of A, B, C, Combined")
-        if "k_range" in proto:
-            ks = proto["k_range"]
-            if not isinstance(ks, list) or not ks or not all(isinstance(k, int) for k in ks):
-                problems.append("protocol.k_range: must be a non-empty list of integers")
-        if "input" in proto and proto["input"] not in ("voltage", "current"):
-            problems.append("protocol.input: must be 'voltage' or 'current'")
-        for section, key, low in (
-            ("channel", "tau", 0.0),
-            ("channel", "processing_delay", 0.0),
-            ("protocol", "residual_threshold", 1e-12),
-            ("protocol", "dt_window", 1),
-            ("protocol", "t0_tol_quanta", 0.0),
-            ("protocol", "tau_tol_quanta", 0.0),
-        ):
-            value = doc.get(section, {}).get(key)
-            if value is not None and (not isinstance(value, (int, float)) or value < low):
-                problems.append(f"{section}.{key}: must be a number >= {low}")
-        quant = doc.get("clock", {}).get("quantization")
-        if quant is not None and (not isinstance(quant, (int, float)) or quant < 0):
-            problems.append("clock.quantization: must be null or a number >= 0")
-
-        for n, attack in enumerate(doc.get("attacks", [])):
-            if not isinstance(attack, dict) or "kind" not in attack:
-                problems.append(f"attacks.{n}: needs a kind")
-                continue
-            kind = attack["kind"]
-            if kind not in _ATTACK_KEYS:
-                problems.append(f"attacks.{n}.kind: unknown attack {kind!r}")
-                continue
-            for key in attack:
-                if key != "kind" and key not in _ATTACK_KEYS[kind]:
-                    problems.append(f"attacks.{n}.{key}: unknown key for {kind}")
-
-        if problems:
-            raise ConfigError(problems)
-        try:
-            cfg = cls(raw=doc)
-            cfg.line_config()  # surfaces value-level problems early
-        except ConfigError as exc:
-            raise ConfigError([f"line.{p}" for p in exc.problems])
+        cfg = read(cls, doc)
+        object.__setattr__(cfg, "raw", doc)
         return cfg
 
     @classmethod
@@ -173,98 +68,28 @@ class ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON ({exc})") from None
 
-    # -- accessors with defaults ------------------------------------------
-
-    @property
-    def seed(self) -> int:
-        return self.raw["seed"]
-
     def line_config(self) -> LineConfig:
-        return LineConfig(**self.raw["line"])
-
-    @property
-    def protocol_kind(self) -> ProtocolKind:
-        return ProtocolKind(self.raw["protocol"]["kind"])
+        return self.line
 
     def canonical_dict(self) -> dict:
-        """The config with every default made explicit."""
-        proto = self.raw.get("protocol", {})
-        clock = self.raw.get("clock", {})
-        channel = self.raw.get("channel", {})
-        line = self.line_config()
-        return {
-            "seed": self.seed,
-            "key_bits": self.raw.get("key_bits", 8192),
-            "line": {
-                "R_L": line.R_L,
-                "R_H": line.R_H,
-                "R_wire": line.R_wire,
-                "bandwidth_B": line.bandwidth_B,
-                "noise_scale": line.noise_scale,
-                "tau_f": line.tau_f,
-                "bep_duration": line.bep_duration,
-                "sample_rate": line.sample_rate,
-                "measurement_noise_rel": line.measurement_noise_rel,
-            },
-            "clock": {
-                "t0": clock.get("t0", 0.0),
-                "quantization": clock.get("quantization", 1e-6),
-            },
-            "channel": {
-                "tau": channel.get("tau", 2e-3),
-                "processing_delay": channel.get("processing_delay", 1e-3),
-            },
-            "protocol": {
-                "kind": proto["kind"],
-                "dt_window": proto.get("dt_window", 100),
-                "residual_threshold": proto.get("residual_threshold", 0.01),
-                "k_range": proto.get("k_range", [0]),
-                "input": proto.get("input", "voltage"),
-                "t0_tol_quanta": proto.get("t0_tol_quanta", 2.0),
-                "tau_tol_quanta": proto.get("tau_tol_quanta", 1.5),
-            },
-            "attacks": self.raw.get("attacks", []),
-        }
+        """The config with every default made explicit; attacks stay as
+        written."""
+        doc = to_doc(self)
+        doc["attacks"] = self.raw.get("attacks", [])
+        return doc
 
     def build_scenario(self) -> Scenario:
-        doc = self.canonical_dict()
         scenario = make_scenario(
-            self.line_config(),
-            seed=doc["seed"],
-            t0=doc["clock"]["t0"],
-            tau=doc["channel"]["tau"],
-            quantization=doc["clock"]["quantization"],
-            processing_delay=doc["channel"]["processing_delay"],
-            key_bits=doc["key_bits"],
-            dt_window=doc["protocol"]["dt_window"],
-            residual_threshold=doc["protocol"]["residual_threshold"],
-            k_range=tuple(doc["protocol"]["k_range"]),
-            estimate_input=doc["protocol"]["input"],
-            t0_tol_quanta=doc["protocol"]["t0_tol_quanta"],
-            tau_tol_quanta=doc["protocol"]["tau_tol_quanta"],
+            self.line,
+            seed=self.seed,
+            protocol=self.protocol,
+            clock=self.clock,
+            channel=self.channel,
+            key_bits=self.key_bits,
         )
-        attacks = [attack_from_dict(a) for a in doc["attacks"]]
-        if attacks:
-            install(attacks, scenario)
+        if self.attacks:
+            install(self.attacks, scenario)
         return scenario
-
-
-def attack_from_dict(doc: dict) -> AttackSpec:
-    kind = doc["kind"]
-    args = {k: v for k, v in doc.items() if k != "kind"}
-    if kind == "Passive":
-        return passive()
-    if kind == "AsymDelay":
-        return asym_delay(**args)
-    if kind == "Substitute":
-        if args.get("target") == "file":
-            args.pop("target")
-            return substitute_file(**args)
-        field_name = args.pop("field", None)
-        return substitute_message(args.pop("target"), field_name, **args)
-    if kind == "LineMod":
-        return line_mod(**args)
-    raise ConfigError(f"attacks.kind: unknown attack {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +189,13 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         ProtocolKind.B: protocol_b,
         ProtocolKind.C: protocol_c,
         ProtocolKind.COMBINED: combined_check,
-    }[config.protocol_kind]
+    }[ProtocolKind(config.protocol.kind)]
     try:
         result = runner(scenario)
     except ProtocolIncompleteError as exc:
         # protocol A has no detection: a stalled run is a failure, not a flag
         result = SyncResult(
-            config.protocol_kind, None, None, None,
+            ProtocolKind(config.protocol.kind), None, None, None,
             auth_ok=True, attack_flag=False, detail=f"incomplete: {exc}",
         )
 
@@ -450,7 +275,8 @@ def sweep(
     for i, value in enumerate(values):
         doc = json.loads(json.dumps(base))  # deep copy via the same codec
         node, k = _resolve_path(doc, parameter)
-        node[k] = value
+        # the CLI parses every value as a float; an integer field keeps integers
+        node[k] = int(value) if type(node[k]) is int and float(value).is_integer() else value
         if seed_policy == "per-value":
             doc["seed"] = doc["seed"] + i
         reports.append(run_scenario(ScenarioConfig.from_dict(doc)))

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import check_fields
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -82,6 +83,7 @@ class LineConfig:
     measurement_noise_rel: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         problems = []
         if not 0 < self.R_L:
             problems.append("R_L: must be > 0")

@@ -37,6 +37,7 @@ import numpy as np
 from .auth import AuthTag, encrypt_digest, hash_message, verify
 from .bepfile import BepFile, build_bep_file
 from .channel import Direction, Envelope, Scheduler, quantize
+from .config import ProtocolConfig
 from .errors import (
     ConfigError,
     FlatResidualError,
@@ -61,7 +62,7 @@ class MessageKind(enum.Enum):
     SHARE = "Share"
 
 
-_KIND_FIELDS = {
+MESSAGE_FIELDS = {
     MessageKind.TIME_STAMP: ("t1",),
     MessageKind.RESPONSE: ("t1_star", "t2_star"),
     MessageKind.SHARE: ("t2",),
@@ -78,7 +79,7 @@ class SyncMessage:
     tag: Optional[AuthTag] = None
 
     def __post_init__(self):
-        required = _KIND_FIELDS[self.kind]
+        required = MESSAGE_FIELDS[self.kind]
         for name in required:
             if getattr(self, name) is None:
                 raise ConfigError(f"{self.kind.value} message requires {name}")
@@ -169,7 +170,7 @@ class _TwoWayRun:
     def start(self, start_absolute: float) -> None:
         scen = self.scenario
         alice = scen.clock(Party.ALICE)
-        self.t1 = quantize(alice.local_time(start_absolute), scen.quantization)
+        self.t1 = quantize(alice.local_time(start_absolute), scen.clock_config.quantization)
         msg = self._outgoing(SyncMessage(MessageKind.TIME_STAMP, t1=self.t1))
         scen.scheduler.send(msg, Direction.A_TO_B, start_absolute)
 
@@ -183,9 +184,9 @@ class _TwoWayRun:
             # at Bob: note arrival, think, respond with both of his stamps
             self._check(msg)
             bob = scen.clock(Party.BOB)
-            t1_star = quantize(bob.local_time(now), scen.quantization)
-            respond_at = now + scen.processing_delay
-            t2_star = quantize(bob.local_time(respond_at), scen.quantization)
+            t1_star = quantize(bob.local_time(now), scen.clock_config.quantization)
+            respond_at = now + scen.channel_config.processing_delay
+            t2_star = quantize(bob.local_time(respond_at), scen.clock_config.quantization)
             reply = self._outgoing(
                 SyncMessage(MessageKind.RESPONSE, t1_star=t1_star, t2_star=t2_star)
             )
@@ -196,7 +197,7 @@ class _TwoWayRun:
             alice = scen.clock(Party.ALICE)
             self.t1_star = msg.t1_star
             self.t2_star = msg.t2_star
-            self.t2 = quantize(alice.local_time(now), scen.quantization)
+            self.t2 = quantize(alice.local_time(now), scen.clock_config.quantization)
             share = self._outgoing(SyncMessage(MessageKind.SHARE, t2=self.t2))
             sched.send(share, Direction.A_TO_B, now)
         elif msg.kind is MessageKind.SHARE:
@@ -213,12 +214,12 @@ class _TwoWayRun:
         return t0, tau
 
 
-def protocol_a(scenario: Scenario, start_absolute: Optional[float] = None) -> SyncResult:
+def protocol_a(scenario: Scenario, start_absolute: float = 0.0) -> SyncResult:
     """Undefended two-way synchronization. Recovers (t0, tau) exactly over an
     honest channel; never raises an attack flag because it has nothing to
     check. Raises ProtocolIncompleteError when a message never arrives."""
     run = _TwoWayRun(scenario, authenticated=False)
-    run.start(scenario.start_time if start_absolute is None else start_absolute)
+    run.start(start_absolute)
     scenario.scheduler.run_until_idle(run.on_deliver)
     if not run.complete:
         raise ProtocolIncompleteError("synchronization exchange never finished")
@@ -226,13 +227,13 @@ def protocol_a(scenario: Scenario, start_absolute: Optional[float] = None) -> Sy
     return SyncResult(ProtocolKind.A, t0, tau, None, auth_ok=True, attack_flag=False)
 
 
-def protocol_b(scenario: Scenario, start_absolute: Optional[float] = None) -> SyncResult:
+def protocol_b(scenario: Scenario, start_absolute: float = 0.0) -> SyncResult:
     """Authenticated two-way synchronization. Content substitution is caught
     by the tags; a stalled exchange is reported as a timeout detection. Pure
     delay or line-length games pass unflagged - the combined check exists
     for those."""
     run = _TwoWayRun(scenario, authenticated=True)
-    run.start(scenario.start_time if start_absolute is None else start_absolute)
+    run.start(start_absolute)
     scenario.scheduler.run_until_idle(run.on_deliver)
     if not run.complete:
         return SyncResult(
@@ -324,35 +325,19 @@ def exchange_files(
     return outcome
 
 
-@dataclass(frozen=True)
-class SearchGrid:
-    """Trial-shift grid for the alignment search: one candidate per sample
-    interval over +-window samples, optionally refined to sub-sample by a
-    three-point parabola through the minimum."""
-
-    window: int = 100
-    refine: bool = True
-    threshold: float = 0.01
-    input: str = "voltage"  # which record drives the wire model
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ConfigError("window: must be >= 1")
-        if self.input not in ("voltage", "current"):
-            raise ConfigError("input: must be 'voltage' or 'current'")
-
-
 def residual_curve(
     file_ref: BepFile,
     file_other: BepFile,
     r_wire: float,
-    grid: SearchGrid = SearchGrid(),
+    search: ProtocolConfig = ProtocolConfig("C"),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized mean-square mismatch against the wire model, per shift.
 
-    For each candidate shift the other party's record is placed on the
-    reference party's time axis (linear interpolation between samples) and
-    the wire model is evaluated over the overlap:
+    The candidates are the whole sample intervals within +-search.dt_window,
+    and search.input names the record that drives the wire model. For each
+    candidate shift the other party's record is placed on the reference
+    party's time axis (linear interpolation between samples) and the wire
+    model is evaluated over the overlap:
 
       voltage input: I_sim = (U_alice - U_bob) / r_wire, compared with the
         reference party's measured current;
@@ -376,7 +361,7 @@ def residual_curve(
     ref_idx = np.arange(n_ref, dtype=np.float64)
 
     sign = 1.0 if file_ref.party is Party.ALICE else -1.0
-    shifts = np.arange(-grid.window, grid.window + 1)
+    shifts = np.arange(-search.dt_window, search.dt_window + 1)
     residuals = np.empty(shifts.size)
 
     for pos, j in enumerate(shifts):
@@ -395,7 +380,7 @@ def residual_curve(
             return samples[i0] * (1.0 - frac) + samples[i0 + 1] * frac
 
         v_diff = sign * (file_ref.voltage_samples[valid] - interp(file_other.voltage_samples))
-        if grid.input == "voltage":
+        if search.input == "voltage":
             i_sim = v_diff / r_wire
             i_meas = file_ref.current_samples[valid]
             num = np.sum((i_sim - i_meas) ** 2)
@@ -432,33 +417,33 @@ def estimate_offset(
     file_ref: BepFile,
     file_other: BepFile,
     r_wire: float,
-    grid: SearchGrid = SearchGrid(),
+    search: ProtocolConfig = ProtocolConfig("C"),
 ) -> tuple[float, float]:
     """Find the shift where the other party's record satisfies the wire
     model against the reference record.
 
-    Returns (dt_star, residual): the minimizing shift (sub-sample refined
-    when the grid allows) and the residual at the grid minimum. The
-    reference party's clock offset relative to the other is -dt_star; run
-    with Alice as reference, that recovers Bob's offset directly.
+    Returns (dt_star, residual): the minimizing shift, refined to
+    sub-sample by a three-point parabola, and the residual at the grid
+    minimum. The reference party's clock offset relative to the other is
+    -dt_star; run with Alice as reference, that recovers Bob's offset
+    directly.
 
     Raises FlatResidualError when no candidate gets below the detection
     threshold - either the line was modified or the model is wrong.
     """
-    shifts, residuals = residual_curve(file_ref, file_other, r_wire, grid)
+    shifts, residuals = residual_curve(file_ref, file_other, r_wire, search)
     i = _pick_minimum(shifts, residuals)
     best = float(residuals[i])
-    if best > grid.threshold:
-        raise FlatResidualError(float(shifts[i]), best, grid.threshold)
-    dt = _refine_vertex(shifts, residuals, i) if grid.refine else float(shifts[i])
-    return dt, best
+    if best > search.residual_threshold:
+        raise FlatResidualError(float(shifts[i]), best, search.residual_threshold)
+    return _refine_vertex(shifts, residuals, i), best
 
 
 def bep_start_time(scenario: Scenario, k: int) -> float:
     """Absolute start of BEP k on the shared timeline: records are taken
     back to back with enough slack after each for the file exchange."""
     slack = 2.0 * (scenario.channel.delay_a_to_b + scenario.channel.delay_b_to_a)
-    return scenario.start_time + k * (scenario.line.bep_duration + slack)
+    return k * (scenario.line.bep_duration + slack)
 
 
 def _draw_choices(scenario: Scenario, k: int) -> tuple[ResistorChoice, ResistorChoice]:
@@ -501,7 +486,7 @@ def run_bep(scenario: Scenario, k: int):
     return meas_a, meas_b
 
 
-def protocol_c(scenario: Scenario, k_range=None) -> SyncResult:
+def protocol_c(scenario: Scenario) -> SyncResult:
     """Integrity-check synchronization over one or more BEPs.
 
     Per BEP: record, exchange files with authentication, and accumulate the
@@ -516,21 +501,13 @@ def protocol_c(scenario: Scenario, k_range=None) -> SyncResult:
     This protocol produces no propagation-delay estimate; only the embedded
     two-way probe of the combined check measures tau.
     """
-    ks = tuple(k_range) if k_range is not None else tuple(scenario.k_range)
-    if not ks:
-        raise ConfigError("k_range: need at least one BEP")
-
-    grid = SearchGrid(
-        window=scenario.dt_window,
-        threshold=scenario.residual_threshold,
-        input=scenario.estimate_input,
-    )
+    search = scenario.protocol_config
 
     curves_alice: list[np.ndarray] = []
     curves_bob: list[np.ndarray] = []
     shifts = None
 
-    for k in ks:
+    for k in search.k_range:
         meas_a, meas_b = run_bep(scenario, k)
         file_a = build_bep_file(meas_a, scenario.line)
         file_b = build_bep_file(meas_b, scenario.line)
@@ -551,8 +528,8 @@ def protocol_c(scenario: Scenario, k_range=None) -> SyncResult:
             )
         # Alice searches her own record against Bob's received copy; Bob
         # does the mirror image with Alice's received copy.
-        s_a, r_a = residual_curve(file_a, outcome.received_by_alice, scenario.line.R_wire, grid)
-        _, r_b = residual_curve(file_b, outcome.received_by_bob, scenario.line.R_wire, grid)
+        s_a, r_a = residual_curve(file_a, outcome.received_by_alice, scenario.line.R_wire, search)
+        _, r_b = residual_curve(file_b, outcome.received_by_bob, scenario.line.R_wire, search)
         curves_alice.append(r_a)
         curves_bob.append(r_b)
         shifts = s_a
@@ -563,15 +540,14 @@ def protocol_c(scenario: Scenario, k_range=None) -> SyncResult:
 
     i_a = _pick_minimum(shifts, mean_alice)
     best = float(mean_alice[i_a])
-    if best > grid.threshold:
+    if best > search.residual_threshold:
         return SyncResult(
             ProtocolKind.C, None, None, best,
             auth_ok=True, attack_flag=True,
             detail=f"no shift explains the data (residual {best:.3e})",
         )
-    dt_alice = _refine_vertex(shifts, mean_alice, i_a) if grid.refine else float(shifts[i_a])
-    i_b = _pick_minimum(shifts, mean_bob)
-    dt_bob = _refine_vertex(shifts, mean_bob, i_b) if grid.refine else float(shifts[i_b])
+    dt_alice = _refine_vertex(shifts, mean_alice, i_a)
+    dt_bob = _refine_vertex(shifts, mean_bob, _pick_minimum(shifts, mean_bob))
 
     t0_est = -dt_alice
     # symmetric searches must agree (their shifts are mutual negatives)
@@ -600,7 +576,7 @@ def combined_check(scenario: Scenario, c_result: Optional[SyncResult] = None) ->
 
     # probe at a random later instant, snapped to the clock grid (parties
     # initiate on their own clock ticks)
-    last = max((rec.absolute for rec in scenario.scheduler.log), default=scenario.start_time)
+    last = max((rec.absolute for rec in scenario.scheduler.log), default=0.0)
     rng = np.random.default_rng(derive_seed(scenario.seed, _SEED_PROBE))
     quantum = scenario.quantum
     wait = float(rng.integers(1_000, 1_000_000)) * quantum
@@ -609,18 +585,20 @@ def combined_check(scenario: Scenario, c_result: Optional[SyncResult] = None) ->
     b_result = protocol_b(scenario, start_absolute=probe_start)
 
     q = scenario.quantum
+    nominal_tau = scenario.channel_config.tau
+    tolerances = scenario.protocol_config
     failures = []
     if c_result.attack_flag:
         failures.append(f"integrity check: {c_result.detail or 'flagged'}")
     if b_result.attack_flag:
         failures.append(f"probe: {b_result.detail or 'flagged'}")
     else:
-        if abs(b_result.t0_est) > scenario.t0_tol_quanta * q:
+        if abs(b_result.t0_est) > tolerances.t0_tol_quanta * q:
             failures.append(f"offset after correction is {b_result.t0_est:.3e}s, not zero")
-        if abs(b_result.tau_est - scenario.nominal_tau) > scenario.tau_tol_quanta * q:
+        if abs(b_result.tau_est - nominal_tau) > tolerances.tau_tol_quanta * q:
             failures.append(
                 f"propagation delay {b_result.tau_est:.6e}s deviates from "
-                f"nominal {scenario.nominal_tau:.6e}s"
+                f"nominal {nominal_tau:.6e}s"
             )
 
     return SyncResult(

@@ -1,10 +1,10 @@
 """The runtime state one protocol run operates on.
 
 A Scenario bundles the line physics, both parties' clocks, the scheduled
-channel, the shared key ledger, and the protocol parameters, all derived
-deterministically from a single seed. Scenarios are isolated values; any
-number of them can run concurrently as long as each is driven by one
-thread.
+channel, the shared key ledger, and the configs the protocols read their
+parameters from, all derived deterministically from a single seed.
+Scenarios are isolated values; any number of them can run concurrently as
+long as each is driven by one thread.
 """
 
 from __future__ import annotations
@@ -14,30 +14,21 @@ from typing import Optional
 
 from .auth import KeyLedger
 from .channel import ChannelState, ClockState, Scheduler
-from .errors import ConfigError
+from .config import ChannelConfig, ClockConfig, ProtocolConfig
 from .line import LineConfig, Party
 
 
 @dataclass
 class Scenario:
     line: LineConfig
+    clock_config: ClockConfig
+    channel_config: ChannelConfig
+    protocol_config: ProtocolConfig
+    seed: int
     clocks: dict[Party, ClockState]
     channel: ChannelState
     scheduler: Scheduler
     ledger: KeyLedger
-    seed: int
-    quantization: Optional[float] = 1e-6  # clock resolution; None disables
-    processing_delay: float = 1e-3  # Bob's think time before responding
-    nominal_tau: float = 2e-3  # honest one-way propagation delay
-    start_time: float = 0.0
-    # alignment-search parameters
-    dt_window: int = 100  # half-width of the shift grid, in samples
-    residual_threshold: float = 0.01
-    k_range: tuple[int, ...] = (0,)
-    estimate_input: str = "voltage"  # or "current"
-    # combined-check tolerances, in clock quanta
-    t0_tol_quanta: float = 2.0
-    tau_tol_quanta: float = 1.5
     # line-modification attack state (consulted by the BEP simulation)
     r_wire_schedule: list[tuple[float, float]] = field(default_factory=list)
     # passive eavesdropper observations, appended per BEP when installed
@@ -52,50 +43,33 @@ class Scenario:
     def quantum(self) -> float:
         """Clock quantum used for tolerance arithmetic (1 us fallback when
         quantization is disabled)."""
-        return self.quantization if self.quantization else 1e-6
+        return self.clock_config.quantization or 1e-6
 
 
 def make_scenario(
     line: LineConfig,
     *,
     seed: int,
-    t0: float = 0.0,
-    tau: float = 2e-3,
-    quantization: Optional[float] = 1e-6,
-    processing_delay: float = 1e-3,
+    protocol: ProtocolConfig,
+    clock: ClockConfig = ClockConfig(),
+    channel: ChannelConfig = ChannelConfig(),
     key_bits: int = 8192,
-    event_budget: int = 1_000_000,
-    **params,
 ) -> Scenario:
     """Assemble an honest scenario; adversaries are installed afterwards.
 
-    Alice holds the master clock; Bob's clock is off by the constant t0.
-    Both channel directions carry the same honest delay tau.
+    Alice holds the master clock; Bob's clock is off by the constant
+    clock.t0. Both channel directions carry the same honest delay
+    channel.tau.
     """
-    if tau < 0:
-        raise ConfigError("tau: must be >= 0")
-    if processing_delay < 0:
-        raise ConfigError("processing_delay: must be >= 0")
-    clocks = {
-        Party.ALICE: ClockState(Party.ALICE, 0.0, is_master=True),
-        Party.BOB: ClockState(Party.BOB, t0),
-    }
-    channel = ChannelState(delay_a_to_b=tau, delay_b_to_a=tau)
-    scheduler = Scheduler(channel, event_budget=event_budget)
-    ledger = KeyLedger.generate(key_bits, seed)
-    scenario = Scenario(
+    channel_state = ChannelState(delay_a_to_b=channel.tau, delay_b_to_a=channel.tau)
+    return Scenario(
         line=line,
-        clocks=clocks,
-        channel=channel,
-        scheduler=scheduler,
-        ledger=ledger,
+        clock_config=clock,
+        channel_config=channel,
+        protocol_config=protocol,
         seed=seed,
-        quantization=quantization,
-        processing_delay=processing_delay,
-        nominal_tau=tau,
+        clocks={Party.ALICE: ClockState(Party.ALICE, 0.0), Party.BOB: ClockState(Party.BOB, clock.t0)},
+        channel=channel_state,
+        scheduler=Scheduler(channel_state),
+        ledger=KeyLedger.generate(key_bits, seed),
     )
-    for name, value in params.items():
-        if not hasattr(scenario, name):
-            raise ConfigError(f"{name}: unknown scenario parameter")
-        setattr(scenario, name, value)
-    return scenario

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from kljnsync.adversaries import (
-    asym_delay,
+    AsymDelay,
+    LineMod,
+    Passive,
+    Substitute,
     install,
-    line_mod,
-    passive,
     passive_bit_guess,
-    substitute_file,
-    substitute_message,
 )
+from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig
 from kljnsync.errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -24,40 +24,43 @@ LINE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 FS = LINE.sample_rate
 
 
-def scenario(**kw):
-    kw.setdefault("seed", 1)
-    kw.setdefault("t0", 7.0 / FS)
-    kw.setdefault("tau", 0.002)
-    return make_scenario(LINE, **kw)
+def scenario(seed=1, t0=7.0 / FS, k_range=(0,)):
+    return make_scenario(
+        LINE,
+        seed=seed,
+        protocol=ProtocolConfig("Combined", k_range=k_range),
+        clock=ClockConfig(t0=t0),
+        channel=ChannelConfig(tau=0.002),
+    )
 
 
 def test_spec_constructors_validate():
     with pytest.raises(ConfigError):
-        asym_delay("BtoA", -1.0)
-    with pytest.raises(ValueError):
-        asym_delay("sideways", 1e-3)
+        AsymDelay("BtoA", -1.0)
     with pytest.raises(ConfigError):
-        substitute_message("Response")  # no field, not dropping
+        AsymDelay("sideways", 1e-3)
     with pytest.raises(ConfigError):
-        substitute_file("scramble")
+        Substitute("Response")  # no field, not dropping
     with pytest.raises(ConfigError):
-        line_mod()  # nothing selected
+        Substitute("file", mode="scramble")
     with pytest.raises(ConfigError):
-        line_mod(r_wire=0.02, tau=1e-3, at_time=0.0)  # two selected
+        LineMod()  # nothing selected
     with pytest.raises(ConfigError):
-        line_mod(r_wire=0.02)  # no activation instant
+        LineMod(r_wire=0.02, tau=1e-3, at_time=0.0)  # two selected
+    with pytest.raises(ConfigError):
+        LineMod(r_wire=0.02)  # no activation instant
 
 
 def test_conflicting_line_modifications():
     sc = scenario()
-    install(line_mod(r_wire=0.02, at_time=0.005), sc)
+    install(LineMod(r_wire=0.02, at_time=0.005), sc)
     with pytest.raises(ConflictingAttackError):
-        install(line_mod(r_wire=0.03, at_time=0.005), sc)
+        install(LineMod(r_wire=0.03, at_time=0.005), sc)
 
 
 def test_attack_composition_applies_in_order():
     sc = scenario(t0=0.005)
-    install([asym_delay("BtoA", 2e-3), asym_delay("BtoA", 2e-3)], sc)
+    install([AsymDelay("BtoA", 2e-3), AsymDelay("BtoA", 2e-3)], sc)
     res = protocol_a(sc)
     # two 2 ms hooks compose to a single 4 ms asymmetric delay
     assert res.tau_est == pytest.approx(0.002 + 0.002, abs=1e-12)
@@ -65,19 +68,19 @@ def test_attack_composition_applies_in_order():
 
 def test_hook_actions_are_audited_in_the_log():
     sc = scenario()
-    install(asym_delay("BtoA", 1e-3), sc)
+    install(AsymDelay("BtoA", 1e-3), sc)
     protocol_a(sc)
     kinds = {rec.kind for rec in sc.scheduler.log}
     assert "attack-delay" in kinds
 
     sc = scenario()
-    install(substitute_message("Response", "t2_star", delta=1e-3), sc)
+    install(Substitute("Response", "t2_star", delta=1e-3), sc)
     protocol_b(sc)
     kinds = {rec.kind for rec in sc.scheduler.log}
     assert "attack-substitute" in kinds
 
     sc = scenario()
-    install(line_mod(r_wire_factor=1.5, at_bep=0), sc)
+    install(LineMod(r_wire_factor=1.5, at_bep=0), sc)
     protocol_c(sc)
     kinds = {rec.kind for rec in sc.scheduler.log}
     assert "attack-linemod-rwire" in kinds
@@ -85,7 +88,7 @@ def test_hook_actions_are_audited_in_the_log():
 
 def test_passive_installation_records_observations():
     sc = scenario(k_range=(0, 1))
-    install(passive(), sc)
+    install(Passive(), sc)
     protocol_c(sc)
     assert sc.passive_log is not None and len(sc.passive_log) == 2
     assert {"k", "msq_voltage", "msq_current", "guess_bit"} <= set(sc.passive_log[0])
@@ -130,29 +133,29 @@ def test_attack_matrix():
     """Detection table: A sees nothing, B sees substitution only, the
     combined integrity check sees all three active attacks."""
     delta = 4e-3
-    sub = lambda: substitute_message("Response", "t2_star", delta=1e-3)
-    filesub = lambda: substitute_file("alter_sample", sample_index=3, delta=0.5)
-    delay = lambda: asym_delay("BtoA", delta)
-    lm_tau = lambda: line_mod(tau=3e-3, at_time=0.004)
-    lm_wire = lambda: line_mod(r_wire_factor=1.5, at_bep=0, fraction=0.5)
+    sub = Substitute("Response", "t2_star", delta=1e-3)
+    filesub = Substitute("file", mode="alter_sample", sample_index=3, delta=0.5)
+    delay = AsymDelay("BtoA", delta)
+    lm_tau = LineMod(tau=3e-3, at_time=0.004)
+    lm_wire = LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5)
 
     # protocol A: everything sails through unflagged
     for attack in (sub, delay, lm_tau):
         sc = scenario(seed=20)
-        install(attack(), sc)
+        install(attack, sc)
         assert protocol_a(sc).attack_flag is False
 
     # protocol B: substitution only
     sc = scenario(seed=21)
-    install(sub(), sc)
+    install(sub, sc)
     assert protocol_b(sc).attack_flag is True
     for attack in (delay, lm_tau):
         sc = scenario(seed=21)
-        install(attack(), sc)
+        install(attack, sc)
         assert protocol_b(sc).attack_flag is False
 
     # combined check: all three
     for attack in (filesub, delay, lm_wire):
         sc = scenario(seed=22)
-        install(attack(), sc)
+        install(attack, sc)
         assert combined_check(sc).attack_flag is True

@@ -91,6 +91,49 @@ def test_parse_rejects_garbage():
         parse_bep_file(("\n".join(lines) + "\n").encode())
 
 
+def _edit_line(n, edit):
+    def corrupt(lines):
+        lines = list(lines)
+        lines[n] = edit(lines[n])
+        return lines
+
+    return corrupt
+
+
+def _set_field(n, column, text):
+    def edit(line):
+        parts = line.split(",")
+        parts[column] = text
+        return ",".join(parts)
+
+    return _edit_line(n, edit)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _set_field(1, 0, "x"),  # non-numeric sample index
+        _set_field(2, 1, "1.5e-3x"),  # not a float
+        _set_field(3, 2, "0x1p-3"),  # not a decimal float
+        _edit_line(-1, lambda line: "tag=" + "zz" * 40),  # tag not hex
+        _set_field(4, 1, "nan"),
+        _set_field(5, 2, "-inf"),
+        _set_field(6, 1, "1e999"),  # overflows to inf
+        _edit_line(0, lambda line: line.replace("fs=200000.000000", "fs=nan")),
+        _edit_line(0, lambda line: line.replace("local_start=", "local_start=inf ")),
+    ],
+    ids=["index", "float", "hexfloat", "tag", "nan", "inf", "overflow", "fs_nan", "start_inf"],
+)
+def test_parse_fails_closed_on_malformed_content(corrupt):
+    f = build_bep_file(honest_measurement()[0], CFG)
+    tag = encrypt_digest(hash_message(f.payload_bytes()), KeyLedger.generate(4096, 1))
+    lines = serialize_bep_file(f, tag).decode().splitlines()
+    bad = corrupt(lines)
+    assert bad != lines
+    with pytest.raises(ConfigError):
+        parse_bep_file(("\n".join(bad) + "\n").encode())
+
+
 def test_mismatched_lengths_rejected():
     with pytest.raises(ConfigError):
         BepFile(Party.ALICE, 0, 1e5, 0.0, np.zeros(5), np.zeros(4), b"\x00")

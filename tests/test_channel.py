@@ -7,7 +7,6 @@ from kljnsync.channel import (
     Envelope,
     Scheduler,
     format_event_log,
-    local_time,
     quantize,
 )
 from kljnsync.errors import ConfigError, LivelockError
@@ -15,12 +14,12 @@ from kljnsync.line import Party
 
 
 def test_local_time_is_offset_translation():
-    master = ClockState(Party.ALICE, 0.0, is_master=True)
-    assert local_time(master, 7.0) == 7.0
+    master = ClockState(Party.ALICE, 0.0)
+    assert master.local_time(7.0) == 7.0
     bob = ClockState(Party.BOB, 0.005)
-    assert local_time(bob, 1.000) == 1.005
+    assert bob.local_time(1.000) == 1.005
     early = ClockState(Party.BOB, -3e-3)
-    assert local_time(early, 0.0) == -0.003
+    assert early.local_time(0.0) == -0.003
 
 
 def test_clock_translation_round_trip():

@@ -182,3 +182,13 @@ def test_config_value_bounds_checked():
     bad = dict(MINIMAL, clock={"quantization": -2.0})
     with pytest.raises(ConfigError, match="quantization"):
         ScenarioConfig.from_dict(bad)
+
+
+def test_sweep_of_an_integer_field_takes_whole_floats_only():
+    cfg = load_bundled("honest_protocol_c")
+    (report,) = sweep(cfg, "protocol.dt_window", [50.0])
+    assert report.config["protocol"]["dt_window"] == 50
+    assert type(report.config["protocol"]["dt_window"]) is int
+    assert len(report.series["residual_curve"]) == 101
+    with pytest.raises(ConfigError, match="protocol.dt_window"):
+        sweep(cfg, "protocol.dt_window", [2.5])

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from kljnsync.adversaries import (
-    asym_delay,
-    install,
-    line_mod,
-    substitute_file,
-    substitute_message,
-)
+from kljnsync.adversaries import AsymDelay, LineMod, Substitute, install
 from kljnsync.bepfile import build_bep_file
+from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig
 from kljnsync.errors import (
     ConfigError,
     FlatResidualError,
@@ -20,7 +15,6 @@ from kljnsync.line import LineConfig, Party, ResistorChoice, simulate_bep
 from kljnsync.protocols import (
     MessageKind,
     ProtocolKind,
-    SearchGrid,
     SyncMessage,
     combined_check,
     estimate_offset,
@@ -36,11 +30,15 @@ LINE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 FS = LINE.sample_rate
 
 
-def scenario(**kw):
-    kw.setdefault("seed", 1)
-    kw.setdefault("t0", 0.005)
-    kw.setdefault("tau", 0.002)
-    return make_scenario(LINE, **kw)
+def scenario(seed=1, t0=0.005, tau=0.002, clock=None, channel=None, k_range=(0,), key_bits=8192):
+    return make_scenario(
+        LINE,
+        seed=seed,
+        protocol=ProtocolConfig("Combined", k_range=k_range),
+        clock=clock or ClockConfig(t0=t0),
+        channel=channel or ChannelConfig(tau=tau),
+        key_bits=key_bits,
+    )
 
 
 # --- messages ---------------------------------------------------------------
@@ -61,7 +59,10 @@ def test_sync_message_requires_kind_fields():
 
 
 def test_protocol_a_trivial_degenerate_case():
-    sc = scenario(t0=0.0, tau=0.0, processing_delay=0.0, quantization=None)
+    sc = scenario(
+        clock=ClockConfig(t0=0.0, quantization=None),
+        channel=ChannelConfig(tau=0.0, processing_delay=0.0),
+    )
     res = protocol_a(sc)
     assert res.t0_est == 0.0 and res.tau_est == 0.0
 
@@ -84,7 +85,7 @@ def test_protocol_a_exact_over_random_pairs():
     for _ in range(200):
         t0 = float(rng.uniform(-0.05, 0.05))
         tau = float(rng.uniform(1e-6, 0.02))
-        sc = scenario(seed=2, t0=t0, tau=tau, quantization=None)
+        sc = scenario(seed=2, tau=tau, clock=ClockConfig(t0=t0, quantization=None))
         res = protocol_a(sc)
         assert abs(res.t0_est - t0) < 1e-12
         assert abs(res.tau_est - tau) < 1e-12
@@ -96,7 +97,7 @@ def test_delay_attack_algebra(delta_ms, leg, sign):
     delta = delta_ms * 1e-3
     for proto in (protocol_a, protocol_b):
         sc = scenario(t0=0.005, tau=0.002)
-        install(asym_delay(leg, delta), sc)
+        install(AsymDelay(leg, delta), sc)
         res = proto(sc)
         assert res.t0_est == pytest.approx(0.005 + sign * delta / 2, abs=1e-12)
         assert res.tau_est == pytest.approx(0.002 + delta / 2, abs=1e-12)
@@ -105,14 +106,14 @@ def test_delay_attack_algebra(delta_ms, leg, sign):
 
 def test_protocol_a_dropped_message_raises():
     sc = scenario()
-    install(substitute_message("Response", drop=True), sc)
+    install(Substitute("Response", drop=True), sc)
     with pytest.raises(ProtocolIncompleteError):
         protocol_a(sc)
 
 
 def test_protocol_a_never_flags_substitution():
     sc = scenario()
-    install(substitute_message("Response", "t2_star", delta=1e-3), sc)
+    install(Substitute("Response", "t2_star", delta=1e-3), sc)
     res = protocol_a(sc)
     assert res.attack_flag is False
     assert res.t0_est != pytest.approx(0.005, abs=1e-6)  # silently biased
@@ -133,7 +134,7 @@ def test_protocol_b_honest_matches_a_and_spends_key():
 
 def test_protocol_b_flags_substitution():
     sc = scenario(seed=3)
-    install(substitute_message("Response", "t2_star", delta=1e-3), sc)
+    install(Substitute("Response", "t2_star", delta=1e-3), sc)
     res = protocol_b(sc)
     assert res.attack_flag is True and res.auth_ok is False
     assert res.t0_est is None and res.tau_est is None
@@ -141,14 +142,14 @@ def test_protocol_b_flags_substitution():
 
 def test_protocol_b_flags_fabricated_tag():
     sc = scenario(seed=3)
-    install(substitute_message("Response", "t2_star", delta=1e-3, fabricate_tag=True), sc)
+    install(Substitute("Response", "t2_star", delta=1e-3, fabricate_tag=True), sc)
     res = protocol_b(sc)
     assert res.attack_flag is True
 
 
 def test_protocol_b_reports_timeout_on_drop():
     sc = scenario(seed=3)
-    install(substitute_message("Share", drop=True), sc)
+    install(Substitute("Share", drop=True), sc)
     res = protocol_b(sc)
     assert res.attack_flag is True and "timeout" in res.detail
 
@@ -179,7 +180,7 @@ def test_exchange_files_honest():
 
 def test_exchange_files_flags_altered_sample():
     sc = scenario(seed=4)
-    install(substitute_file("alter_sample", sample_index=7, delta=0.25), sc)
+    install(Substitute("file", mode="alter_sample", sample_index=7, delta=0.25), sc)
     fa, fb = bep_files()
     out = exchange_files(sc, fa, fb, send_absolute=0.0)
     assert out.auth_ok_at_bob is False  # Alice's file crossed A->B tampered
@@ -188,7 +189,7 @@ def test_exchange_files_flags_altered_sample():
 
 def test_exchange_files_detects_replay():
     sc = scenario(seed=4, key_bits=16384)
-    install(substitute_file("replay"), sc)
+    install(Substitute("file", mode="replay"), sc)
     fa0, fb0 = bep_files(seed=21, k=0)
     out0 = exchange_files(sc, fa0, fb0, send_absolute=0.0, expected_index=0)
     assert out0.all_ok  # first pass is recorded, not altered
@@ -228,8 +229,8 @@ def test_estimate_offset_symmetry():
 def test_estimate_offset_voltage_and_current_inputs_agree():
     t0 = -4.0 / FS
     fa, fb = bep_files(t0=t0)
-    dt_v, _ = estimate_offset(fa, fb, LINE.R_wire, SearchGrid(input="voltage"))
-    dt_c, _ = estimate_offset(fa, fb, LINE.R_wire, SearchGrid(input="current"))
+    dt_v, _ = estimate_offset(fa, fb, LINE.R_wire, ProtocolConfig("C", input="voltage"))
+    dt_c, _ = estimate_offset(fa, fb, LINE.R_wire, ProtocolConfig("C", input="current"))
     assert dt_v == pytest.approx(dt_c, abs=1.0 / FS)
 
 
@@ -254,13 +255,13 @@ def test_residual_curve_insufficient_overlap():
 
     short = replace(fb, voltage_samples=fb.voltage_samples[:300], current_samples=fb.current_samples[:300])
     with pytest.raises(InsufficientOverlapError):
-        residual_curve(fa, short, LINE.R_wire, SearchGrid(window=100))
+        residual_curve(fa, short, LINE.R_wire, ProtocolConfig("C", dt_window=100))
 
 
 def test_residual_curve_valley_is_at_negative_offset():
     t0 = 6.0 / FS
     fa, fb = bep_files(t0=t0)
-    shifts, residuals = residual_curve(fa, fb, LINE.R_wire, SearchGrid(window=20))
+    shifts, residuals = residual_curve(fa, fb, LINE.R_wire, ProtocolConfig("C", dt_window=20))
     assert shifts[np.argmin(residuals)] == pytest.approx(-t0, abs=0.5 / FS)
 
 
@@ -291,7 +292,7 @@ def test_protocol_c_multi_bep_pooling():
 def test_protocol_c_flags_tampered_file_and_skips_correction():
     t0 = 7.0 / FS
     sc = scenario(seed=5, t0=t0)
-    install(substitute_file("alter_sample", sample_index=100, delta=0.5), sc)
+    install(Substitute("file", mode="alter_sample", sample_index=100, delta=0.5), sc)
     res = protocol_c(sc)
     assert res.attack_flag is True and res.auth_ok is False
     assert res.t0_est is None
@@ -300,7 +301,7 @@ def test_protocol_c_flags_tampered_file_and_skips_correction():
 
 def test_protocol_c_flags_replayed_file():
     sc = scenario(seed=5, t0=7.0 / FS, k_range=(0, 1))
-    install(substitute_file("replay"), sc)
+    install(Substitute("file", mode="replay"), sc)
     res = protocol_c(sc)
     assert res.attack_flag is True
     assert "stale" in res.detail
@@ -308,7 +309,7 @@ def test_protocol_c_flags_replayed_file():
 
 def test_protocol_c_flags_line_modification():
     sc = scenario(seed=7, t0=7.0 / FS)
-    install(line_mod(r_wire_factor=1.5, at_bep=0, fraction=0.5), sc)
+    install(LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5), sc)
     res = protocol_c(sc)
     assert res.attack_flag is True
     assert res.residual is None or res.residual > 1e-2
@@ -320,13 +321,13 @@ def test_combined_check_honest_passes():
     assert res.protocol is ProtocolKind.COMBINED
     assert res.attack_flag is False
     assert abs(res.t0_est) <= 2 * sc.quantum
-    assert res.tau_est == pytest.approx(sc.nominal_tau, abs=1.5 * sc.quantum)
+    assert res.tau_est == pytest.approx(sc.channel_config.tau, abs=1.5 * sc.quantum)
     assert res.residual < 1e-4
 
 
 def test_combined_check_catches_asymmetric_delay():
     sc = scenario(seed=9, t0=7.0 / FS)
-    install(asym_delay("BtoA", 4e-6), sc)  # four clock quanta
+    install(AsymDelay("BtoA", 4e-6), sc)  # four clock quanta
     res = combined_check(sc)
     assert res.attack_flag is True
     assert "deviates" in res.detail or "not zero" in res.detail
@@ -334,13 +335,13 @@ def test_combined_check_catches_asymmetric_delay():
 
 def test_combined_check_catches_late_line_change():
     sc = scenario(seed=10, t0=7.0 / FS)
-    install(line_mod(tau=3e-3, at_time=0.05), sc)
+    install(LineMod(tau=3e-3, at_time=0.05), sc)
     res = combined_check(sc)
     assert res.attack_flag is True
 
 
 def test_combined_check_catches_mid_bep_wire_change():
     sc = scenario(seed=11, t0=7.0 / FS)
-    install(line_mod(r_wire_factor=1.5, at_bep=0, fraction=0.5), sc)
+    install(LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5), sc)
     res = combined_check(sc)
     assert res.attack_flag is True
