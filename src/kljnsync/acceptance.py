@@ -190,29 +190,49 @@ def criterion_5_substitution_detection() -> tuple[bool, str]:
 def criterion_6_offset_recovery() -> tuple[bool, str]:
     """100 honest integrity-check runs with offsets across +-25 sample
     intervals recover the offset to within one sample, with residuals far
-    below the detection threshold."""
+    below the detection threshold. So do 50 runs with offsets a random
+    fraction of a sample off that grid and 10 runs with offsets beyond
+    100 samples, up to 900, each of which must pass unflagged."""
     started = time.perf_counter()
-    rng = np.random.default_rng(606)
-    good = 0
-    max_residual = 0.0
-    worst_err = 0.0
-    for i in range(100):
-        m = int(rng.integers(-25, 26))
-        t0 = m / FS
-        sc = _scenario("C", seed=3000 + i, t0=t0, tau=0.002)
-        res = protocol_c(sc)
+
+    def recover(i: int, samples: float):
+        """The run's error in samples and its residual; None if flagged."""
+        t0 = samples / FS
+        res = protocol_c(_scenario("C", seed=3000 + i, t0=t0, tau=0.002))
         if res.attack_flag:
-            continue
-        err = abs(res.t0_est - t0) * FS
-        worst_err = max(worst_err, err)
-        max_residual = max(max_residual, res.residual)
-        if err <= 1.0:
-            good += 1
+            return None
+        return abs(res.t0_est - t0) * FS, res.residual
+
+    rng = np.random.default_rng(606)
+    whole = [recover(i, int(rng.integers(-25, 26))) for i in range(100)]
+    rng = np.random.default_rng(616)
+    sub_sample = [recover(100 + i, int(rng.integers(-25, 26)) + rng.uniform(0.0, 1.0)) for i in range(50)]
+    far = [recover(150 + i, rng.choice([-1.0, 1.0]) * (900.0 - rng.uniform(0.0, 800.0))) for i in range(10)]
+
+    def tally(runs):
+        done = [run for run in runs if run is not None]
+        good = sum(err <= 1.0 for err, _ in done)
+        worst = max((err for err, _ in done), default=0.0)
+        return good, worst, max((residual for _, residual in done), default=0.0)
+
+    good, worst_err, max_residual = tally(whole)
+    good_sub, worst_sub, residual_sub = tally(sub_sample)
+    good_far, worst_far, residual_far = tally(far)
     elapsed = time.perf_counter() - started
-    ok = good >= 99 and max_residual < 1e-4 and elapsed < 60.0
+    ok = (
+        good >= 99
+        and max_residual < 1e-4
+        and good_sub == 50
+        and good_far == 10
+        and max(residual_sub, residual_far) < 1e-4
+        and elapsed < 60.0
+    )
     return ok, (
         f"{good}/100 within 1 sample (worst {worst_err:.3f}), "
-        f"max residual {max_residual:.2e}, {elapsed:.1f}s"
+        f"max residual {max_residual:.2e}; sub-sample {good_sub}/50 "
+        f"(worst {worst_sub:.3f}), beyond 100 samples {good_far}/10 "
+        f"(worst {worst_far:.3f}), max residual {max(residual_sub, residual_far):.2e}; "
+        f"{elapsed:.1f}s"
     )
 
 

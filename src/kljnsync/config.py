@@ -236,10 +236,12 @@ class ChannelConfig:
 class ProtocolConfig:
     """Which protocol runs, and its parameters.
 
-    The alignment search of protocol C tries one shift per sample interval
-    over +-dt_window samples, driving the wire model with the record named
-    by input, over the BEPs in k_range; the run is flagged when no shift
-    gets the residual to residual_threshold. The combined check's probe
+    The alignment search of protocol C tries every shift on the sample
+    lattice that keeps half of a record overlapping, driving the wire model
+    with the record named by input, over the BEPs in k_range; the run is
+    flagged when no shift gets the residual to residual_threshold. The
+    report keeps the residual curve over +-dt_window samples around its
+    minimum. The combined check's probe
     must then find the offset within t0_tol_quanta clock quanta of zero and
     the delay within tau_tol_quanta quanta of the channel's tau.
     """

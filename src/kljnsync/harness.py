@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .adversaries import Attack, install
+from .adversaries import Attack, LineMod, install
 from .channel import format_event_log
 from .config import ChannelConfig, ClockConfig, ProtocolConfig, check_fields, read, to_doc
 from .errors import ConfigError, ProtocolIncompleteError, UnknownParameterError, UnknownSeriesError
@@ -52,6 +52,14 @@ class ScenarioConfig:
     def __post_init__(self):
         check_fields(self)
         problems = [f"{name}: must be >= 0" for name in ("seed", "key_bits") if getattr(self, name) < 0]
+        # a line change scheduled for a BEP the protocol never records would
+        # never fire, and the run would report clean
+        problems += [
+            f"attacks.{n}.at_bep: must be one of protocol.k_range {list(self.protocol.k_range)}"
+            for n, attack in enumerate(self.attacks)
+            if isinstance(attack, LineMod) and attack.at_bep is not None
+            and attack.at_bep not in self.protocol.k_range
+        ]
         if problems:
             raise ConfigError(problems)
 

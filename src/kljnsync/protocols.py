@@ -333,19 +333,29 @@ def residual_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized mean-square mismatch against the wire model, per shift.
 
-    The candidates are the whole sample intervals within +-search.dt_window,
-    and search.input names the record that drives the wire model. For each
-    candidate shift the other party's record is placed on the reference
-    party's time axis (linear interpolation between samples) and the wire
-    model is evaluated over the overlap:
+    The candidate shifts lie on the sample lattice. With base the offset,
+    in samples, between the two records' start stamps, shift j + frac(base)
+    maps reference sample n exactly onto other sample n + m, m = rint(base)
+    - j, so no interpolation is needed. Every shift whose overlap keeps at
+    least half of the reference record is a candidate: about +-N/2 samples
+    for two N-sample records. search.input names the record that drives the
+    wire model:
 
       voltage input: I_sim = (U_alice - U_bob) / r_wire, compared with the
         reference party's measured current;
-      current input: the shifted record's current predicts the terminal
+      current input: the other record's current predicts the terminal
         voltage difference I * r_wire, compared with the measured difference.
 
-    Returns (shifts_seconds, residuals). Raises InsufficientOverlapError if
-    any candidate would leave less than half the reference record usable.
+    Written as sum((a - b)^2) / sum(d^2) over the overlap, the numerator is
+    expanded into sum(a^2) - 2 sum(a b) + sum(b^2): the cross term of every
+    shift comes from one FFT cross-correlation, the energies and the
+    denominator d^2 from prefix sums. The expansion cancels badly where the
+    residual is small, so the minimum and its two neighbours are computed
+    again directly. search.dt_window does not limit the search.
+
+    Returns (shifts_seconds, residuals), shifts ascending. Raises
+    InsufficientOverlapError when no shift leaves half the reference record
+    usable.
     """
     if r_wire <= 0:
         raise ConfigError("r_wire: alignment search needs a positive wire resistance")
@@ -356,49 +366,69 @@ def residual_curve(
         raise ConfigError("files: empty record")
 
     fs = file_ref.sample_rate
-    # index into the other record of reference sample n at shift zero
     base = (file_ref.local_start - file_other.local_start) * fs
-    ref_idx = np.arange(n_ref, dtype=np.float64)
+
+    # lags m, descending so that shifts ascend, and each one's overlap
+    # [lo, hi) on the reference record
+    m = np.arange(n_other - 1, -n_ref, -1)
+    lo = np.maximum(0, -m)
+    hi = np.minimum(n_ref, n_other - m)
+    keep = hi - lo >= 0.5 * n_ref
+    if not keep.any():
+        raise InsufficientOverlapError(
+            f"no shift leaves half of the {n_ref}-sample record overlapping "
+            f"the {n_other}-sample one"
+        )
+    m, lo, hi = m[keep], lo[keep], hi[keep]
 
     sign = 1.0 if file_ref.party is Party.ALICE else -1.0
-    shifts = np.arange(-search.dt_window, search.dt_window + 1)
-    residuals = np.empty(shifts.size)
+    v_ref, v_other = file_ref.voltage_samples, file_other.voltage_samples
+    if search.input == "voltage":
+        a = sign * v_ref / r_wire - file_ref.current_samples
+        b = sign * v_other / r_wire
+        d2, d_lo, d_hi = file_ref.current_samples**2, lo, hi
+    else:
+        a = sign * v_ref
+        b = sign * v_other + r_wire * file_other.current_samples
+        d2, d_lo, d_hi = (r_wire * file_other.current_samples) ** 2, lo + m, hi + m
 
-    for pos, j in enumerate(shifts):
-        idx = base - j + ref_idx
-        valid = (idx >= 0.0) & (idx <= n_other - 1)
-        n_valid = int(np.count_nonzero(valid))
-        if n_valid < 0.5 * n_ref:
-            raise InsufficientOverlapError(
-                f"shift {j} samples leaves {n_valid}/{n_ref} overlap"
-            )
-        iv = idx[valid]
-        i0 = np.clip(np.floor(iv).astype(np.intp), 0, n_other - 2)
-        frac = iv - i0
+    size = 1 << (n_ref + n_other - 2).bit_length()  # a power of two >= n_ref + n_other - 1
+    spectrum = np.conj(np.fft.rfft(a, size)) * np.fft.rfft(b, size)
+    cross = np.fft.irfft(spectrum, size)[m % size]  # sum over n of a[n] b[n + m]
 
-        def interp(samples: np.ndarray) -> np.ndarray:
-            return samples[i0] * (1.0 - frac) + samples[i0 + 1] * frac
+    def prefix(x: np.ndarray) -> np.ndarray:
+        return np.concatenate(([0.0], np.cumsum(x)))
 
-        v_diff = sign * (file_ref.voltage_samples[valid] - interp(file_other.voltage_samples))
+    energy_a, energy_b, energy_d = prefix(a * a), prefix(b * b), prefix(d2)
+    num = energy_a[hi] - energy_a[lo] - 2.0 * cross + energy_b[hi + m] - energy_b[lo + m]
+    den = energy_d[d_hi] - energy_d[d_lo]
+    residuals = np.full(m.size, np.inf)
+    # rounding can take the expanded numerator of a near-zero residual below 0
+    np.divide(np.maximum(num, 0.0), den, out=residuals, where=den > 0)
+
+    def direct(k: int) -> float:
+        n = slice(lo[k], hi[k])
+        other = slice(lo[k] + m[k], hi[k] + m[k])
+        v_diff = sign * (v_ref[n] - v_other[other])
         if search.input == "voltage":
-            i_sim = v_diff / r_wire
-            i_meas = file_ref.current_samples[valid]
-            num = np.sum((i_sim - i_meas) ** 2)
-            den = np.sum(i_meas**2)
+            i_meas = file_ref.current_samples[n]
+            mismatch, norm = np.sum((v_diff / r_wire - i_meas) ** 2), np.sum(i_meas**2)
         else:
-            v_pred = interp(file_other.current_samples) * r_wire
-            num = np.sum((v_diff - v_pred) ** 2)
-            den = np.sum(v_pred**2)
-        residuals[pos] = num / den if den > 0 else np.inf
+            v_pred = file_other.current_samples[other] * r_wire
+            mismatch, norm = np.sum((v_diff - v_pred) ** 2), np.sum(v_pred**2)
+        return mismatch / norm if norm > 0 else np.inf
 
-    return shifts / fs, residuals
+    best = int(np.argmin(residuals))
+    for k in range(max(best - 1, 0), min(best + 2, m.size)):
+        residuals[k] = direct(k)
+
+    return (base - m) / fs, residuals
 
 
 def _pick_minimum(shifts: np.ndarray, residuals: np.ndarray) -> int:
     # smallest residual; ties go to the smallest |shift| (the null
-    # hypothesis of already-synchronized clocks)
-    order = sorted(range(shifts.size), key=lambda i: (residuals[i], abs(shifts[i]), shifts[i]))
-    return order[0]
+    # hypothesis of already-synchronized clocks), then the negative shift
+    return int(np.lexsort((shifts, np.abs(shifts), residuals))[0])
 
 
 def _refine_vertex(shifts: np.ndarray, residuals: np.ndarray, i: int) -> float:
@@ -413,6 +443,21 @@ def _refine_vertex(shifts: np.ndarray, residuals: np.ndarray, i: int) -> float:
     return float(shifts[i] + np.clip(delta, -0.5, 0.5) * step)
 
 
+def locate_minimum(shifts: np.ndarray, residuals: np.ndarray, threshold: float) -> tuple[float, float]:
+    """The verdict on one residual curve.
+
+    Returns (dt_star, residual): the minimizing shift, refined to
+    sub-sample by a three-point parabola, and the residual at the grid
+    minimum. Raises FlatResidualError when that residual is not below
+    threshold - either the line was modified or the model is wrong.
+    """
+    i = _pick_minimum(shifts, residuals)
+    best = float(residuals[i])
+    if not best <= threshold:
+        raise FlatResidualError(float(shifts[i]), best, threshold)
+    return _refine_vertex(shifts, residuals, i), best
+
+
 def estimate_offset(
     file_ref: BepFile,
     file_other: BepFile,
@@ -422,21 +467,15 @@ def estimate_offset(
     """Find the shift where the other party's record satisfies the wire
     model against the reference record.
 
-    Returns (dt_star, residual): the minimizing shift, refined to
-    sub-sample by a three-point parabola, and the residual at the grid
-    minimum. The reference party's clock offset relative to the other is
-    -dt_star; run with Alice as reference, that recovers Bob's offset
-    directly.
+    Returns (dt_star, residual) as locate_minimum does. The reference
+    party's clock offset relative to the other is -dt_star; run with Alice
+    as reference, that recovers Bob's offset directly.
 
     Raises FlatResidualError when no candidate gets below the detection
     threshold - either the line was modified or the model is wrong.
     """
     shifts, residuals = residual_curve(file_ref, file_other, r_wire, search)
-    i = _pick_minimum(shifts, residuals)
-    best = float(residuals[i])
-    if best > search.residual_threshold:
-        raise FlatResidualError(float(shifts[i]), best, search.residual_threshold)
-    return _refine_vertex(shifts, residuals, i), best
+    return locate_minimum(shifts, residuals, search.residual_threshold)
 
 
 def bep_start_time(scenario: Scenario, k: int) -> float:
@@ -503,9 +542,8 @@ def protocol_c(scenario: Scenario) -> SyncResult:
     """
     search = scenario.protocol_config
 
-    curves_alice: list[np.ndarray] = []
-    curves_bob: list[np.ndarray] = []
-    shifts = None
+    curves_alice: list[tuple[np.ndarray, np.ndarray]] = []
+    curves_bob: list[tuple[np.ndarray, np.ndarray]] = []
 
     for k in search.k_range:
         meas_a, meas_b = run_bep(scenario, k)
@@ -527,27 +565,29 @@ def protocol_c(scenario: Scenario) -> SyncResult:
                 auth_ok=False, attack_flag=True, detail=reason,
             )
         # Alice searches her own record against Bob's received copy; Bob
-        # does the mirror image with Alice's received copy.
-        s_a, r_a = residual_curve(file_a, outcome.received_by_alice, scenario.line.R_wire, search)
-        _, r_b = residual_curve(file_b, outcome.received_by_bob, scenario.line.R_wire, search)
-        curves_alice.append(r_a)
-        curves_bob.append(r_b)
-        shifts = s_a
+        # does the mirror image with Alice's received copy, on his own grid.
+        curves_alice.append(residual_curve(file_a, outcome.received_by_alice, scenario.line.R_wire, search))
+        curves_bob.append(residual_curve(file_b, outcome.received_by_bob, scenario.line.R_wire, search))
 
-    mean_alice = np.mean(curves_alice, axis=0)
-    mean_bob = np.mean(curves_bob, axis=0)
-    scenario.diagnostics["residual_curve"] = (shifts, mean_alice)
+    # every BEP's records have the same lengths, so position p of each curve
+    # is the same index lag; its shifts differ only by the start stamps'
+    # nanosecond rounding
+    shifts_alice, mean_alice = np.mean(curves_alice, axis=0)
+    shifts_bob, mean_bob = np.mean(curves_bob, axis=0)
+    i = _pick_minimum(shifts_alice, mean_alice)
+    width = 2 * search.dt_window + 1
+    lo = max(min(i - search.dt_window, mean_alice.size - width), 0)
+    scenario.diagnostics["residual_curve"] = (shifts_alice[lo : lo + width], mean_alice[lo : lo + width])
 
-    i_a = _pick_minimum(shifts, mean_alice)
-    best = float(mean_alice[i_a])
-    if best > search.residual_threshold:
+    try:
+        dt_alice, best = locate_minimum(shifts_alice, mean_alice, search.residual_threshold)
+        dt_bob, _ = locate_minimum(shifts_bob, mean_bob, search.residual_threshold)
+    except FlatResidualError as err:
         return SyncResult(
-            ProtocolKind.C, None, None, best,
+            ProtocolKind.C, None, None, err.residual,
             auth_ok=True, attack_flag=True,
-            detail=f"no shift explains the data (residual {best:.3e})",
+            detail=f"no shift explains the data (residual {err.residual:.3e})",
         )
-    dt_alice = _refine_vertex(shifts, mean_alice, i_a)
-    dt_bob = _refine_vertex(shifts, mean_bob, _pick_minimum(shifts, mean_bob))
 
     t0_est = -dt_alice
     # symmetric searches must agree (their shifts are mutual negatives)

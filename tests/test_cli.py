@@ -65,3 +65,21 @@ def test_sweep_and_plot(tmp_path, capsys):
 
     rc = main(["plot", str(report), "--series", "nope"])
     assert rc == 2
+
+
+def test_sweep_of_offsets_between_and_beyond_the_reported_window(tmp_path, capsys):
+    # 99 samples, 150 samples (beyond dt_window) and 7.3 samples
+    rc = main(
+        [
+            "sweep", "honest_protocol_c",
+            "--param", "clock.t0",
+            "--values", "0.000495,0.00075,0.0000365",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    reports = sorted(tmp_path.glob("honest_protocol_c.clock_t0=*.report.json"))
+    assert len(reports) == 3
+    for path in reports:
+        result = json.loads(path.read_text())["result"]
+        assert result["attack_flag"] is False, (path.name, result["detail"])

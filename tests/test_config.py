@@ -53,6 +53,7 @@ NAMED = [
     ("substitution_attack_b", "attacks.0.field", "t9"),
     ("substitution_attack_b", "attacks.0.field", "t1"),
     ("linemod_attack_c", "attacks.0.fraction", 7.0),
+    ("linemod_attack_c", "attacks.0.at_bep", 5),
 ]
 
 

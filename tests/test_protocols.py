@@ -19,6 +19,7 @@ from kljnsync.protocols import (
     combined_check,
     estimate_offset,
     exchange_files,
+    locate_minimum,
     protocol_a,
     protocol_b,
     protocol_c,
@@ -249,6 +250,64 @@ def test_estimate_offset_requires_positive_wire():
         estimate_offset(fa, fb, 0.0)
 
 
+def reference_curve(file_ref, file_other, r_wire, search):
+    """The per-shift loop the closed form replaced, on the sample lattice:
+    for every index lag m whose overlap keeps half of the reference record,
+    the wire-model residual summed directly over that overlap."""
+    fs = file_ref.sample_rate
+    base = (file_ref.local_start - file_other.local_start) * fs
+    n_ref, n_other = len(file_ref), len(file_other)
+    sign = 1.0 if file_ref.party is Party.ALICE else -1.0
+    shifts, residuals = [], []
+    for m in range(n_other - 1, -n_ref, -1):
+        lo, hi = max(0, -m), min(n_ref, n_other - m)
+        if hi - lo < 0.5 * n_ref:
+            continue
+        v_diff = sign * (file_ref.voltage_samples[lo:hi] - file_other.voltage_samples[lo + m : hi + m])
+        if search.input == "voltage":
+            i_sim = v_diff / r_wire
+            i_meas = file_ref.current_samples[lo:hi]
+            num = np.sum((i_sim - i_meas) ** 2)
+            den = np.sum(i_meas**2)
+        else:
+            v_pred = file_other.current_samples[lo + m : hi + m] * r_wire
+            num = np.sum((v_diff - v_pred) ** 2)
+            den = np.sum(v_pred**2)
+        shifts.append((base - m) / fs)
+        residuals.append(num / den if den > 0 else np.inf)
+    return np.array(shifts), np.array(residuals)
+
+
+@pytest.mark.parametrize("offset", [0.0, 7.0, 7.3, -12.6, 150.0])
+@pytest.mark.parametrize("input_", ["voltage", "current"])
+def test_residual_curve_matches_the_per_shift_loop(offset, input_):
+    fa, fb = bep_files(t0=offset / FS)
+    search = ProtocolConfig("C", input=input_)
+    shifts, residuals = residual_curve(fa, fb, LINE.R_wire, search)
+    want_shifts, want = reference_curve(fa, fb, LINE.R_wire, search)
+    assert shifts.size == want.size == 2 * (len(fa) // 2) + 1  # the full +-N/2 range
+    np.testing.assert_allclose(shifts, want_shifts, rtol=0, atol=1e-9 / FS)
+    assert np.all(np.abs(residuals - want) <= 1e-9 * np.maximum(1.0, want))
+    # the minimum and its two neighbours are recomputed exactly
+    i = int(np.argmin(residuals))
+    assert i == int(np.argmin(want))
+    assert shifts[i] == pytest.approx(-offset / FS, abs=1e-6 / FS)
+    np.testing.assert_allclose(residuals[i - 1 : i + 2], want[i - 1 : i + 2], rtol=1e-12, atol=0)
+    assert residuals[i] < 1e-15
+
+
+def test_locate_minimum_ties_go_to_the_smallest_shift():
+    shifts = np.arange(-2.0, 3.0) / FS
+    # equal minima at -2, 0 and +2 samples: the zero shift wins
+    dt, best = locate_minimum(shifts, np.array([0.0, 3.0, 0.0, 3.0, 0.0]), 0.01)
+    assert dt == 0.0 and best == 0.0
+    # equal minima at -1 and +1 samples: the negative one wins
+    dt, best = locate_minimum(shifts, np.array([3.0, 0.0, 3.0, 0.0, 3.0]), 0.01)
+    assert dt == -1.0 / FS and best == 0.0
+    with pytest.raises(FlatResidualError):
+        locate_minimum(shifts, np.array([3.0, 0.5, 3.0, 0.5, 3.0]), 0.01)
+
+
 def test_residual_curve_insufficient_overlap():
     fa, fb = bep_files()
     from dataclasses import replace
@@ -263,6 +322,14 @@ def test_residual_curve_valley_is_at_negative_offset():
     fa, fb = bep_files(t0=t0)
     shifts, residuals = residual_curve(fa, fb, LINE.R_wire, ProtocolConfig("C", dt_window=20))
     assert shifts[np.argmin(residuals)] == pytest.approx(-t0, abs=0.5 / FS)
+
+
+@pytest.mark.parametrize("samples", [7.3, -12.6, 0.5, 150.0, -640.25])
+def test_estimate_offset_recovers_sub_sample_and_far_offsets(samples):
+    fa, fb = bep_files(t0=samples / FS)
+    dt, residual = estimate_offset(fa, fb, LINE.R_wire)
+    assert -dt == pytest.approx(samples / FS, abs=1.0 / FS)
+    assert residual < 1e-15
 
 
 # --- protocol C and the combined check --------------------------------------
@@ -287,6 +354,30 @@ def test_protocol_c_multi_bep_pooling():
     assert res.attack_flag is False
     assert res.t0_est == pytest.approx(t0, abs=1.0 / FS)
     assert sc.ledger.consumed == 3 * 2 * 256  # two tagged files per BEP
+
+
+def test_protocol_c_multi_bep_pooling_with_a_sub_sample_offset():
+    t0 = -9.4 / FS
+    sc = scenario(seed=6, t0=t0, k_range=(0, 1, 2))
+    res = protocol_c(sc)
+    assert res.attack_flag is False, res.detail
+    assert res.t0_est == pytest.approx(t0, abs=1.0 / FS)
+    assert res.residual < 1e-4
+    assert abs(sc.clocks[Party.BOB].offset_t0) < 1.0 / FS
+
+
+@pytest.mark.parametrize("samples", [7.3, -0.5, 150.0, -901.7])
+def test_protocol_c_honest_offsets_anywhere_in_range(samples):
+    t0 = samples / FS
+    sc = scenario(seed=12, t0=t0)
+    res = protocol_c(sc)
+    assert res.attack_flag is False, res.detail
+    assert res.t0_est == pytest.approx(t0, abs=1.0 / FS)
+    assert res.residual < 1e-4
+    # the reported curve is 2 * dt_window + 1 points around the minimum
+    shifts, residuals = sc.diagnostics["residual_curve"]
+    assert shifts.size == 2 * sc.protocol_config.dt_window + 1
+    assert shifts[np.argmin(residuals)] == pytest.approx(-t0, abs=0.5 / FS)
 
 
 def test_protocol_c_flags_tampered_file_and_skips_correction():
