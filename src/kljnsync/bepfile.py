@@ -8,16 +8,19 @@ line configuration live inside the hashed bytes, so replaying an old file
 (or one recorded against other line parameters) fails the expected-index
 check even though its tag is genuine.
 
-Layout: one header line, one "index,voltage,current" line per sample with
-12 significant digits, and optionally a final hex tag line. Values are
-passed through the same decimal formatting when the record is built, which
-makes serialize -> parse -> serialize byte-exact and the parsed object equal
-to the built one.
+Layout, big-endian throughout: a 73-byte header - magic ``KLJNBEP2``,
+party (u8: 0 Alice, 1 Bob), BEP index k (u64), sample rate fs (f64),
+local start (f64, seconds on the writer's clock), the 32-byte line-config
+digest and the sample count n (u64) - then n voltage and n current samples
+(f64, 16 bytes per sample), then optionally the tag as ``AuthTag.to_bytes``
+writes it. The record keeps the measured floats bit for bit, so
+serialize -> parse -> serialize is byte-exact and the parsed record equals
+the built one.
 """
 
 from __future__ import annotations
 
-import math
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,15 +30,10 @@ from .auth import AuthTag
 from .errors import ConfigError, DegenerateInputError
 from .line import BepMeasurement, LineConfig, Party
 
-_MAGIC = "KLJN-BEP v1"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
-
-
-def _fmt_fs(fs: float) -> str:
-    return f"{fs:.6f}"
+_HEADER = struct.Struct(">8sBQdd32sQ")
+_MAGIC = b"KLJNBEP2"
+_PARTIES = (Party.ALICE, Party.BOB)
+_SAMPLE = np.dtype(">f8")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +41,7 @@ class BepFile:
     party: Party
     bep_index: int
     sample_rate: float
-    local_start: float  # seconds on the writing party's clock, ns resolution
+    local_start: float  # seconds on the writing party's clock
     voltage_samples: np.ndarray
     current_samples: np.ndarray
     config_digest: bytes
@@ -56,120 +54,69 @@ class BepFile:
         return self.payload_bytes() == other.payload_bytes()
 
     def __post_init__(self):
-        v = np.asarray(self.voltage_samples, dtype=np.float64)
-        c = np.asarray(self.current_samples, dtype=np.float64)
-        object.__setattr__(self, "voltage_samples", v)
-        object.__setattr__(self, "current_samples", c)
-        object.__setattr__(self, "_payload_cache", None)
-        if v.size != c.size:
+        # read-only copies: both parties' measurements share one current
+        # array, and a record must not change after it is hashed
+        for name in ("voltage_samples", "current_samples"):
+            samples = np.array(getattr(self, name), dtype=np.float64)
+            samples.setflags(write=False)
+            object.__setattr__(self, name, samples)
+        if self.voltage_samples.size != self.current_samples.size:
             raise ConfigError("bep file: voltage and current lengths differ")
         if self.sample_rate <= 0:
             raise ConfigError("bep file: sample_rate must be > 0")
+        if not 0 <= self.bep_index < 2**64:
+            raise ConfigError("bep file: bep_index must fit an unsigned 64-bit field")
+        if self.party not in _PARTIES or len(self.config_digest) != 32:
+            raise ConfigError("bep file: party must be alice or bob, config_digest 32 bytes")
 
     def __len__(self) -> int:
         return int(self.voltage_samples.size)
 
-    def sample_times(self) -> np.ndarray:
-        """Local timestamps: local_start + n / sample_rate."""
-        return self.local_start + np.arange(len(self)) / self.sample_rate
-
     def payload_bytes(self) -> bytes:
-        """The authenticated content: header plus sample lines, no tag."""
-        if self._payload_cache is not None:
-            return self._payload_cache
-        header = (
-            f"{_MAGIC} party={self.party.value} k={self.bep_index} "
-            f"fs={_fmt_fs(self.sample_rate)} local_start={self.local_start:.9f} "
-            f"config={self.config_digest.hex()}"
+        """The authenticated content: header and samples, no tag."""
+        header = _HEADER.pack(
+            _MAGIC, _PARTIES.index(self.party), self.bep_index, self.sample_rate,
+            self.local_start, self.config_digest, len(self),
         )
-        n = len(self)
-        idx = np.arange(n).astype(str)
-        volts = np.char.mod("%.11e", self.voltage_samples)
-        amps = np.char.mod("%.11e", self.current_samples)
-        rows = np.char.add(np.char.add(np.char.add(np.char.add(idx, ","), volts), ","), amps)
-        blob = ("\n".join([header, *rows.tolist()]) + "\n").encode("ascii")
-        object.__setattr__(self, "_payload_cache", blob)
-        return blob
+        samples = np.concatenate([self.voltage_samples, self.current_samples], dtype=_SAMPLE)
+        return header + samples.tobytes()
 
     # the scheduler hashes payloads via this hook
     canonical_bytes = payload_bytes
 
 
 def build_bep_file(meas: BepMeasurement, config: LineConfig) -> BepFile:
-    """Freeze a measurement into its exchangeable file form.
-
-    Samples and the start stamp are rounded through the file's decimal
-    formats up front (12 significant digits, nanosecond start resolution),
-    so the in-memory record equals what the wire will carry.
-    """
-    n = len(meas.voltage_trace)
-    if n == 0:
+    """Freeze a measurement into its exchangeable file form."""
+    if len(meas.voltage_trace) == 0:
         raise DegenerateInputError("cannot build a file from an empty measurement")
-    volts = np.char.mod("%.11e", meas.voltage_trace.samples).astype(np.float64)
-    amps = np.char.mod("%.11e", meas.current_trace.samples).astype(np.float64)
     return BepFile(
         party=meas.party,
         bep_index=meas.bep_index,
         sample_rate=meas.voltage_trace.sample_rate,
-        local_start=float(f"{meas.local_start_time:.9f}"),
-        voltage_samples=volts,
-        current_samples=amps,
+        local_start=float(meas.local_start_time),
+        voltage_samples=meas.voltage_trace.samples,
+        current_samples=meas.current_trace.samples,
         config_digest=config.digest(),
     )
 
 
 def serialize_bep_file(file: BepFile, tag: Optional[AuthTag] = None) -> bytes:
     blob = file.payload_bytes()
-    if tag is not None:
-        blob += f"tag={tag.to_bytes().hex()}\n".encode("ascii")
-    return blob
+    return blob if tag is None else blob + tag.to_bytes()
 
 
 def parse_bep_file(blob: bytes) -> tuple[BepFile, Optional[AuthTag]]:
-    try:
-        text = blob.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"bep file: not ascii ({exc})") from None
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(_MAGIC):
-        raise ConfigError("bep file: missing header")
-
-    fields = dict(tok.split("=", 1) for tok in lines[0][len(_MAGIC) :].split() if "=" in tok)
-    try:
-        party = Party(fields["party"])
-        bep_index = int(fields["k"])
-        sample_rate = float(fields["fs"])
-        local_start = float(fields["local_start"])
-        config_digest = bytes.fromhex(fields["config"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bep file: bad header ({exc})") from None
-    if not (math.isfinite(sample_rate) and math.isfinite(local_start)):
-        raise ConfigError("bep file: bad header (fs and local_start must be finite)")
-
-    tag = None
-    sample_lines = lines[1:]
-    if sample_lines and sample_lines[-1].startswith("tag="):
-        try:
-            tag = AuthTag.from_bytes(bytes.fromhex(sample_lines[-1][4:]))
-        except ValueError:
-            raise ConfigError("bep file: tag is not hex") from None
-        sample_lines = sample_lines[:-1]
-
-    volts = np.empty(len(sample_lines))
-    amps = np.empty(len(sample_lines))
-    try:
-        for i, line in enumerate(sample_lines):
-            parts = line.split(",")
-            if len(parts) != 3 or int(parts[0]) != i:
-                raise ValueError
-            volts[i] = float(parts[1])
-            amps[i] = float(parts[2])
-    except ValueError:
-        raise ConfigError(f"bep file: malformed sample line {i}") from None
-    if not (np.isfinite(volts).all() and np.isfinite(amps).all()):
-        raise ConfigError("bep file: samples must be finite")
-
-    return (
-        BepFile(party, bep_index, sample_rate, local_start, volts, amps, config_digest),
-        tag,
-    )
+    if len(blob) < _HEADER.size:
+        raise ConfigError("bep file: shorter than its header")
+    magic, party, bep_index, sample_rate, local_start, config_digest, n = _HEADER.unpack_from(blob)
+    end = _HEADER.size + 2 * n * _SAMPLE.itemsize
+    if magic != _MAGIC or party >= len(_PARTIES):
+        raise ConfigError("bep file: bad magic or party")
+    if len(blob) < end:
+        raise ConfigError(f"bep file: {n} samples do not fit in {len(blob)} bytes")
+    samples = np.frombuffer(blob, _SAMPLE, 2 * n, _HEADER.size).astype(np.float64)
+    if not (np.isfinite(sample_rate) and np.isfinite(local_start) and np.isfinite(samples).all()):
+        raise ConfigError("bep file: fs, local_start and samples must be finite")
+    tag = AuthTag.from_bytes(blob[end:]) if len(blob) > end else None
+    volts, amps = samples[:n], samples[n:]
+    return BepFile(_PARTIES[party], bep_index, sample_rate, local_start, volts, amps, config_digest), tag

@@ -570,8 +570,8 @@ def protocol_c(scenario: Scenario) -> SyncResult:
         curves_bob.append(residual_curve(file_b, outcome.received_by_bob, scenario.line.R_wire, search))
 
     # every BEP's records have the same lengths, so position p of each curve
-    # is the same index lag; its shifts differ only by the start stamps'
-    # nanosecond rounding
+    # is the same index lag; its shifts differ only by the float rounding of
+    # each BEP's start-stamp difference
     shifts_alice, mean_alice = np.mean(curves_alice, axis=0)
     shifts_bob, mean_bob = np.mean(curves_bob, axis=0)
     i = _pick_minimum(shifts_alice, mean_alice)

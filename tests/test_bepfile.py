@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from kljnsync.line import (
 from kljnsync.noise import NoiseTrace
 
 CFG = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
+HEADER = 73  # bytes before the first sample
 
 
 def honest_measurement(seed=21, **kw):
@@ -26,7 +30,7 @@ def test_build_and_round_trip_identity():
     blob = serialize_bep_file(f)
     parsed, tag = parse_bep_file(blob)
     assert tag is None
-    assert parsed == f  # values were frozen through the codec at build time
+    assert parsed == f
     assert serialize_bep_file(parsed) == blob  # byte-exact
 
 
@@ -41,11 +45,34 @@ def test_round_trip_with_tag():
     assert serialize_bep_file(parsed, tag_back) == blob
 
 
-def test_build_quantizes_within_format_precision():
+def test_build_keeps_the_measurement_bit_for_bit():
+    meas_a, meas_b = honest_measurement()
+    f = build_bep_file(meas_a, CFG)
+    assert np.array_equal(f.voltage_samples, meas_a.voltage_trace.samples)
+    assert np.array_equal(f.current_samples, meas_a.current_trace.samples)
+    assert f.local_start == meas_a.local_start_time
+    # the parties share one current array; each record owns a frozen copy
+    f_b = build_bep_file(meas_b, CFG)
+    for record, meas in ((f, meas_a), (f_b, meas_b)):
+        for mine, theirs in (
+            (record.voltage_samples, meas.voltage_trace.samples),
+            (record.current_samples, meas.current_trace.samples),
+        ):
+            assert not mine.flags.writeable
+            assert not np.shares_memory(mine, theirs)
+    assert not np.shares_memory(f.current_samples, f_b.current_samples)
+    parsed, _ = parse_bep_file(serialize_bep_file(f))
+    assert np.array_equal(parsed.voltage_samples, meas_a.voltage_trace.samples)
+    assert np.array_equal(parsed.current_samples, meas_a.current_trace.samples)
+    assert parsed.local_start == meas_a.local_start_time
+
+
+def test_serialized_size_is_the_header_and_16_bytes_per_sample():
     meas_a, _ = honest_measurement()
     f = build_bep_file(meas_a, CFG)
-    assert np.allclose(f.voltage_samples, meas_a.voltage_trace.samples, rtol=1e-11)
-    assert not np.array_equal(f.voltage_samples, np.zeros_like(f.voltage_samples))
+    tag = encrypt_digest(hash_message(f.payload_bytes()), KeyLedger.generate(4096, 1))
+    assert len(serialize_bep_file(f)) == HEADER + 16 * len(f)
+    assert len(serialize_bep_file(f, tag)) == HEADER + 16 * len(f) + len(tag.to_bytes())
 
 
 def test_local_start_carries_the_party_clock():
@@ -53,14 +80,6 @@ def test_local_start_carries_the_party_clock():
     f = build_bep_file(meas_b, CFG)
     assert f.party is Party.BOB
     assert f.local_start == pytest.approx(1.003, abs=1e-9)
-
-
-def test_sample_times():
-    meas_a, _ = honest_measurement()
-    f = build_bep_file(meas_a, CFG)
-    times = f.sample_times()
-    assert times[0] == f.local_start
-    assert times[1] - times[0] == pytest.approx(1.0 / f.sample_rate)
 
 
 def test_empty_measurement_rejected():
@@ -79,64 +98,96 @@ def test_config_digest_embedded():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ConfigError):
-        parse_bep_file(b"not a bep file\n")
-    with pytest.raises(ConfigError):
-        parse_bep_file("KLJN-BEP v1 party=alice k=x fs=1 local_start=0 config=00\n".encode())
-    # sample index mismatch
     good = serialize_bep_file(build_bep_file(honest_measurement()[0], CFG))
-    lines = good.decode().splitlines()
-    lines[5], lines[6] = lines[6], lines[5]
-    with pytest.raises(ConfigError):
-        parse_bep_file(("\n".join(lines) + "\n").encode())
+    text_record = (
+        "KLJN-BEP v1 party=alice k=0 fs=200000.000000 local_start=0.000000000 "
+        f"config={CFG.digest().hex()}\n0,1.00000000000e-03,2.00000000000e-04\n"
+    ).encode()
+    for blob in (b"", b"not a bep file\n", good[: HEADER - 1], text_record):
+        with pytest.raises(ConfigError):
+            parse_bep_file(blob)
 
 
-def _edit_line(n, edit):
-    def corrupt(lines):
-        lines = list(lines)
-        lines[n] = edit(lines[n])
-        return lines
+# byte offsets in the layout: magic 0, party 8, k 9, fs 17, local_start 25,
+# config digest 33, n 65, voltage samples from 73, then current samples
+def _put(fmt, at, value):
+    def corrupt(blob, n):
+        struct.pack_into(fmt, blob, at(n), value)
 
     return corrupt
 
 
-def _set_field(n, column, text):
-    def edit(line):
-        parts = line.split(",")
-        parts[column] = text
-        return ",".join(parts)
+def _voltage(i):
+    return lambda n: HEADER + 8 * i
 
-    return _edit_line(n, edit)
+
+def _current(i):
+    return lambda n: HEADER + 8 * (n + i)
+
+
+def _truncate_samples(blob, n):
+    del blob[HEADER + 16 * n - 8 :]
+
+
+def _cut_tag_to_its_span(blob, n):
+    del blob[HEADER + 16 * n : -16]
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        _set_field(1, 0, "x"),  # non-numeric sample index
-        _set_field(2, 1, "1.5e-3x"),  # not a float
-        _set_field(3, 2, "0x1p-3"),  # not a decimal float
-        _edit_line(-1, lambda line: "tag=" + "zz" * 40),  # tag not hex
-        _set_field(4, 1, "nan"),
-        _set_field(5, 2, "-inf"),
-        _set_field(6, 1, "1e999"),  # overflows to inf
-        _edit_line(0, lambda line: line.replace("fs=200000.000000", "fs=nan")),
-        _edit_line(0, lambda line: line.replace("local_start=", "local_start=inf ")),
+        _put("8s", lambda n: 0, b"KLJNBEP1"),
+        _put("B", lambda n: 8, 2),
+        _truncate_samples,  # n claims one sample more than the blob holds
+        _put(">Q", lambda n: 65, 2**64 - 1),  # n * 16 overflows a u64
+        _cut_tag_to_its_span,
+        _put(">d", _voltage(4), math.nan),
+        _put(">d", _voltage(6), -math.inf),
+        _put(">d", _current(5), math.nan),
+        _put(">d", _current(5), -math.inf),
+        _put(">d", lambda n: 17, math.nan),
+        _put(">d", lambda n: 25, math.inf),
     ],
-    ids=["index", "float", "hexfloat", "tag", "nan", "inf", "overflow", "fs_nan", "start_inf"],
+    ids=[
+        "magic", "party", "truncated", "overflow", "tag", "nan", "voltage_neginf",
+        "current_nan", "inf", "fs_nan", "start_inf",
+    ],
 )
 def test_parse_fails_closed_on_malformed_content(corrupt):
     f = build_bep_file(honest_measurement()[0], CFG)
     tag = encrypt_digest(hash_message(f.payload_bytes()), KeyLedger.generate(4096, 1))
-    lines = serialize_bep_file(f, tag).decode().splitlines()
-    bad = corrupt(lines)
-    assert bad != lines
+    good = serialize_bep_file(f, tag)
+    bad = bytearray(good)
+    corrupt(bad, len(f))
+    assert bad != good
     with pytest.raises(ConfigError):
-        parse_bep_file(("\n".join(bad) + "\n").encode())
+        parse_bep_file(bytes(bad))
+
+
+def test_parse_rejects_trailing_bytes_too_short_for_a_tag():
+    good = serialize_bep_file(build_bep_file(honest_measurement()[0], CFG))
+    for extra in range(1, 17):
+        with pytest.raises(ConfigError):
+            parse_bep_file(good + bytes(extra))
 
 
 def test_mismatched_lengths_rejected():
     with pytest.raises(ConfigError):
         BepFile(Party.ALICE, 0, 1e5, 0.0, np.zeros(5), np.zeros(4), b"\x00")
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"bep_index": -1}, {"bep_index": 2**64}, {"party": Party.EVE}, {"config_digest": b"\x00" * 31}],
+    ids=["negative_index", "index_too_large", "eve", "short_digest"],
+)
+def test_fields_the_layout_cannot_hold_rejected(field):
+    args = dict(
+        party=Party.ALICE, bep_index=0, sample_rate=1e5, local_start=0.0,
+        voltage_samples=np.zeros(4), current_samples=np.zeros(4), config_digest=CFG.digest(),
+    )
+    with pytest.raises(ConfigError):
+        BepFile(**dict(args, **field))
 
 
 def test_tampering_changes_payload_bytes():

@@ -192,3 +192,35 @@ def test_sweep_of_an_integer_field_takes_whole_floats_only():
     assert len(report.series["residual_curve"]) == 101
     with pytest.raises(ConfigError, match="protocol.dt_window"):
         sweep(cfg, "protocol.dt_window", [2.5])
+
+
+VERDICTS = {
+    "delay_attack_a": (False, True, ""),
+    "delay_attack_b": (False, True, ""),
+    "delay_attack_combined": (
+        True, True,
+        "offset after correction is -2.000e-06s, not zero; "
+        "propagation delay 2.002000e-03s deviates from nominal 2.000000e-03s",
+    ),
+    "file_tamper_c": (True, False, "authentication failed"),
+    "honest_combined": (False, True, ""),
+    "honest_protocol_a": (False, True, ""),
+    "honest_protocol_b": (False, True, ""),
+    "honest_protocol_c": (False, True, ""),
+    "linemod_attack_c": (True, True, "no shift explains the data (residual 1.195e-01)"),
+    "replay_attack_c": (True, False, "stale or mismatched file"),
+    "substitution_attack_b": (True, False, "authentication failed"),
+    "taumod_attack_combined": (
+        True, True, "propagation delay 3.000000e-03s deviates from nominal 2.000000e-03s"
+    ),
+}
+
+
+def test_verdict_table_covers_every_bundled_scenario():
+    assert sorted(VERDICTS) == bundled_scenario_names()
+
+
+@pytest.mark.parametrize("name", sorted(VERDICTS))
+def test_bundled_scenario_verdicts(name):
+    result = run_scenario(load_bundled(name)).result
+    assert (result["attack_flag"], result["auth_ok"], result["detail"]) == VERDICTS[name]
