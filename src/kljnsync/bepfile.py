@@ -73,13 +73,21 @@ class BepFile:
         return int(self.voltage_samples.size)
 
     def payload_bytes(self) -> bytes:
-        """The authenticated content: header and samples, no tag."""
-        header = _HEADER.pack(
-            _MAGIC, _PARTIES.index(self.party), self.bep_index, self.sample_rate,
-            self.local_start, self.config_digest, len(self),
-        )
-        samples = np.concatenate([self.voltage_samples, self.current_samples], dtype=_SAMPLE)
-        return header + samples.tobytes()
+        """The authenticated content: header and samples, no tag.
+
+        Encoded once per record and kept: the fields are frozen and the
+        samples read-only, and a record changed with dataclasses.replace
+        is a new record with no encoding yet."""
+        blob = getattr(self, "_payload_cache", None)
+        if blob is None:
+            header = _HEADER.pack(
+                _MAGIC, _PARTIES.index(self.party), self.bep_index, self.sample_rate,
+                self.local_start, self.config_digest, len(self),
+            )
+            samples = np.concatenate([self.voltage_samples, self.current_samples], dtype=_SAMPLE)
+            blob = header + samples.tobytes()
+            object.__setattr__(self, "_payload_cache", blob)
+        return blob
 
     # the scheduler hashes payloads via this hook
     canonical_bytes = payload_bytes
@@ -114,9 +122,12 @@ def parse_bep_file(blob: bytes) -> tuple[BepFile, Optional[AuthTag]]:
         raise ConfigError("bep file: bad magic or party")
     if len(blob) < end:
         raise ConfigError(f"bep file: {n} samples do not fit in {len(blob)} bytes")
-    samples = np.frombuffer(blob, _SAMPLE, 2 * n, _HEADER.size).astype(np.float64)
+    samples = np.frombuffer(blob, _SAMPLE, 2 * n, _HEADER.size)
     if not (np.isfinite(sample_rate) and np.isfinite(local_start) and np.isfinite(samples).all()):
         raise ConfigError("bep file: fs, local_start and samples must be finite")
     tag = AuthTag.from_bytes(blob[end:]) if len(blob) > end else None
     volts, amps = samples[:n], samples[n:]
-    return BepFile(_PARTIES[party], bep_index, sample_rate, local_start, volts, amps, config_digest), tag
+    record = BepFile(_PARTIES[party], bep_index, sample_rate, local_start, volts, amps, config_digest)
+    # the received bytes are exactly what encoding the record would give
+    object.__setattr__(record, "_payload_cache", blob[:end])
+    return record, tag

@@ -8,6 +8,14 @@ on the autocorrelation of that process,
     R(tau) = B * S0 * sin(2*pi*B*tau) / (2*pi*B*tau),
 
 which is flat-topped near tau = 0 and has its first zero at tau = 1/(2B).
+
+Synthesis works in the frequency domain. A trace of n samples draws only
+its rfft bins at or below B, each distributed as the rfft of unit white
+noise is there, and takes one inverse FFT: the same process as white noise
+brick-wall filtered at B, for about B/fs of the random draws and without a
+forward FFT. Such a trace is circular. The protocols get the interior of a
+longer trace instead, padded by at least 1/B at each end and rounded up to
+a length with no prime factor above 5, where the inverse FFT is fast.
 """
 
 from __future__ import annotations
@@ -96,11 +104,15 @@ def generate_bandlimited_gaussian(
 ) -> NoiseTrace:
     """Synthesize Gaussian noise with a flat one-sided spectrum over [0, B].
 
-    White Gaussian samples are brick-wall filtered in the frequency domain
-    (FFT of the whole record, bins above B zeroed, inverse FFT) and rescaled
-    so the expected variance is exactly S0 * B. The hard spectral edge is
+    The trace is drawn in the frequency domain: only the rfft bins at or
+    below B get random values, each with the distribution the rfft of unit
+    white noise has there, and one inverse FFT turns them into samples.
+    That is white noise brick-wall filtered at B, without drawing the
+    discarded bins or taking the forward FFT. The result is rescaled so the
+    expected variance is exactly S0 * B. The hard spectral edge is
     deliberate: smoother filters would move the zeros of the sinc
-    autocorrelation that the synchronization analysis relies on.
+    autocorrelation that the synchronization analysis relies on. The trace
+    is circular: its end wraps smoothly onto its start.
 
     Deterministic for fixed (seed, spec, duration, sample_rate); the stream
     is PCG64 seeded with spec.seed.
@@ -120,6 +132,30 @@ def generate_bandlimited_gaussian(
     -------
     NoiseTrace
     """
+    n = _sample_count(spec, duration, sample_rate)
+    return NoiseTrace(_synthesize(spec, n, sample_rate), sample_rate, unit)
+
+
+def generate_with_guard(
+    spec: NoiseSpec, duration: float, sample_rate: float, unit: Unit = Unit.VOLT
+) -> NoiseTrace:
+    """Like generate_bandlimited_gaussian, but not circular: the trace is
+    the interior of a longer circular one, so the wraparound never touches
+    the samples handed to the protocols.
+
+    The padded trace is at least 1/B (cut = round(sample_rate / B) samples)
+    longer at each end, and its length is rounded up to the next
+    2^a * 3^b * 5^c, where the inverse FFT is fast. The trace is samples
+    [cut, cut + n) of it.
+    """
+    n = _sample_count(spec, duration, sample_rate)
+    cut = int(round(sample_rate / spec.bandwidth_B))
+    padded = _synthesize(spec, _fast_length(n + 2 * cut), sample_rate)
+    return NoiseTrace(padded[cut : cut + n].copy(), sample_rate, unit)
+
+
+def _sample_count(spec: NoiseSpec, duration: float, sample_rate: float) -> int:
+    """floor(duration * sample_rate), once the arguments are checked."""
     problems = []
     if duration < 0:
         problems.append("duration: must be >= 0")
@@ -130,46 +166,43 @@ def generate_bandlimited_gaussian(
         )
     if problems:
         raise ConfigError(problems)
-
-    n = int(np.floor(duration * sample_rate))
-    if n == 0:
-        return NoiseTrace(np.zeros(0), sample_rate, unit)
-    if spec.spectral_density_S0 == 0.0:
-        return NoiseTrace(np.zeros(n), sample_rate, unit)
-
-    rng = np.random.default_rng(spec.seed)
-    white = rng.standard_normal(n)
-
-    spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    keep = freqs <= spec.bandwidth_B
-    spectrum[~keep] = 0.0
-
-    # Parseval weights: DC and (for even n) the Nyquist bin count once,
-    # interior bins twice. expected_power is E[sum(y^2)] for unit-variance
-    # white input after masking; scaling by it makes E[var] = S0*B exact.
-    weights = np.full(freqs.size, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    expected_power = float(np.sum(weights[keep]))
-
-    y = np.fft.irfft(spectrum, n=n)
-    y *= np.sqrt(spec.variance() * n / expected_power)
-    return NoiseTrace(y, sample_rate, unit)
+    return int(np.floor(duration * sample_rate))
 
 
-def generate_with_guard(
-    spec: NoiseSpec, duration: float, sample_rate: float, unit: Unit = Unit.VOLT
-) -> NoiseTrace:
-    """Like generate_bandlimited_gaussian, padded by 1/B at each end and
-    trimmed back, so the circular wraparound of the FFT filter never touches
-    the samples handed to the protocols."""
-    guard = 1.0 / spec.bandwidth_B
-    full = generate_bandlimited_gaussian(spec, duration + 2.0 * guard, sample_rate, unit)
-    cut = int(round(guard * sample_rate))
-    n = int(np.floor(duration * sample_rate))
-    return NoiseTrace(full.samples[cut : cut + n].copy(), sample_rate, unit)
+def _synthesize(spec: NoiseSpec, n: int, sample_rate: float) -> np.ndarray:
+    """n samples of circular noise with a flat spectrum over [0, B]."""
+    if n == 0 or spec.spectral_density_S0 == 0.0:
+        return np.zeros(n)
+    kept = int(np.count_nonzero(np.fft.rfftfreq(n, d=1.0 / sample_rate) <= spec.bandwidth_B))
+    # real bins: DC and, for even n, the Nyquist bin when it is kept
+    real = [0, n // 2] if n % 2 == 0 and kept == n // 2 + 1 else [0]
+
+    # Parseval weights: real bins count once, interior bins twice, so
+    # expected_power is E[sum(y^2)] for masked unit-variance white input;
+    # scaling by it makes E[var] = S0*B exact.
+    expected_power = 2.0 * kept - len(real)
+    scale = np.sqrt(spec.variance() * n / expected_power)
+
+    # the rfft of n unit white samples: interior bins sqrt(n/2)*(z + iz'),
+    # real bins sqrt(n)*z
+    z = np.random.default_rng(spec.seed).standard_normal((2, kept))
+    bins = (z[0] + 1j * z[1]) * (scale * np.sqrt(n / 2.0))
+    bins[real] = z[0, real] * (scale * np.sqrt(n))
+    return np.fft.irfft(bins, n=n)
+
+
+def _fast_length(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= n, a length the FFT handles fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    five = 1
+    while five < best:  # five runs over 5^c, odd over 3^b * 5^c
+        odd = five
+        while odd < best:
+            # the smallest power-of-two multiple of odd that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
 
 
 def empirical_autocorrelation(trace: NoiseTrace, max_lag: int) -> np.ndarray:

@@ -426,9 +426,12 @@ def residual_curve(
 
 
 def _pick_minimum(shifts: np.ndarray, residuals: np.ndarray) -> int:
-    # smallest residual; ties go to the smallest |shift| (the null
+    # smallest residual, NaN last; ties go to the smallest |shift| (the null
     # hypothesis of already-synchronized clocks), then the negative shift
-    return int(np.lexsort((shifts, np.abs(shifts), residuals))[0])
+    finite = residuals[~np.isnan(residuals)]
+    ties = np.flatnonzero(residuals == finite.min()) if finite.size else np.arange(residuals.size)
+    nearest = ties[np.abs(shifts[ties]) == np.abs(shifts[ties]).min()]
+    return int(nearest[np.argmin(shifts[nearest])])
 
 
 def _refine_vertex(shifts: np.ndarray, residuals: np.ndarray, i: int) -> float:

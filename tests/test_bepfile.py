@@ -1,10 +1,11 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kljnsync.auth import KeyLedger, encrypt_digest, hash_message
+from kljnsync.auth import KeyLedger, encrypt_digest, hash_message, verify
 from kljnsync.bepfile import BepFile, build_bep_file, parse_bep_file, serialize_bep_file
 from kljnsync.errors import ConfigError, DegenerateInputError
 from kljnsync.line import (
@@ -199,3 +200,38 @@ def test_tampering_changes_payload_bytes():
 
     forged = replace(f, voltage_samples=volts)
     assert forged.payload_bytes() != f.payload_bytes()
+
+
+def test_a_record_is_encoded_once():
+    meas_a, _ = honest_measurement()
+    f = build_bep_file(meas_a, CFG)
+    assert f.payload_bytes() is f.payload_bytes()
+    assert f.canonical_bytes() is f.payload_bytes()
+
+
+def test_parsed_payload_is_the_received_bytes():
+    meas_a, _ = honest_measurement()
+    f = build_bep_file(meas_a, CFG)
+    ledger = KeyLedger.generate(4096, 1)
+    tag = encrypt_digest(hash_message(f.payload_bytes()), ledger)
+    for blob in (serialize_bep_file(f), serialize_bep_file(f, tag)):
+        parsed, _ = parse_bep_file(blob)
+        received = blob[: HEADER + 16 * len(f)]
+        assert parsed.payload_bytes() == received
+        # and exactly what encoding the parsed fields gives
+        assert replace(parsed, bep_index=parsed.bep_index).payload_bytes() == received
+
+
+def test_a_replaced_record_is_encoded_afresh():
+    meas_a, _ = honest_measurement()
+    ledger = KeyLedger.generate(4096, 1)
+    f = build_bep_file(meas_a, CFG)
+    tag = encrypt_digest(hash_message(f.payload_bytes()), ledger)
+    for record in (f, parse_bep_file(serialize_bep_file(f, tag))[0]):
+        assert verify(record.payload_bytes(), tag, ledger)
+        volts = record.voltage_samples.copy()
+        volts[7] += 0.25
+        forged = replace(record, voltage_samples=volts)
+        assert forged.payload_bytes() != record.payload_bytes()
+        assert not verify(forged.payload_bytes(), tag, ledger)
+        assert replace(forged, voltage_samples=record.voltage_samples) == record

@@ -207,7 +207,7 @@ VERDICTS = {
     "honest_protocol_a": (False, True, ""),
     "honest_protocol_b": (False, True, ""),
     "honest_protocol_c": (False, True, ""),
-    "linemod_attack_c": (True, True, "no shift explains the data (residual 1.195e-01)"),
+    "linemod_attack_c": (True, True, "no shift explains the data (residual 1.456e-01)"),
     "replay_attack_c": (True, False, "stale or mismatched file"),
     "substitution_attack_b": (True, False, "authentication failed"),
     "taumod_attack_combined": (

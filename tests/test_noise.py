@@ -6,6 +6,7 @@ from kljnsync.noise import (
     NoiseSpec,
     NoiseTrace,
     Unit,
+    _fast_length,
     autocorrelation_standard_error,
     averaged_periodogram,
     empirical_autocorrelation,
@@ -149,9 +150,61 @@ def test_guard_generation_trims_to_requested_length():
     spec = NoiseSpec(B, S0, seed=4)
     tr = generate_with_guard(spec, 0.01, 2e5)
     assert len(tr) == 2000
-    # the guarded trace is the interior of the padded one; 1/B = 20 samples
-    padded = generate_bandlimited_gaussian(spec, 0.01 + 2.0 / B, 2e5)
-    assert np.array_equal(tr.samples, padded.samples[20:2020])
+    # the guarded trace is the interior of a padded one at least 1/B = 20
+    # samples longer at each end, at the next 5-smooth length: 2040 -> 2048
+    cut, padded_n = 20, _fast_length(2000 + 2 * 20)
+    assert padded_n == 2048
+    padded = generate_bandlimited_gaussian(spec, (padded_n + 0.5) / 2e5, 2e5)
+    assert len(padded) == padded_n
+    assert np.array_equal(tr.samples, padded.samples[cut : cut + 2000])
+    assert padded_n - (cut + 2000) >= cut
+
+
+@pytest.mark.parametrize(
+    "n, fs, kept",
+    [
+        (2000, 20 * B, 101),  # even n, Nyquist bin above B
+        (2001, 20 * B, 101),  # odd n
+        (64, 2 * B, 33),  # B = fs/2: every bin, the Nyquist bin included
+        (65, 2 * B, 33),
+        (66, 2 * B, 33),  # float edge: rfftfreq puts the Nyquist bin a ulp above B
+        (118, 2 * B, 59),
+    ],
+)
+def test_synthesis_fills_exactly_the_bins_at_or_below_B(n, fs, kept):
+    keep = np.fft.rfftfreq(n, d=1.0 / fs) <= B
+    assert np.count_nonzero(keep) == kept
+    tr = generate_bandlimited_gaussian(NoiseSpec(B, S0, seed=n), (n + 0.5) / fs, fs)
+    assert len(tr) == n
+    spectrum = np.abs(np.fft.rfft(tr.samples))
+    top = spectrum.max()
+    assert np.all(spectrum[~keep] <= 1e-12 * top)
+    assert np.all(spectrum[keep] > 1e-9 * top)
+
+
+@pytest.mark.parametrize("n, fs", [(200, 20 * B), (201, 20 * B), (64, 2 * B)])
+def test_mean_square_over_seeds_is_the_flat_spectrum_power(n, fs):
+    msq = np.array([
+        generate_bandlimited_gaussian(NoiseSpec(B, S0, seed=s), (n + 0.5) / fs, fs).mean_square()
+        for s in range(2000)
+    ])
+    se = msq.std(ddof=1) / np.sqrt(msq.size)
+    assert abs(msq.mean() - S0 * B) < 3.0 * se
+
+
+def test_fast_length_is_the_next_5_smooth_number():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    want, m = [], 1
+    for n in range(1, 5000):
+        while not smooth(m) or m < n:
+            m += 1
+        want.append(m)
+    assert [_fast_length(n) for n in range(1, 5000)] == want
 
 
 def test_trace_invariants():

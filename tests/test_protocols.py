@@ -16,6 +16,7 @@ from kljnsync.protocols import (
     MessageKind,
     ProtocolKind,
     SyncMessage,
+    _pick_minimum,
     combined_check,
     estimate_offset,
     exchange_files,
@@ -306,6 +307,24 @@ def test_locate_minimum_ties_go_to_the_smallest_shift():
     assert dt == -1.0 / FS and best == 0.0
     with pytest.raises(FlatResidualError):
         locate_minimum(shifts, np.array([3.0, 0.5, 3.0, 0.5, 3.0]), 0.01)
+
+
+def test_pick_minimum_matches_the_lexicographic_order():
+    # the order is residual (NaN last), then |shift|, then shift
+    rng = np.random.default_rng(428)
+    for trial in range(300):
+        m = int(rng.integers(1, 40))
+        shifts = (np.arange(m) - int(rng.integers(0, m)) + rng.choice([0.0, 0.3])) / FS
+        residuals = rng.choice([0.0, 0.5, 1.0, np.inf], size=m) if trial % 2 else rng.random(m)
+        if trial % 3 == 0:
+            residuals[rng.integers(0, m, size=2)] = np.nan
+        if trial % 7 == 0:
+            residuals[:] = np.nan
+        want = int(np.lexsort((shifts, np.abs(shifts), residuals))[0])
+        assert _pick_minimum(shifts, residuals) == want
+    # mirrored minima at -k and +k samples: the negative shift wins
+    shifts = np.arange(-3.0, 4.0) / FS
+    assert _pick_minimum(shifts, np.array([1.0, 0.0, 2.0, np.nan, 2.0, 0.0, 1.0])) == 1
 
 
 def test_residual_curve_insufficient_overlap():
