@@ -142,13 +142,13 @@ class LineMod:
             at = bep_start_time(scenario, self.at_bep) + self.fraction * scenario.line.bep_duration
         if self.tau is not None:
             scenario.channel.hooks.append(_tau_mod_hook(self.tau, at))
-            scenario.scheduler.record(at, "attack-linemod-tau", "-", None)
+            scenario.scheduler.record(at, "attack-linemod-tau")
             return
         new_r = self.r_wire if self.r_wire is not None else scenario.line.R_wire * self.r_wire_factor
         if any(t == at for t, _ in scenario.r_wire_schedule):
             raise ConflictingAttackError(f"two line modifications at t={at}")
         scenario.r_wire_schedule.append((at, new_r))
-        scenario.scheduler.record(at, "attack-linemod-rwire", "-", None)
+        scenario.scheduler.record(at, "attack-linemod-rwire")
 
 
 Attack = Union[Passive, AsymDelay, Substitute, LineMod]

@@ -64,20 +64,29 @@ class KeyLedger:
     """
 
     def __init__(self, key_bytes: bytes, bit_length: int | None = None):
-        self._key = bytes(key_bytes)
-        self.bit_length = 8 * len(self._key) if bit_length is None else bit_length
-        if self.bit_length > 8 * len(self._key):
+        self._pad: bytes | None = bytes(key_bytes)
+        self.bit_length = 8 * len(self._pad) if bit_length is None else bit_length
+        if self.bit_length > 8 * len(self._pad):
             raise ConfigError("bit_length: exceeds supplied key material")
         self.consumed = 0
         self.issued: list[KeySpan] = []
 
     @classmethod
     def generate(cls, n_bits: int, seed: int) -> "KeyLedger":
+        """n_bits of seeded key. The bits are drawn the first time a span is
+        read or taken, so a run that spends no key draws none."""
         if n_bits < 0:
             raise ConfigError("n_bits: must be >= 0")
-        rng = np.random.default_rng(derive_seed(seed, 0xFEED))
-        n_bytes = (n_bits + 7) // 8
-        return cls(rng.bytes(n_bytes), n_bits)
+        ledger = cls(b"")
+        ledger.bit_length, ledger._pad, ledger._seed = n_bits, None, seed
+        return ledger
+
+    @property
+    def _key(self) -> bytes:
+        if self._pad is None:
+            rng = np.random.default_rng(derive_seed(self._seed, 0xFEED))
+            self._pad = rng.bytes((self.bit_length + 7) // 8)
+        return self._pad
 
     @property
     def remaining_bits(self) -> int:
@@ -128,7 +137,9 @@ def hash_message(payload: bytes, algorithm: str = DEFAULT_ALGORITHM) -> Digest:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """Bytewise XOR, cut to the shorter input as zip would cut it."""
+    n = min(len(a), len(b))
+    return (int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")).to_bytes(n, "big")
 
 
 def encrypt_digest(digest: Digest, ledger: KeyLedger) -> AuthTag:

@@ -72,12 +72,13 @@ class BepFile:
     def __len__(self) -> int:
         return int(self.voltage_samples.size)
 
-    def payload_bytes(self) -> bytes:
+    def payload_bytes(self) -> bytes | memoryview:
         """The authenticated content: header and samples, no tag.
 
         Encoded once per record and kept: the fields are frozen and the
         samples read-only, and a record changed with dataclasses.replace
-        is a new record with no encoding yet."""
+        is a new record with no encoding yet. A parsed record's payload is
+        a read-only view of the bytes it was parsed from."""
         blob = getattr(self, "_payload_cache", None)
         if blob is None:
             header = _HEADER.pack(
@@ -110,10 +111,13 @@ def build_bep_file(meas: BepMeasurement, config: LineConfig) -> BepFile:
 
 def serialize_bep_file(file: BepFile, tag: Optional[AuthTag] = None) -> bytes:
     blob = file.payload_bytes()
-    return blob if tag is None else blob + tag.to_bytes()
+    return bytes(blob) if tag is None else b"".join((blob, tag.to_bytes()))
 
 
 def parse_bep_file(blob: bytes) -> tuple[BepFile, Optional[AuthTag]]:
+    # a no-op for bytes; a buffer the caller could still write to is copied,
+    # so the record cannot change after it is hashed
+    blob = bytes(blob)
     if len(blob) < _HEADER.size:
         raise ConfigError("bep file: shorter than its header")
     magic, party, bep_index, sample_rate, local_start, config_digest, n = _HEADER.unpack_from(blob)
@@ -128,6 +132,7 @@ def parse_bep_file(blob: bytes) -> tuple[BepFile, Optional[AuthTag]]:
     tag = AuthTag.from_bytes(blob[end:]) if len(blob) > end else None
     volts, amps = samples[:n], samples[n:]
     record = BepFile(_PARTIES[party], bep_index, sample_rate, local_start, volts, amps, config_digest)
-    # the received bytes are exactly what encoding the record would give
-    object.__setattr__(record, "_payload_cache", blob[:end])
+    # the received bytes are exactly what encoding the record would give;
+    # a view keeps them in place instead of copying them out from before a tag
+    object.__setattr__(record, "_payload_cache", memoryview(blob)[:end])
     return record, tag

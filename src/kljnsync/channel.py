@@ -57,6 +57,9 @@ class Envelope:
     deliver_absolute: float
     direction: Direction
     dropped: bool = False
+    # the payload's digest, taken once when the scheduler sends it and
+    # again only when a hook substitutes the payload
+    digest: str = "-"
 
     def __post_init__(self):
         if self.deliver_absolute < self.sent_absolute:
@@ -114,8 +117,8 @@ class Scheduler:
         self._queue: list[tuple[float, int, Envelope]] = []
         self._seq = 0
 
-    def record(self, absolute: float, kind: str, direction: str = "-", payload: object = None) -> None:
-        digest = payload_digest(payload) if payload is not None else "-"
+    def record(self, absolute: float, kind: str, direction: str = "-", digest: str = "-") -> None:
+        """Log an event; digest is its payload's payload_digest, "-" for none."""
         self.log.append(EventRecord(absolute, kind, direction, digest))
 
     def send(self, payload: object, direction: Direction, now_absolute: float) -> Optional[Envelope]:
@@ -129,21 +132,23 @@ class Scheduler:
             sent_absolute=now_absolute,
             deliver_absolute=now_absolute + self.channel.delay(direction),
             direction=direction,
+            digest=payload_digest(payload),
         )
-        self.record(now_absolute, "send", direction.value, payload)
+        self.record(now_absolute, "send", direction.value, env.digest)
 
         for hook in self.channel.hooks:
             before_payload = env.payload
             before_deliver = env.deliver_absolute
             result = hook(env, self)
             if result is None:
-                self.record(env.deliver_absolute, "attack-drop", direction.value, before_payload)
+                self.record(env.deliver_absolute, "attack-drop", direction.value, env.digest)
                 return None
             env = result
             if env.payload is not before_payload:
-                self.record(env.sent_absolute, "attack-substitute", direction.value, env.payload)
+                env.digest = payload_digest(env.payload)
+                self.record(env.sent_absolute, "attack-substitute", direction.value, env.digest)
             if env.deliver_absolute != before_deliver:
-                self.record(env.sent_absolute, "attack-delay", direction.value, env.payload)
+                self.record(env.sent_absolute, "attack-delay", direction.value, env.digest)
             # hooks cannot push delivery before the send instant
             if env.deliver_absolute < env.sent_absolute:
                 env.deliver_absolute = env.sent_absolute
@@ -159,7 +164,7 @@ class Scheduler:
             if processed > self.event_budget:
                 raise LivelockError(f"event budget of {self.event_budget} exceeded")
             _, _, env = heapq.heappop(self._queue)
-            self.record(env.deliver_absolute, "deliver", env.direction.value, env.payload)
+            self.record(env.deliver_absolute, "deliver", env.direction.value, env.digest)
             on_deliver(self, env)
         return self.log
 

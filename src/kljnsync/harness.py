@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -167,7 +167,7 @@ def _result_dict(result: SyncResult) -> dict:
     }
 
 
-def _series_from(scenario: Scenario) -> dict:
+def _series_from(scenario: Scenario, levels: dict) -> dict:
     series = {}
     diag = scenario.diagnostics
     if "residual_curve" in diag:
@@ -181,7 +181,7 @@ def _series_from(scenario: Scenario) -> dict:
         series["autocorrelation"] = [[float(l), float(v)] for l, v in ac]
     if "bep_msq" in diag and diag["bep_msq"]:
         values = np.asarray(diag["bep_msq"])
-        top = float(analytic_levels(scenario.line)[BitState.HH]) * 1.5
+        top = float(levels[BitState.HH]) * 1.5
         counts, edges = np.histogram(values, bins=24, range=(0.0, top))
         centers = 0.5 * (edges[:-1] + edges[1:])
         series["msq_histogram"] = [[float(c), int(n)] for c, n in zip(centers, counts)]
@@ -208,7 +208,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         )
 
     levels = analytic_levels(scenario.line)
-    low, high = classification_thresholds(scenario.line)
+    low, high = classification_thresholds(scenario.line, levels=levels)
     report = RunReport(
         config=config.canonical_dict(),
         result=_result_dict(result),
@@ -223,7 +223,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             "threshold_high": float(high),
         },
         key_bits_consumed=int(scenario.ledger.consumed),
-        series=_series_from(scenario),
+        series=_series_from(scenario, levels),
         wall_seconds=time.perf_counter() - start,
     )
     return report
@@ -261,6 +261,36 @@ def _resolve_path(doc: dict, path: str):
     return node, last
 
 
+def _derive(obj, parts: list[str], value, changes: dict):
+    """obj with the field at the dotted path parts set to value and its own
+    fields in changes set (they win over the path), rebuilt with
+    dataclasses.replace at every level so each section on the path is
+    validated again; a problem is reported under its full path."""
+    if not parts:
+        return value
+    head, rest = parts[0], parts[1:]
+    try:
+        child = _derive(obj[int(head)] if isinstance(obj, tuple) else getattr(obj, head), rest, value, {})
+    except ConfigError as exc:
+        raise ConfigError([f"{head}.{p}" for p in exc.problems]) from None
+    if isinstance(obj, tuple):
+        n = int(head)
+        return obj[:n] + (child,) + obj[n + 1 :]
+    return replace(obj, **{head: child, **changes})
+
+
+def _path_copy(doc, parts: list[str], value):
+    """A copy of doc with value at the dotted path; only the dicts and lists
+    on the path are copied."""
+    if not parts:
+        return value
+    head, rest = parts[0], parts[1:]
+    copy = doc.copy()
+    key = int(head) if isinstance(doc, list) else head
+    copy[key] = _path_copy(doc[key], rest, value)
+    return copy
+
+
 def sweep(
     config: ScenarioConfig,
     parameter: str,
@@ -269,25 +299,35 @@ def sweep(
 ) -> list[RunReport]:
     """One run per value of a numeric config field (dotted path).
 
-    seed_policy 'fixed' reuses the config seed; 'per-value' offsets it by
-    the value's position so runs draw independent noise.
+    Each value's config is derived from the already-validated config: the
+    sections on the path are rebuilt with the new value and validated like a
+    config file, so a bad value raises the ConfigError that reading the
+    edited document would raise. seed_policy 'fixed' reuses the config seed;
+    'per-value' offsets it by the value's position so runs draw independent
+    noise.
     """
     if seed_policy not in ("fixed", "per-value"):
         raise ConfigError("seed_policy: must be 'fixed' or 'per-value'")
     base = config.canonical_dict()
     container, key = _resolve_path(base, parameter)
-    if not isinstance(container[key], (int, float)) or isinstance(container[key], bool):
+    current = container[key]
+    if not isinstance(current, (int, float)) or isinstance(current, bool):
         raise UnknownParameterError(f"{parameter}: not a numeric field")
+    parts = parameter.split(".")
 
     reports = []
     for i, value in enumerate(values):
-        doc = json.loads(json.dumps(base))  # deep copy via the same codec
-        node, k = _resolve_path(doc, parameter)
         # the CLI parses every value as a float; an integer field keeps integers
-        node[k] = int(value) if type(node[k]) is int and float(value).is_integer() else value
-        if seed_policy == "per-value":
-            doc["seed"] = doc["seed"] + i
-        reports.append(run_scenario(ScenarioConfig.from_dict(doc)))
+        if type(current) is int and float(value).is_integer():
+            value = int(value)
+        changes = {}
+        if seed_policy == "per-value":  # the swept seed or the config's, plus i
+            changes["seed"] = (value if parameter == "seed" else config.seed) + i
+        derived = _derive(config, parts, value, changes)
+        raw = _path_copy(base, parts, value)
+        raw["seed"] = derived.seed
+        object.__setattr__(derived, "raw", raw)
+        reports.append(run_scenario(derived))
     return reports
 
 

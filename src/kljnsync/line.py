@@ -213,11 +213,15 @@ def analytic_levels(config: LineConfig, party: Party = Party.ALICE) -> dict[BitS
     }
 
 
-def classification_thresholds(config: LineConfig, party: Party = Party.ALICE) -> tuple[float, float]:
+def classification_thresholds(
+    config: LineConfig, party: Party = Party.ALICE, levels: Optional[dict[BitState, float]] = None
+) -> tuple[float, float]:
     """Geometric midpoints between the three analytic levels. The levels are
     log-spaced in resistance, so geometric midpoints balance the error
-    probability on both sides."""
-    levels = analytic_levels(config, party)
+    probability on both sides. A caller that already holds
+    analytic_levels(config, party) passes them as levels."""
+    if levels is None:
+        levels = analytic_levels(config, party)
     low = float(np.sqrt(levels[BitState.LL] * levels[BitState.MIXED]))
     high = float(np.sqrt(levels[BitState.MIXED] * levels[BitState.HH]))
     return low, high

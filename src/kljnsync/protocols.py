@@ -86,13 +86,18 @@ class SyncMessage:
 
     def canonical_bytes(self) -> bytes:
         """Deterministic encoding of the content (tag excluded): the kind
-        name plus each populated field as a tagged big-endian double."""
-        parts = [self.kind.value.encode("ascii")]
-        for i, name in enumerate(("t1", "t1_star", "t2_star", "t2")):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(struct.pack(">Bd", i, value))
-        return b"|".join(parts)
+        name plus each populated field as a tagged big-endian double.
+        Encoded once per message: the fields are frozen."""
+        blob = getattr(self, "_canonical", None)
+        if blob is None:
+            parts = [self.kind.value.encode("ascii")]
+            for i, name in enumerate(("t1", "t1_star", "t2_star", "t2")):
+                value = getattr(self, name)
+                if value is not None:
+                    parts.append(struct.pack(">Bd", i, value))
+            blob = b"|".join(parts)
+            object.__setattr__(self, "_canonical", blob)
+        return blob
 
 
 class ProtocolKind(enum.Enum):
@@ -132,7 +137,7 @@ class FileTransfer:
     tag: AuthTag
 
     def canonical_bytes(self) -> bytes:
-        return self.file.payload_bytes() + self.tag.to_bytes()
+        return b"".join((self.file.payload_bytes(), self.tag.to_bytes()))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +517,7 @@ def run_bep(scenario: Scenario, k: int):
         offset_B=scenario.clock(Party.BOB).offset_t0,
         r_wire_schedule=scenario.r_wire_schedule or None,
     )
-    scenario.scheduler.record(t_k, "bep", "-", None)
+    scenario.scheduler.record(t_k, "bep")
     scenario.diagnostics.setdefault("first_bep_voltage", meas_a.voltage_trace)
     scenario.diagnostics.setdefault("bep_msq", []).append(meas_a.msq_voltage)
     if scenario.passive_log is not None:

@@ -8,11 +8,17 @@ from kljnsync.auth import (
     Digest,
     KeyLedger,
     KeySpan,
+    _xor,
     encrypt_digest,
     hash_message,
     verify,
 )
+from kljnsync.config import ProtocolConfig
 from kljnsync.errors import ConfigError, KeyExhaustedError, UnknownSpanError
+from kljnsync.line import LineConfig
+from kljnsync.noise import derive_seed
+from kljnsync.protocols import protocol_a, protocol_b
+from kljnsync.scenario import make_scenario
 
 
 def make_ledger(n_bits=8192, seed=1):
@@ -111,6 +117,46 @@ def test_ledger_generation_is_deterministic():
     c = KeyLedger.generate(1024, seed=8)
     assert a._key == b._key
     assert a._key != c._key
+
+
+@pytest.mark.parametrize("n_bits", [0, 8, 300, 8192])
+def test_a_generated_ledger_draws_the_seeded_stream_on_first_use(n_bits):
+    expected = np.random.default_rng(derive_seed(11, 0xFEED)).bytes((n_bits + 7) // 8)
+    ledger = KeyLedger.generate(n_bits, seed=11)
+    assert ledger._pad is None  # nothing drawn yet
+    assert ledger._key == expected
+    assert ledger.bit_length == n_bits
+    whole = 8 * (n_bits // 8)
+    assert KeyLedger.generate(n_bits, seed=11).read(KeySpan(0, whole)) == expected[: whole // 8]
+    taken = KeyLedger.generate(n_bits, seed=11)
+    assert taken.take(whole) == (KeySpan(0, whole), expected[: whole // 8])
+    with pytest.raises(KeyExhaustedError):
+        taken.take(8)  # fewer than 8 bits remain
+
+
+def test_a_protocol_a_run_spends_and_draws_no_key():
+    line = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
+    sc = make_scenario(line, seed=3, protocol=ProtocolConfig("A"))
+    protocol_a(sc)
+    assert sc.ledger.consumed == 0 and sc.ledger._pad is None
+    sc = make_scenario(line, seed=3, protocol=ProtocolConfig("B"))
+    protocol_b(sc)
+    assert sc.ledger.consumed == 3 * 256
+    assert sc.ledger._key == np.random.default_rng(derive_seed(3, 0xFEED)).bytes(1024)
+
+
+def _xor_by_zip(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def test_xor_matches_the_bytewise_form_and_cuts_to_the_shorter_input():
+    rng = np.random.default_rng(5)
+    for la, lb in [(0, 0), (1, 1), (32, 32), (5, 9), (9, 5), (0, 7), (33, 32)]:
+        a, b = rng.bytes(la), rng.bytes(lb)
+        assert _xor(a, b) == _xor_by_zip(a, b)
+        assert len(_xor(a, b)) == min(la, lb)
+    # leading zero bytes survive the integer round trip
+    assert _xor(b"\x00\x00\x01", b"\x00\x00\x01") == b"\x00\x00\x00"
 
 
 def test_audit_detects_overlap():

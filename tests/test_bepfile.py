@@ -222,6 +222,35 @@ def test_parsed_payload_is_the_received_bytes():
         assert replace(parsed, bep_index=parsed.bep_index).payload_bytes() == received
 
 
+def test_a_parsed_record_with_a_tag_keeps_the_received_buffer():
+    meas_a, _ = honest_measurement()
+    f = build_bep_file(meas_a, CFG)
+    ledger = KeyLedger.generate(4096, 1)
+    tag = encrypt_digest(hash_message(f.payload_bytes()), ledger)
+    blob = serialize_bep_file(f, tag)
+    parsed, tag_back = parse_bep_file(blob)
+    payload = parsed.payload_bytes()
+    assert np.shares_memory(np.frombuffer(payload, np.uint8), np.frombuffer(blob, np.uint8))
+    assert payload.readonly and len(payload) == HEADER + 16 * len(f)
+    # it still compares, hashes, verifies and serializes as the bytes
+    assert parsed == f and payload == f.payload_bytes()
+    assert hash_message(payload) == hash_message(f.payload_bytes())
+    assert verify(payload, tag_back, ledger)
+    again = serialize_bep_file(parsed, tag_back)
+    assert type(again) is bytes and again == blob
+    untagged = serialize_bep_file(parsed)
+    assert type(untagged) is bytes and untagged == f.payload_bytes()
+
+
+def test_a_writable_buffer_is_copied_before_it_is_parsed():
+    meas_a, _ = honest_measurement()
+    f = build_bep_file(meas_a, CFG)
+    buffer = bytearray(serialize_bep_file(f))
+    parsed, _ = parse_bep_file(buffer)
+    buffer[HEADER] ^= 0xFF  # the caller reuses its buffer
+    assert parsed.payload_bytes() == f.payload_bytes()
+
+
 def test_a_replaced_record_is_encoded_afresh():
     meas_a, _ = honest_measurement()
     ledger = KeyLedger.generate(4096, 1)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kljnsync.channel import (
@@ -160,3 +162,55 @@ def test_livelock_guard():
 def test_channel_rejects_negative_delay():
     with pytest.raises(ConfigError):
         ChannelState(-0.001, 0.001)
+
+
+class Counted:
+    """A payload that counts how often it is encoded."""
+
+    def __init__(self, text):
+        self.text, self.encodes = text, 0
+
+    def canonical_bytes(self):
+        self.encodes += 1
+        return self.text.encode()
+
+
+def test_a_payload_is_digested_once_from_send_to_delivery():
+    sched = Scheduler(ChannelState(0.002, 0.002))
+    payload = Counted("t1")
+    env = sched.send(payload, Direction.A_TO_B, 0.0)
+    sched.run_until_idle(lambda s, e: None)
+    assert payload.encodes == 1
+    send_rec, deliver_rec = sched.log
+    assert deliver_rec.digest == send_rec.digest == env.digest
+    assert env.digest == hashlib.sha256(b"t1").hexdigest()
+
+
+def test_a_substituted_payload_is_digested_again():
+    channel = ChannelState(0.002, 0.002)
+    forged = Counted("forged")
+
+    def eve(env, sched):
+        env.payload = forged
+        env.deliver_absolute += 0.001
+        return env
+
+    channel.hooks.append(eve)
+    sched = Scheduler(channel)
+    sched.send(Counted("genuine"), Direction.A_TO_B, 0.0)
+    sched.run_until_idle(lambda s, e: None)
+    assert forged.encodes == 1
+    kinds = {rec.kind: rec.digest for rec in sched.log}
+    assert kinds["send"] == hashlib.sha256(b"genuine").hexdigest()
+    assert kinds["attack-substitute"] == kinds["attack-delay"] == kinds["deliver"]
+    assert kinds["deliver"] == hashlib.sha256(b"forged").hexdigest()
+
+
+def test_a_dropped_payload_logs_the_digest_it_was_sent_with():
+    channel = ChannelState(0.002, 0.002)
+    channel.hooks.append(lambda env, sched: None)
+    sched = Scheduler(channel)
+    payload = Counted("gone")
+    sched.send(payload, Direction.A_TO_B, 0.0)
+    assert [rec.digest for rec in sched.log] == [hashlib.sha256(b"gone").hexdigest()] * 2
+    assert payload.encodes == 1

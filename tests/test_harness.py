@@ -194,6 +194,30 @@ def test_sweep_of_an_integer_field_takes_whole_floats_only():
         sweep(cfg, "protocol.dt_window", [2.5])
 
 
+def test_a_report_computes_the_msq_levels_once(monkeypatch):
+    from kljnsync import harness, line, protocols
+
+    original, calls = line.analytic_levels, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "analytic_levels", counted)
+    monkeypatch.setattr(line, "analytic_levels", counted)
+    run_scenario(load_bundled("honest_protocol_a"))
+    assert len(calls) == 1
+    # with an msq histogram: one more call than the protocol's own BEP
+    # classification makes
+    cfg = load_bundled("replay_attack_c")
+    calls.clear()
+    protocols.protocol_c(cfg.build_scenario())
+    by_protocol = len(calls)
+    calls.clear()
+    run_scenario(cfg)
+    assert len(calls) == by_protocol + 1
+
+
 VERDICTS = {
     "delay_attack_a": (False, True, ""),
     "delay_attack_b": (False, True, ""),

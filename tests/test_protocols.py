@@ -1,3 +1,6 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,16 @@ def test_sync_message_requires_kind_fields():
     assert msg.canonical_bytes() != SyncMessage(
         MessageKind.RESPONSE, t1_star=1.0, t2_star=2.5
     ).canonical_bytes()
+
+
+def test_sync_message_is_encoded_once():
+    msg = SyncMessage(MessageKind.RESPONSE, t1_star=1.0, t2_star=2.0)
+    assert msg.canonical_bytes() is msg.canonical_bytes()
+    assert msg.canonical_bytes() == b"Response|" + struct.pack(">Bd", 1, 1.0) + b"|" + struct.pack(">Bd", 2, 2.0)
+    # a changed copy is a new message with its own encoding
+    other = replace(msg, t2_star=2.5)
+    assert other.canonical_bytes() != msg.canonical_bytes()
+    assert other.canonical_bytes() == SyncMessage(MessageKind.RESPONSE, t1_star=1.0, t2_star=2.5).canonical_bytes()
 
 
 # --- protocol A -------------------------------------------------------------

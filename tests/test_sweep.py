@@ -1,0 +1,139 @@
+"""Sweeps: pinned report bytes, and bad values failing like config files."""
+
+import copy
+import hashlib
+
+import pytest
+
+from kljnsync.errors import ConfigError
+from kljnsync.harness import ScenarioConfig, load_bundled, run_scenario, sweep
+
+TWOWAY_T0 = [-0.0071, -0.002, 0.0, 3.5e-05, 0.0042, 0.0099]
+
+# sha256 of every canonical_json() each sweep returns
+GOLDEN = {
+    ("honest_protocol_a", "clock.t0"): [
+        "14a6371608d85835586e4d09d5777437507edfd886087401e14baa7cad3f945c",
+        "3552e9cf490a54cfe7a176e326d52f02491fbebfb7c339903e6d8dc927268646",
+        "5f2452a558132f928592cb741c10f8e98036180169edd907b67dcdc13af279e8",
+        "1030dfe2273b3a8565dc7df64ef651c81605ef4b9ae09012928cbe9ef399cf9f",
+        "ba313b2bafb54fcda7799ebf0715a098c221bb8196189450fad343839176b58c",
+        "019d61965b33a5e480d9d43a803eb3d52e2c94c30d505b68967212be56591620",
+    ],
+    ("honest_protocol_b", "clock.t0"): [
+        "64579d66b443fd8659e95a9beff692506ebb596e2e009423b29e5c11617f47b7",
+        "1f287a1364e0fb4e841d1b4f592c13ae9186a2b8ada7d348ff11eafc4db93f7e",
+        "3b5b24b385e3e0f0164134f0321bed68e8d493e5372062b2280d82c0c4554cf4",
+        "4ef9a40636f58e99ff822d123aa0439092016ace31ad10ef468faba76c93d10e",
+        "fa2d53e1e498828f22b89c3de7fa6b4bd06c7ae2fd8cf2bb2edff286a0ea6031",
+        "ae3f4f787019731a8bd8ed409e1f4aa037062705d470f72028a010dad48f03ac",
+    ],
+    ("delay_attack_b", "clock.t0"): [
+        "bb966980070d1d7906249f5746158210a1605ae4a55b47d3476dc450e484e78d",
+        "624d3d65bf81f35d98d1f85ac53693b5e8dd82b3496e9c01c9547bd7b3557453",
+        "fae7de28b6b2ffcbcffc429a80adf8e41f3bf43ad13c05cc71e86723af07b185",
+        "3d14fad1f31ff1ced88098fcee09fe78413d34acc5ea9f968dbd54f6e5e1b181",
+        "ddc6eedd6aa05e99abf8c8768c2f7cf64dab7cbbc3cc15b1b5122f2f50d62023",
+        "8d747c88cfcfc0a085820bc754d8e4c0f30ab99f0928853ff3147ff23bcfcf75",
+    ],
+    ("substitution_attack_b", "clock.t0"): [
+        "f12220823d965b6f3d9a3a030a0fb704fdd29aa4dac7db8f9ac77e7a8bac07b4",
+        "60d153de1dbc40511926a2f15dc72660e9abfd34de41a3284a05bf9d0def0932",
+        "bf83129016acb06f23699b3e7ecf767b8a242caed2e7f0913b65d760741ebf28",
+        "6d5447c4c685b026b682c6c573f7e6aadb7edd4724685ebce0347c7d9d9168a1",
+        "0a8cd32b2769adfd335a266a773039d8c18e5f1971c98d844bb5fa30be1540ab",
+        "8e7937a9972a97282ec0a8c980f392f3ca83819c3f3f1a7c3dbfde57c907d73a",
+    ],
+    ("delay_attack_a", "attacks.0.delta"): [
+        "220f3db4d638f67ff472973e5fca612a7273f6f5d653fbaf2b78bcc9303dd4ec",
+        "03b943e8e8a2a2edc6b0a38c8ca8b7344ac66e8a6ac438b66723fc77ee44cf6c",
+        "94c7229e2f60e31bbcb55172dc1f2f7dc4286a45735d60dafdef33dcd77b22fc",
+        "ee8e579c04af42d6088256586531a2bb681f7a30b97ed83544ffed7f6c9feef7",
+    ],
+    # protocol C reports carry FFT-derived floats (noise synthesis and the
+    # alignment search), so these bytes also pin numpy's FFT rounding
+    ("honest_protocol_c", "protocol.dt_window"): [
+        "efe950004aaf36becb84e558ed9c3357c12a647bbe7c312868ad251095695040",
+        "babf62478d99f32c6a35abca9efc26f85251344a7bc21ab2223c6649e5504a72",
+        "1182e472f16e14f6496d4a61566e73b656cc9cbf3a2202825b8a9a084c1c2ae1",
+    ],
+}
+
+CASES = {
+    ("honest_protocol_a", "clock.t0"): (TWOWAY_T0, "per-value"),
+    ("honest_protocol_b", "clock.t0"): (TWOWAY_T0, "per-value"),
+    ("delay_attack_b", "clock.t0"): (TWOWAY_T0, "per-value"),
+    ("substitution_attack_b", "clock.t0"): (TWOWAY_T0, "per-value"),
+    ("delay_attack_a", "attacks.0.delta"): ([0.0, 0.001, 0.002, 0.004], "fixed"),
+    ("honest_protocol_c", "protocol.dt_window"): ([50.0, 3.0, 100.0], "fixed"),
+}
+
+
+def edited(name: str, path: str, value):
+    """The bundled document with one value set by hand."""
+    doc = copy.deepcopy(load_bundled(name).raw)
+    *parents, last = path.split(".")
+    node = doc
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda case: f"{case[0]}:{case[1]}")
+def test_sweep_report_bytes_are_pinned(case):
+    name, parameter = case
+    values, policy = CASES[case]
+    reports = sweep(load_bundled(name), parameter, values, seed_policy=policy)
+    digests = [hashlib.sha256(r.canonical_json().encode()).hexdigest() for r in reports]
+    assert digests == GOLDEN[case]
+
+
+def test_sweep_runs_match_runs_of_the_edited_documents():
+    # the same bytes as reading the hand-edited file, run by run
+    name, parameter = "delay_attack_b", "clock.t0"
+    reports = sweep(load_bundled(name), parameter, TWOWAY_T0[:3], seed_policy="per-value")
+    for i, (value, report) in enumerate(zip(TWOWAY_T0, reports)):
+        doc = edited(name, parameter, value)
+        doc["seed"] += i
+        expected = run_scenario(ScenarioConfig.from_dict(doc)).canonical_json()
+        assert report.canonical_json() == expected
+
+
+@pytest.mark.parametrize(
+    "name, parameter, swept, written",
+    [
+        ("honest_protocol_a", "channel.tau", -1e-3, -1e-3),
+        ("honest_protocol_b", "clock.quantization", -1e-6, -1e-6),
+        ("honest_protocol_c", "protocol.dt_window", 2.5, 2.5),
+        ("honest_protocol_c", "protocol.dt_window", 0.0, 0),
+        ("linemod_attack_c", "attacks.0.at_bep", 5.0, 5),
+        ("linemod_attack_c", "attacks.0.fraction", 1.5, 1.5),
+        ("delay_attack_a", "attacks.0.delta", -0.002, -0.002),
+        ("honest_protocol_c", "line.R_H", 0.5, 0.5),
+        ("honest_protocol_a", "seed", -3.0, -3),
+        ("honest_protocol_a", "key_bits", 2.5, 2.5),
+    ],
+)
+def test_a_bad_swept_value_fails_like_the_edited_document(name, parameter, swept, written):
+    # swept is the float the CLI parses; written is the value in a config file
+    with pytest.raises(ConfigError) as from_doc:
+        ScenarioConfig.from_dict(edited(name, parameter, written))
+    with pytest.raises(ConfigError) as from_sweep:
+        sweep(load_bundled(name), parameter, [swept])
+    assert from_sweep.value.problems == from_doc.value.problems
+    assert all(p.startswith(parameter + ": ") for p in from_sweep.value.problems)
+
+
+def test_per_value_seed_sweep_offsets_the_swept_seed():
+    # a negative seed the offset makes valid runs, as the edited file would
+    reports = sweep(load_bundled("honest_protocol_a"), "seed", [4.0, -1.0], seed_policy="per-value")
+    assert [r.config["seed"] for r in reports] == [4, 0]
+
+
+def test_sweep_leaves_the_base_config_and_its_document_alone():
+    config = load_bundled("delay_attack_a")
+    before = copy.deepcopy(config.raw), config.canonical_dict()
+    reports = sweep(config, "attacks.0.delta", [0.001, 0.003])
+    assert (config.raw, config.canonical_dict()) == before
+    assert [r.config["attacks"][0]["delta"] for r in reports] == [0.001, 0.003]
