@@ -35,7 +35,7 @@ from .scenario import Scenario
 class Passive:
     """Eve only listens, logging each BEP's levels and guessing its bit."""
 
-    def apply(self, scenario: Scenario, rng: np.random.Generator) -> None:
+    def apply(self, scenario: Scenario, n: int) -> None:
         if scenario.passive_log is None:
             scenario.passive_log = []
 
@@ -52,7 +52,7 @@ class AsymDelay:
         if self.delta < 0:
             raise ConfigError("delta: must be >= 0")
 
-    def apply(self, scenario: Scenario, rng: np.random.Generator) -> None:
+    def apply(self, scenario: Scenario, n: int) -> None:
         scenario.channel.hooks.append(_asym_delay_hook(Direction(self.leg), self.delta))
 
 
@@ -99,7 +99,9 @@ class Substitute:
         if problems:
             raise ConfigError(problems)
 
-    def apply(self, scenario: Scenario, rng: np.random.Generator) -> None:
+    def apply(self, scenario: Scenario, n: int) -> None:
+        # only a fabricated tag draws: from the stream of the attack's place n
+        rng = np.random.default_rng(derive_seed(scenario.seed, 0xE5E, n)) if self.fabricate_tag else None
         hook = _substitute_file_hook if self.target == "file" else _substitute_message_hook
         scenario.channel.hooks.append(hook(self, rng))
 
@@ -136,7 +138,7 @@ class LineMod:
         if problems:
             raise ConfigError(problems)
 
-    def apply(self, scenario: Scenario, rng: np.random.Generator) -> None:
+    def apply(self, scenario: Scenario, n: int) -> None:
         at = self.at_time
         if at is None:
             at = bep_start_time(scenario, self.at_bep) + self.fraction * scenario.line.bep_duration
@@ -168,7 +170,7 @@ def _asym_delay_hook(leg: Direction, delta: float):
     return hook
 
 
-def _substitute_message_hook(spec: Substitute, rng: np.random.Generator):
+def _substitute_message_hook(spec: Substitute, rng: Optional[np.random.Generator]):
     def hook(env: Envelope, sched: Scheduler):
         msg = env.payload
         if not isinstance(msg, SyncMessage) or msg.kind.value != spec.target:
@@ -189,7 +191,7 @@ def _substitute_message_hook(spec: Substitute, rng: np.random.Generator):
     return hook
 
 
-def _substitute_file_hook(spec: Substitute, rng: np.random.Generator):
+def _substitute_file_hook(spec: Substitute, rng: Optional[np.random.Generator]):
     direction = Direction(spec.direction)
     memory: list[FileTransfer] = []
 
@@ -236,11 +238,13 @@ def install(attacks, scenario: Scenario) -> Scenario:
     Substitutions and delays become channel hooks; wire-resistance changes
     append to the scenario's line-modification schedule; a passive Eve just
     gets a notebook. Two wire modifications at the same instant conflict.
+    An attack learns its place n in the list; an attack that draws random
+    values seeds them from the scenario seed and n.
     """
     if not isinstance(attacks, (list, tuple)):
         attacks = [attacks]
     for n, attack in enumerate(attacks):
-        attack.apply(scenario, np.random.default_rng(derive_seed(scenario.seed, 0xE5E, n)))
+        attack.apply(scenario, n)
     return scenario
 
 

@@ -20,8 +20,6 @@ import numpy as np
 from .errors import ConfigError, KeyExhaustedError, UnknownSpanError
 from .noise import derive_seed
 
-DEFAULT_ALGORITHM = "sha256"
-
 
 @dataclass(frozen=True)
 class Digest:
@@ -63,11 +61,9 @@ class KeyLedger:
     protocol order, so span bookkeeping never diverges.
     """
 
-    def __init__(self, key_bytes: bytes, bit_length: int | None = None):
+    def __init__(self, key_bytes: bytes):
         self._pad: bytes | None = bytes(key_bytes)
-        self.bit_length = 8 * len(self._pad) if bit_length is None else bit_length
-        if self.bit_length > 8 * len(self._pad):
-            raise ConfigError("bit_length: exceeds supplied key material")
+        self.bit_length = 8 * len(self._pad)
         self.consumed = 0
         self.issued: list[KeySpan] = []
 
@@ -132,8 +128,8 @@ class KeyLedger:
         return total == self.consumed and cursor <= self.bit_length
 
 
-def hash_message(payload: bytes, algorithm: str = DEFAULT_ALGORITHM) -> Digest:
-    return Digest(hashlib.new(algorithm, payload).digest())
+def hash_message(payload: bytes) -> Digest:
+    return Digest(hashlib.sha256(payload).digest())
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -148,11 +144,11 @@ def encrypt_digest(digest: Digest, ledger: KeyLedger) -> AuthTag:
     return AuthTag(_xor(digest.data, pad), span)
 
 
-def verify(payload: bytes, tag: AuthTag, ledger_view: KeyLedger, algorithm: str = DEFAULT_ALGORITHM) -> bool:
+def verify(payload: bytes, tag: AuthTag, ledger_view: KeyLedger) -> bool:
     """Recompute the payload hash, decrypt the tag with the named span, and
     compare. False means the payload or the tag was altered in flight."""
     if len(tag.ciphertext) * 8 != tag.span.length:
         return False
     pad = ledger_view.read(tag.span)
     recovered = _xor(tag.ciphertext, pad)
-    return recovered == hash_message(payload, algorithm).data
+    return recovered == hash_message(payload).data

@@ -66,13 +66,14 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     header = f"{args.param:>24}  {'t0_est':>14}  {'tau_est':>14}  {'residual':>12}  flag"
     print(header)
-    for value, report in zip(values, reports):
-        path = out / f"{name}.{args.param.replace('.', '_')}={value:g}.report.json"
+    for i, (value, report) in enumerate(zip(values, reports)):
+        # the exact value and the run's position: repeated values get their own files
+        path = out / f"{name}.{args.param.replace('.', '_')}={value!r}.run{i}.report.json"
         path.write_text(report.canonical_json())
         res = report.result
         fmt = lambda x: "-" if x is None else f"{x:.6e}"
         print(
-            f"{value:>24g}  {fmt(res['t0_est']):>14}  {fmt(res['tau_est']):>14}  "
+            f"{value!r:>24}  {fmt(res['t0_est']):>14}  {fmt(res['tau_est']):>14}  "
             f"{fmt(res['residual']):>12}  {res['attack_flag']}"
         )
     print(f"{len(reports)} reports written to {out}")

@@ -191,16 +191,25 @@ def read(cls, doc):
 
 
 def to_doc(obj) -> dict:
-    """The JSON document of a section: every field, defaults included.
-    Nested sections become documents; a tuple becomes a list of its items
-    as they are."""
+    """The JSON document of a section: every field, defaults included, so
+    two documents that read into equal sections get equal documents.
+    Nested sections become documents and a tuple becomes a list. A section
+    in a list is an item of a union (an attack): it becomes its "kind" plus
+    the fields that differ from their defaults."""
     doc = {}
     for name, (_, read, _) in _schema(type(obj)).items():
         value = getattr(obj, name)
-        if read is not None:  # a nested section or a list
-            value = list(value) if isinstance(value, tuple) else to_doc(value)
+        if isinstance(value, tuple):
+            value = [_tagged_doc(x) if dataclasses.is_dataclass(x) else x for x in value]
+        elif read is not None:  # a nested section
+            value = to_doc(value)
         doc[name] = value
     return doc
+
+
+def _tagged_doc(obj) -> dict:
+    defaults = {f.name: f.default for f in dataclasses.fields(obj)}
+    return {"kind": type(obj).__name__, **{k: v for k, v in to_doc(obj).items() if v != defaults[k]}}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -46,7 +46,9 @@ class ScenarioConfig:
     channel: ChannelConfig = ChannelConfig()
     attacks: tuple[Attack, ...] = ()
     key_bits: int = 8192
-    # the document this was read from; from_dict sets it
+    # the document from_dict read, kept for callers that edit a copy of it
+    # and read that again; None for a config built in code. Reports and
+    # sweeps never read it: they work from the fields alone.
     raw: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -80,11 +82,10 @@ class ScenarioConfig:
         return self.line
 
     def canonical_dict(self) -> dict:
-        """The config with every default made explicit; attacks stay as
-        written."""
-        doc = to_doc(self)
-        doc["attacks"] = self.raw.get("attacks", [])
-        return doc
+        """The config with every default made explicit, attacks given by
+        their kind and the fields that differ from their defaults; reading
+        it back gives an equal config."""
+        return to_doc(self)
 
     def build_scenario(self) -> Scenario:
         scenario = make_scenario(
@@ -234,31 +235,17 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_path(doc: dict, path: str):
-    """Walk a dotted path through dicts and lists; returns (container, key)."""
-    parts = path.split(".")
-    node = doc
-    for part in parts[:-1]:
-        if isinstance(node, list):
-            try:
-                node = node[int(part)]
-            except (ValueError, IndexError):
-                raise UnknownParameterError(f"{path}: no element {part!r}") from None
-        elif isinstance(node, dict) and part in node:
-            node = node[part]
+def _lookup(config: ScenarioConfig, parameter: str):
+    """The value at a dotted path of init fields and tuple items."""
+    node = config
+    for part in parameter.split("."):
+        if isinstance(node, tuple) and part.isdecimal() and int(part) < len(node):
+            node = node[int(part)]
+        elif is_dataclass(node) and part in {f.name for f in fields(node) if f.init}:
+            node = getattr(node, part)
         else:
-            raise UnknownParameterError(f"{path}: no section {part!r}")
-    last = parts[-1]
-    if isinstance(node, list):
-        try:
-            idx = int(last)
-            _ = node[idx]
-        except (ValueError, IndexError):
-            raise UnknownParameterError(f"{path}: no element {last!r}") from None
-        return node, idx
-    if not isinstance(node, dict) or last not in node:
-        raise UnknownParameterError(f"{path}: no field {last!r}")
-    return node, last
+            raise UnknownParameterError(f"{parameter}: no field {part!r}")
+    return node
 
 
 def _derive(obj, parts: list[str], value, changes: dict):
@@ -279,18 +266,6 @@ def _derive(obj, parts: list[str], value, changes: dict):
     return replace(obj, **{head: child, **changes})
 
 
-def _path_copy(doc, parts: list[str], value):
-    """A copy of doc with value at the dotted path; only the dicts and lists
-    on the path are copied."""
-    if not parts:
-        return value
-    head, rest = parts[0], parts[1:]
-    copy = doc.copy()
-    key = int(head) if isinstance(doc, list) else head
-    copy[key] = _path_copy(doc[key], rest, value)
-    return copy
-
-
 def sweep(
     config: ScenarioConfig,
     parameter: str,
@@ -299,18 +274,18 @@ def sweep(
 ) -> list[RunReport]:
     """One run per value of a numeric config field (dotted path).
 
-    Each value's config is derived from the already-validated config: the
-    sections on the path are rebuilt with the new value and validated like a
-    config file, so a bad value raises the ConfigError that reading the
-    edited document would raise. seed_policy 'fixed' reuses the config seed;
-    'per-value' offsets it by the value's position so runs draw independent
-    noise.
+    The sweep edits the config the report shows: each value's config is the
+    base config with that one field replaced, and the sections on the path
+    are rebuilt and validated again, so a bad value raises the ConfigError
+    reading the edited report config would raise. Fields a section derived
+    from others when it was built keep their base values: sweeping line.R_L
+    or line.bandwidth_B leaves R_wire, tau_f, bep_duration and sample_rate
+    as they were. seed_policy 'fixed' reuses the config seed; 'per-value'
+    offsets it by the value's position so runs draw independent noise.
     """
     if seed_policy not in ("fixed", "per-value"):
         raise ConfigError("seed_policy: must be 'fixed' or 'per-value'")
-    base = config.canonical_dict()
-    container, key = _resolve_path(base, parameter)
-    current = container[key]
+    current = _lookup(config, parameter)
     if not isinstance(current, (int, float)) or isinstance(current, bool):
         raise UnknownParameterError(f"{parameter}: not a numeric field")
     parts = parameter.split(".")
@@ -323,11 +298,7 @@ def sweep(
         changes = {}
         if seed_policy == "per-value":  # the swept seed or the config's, plus i
             changes["seed"] = (value if parameter == "seed" else config.seed) + i
-        derived = _derive(config, parts, value, changes)
-        raw = _path_copy(base, parts, value)
-        raw["seed"] = derived.seed
-        object.__setattr__(derived, "raw", raw)
-        reports.append(run_scenario(derived))
+        reports.append(run_scenario(_derive(config, parts, value, changes)))
     return reports
 
 

@@ -302,11 +302,15 @@ def simulate_bep(
     return meas_a, meas_b
 
 
-def classify_bep(meas: BepMeasurement, config: LineConfig, guard_band: float = 0.05) -> BitState:
+# relative distance from a classification threshold inside which a BEP is ambiguous
+GUARD_BAND = 0.05
+
+
+def classify_bep(meas: BepMeasurement, config: LineConfig) -> BitState:
     """Classify a measurement into LL / MIXED / HH by its mean-square voltage.
 
     Raises AmbiguousMeasurementError when the value falls within the
-    relative guard_band of either threshold - those BEPs are discarded
+    relative GUARD_BAND of either threshold - those BEPs are discarded
     rather than guessed at.
     """
     n_needed = 0.5 * config.bep_duration * config.sample_rate
@@ -318,9 +322,9 @@ def classify_bep(meas: BepMeasurement, config: LineConfig, guard_band: float = 0
     low, high = classification_thresholds(config, meas.party)
     msq = meas.msq_voltage
     for thr in (low, high):
-        if abs(msq - thr) <= guard_band * thr:
+        if abs(msq - thr) <= GUARD_BAND * thr:
             raise AmbiguousMeasurementError(
-                f"mean-square voltage {msq:.6g} within {guard_band:.0%} of threshold {thr:.6g}"
+                f"mean-square voltage {msq:.6g} within {GUARD_BAND:.0%} of threshold {thr:.6g}"
             )
     if msq < low:
         return BitState.LL

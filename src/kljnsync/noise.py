@@ -99,9 +99,7 @@ class NoiseSpec:
         return self.spectral_density_S0 * self.bandwidth_B
 
 
-def generate_bandlimited_gaussian(
-    spec: NoiseSpec, duration: float, sample_rate: float, unit: Unit = Unit.VOLT
-) -> NoiseTrace:
+def generate_bandlimited_gaussian(spec: NoiseSpec, duration: float, sample_rate: float) -> NoiseTrace:
     """Synthesize Gaussian noise with a flat one-sided spectrum over [0, B].
 
     The trace is drawn in the frequency domain: only the rfft bins at or
@@ -125,20 +123,17 @@ def generate_bandlimited_gaussian(
         samples.
     sample_rate : float
         Must satisfy sample_rate >= 2 * spec.bandwidth_B.
-    unit : Unit
-        Tag carried by the returned trace.
 
     Returns
     -------
     NoiseTrace
+        Tagged Unit.VOLT.
     """
     n = _sample_count(spec, duration, sample_rate)
-    return NoiseTrace(_synthesize(spec, n, sample_rate), sample_rate, unit)
+    return NoiseTrace(_synthesize(spec, n, sample_rate), sample_rate)
 
 
-def generate_with_guard(
-    spec: NoiseSpec, duration: float, sample_rate: float, unit: Unit = Unit.VOLT
-) -> NoiseTrace:
+def generate_with_guard(spec: NoiseSpec, duration: float, sample_rate: float) -> NoiseTrace:
     """Like generate_bandlimited_gaussian, but not circular: the trace is
     the interior of a longer circular one, so the wraparound never touches
     the samples handed to the protocols.
@@ -151,7 +146,7 @@ def generate_with_guard(
     n = _sample_count(spec, duration, sample_rate)
     cut = int(round(sample_rate / spec.bandwidth_B))
     padded = _synthesize(spec, _fast_length(n + 2 * cut), sample_rate)
-    return NoiseTrace(padded[cut : cut + n].copy(), sample_rate, unit)
+    return NoiseTrace(padded[cut : cut + n].copy(), sample_rate)
 
 
 def _sample_count(spec: NoiseSpec, duration: float, sample_rate: float) -> int:

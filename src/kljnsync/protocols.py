@@ -610,7 +610,7 @@ def protocol_c(scenario: Scenario) -> SyncResult:
     return SyncResult(ProtocolKind.C, t0_est, None, best, auth_ok=True, attack_flag=False)
 
 
-def combined_check(scenario: Scenario, c_result: Optional[SyncResult] = None) -> SyncResult:
+def combined_check(scenario: Scenario) -> SyncResult:
     """Full verdict: Protocol C plus a random-time authenticated probe.
 
     Passes only when (a) the probe's offset estimate is zero within
@@ -619,8 +619,7 @@ def combined_check(scenario: Scenario, c_result: Optional[SyncResult] = None) ->
     residual stayed below threshold. Failing any leg raises the attack
     flag.
     """
-    if c_result is None:
-        c_result = protocol_c(scenario)
+    c_result = protocol_c(scenario)
 
     # probe at a random later instant, snapped to the clock grid (parties
     # initiate on their own clock ticks)

@@ -159,3 +159,22 @@ def test_attack_matrix():
         sc = scenario(seed=22)
         install(attack, sc)
         assert combined_check(sc).attack_flag is True
+
+
+def test_only_a_fabricated_tag_seeds_a_generator(monkeypatch):
+    sc = scenario()
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args) or default_rng(*args))
+    install(
+        [
+            Passive(),
+            AsymDelay("BtoA", 1e-3),
+            LineMod(r_wire_factor=1.5, at_bep=0),
+            Substitute("Response", "t2_star", delta=1e-3),
+            Substitute("file", mode="replay"),
+        ],
+        sc,
+    )
+    assert made == []
+    install(Substitute("Response", "t2_star", delta=1e-3, fabricate_tag=True), sc)
+    assert len(made) == 1

@@ -1,6 +1,7 @@
 import json
 
 from kljnsync.cli import main
+from kljnsync.harness import load_bundled, sweep
 
 
 def test_run_bundled_scenario(tmp_path, capsys):
@@ -83,3 +84,24 @@ def test_sweep_of_offsets_between_and_beyond_the_reported_window(tmp_path, capsy
     for path in reports:
         result = json.loads(path.read_text())["result"]
         assert result["attack_flag"] is False, (path.name, result["detail"])
+
+
+def test_every_sweep_run_gets_its_own_report_file(tmp_path, capsys):
+    # a repeated value, and two values that agree to six digits
+    values = [0.001, 0.001, 0.0012345671, 0.0012345674]
+    rc = main(
+        [
+            "sweep", "honest_protocol_a",
+            "--param", "clock.t0",
+            "--values", ",".join(map(repr, values)),
+            "--seed-policy", "per-value",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    assert "4 reports written" in capsys.readouterr().out
+    written = [p.read_text() for p in tmp_path.glob("honest_protocol_a.clock_t0=*.report.json")]
+    reports = sweep(load_bundled("honest_protocol_a"), "clock.t0", values, seed_policy="per-value")
+    expected = [r.canonical_json() for r in reports]
+    assert len(set(expected)) == 4
+    assert sorted(written) == sorted(expected)

@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from kljnsync.adversaries import AsymDelay, Substitute
+from kljnsync.config import ClockConfig, ProtocolConfig
 from kljnsync.errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from kljnsync.harness import (
     RunReport,
@@ -11,6 +15,7 @@ from kljnsync.harness import (
     run_scenario,
     sweep,
 )
+from kljnsync.line import LineConfig
 from kljnsync.noise import theoretical_autocorrelation
 
 MINIMAL = {
@@ -248,3 +253,42 @@ def test_verdict_table_covers_every_bundled_scenario():
 def test_bundled_scenario_verdicts(name):
     result = run_scenario(load_bundled(name)).result
     assert (result["attack_flag"], result["auth_ok"], result["detail"]) == VERDICTS[name]
+
+
+def test_a_config_built_in_code_runs_and_sweeps_like_its_document():
+    cfg = ScenarioConfig(
+        seed=3,
+        line=LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4),
+        protocol=ProtocolConfig(kind="B"),
+        clock=ClockConfig(t0=2e-3),
+        attacks=(AsymDelay("BtoA", 1e-3), Substitute("Response", "t2_star", delta=0.0)),
+    )
+    assert cfg.raw is None
+    expected = run_scenario(ScenarioConfig.from_dict(cfg.canonical_dict())).canonical_json()
+    assert run_scenario(cfg).canonical_json() == expected
+    (swept,) = sweep(cfg, "attacks.0.delta", [1e-3])
+    assert swept.canonical_json() == expected
+
+
+def test_a_written_attack_default_leaves_the_report_alone():
+    written = load_bundled("substitution_attack_b").raw
+    attack = written["attacks"][0]
+    spelled_out = dict(written, attacks=[dict(attack, value=None, fabricate_tag=False, drop=False)])
+    report = run_scenario(ScenarioConfig.from_dict(spelled_out))
+    assert report.canonical_json() == run_scenario(ScenarioConfig.from_dict(written)).canonical_json()
+    assert report.config["attacks"] == [attack]
+
+
+def test_a_fabricated_tag_run_keeps_its_bytes():
+    doc = load_bundled("substitution_attack_b").raw
+    doc = dict(doc, attacks=[dict(doc["attacks"][0], fabricate_tag=True)])
+    text = run_scenario(ScenarioConfig.from_dict(doc)).canonical_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7a25a933fed52518288208af815ff349cda3ce7be2a0421b5d60fedee1cb11e0"
+    )
+
+
+def test_sweep_takes_list_items_by_their_position_only():
+    # "-1" is no position: the edited attack would run beside the base one
+    with pytest.raises(UnknownParameterError):
+        sweep(load_bundled("delay_attack_a"), "attacks.-1.delta", [1e-3])

@@ -137,3 +137,15 @@ def test_sweep_leaves_the_base_config_and_its_document_alone():
     reports = sweep(config, "attacks.0.delta", [0.001, 0.003])
     assert (config.raw, config.canonical_dict()) == before
     assert [r.config["attacks"][0]["delta"] for r in reports] == [0.001, 0.003]
+
+
+def test_a_sweep_edits_one_field_of_the_config_the_report_shows():
+    # fields the line derived from R_L and bandwidth_B keep their base values
+    config = load_bundled("honest_protocol_c")
+    with pytest.raises(ConfigError) as err:
+        sweep(config, "line.bandwidth_B", [200000.0])
+    assert err.value.problems == ["line.sample_rate: must be >= 2 * bandwidth_B"]
+    base = config.canonical_dict()
+    (report,) = sweep(config, "line.R_L", [2.0])
+    assert report.config == dict(base, line=dict(base["line"], R_L=2.0))
+    assert report.canonical_json() == run_scenario(ScenarioConfig.from_dict(report.config)).canonical_json()
