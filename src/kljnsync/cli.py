@@ -2,13 +2,14 @@
 
 Verbs:
   run <config>       execute a scenario (path to a JSON config, or the name
-                     of a bundled one) and write its report
+                     of a bundled one) and write its report and event log
   sweep <config>     repeat a scenario across values of one numeric field
   plot <report>      emit a two-column series from a report for plotting
   verify             run the full acceptance suite
 
-Reports land in $KLJNSYNC_OUT (default ./out). Exit status is 0 only when
-everything executed passed.
+Reports land in $KLJNSYNC_OUT (default ./out), each <name>.report.json
+beside its <name>.events.log. Exit status is 0 only when everything
+executed passed.
 """
 
 from __future__ import annotations
@@ -49,39 +50,57 @@ def _out_dir(override: str | None) -> Path:
     return out
 
 
+def _write(out: Path, stem: str, report: RunReport) -> Path:
+    """Write <stem>.report.json and, beside it, <stem>.events.log, the log
+    whose sha256 the report carries."""
+    path = out / f"{stem}.report.json"
+    path.write_text(report.canonical_json())
+    (out / f"{stem}.events.log").write_bytes(report.event_log.encode())
+    return path
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise KljnError(f"--values: {text!r} is not a number") from None
+
+
 def _cmd_run(args) -> int:
     name, config = _load_config(args.config)
     report = run_scenario(config)
-    out = _out_dir(args.out) / f"{name}.report.json"
-    out.write_text(report.canonical_json())
+    path = _write(_out_dir(args.out), name, report)
     print(report.summary())
-    print(f"report written to {out}")
+    print(f"report written to {path}, event log beside it")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     name, config = _load_config(args.config)
-    values = [float(v) for v in args.values.split(",")]
+    values = [_number(v) for v in args.values.split(",")]
     reports = sweep(config, args.param, values, seed_policy=args.seed_policy)
     out = _out_dir(args.out)
     header = f"{args.param:>24}  {'t0_est':>14}  {'tau_est':>14}  {'residual':>12}  flag"
     print(header)
     for i, (value, report) in enumerate(zip(values, reports)):
         # the exact value and the run's position: repeated values get their own files
-        path = out / f"{name}.{args.param.replace('.', '_')}={value!r}.run{i}.report.json"
-        path.write_text(report.canonical_json())
+        _write(out, f"{name}.{args.param.replace('.', '_')}={value!r}.run{i}", report)
         res = report.result
         fmt = lambda x: "-" if x is None else f"{x:.6e}"
         print(
             f"{value!r:>24}  {fmt(res['t0_est']):>14}  {fmt(res['tau_est']):>14}  "
             f"{fmt(res['residual']):>12}  {res['attack_flag']}"
         )
-    print(f"{len(reports)} reports written to {out}")
+    print(f"{len(reports)} reports written to {out}, each with its event log")
     return 0
 
 
 def _cmd_plot(args) -> int:
-    report = RunReport.from_json(Path(args.report).read_text())
+    try:
+        data = Path(args.report).read_bytes()
+    except OSError as exc:
+        raise KljnError(f"report: cannot read {args.report!r} ({exc.strerror})") from None
+    report = RunReport.from_json(data)
     sys.stdout.write(emit_plot_data(report, args.series))
     return 0
 

@@ -106,6 +106,10 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
+# one encoder for every report; without indent json uses its C encoder
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass
 class RunReport:
     config: dict
@@ -114,9 +118,15 @@ class RunReport:
     msq_levels: dict
     key_bits_consumed: int
     series: dict = field(default_factory=dict)
-    wall_seconds: float = 0.0  # informational; not part of the canonical form
+    # informational, and not part of the canonical form: the run's time and
+    # the scheduler log that event_log_digest is the sha256 of
+    wall_seconds: float = 0.0
+    event_log: str = field(default="", repr=False)
 
     def canonical_json(self) -> str:
+        """The report as one line of JSON with sorted keys and no spaces,
+        plus a newline: identical runs give identical bytes. Pretty-print
+        one with ``python -m json.tool``."""
         body = {
             "config": self.config,
             "result": self.result,
@@ -125,11 +135,20 @@ class RunReport:
             "key_bits_consumed": self.key_bits_consumed,
             "series": self.series,
         }
-        return json.dumps(body, sort_keys=True, indent=1) + "\n"
+        return _CANONICAL.encode(body) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        body = json.loads(text)
+    def from_json(cls, text: str | bytes) -> "RunReport":
+        try:
+            body = json.loads(text)
+        except ValueError as exc:  # not JSON, or bytes that are not UTF-8
+            raise ConfigError(f"report: invalid JSON ({exc})") from None
+        if not isinstance(body, dict):
+            raise ConfigError("report: not a JSON object")
+        required = ("config", "result", "event_log_digest", "msq_levels", "key_bits_consumed")
+        missing = [f"report: missing key {key!r}" for key in required if key not in body]
+        if missing:
+            raise ConfigError(missing)
         return cls(
             config=body["config"],
             result=body["result"],
@@ -173,13 +192,13 @@ def _series_from(scenario: Scenario, levels: dict) -> dict:
     diag = scenario.diagnostics
     if "residual_curve" in diag:
         shifts, residuals = diag["residual_curve"]
-        series["residual_curve"] = [[float(s), float(r)] for s, r in zip(shifts, residuals)]
+        series["residual_curve"] = np.column_stack((shifts, residuals)).tolist()
     if "first_bep_voltage" in diag:
         trace: NoiseTrace = diag["first_bep_voltage"]
         fs = trace.sample_rate
         max_lag = min(len(trace) - 1, int(round(2.0 * fs / scenario.line.bandwidth_B)))
         ac = empirical_autocorrelation(trace, max_lag)
-        series["autocorrelation"] = [[float(l), float(v)] for l, v in ac]
+        series["autocorrelation"] = ac.tolist()
     if "bep_msq" in diag and diag["bep_msq"]:
         values = np.asarray(diag["bep_msq"])
         top = float(levels[BitState.HH]) * 1.5
@@ -210,12 +229,11 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
     levels = analytic_levels(scenario.line)
     low, high = classification_thresholds(scenario.line, levels=levels)
+    event_log = format_event_log(scenario.scheduler.log)
     report = RunReport(
         config=config.canonical_dict(),
         result=_result_dict(result),
-        event_log_digest=hashlib.sha256(
-            format_event_log(scenario.scheduler.log).encode()
-        ).hexdigest(),
+        event_log_digest=hashlib.sha256(event_log.encode()).hexdigest(),
         msq_levels={
             "LL": float(levels[BitState.LL]),
             "MIXED": float(levels[BitState.MIXED]),
@@ -226,6 +244,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         key_bits_consumed=int(scenario.ledger.consumed),
         series=_series_from(scenario, levels),
         wall_seconds=time.perf_counter() - start,
+        event_log=event_log,
     )
     return report
 

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from kljnsync.cli import main
 from kljnsync.harness import load_bundled, sweep
@@ -105,3 +108,48 @@ def test_every_sweep_run_gets_its_own_report_file(tmp_path, capsys):
     expected = [r.canonical_json() for r in reports]
     assert len(set(expected)) == 4
     assert sorted(written) == sorted(expected)
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "report: cannot read"),
+        ("residual_curve 1 2\n", "report: invalid JSON"),
+        ('{"config": {}}', "report: missing key 'result'"),
+    ],
+    ids=["missing", "not_json", "no_result"],
+)
+def test_plot_of_a_bad_report_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.report.json"
+    if content is not None:
+        path.write_text(content)
+    rc = main(["plot", str(path), "--series", "residual_curve"])
+    assert rc == 2
+    assert message in _one_error_line(capsys)
+
+
+def test_sweep_value_that_is_not_a_number_exits_2_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["sweep", "honest_protocol_a", "--param", "clock.t0", "--values", "0.001,abc", "--out", str(out)])
+    assert rc == 2
+    assert _one_error_line(capsys) == "error: --values: 'abc' is not a number"
+    assert not out.exists()
+
+
+def test_run_and_sweep_write_the_event_log_each_report_digests(tmp_path, capsys):
+    assert main(["run", "honest_protocol_c", "--out", str(tmp_path)]) == 0
+    args = ["sweep", "honest_protocol_b", "--param", "clock.t0", "--values", "0.001,0.002"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    reports = sorted(tmp_path.glob("*.report.json"))
+    assert len(reports) == 3
+    for path in reports:
+        log = path.with_name(path.name.replace(".report.json", ".events.log")).read_bytes()
+        assert log and hashlib.sha256(log).hexdigest() == json.loads(path.read_text())["event_log_digest"]

@@ -1,7 +1,8 @@
-import hashlib
+import json
 
 import numpy as np
 import pytest
+from pinned import indented_report_digest
 
 from kljnsync.adversaries import AsymDelay, Substitute
 from kljnsync.config import ClockConfig, ProtocolConfig
@@ -98,6 +99,27 @@ def test_report_is_self_describing_and_round_trips():
     assert back.canonical_json() == text
     rebuilt = ScenarioConfig.from_dict(back.config)  # embedded config is valid
     assert rebuilt.seed == report.config["seed"]
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_canonical_json_is_the_compact_sorted_form(name):
+    text = run_scenario(load_bundled(name)).canonical_json()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"\xff\xfe{", r"^report: invalid JSON \("),
+        ("[1, 2]", r"^report: not a JSON object$"),
+        ('{"config": {}}', "^report: missing key 'result'; report: missing key 'event_log_digest'; "
+                           "report: missing key 'msq_levels'; report: missing key 'key_bits_consumed'$"),
+    ],
+    ids=["not_utf8", "not_an_object", "missing_keys"],
+)
+def test_a_malformed_report_fails_closed(text, message):
+    with pytest.raises(ConfigError, match=message):
+        RunReport.from_json(text)
 
 
 def test_repeated_runs_are_byte_identical():
@@ -283,7 +305,7 @@ def test_a_fabricated_tag_run_keeps_its_bytes():
     doc = load_bundled("substitution_attack_b").raw
     doc = dict(doc, attacks=[dict(doc["attacks"][0], fabricate_tag=True)])
     text = run_scenario(ScenarioConfig.from_dict(doc)).canonical_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    assert indented_report_digest(text) == (
         "7a25a933fed52518288208af815ff349cda3ce7be2a0421b5d60fedee1cb11e0"
     )
 

@@ -1,16 +1,17 @@
 """Sweeps: pinned report bytes, and bad values failing like config files."""
 
 import copy
-import hashlib
 
 import pytest
+from pinned import indented_report_digest
 
 from kljnsync.errors import ConfigError
 from kljnsync.harness import ScenarioConfig, load_bundled, run_scenario, sweep
 
 TWOWAY_T0 = [-0.0071, -0.002, 0.0, 3.5e-05, 0.0042, 0.0099]
 
-# sha256 of every canonical_json() each sweep returns
+# sha256 of every canonical_json() each sweep returns, re-rendered with
+# indent=1 (see pinned.py)
 GOLDEN = {
     ("honest_protocol_a", "clock.t0"): [
         "14a6371608d85835586e4d09d5777437507edfd886087401e14baa7cad3f945c",
@@ -85,7 +86,7 @@ def test_sweep_report_bytes_are_pinned(case):
     name, parameter = case
     values, policy = CASES[case]
     reports = sweep(load_bundled(name), parameter, values, seed_policy=policy)
-    digests = [hashlib.sha256(r.canonical_json().encode()).hexdigest() for r in reports]
+    digests = [indented_report_digest(r.canonical_json()) for r in reports]
     assert digests == GOLDEN[case]
 
 
