@@ -70,7 +70,10 @@ class KeyLedger:
     @classmethod
     def generate(cls, n_bits: int, seed: int) -> "KeyLedger":
         """n_bits of seeded key. The bits are drawn the first time a span is
-        read or taken, so a run that spends no key draws none."""
+        read or taken, so a run that spends no key draws none. The pad is the
+        raw 64-bit words of a PCG64 stream seeded with derive_seed(seed,
+        0xFEED), little-endian, cut to whole bytes: the bytes
+        Generator.bytes would give, without its uint32 round trip."""
         if n_bits < 0:
             raise ConfigError("n_bits: must be >= 0")
         ledger = cls(b"")
@@ -80,8 +83,9 @@ class KeyLedger:
     @property
     def _key(self) -> bytes:
         if self._pad is None:
-            rng = np.random.default_rng(derive_seed(self._seed, 0xFEED))
-            self._pad = rng.bytes((self.bit_length + 7) // 8)
+            nbytes = (self.bit_length + 7) // 8
+            words = np.random.PCG64(derive_seed(self._seed, 0xFEED)).random_raw((nbytes + 7) // 8)
+            self._pad = words.astype("<u8").tobytes()[:nbytes]
         return self._pad
 
     @property

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .acceptance import run_all
-from .errors import KljnError
+from .errors import ConfigError, KljnError
 from .harness import (
     RunReport,
     ScenarioConfig,
@@ -35,7 +35,13 @@ from .harness import (
 def _load_config(ref: str) -> tuple[str, ScenarioConfig]:
     path = Path(ref)
     if path.exists():
-        return path.stem, ScenarioConfig.from_json(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise KljnError(f"config: cannot read {ref!r} ({exc.strerror})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config: {ref!r} is not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        return path.stem, ScenarioConfig.from_json(text)
     if ref in bundled_scenario_names():
         return ref, load_bundled(ref)
     raise KljnError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from importlib import resources
@@ -107,7 +108,8 @@ class ScenarioConfig:
 
 
 # one encoder for every report; without indent json uses its C encoder
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# no circular check: run_scenario builds each report body as a fresh tree
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 @dataclass
@@ -149,6 +151,8 @@ class RunReport:
         missing = [f"report: missing key {key!r}" for key in required if key not in body]
         if missing:
             raise ConfigError(missing)
+        if not isinstance(body.get("series", {}), dict):
+            raise ConfigError("report: 'series' is not an object")
         return cls(
             config=body["config"],
             result=body["result"],
@@ -322,13 +326,25 @@ def sweep(
 
 
 def emit_plot_data(report: RunReport, series: str) -> str:
-    """Two-column decimal text for external plotting."""
+    """Two-column decimal text for external plotting. Raises ConfigError
+    unless every row of the series is an [x, y] pair of numbers."""
     if series not in report.series:
         raise UnknownSeriesError(
             f"series {series!r} not in report (have: {sorted(report.series) or 'none'})"
         )
     rows = report.series[series]
+    if not isinstance(rows, list):
+        raise ConfigError(f"series {series!r}: not a list of [x, y] rows")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 2 and all(map(_is_number, row))):
+            raise ConfigError(
+                f"series {series!r}: row {i} is {reprlib.repr(row)}, not an [x, y] pair of numbers"
+            )
     return "\n".join(f"{x:.12g} {y:.12g}" for x, y in rows) + "\n"
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------

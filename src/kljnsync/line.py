@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -162,8 +163,14 @@ class BepMeasurement:
                 ("msq_voltage", self.voltage_trace, self.msq_voltage),
                 ("msq_current", self.current_trace, self.msq_current),
             ):
-                if not np.isclose(msq, trace.mean_square(), rtol=1e-9, atol=0.0):
+                if not _close(msq, trace.mean_square()):
                     raise ConfigError(f"{name}: does not match its trace")
+
+
+def _close(a: float, b: float) -> bool:
+    """np.isclose(a, b, rtol=1e-9, atol=0) on two floats, without the array
+    set-up: within tolerance of a finite b, or equal (inf to inf)."""
+    return (abs(a - b) <= 1e-9 * abs(b) and math.isfinite(b)) or a == b
 
 
 def _level(ns_B: float, r_own: float, r_far: float, r_wire: float) -> float:
@@ -266,8 +273,9 @@ def simulate_bep(
     u_b = generate_with_guard(spec_b, config.bep_duration, fs).samples
 
     n = u_a.size
-    r_wire = np.full(n, float(config.R_wire))
+    r_wire = float(config.R_wire)
     if r_wire_schedule:
+        r_wire = np.full(n, r_wire)
         times = start_absolute + np.arange(n) / fs
         for t_act, value in sorted(r_wire_schedule):
             r_wire[times >= t_act] = value

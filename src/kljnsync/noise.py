@@ -21,6 +21,7 @@ a length with no prime factor above 5, where the inverse FFT is fast.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +169,7 @@ def _synthesize(spec: NoiseSpec, n: int, sample_rate: float) -> np.ndarray:
     """n samples of circular noise with a flat spectrum over [0, B]."""
     if n == 0 or spec.spectral_density_S0 == 0.0:
         return np.zeros(n)
-    kept = int(np.count_nonzero(np.fft.rfftfreq(n, d=1.0 / sample_rate) <= spec.bandwidth_B))
+    kept = _kept_bins(n, sample_rate, spec.bandwidth_B)
     # real bins: DC and, for even n, the Nyquist bin when it is kept
     real = [0, n // 2] if n % 2 == 0 and kept == n // 2 + 1 else [0]
 
@@ -186,6 +187,13 @@ def _synthesize(spec: NoiseSpec, n: int, sample_rate: float) -> np.ndarray:
     return np.fft.irfft(bins, n=n)
 
 
+@functools.lru_cache(maxsize=64)
+def _kept_bins(n: int, sample_rate: float, bandwidth_B: float) -> int:
+    """How many rfft bins of n samples lie at or below B; one count per shape."""
+    return int(np.count_nonzero(np.fft.rfftfreq(n, d=1.0 / sample_rate) <= bandwidth_B))
+
+
+@functools.lru_cache(maxsize=64)
 def _fast_length(n: int) -> int:
     """The smallest 2^a * 3^b * 5^c >= n, a length the FFT handles fast."""
     best = 1 << max(n - 1, 0).bit_length()

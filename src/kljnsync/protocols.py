@@ -161,8 +161,11 @@ class _TwoWayRun:
     def _outgoing(self, msg: SyncMessage) -> SyncMessage:
         if not self.authenticated:
             return msg
-        tag = encrypt_digest(hash_message(msg.canonical_bytes()), self.scenario.ledger)
-        return replace(msg, tag=tag)
+        blob = msg.canonical_bytes()
+        tagged = replace(msg, tag=encrypt_digest(hash_message(blob), self.scenario.ledger))
+        # the tag is not part of the encoding, so the tagged message keeps it
+        object.__setattr__(tagged, "_canonical", blob)
+        return tagged
 
     def _check(self, msg: SyncMessage) -> None:
         if not self.authenticated:
@@ -374,17 +377,18 @@ def residual_curve(
     base = (file_ref.local_start - file_other.local_start) * fs
 
     # lags m, descending so that shifts ascend, and each one's overlap
-    # [lo, hi) on the reference record
-    m = np.arange(n_other - 1, -n_ref, -1)
-    lo = np.maximum(0, -m)
-    hi = np.minimum(n_ref, n_other - m)
-    keep = hi - lo >= 0.5 * n_ref
-    if not keep.any():
+    # [lo, hi) on the reference record. The overlap min(n_ref, n_other - m)
+    # - max(0, -m) keeps need = ceil(n_ref / 2) samples exactly for m in
+    # [need - n_ref, n_other - need], one run that is empty iff n_other < need
+    need = (n_ref + 1) // 2
+    if n_other < need:
         raise InsufficientOverlapError(
             f"no shift leaves half of the {n_ref}-sample record overlapping "
             f"the {n_other}-sample one"
         )
-    m, lo, hi = m[keep], lo[keep], hi[keep]
+    m = np.arange(n_other - need, need - n_ref - 1, -1)
+    lo = np.maximum(0, -m)
+    hi = np.minimum(n_ref, n_other - m)
 
     sign = 1.0 if file_ref.party is Party.ALICE else -1.0
     v_ref, v_other = file_ref.voltage_samples, file_other.voltage_samples
@@ -402,7 +406,10 @@ def residual_curve(
     cross = np.fft.irfft(spectrum, size)[m % size]  # sum over n of a[n] b[n + m]
 
     def prefix(x: np.ndarray) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(x)))
+        sums = np.empty(x.size + 1)
+        sums[0] = 0.0
+        np.cumsum(x, out=sums[1:])
+        return sums
 
     energy_a, energy_b, energy_d = prefix(a * a), prefix(b * b), prefix(d2)
     num = energy_a[hi] - energy_a[lo] - 2.0 * cross + energy_b[hi + m] - energy_b[lo + m]

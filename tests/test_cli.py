@@ -153,3 +153,56 @@ def test_run_and_sweep_write_the_event_log_each_report_digests(tmp_path, capsys)
     for path in reports:
         log = path.with_name(path.name.replace(".report.json", ".events.log")).read_bytes()
         assert log and hashlib.sha256(log).hexdigest() == json.loads(path.read_text())["event_log_digest"]
+
+
+def test_run_of_a_directory_exits_2(tmp_path, capsys):
+    rc = main(["run", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    line = _one_error_line(capsys)
+    assert line.startswith(f"error: config: cannot read {str(tmp_path)!r} (")
+
+
+def test_run_of_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"seed": 1, "note": "café"}'.encode("latin-1"))
+    rc = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config: {str(path)!r} is not UTF-8" in _one_error_line(capsys)
+
+
+REPORT_BODY = {
+    "config": {},
+    "result": {},
+    "event_log_digest": "",
+    "msq_levels": {},
+    "key_bits_consumed": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "series, message",
+    [
+        ({"x": [1, 2]}, "series 'x': row 0 is 1, not an [x, y] pair of numbers"),
+        ({"x": [[1, 2], [3]]}, "series 'x': row 1 is [3], not an [x, y] pair"),
+        ({"x": [[1, 2, 3]]}, "series 'x': row 0 is [1, 2, 3], not an [x, y] pair"),
+        ({"x": [[1, "2"]]}, "series 'x': row 0 is [1, '2'], not an [x, y] pair"),
+        ({"x": [[None, 2]]}, "series 'x': row 0 is [None, 2], not an [x, y] pair"),
+        ({"x": [[True, 2]]}, "series 'x': row 0 is [True, 2], not an [x, y] pair"),
+        ({"x": 5}, "series 'x': not a list of [x, y] rows"),
+        ([["x", 1]], "report: 'series' is not an object"),
+    ],
+    ids=["not_a_list", "short", "long", "string", "null", "bool", "rows_not_a_list", "series_not_a_dict"],
+)
+def test_plot_of_a_series_that_is_not_xy_pairs_exits_2(tmp_path, capsys, series, message):
+    path = tmp_path / "odd.report.json"
+    path.write_text(json.dumps({**REPORT_BODY, "series": series}))
+    rc = main(["plot", str(path), "--series", "x"])
+    assert rc == 2
+    assert message in _one_error_line(capsys)
+
+
+def test_plot_of_integer_rows_prints_them(tmp_path, capsys):
+    path = tmp_path / "ints.report.json"
+    path.write_text(json.dumps({**REPORT_BODY, "series": {"x": [[1, 2], [3.5, -4]]}}))
+    assert main(["plot", str(path), "--series", "x"]) == 0
+    assert capsys.readouterr().out == "1 2\n3.5 -4\n"

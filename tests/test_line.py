@@ -10,6 +10,7 @@ from kljnsync.errors import (
 )
 from kljnsync.line import (
     BepMeasurement,
+    _close,
     BitState,
     LineConfig,
     Party,
@@ -138,6 +139,25 @@ def test_measurement_invariants_checked():
         BepMeasurement(Party.ALICE, 0, 0.0, tr, short, 1.0, 1.0)
     with pytest.raises(ConfigError):
         BepMeasurement(Party.ALICE, 0, 0.0, tr, tr, 2.0, 1.0)
+
+
+CLOSE_GRID = [0.0, 1.0, -1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1.1e-9, 1.0 - 1.1e-9, 1e300,
+              np.inf, -np.inf, np.nan, 5e-324]
+
+
+@pytest.mark.parametrize("a", CLOSE_GRID)
+def test_measurement_check_is_isclose_to_1e_9(a):
+    for b in CLOSE_GRID:
+        assert _close(a, b) == bool(np.isclose(a, b, rtol=1e-9, atol=0.0)), (a, b)
+
+
+def test_measurement_check_rejects_a_level_off_by_more_than_1e_9():
+    tr = NoiseTrace(np.ones(100), 1e3)
+    BepMeasurement(Party.ALICE, 0, 0.0, tr, tr, 1.0 + 0.9e-9, 1.0 - 0.9e-9)
+    with pytest.raises(ConfigError, match="msq_current"):
+        BepMeasurement(Party.ALICE, 0, 0.0, tr, tr, 1.0, 1.0 + 1.1e-9)
+    with pytest.raises(ConfigError, match="msq_voltage"):
+        BepMeasurement(Party.ALICE, 0, 0.0, tr, tr, np.nan, 1.0)
 
 
 def _measurement_with_msq(msq: float, n: int = 2000) -> BepMeasurement:

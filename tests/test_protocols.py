@@ -1,5 +1,6 @@
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kljnsync.errors import (
     KeyExhaustedError,
     ProtocolIncompleteError,
 )
+from kljnsync import protocols
 from kljnsync.line import LineConfig, Party, ResistorChoice, simulate_bep
 from kljnsync.protocols import (
     MessageKind,
@@ -153,6 +155,39 @@ def test_protocol_b_flags_substitution():
     res = protocol_b(sc)
     assert res.attack_flag is True and res.auth_ok is False
     assert res.t0_est is None and res.tau_est is None
+
+
+def _count_encodings(monkeypatch) -> list:
+    """Spy on the field packing of SyncMessage.canonical_bytes: one (field
+    index, value) entry per field each time a message is encoded."""
+    packed = []
+
+    def pack(fmt, i, value):
+        packed.append((i, value))
+        return struct.pack(fmt, i, value)
+
+    monkeypatch.setattr(protocols, "struct", SimpleNamespace(pack=pack))
+    return packed
+
+
+def test_protocol_b_encodes_each_message_once(monkeypatch):
+    packed = _count_encodings(monkeypatch)
+    res = protocol_b(scenario(seed=3))
+    assert res.auth_ok is True
+    # TimeStamp (t1), Response (t1*, t2*) and Share (t2), each packed once
+    # although the sender hashes, the scheduler logs and the receiver verifies
+    assert [i for i, _ in packed] == [0, 1, 2, 3]
+
+
+def test_protocol_b_encodes_a_substituted_message_again(monkeypatch):
+    packed = _count_encodings(monkeypatch)
+    sc = scenario(seed=3)
+    install(Substitute("Response", "t2_star", delta=1e-3), sc)
+    res = protocol_b(sc)
+    assert res.auth_ok is False
+    # the rewritten Response carries the genuine encoding's tag, not its bytes
+    assert [i for i, _ in packed] == [0, 1, 2, 1, 2, 3]
+    assert packed[4][1] == packed[2][1] + 1e-3
 
 
 def test_protocol_b_flags_fabricated_tag():
@@ -347,6 +382,28 @@ def test_residual_curve_insufficient_overlap():
     short = replace(fb, voltage_samples=fb.voltage_samples[:300], current_samples=fb.current_samples[:300])
     with pytest.raises(InsufficientOverlapError):
         residual_curve(fa, short, LINE.R_wire, ProtocolConfig("C", dt_window=100))
+
+
+def test_residual_curve_keeps_the_lags_the_overlap_mask_kept():
+    # the lags are computed as one run; the mask over all n_ref + n_other - 1
+    # lags is the definition they must match for every pair of lengths
+    fa, fb = bep_files()
+    search = ProtocolConfig("C")
+    for n_ref in range(1, 65):
+        ref = replace(fa, voltage_samples=fa.voltage_samples[:n_ref], current_samples=fa.current_samples[:n_ref])
+        for n_other in range(1, 65):
+            m = np.arange(n_other - 1, -n_ref, -1)
+            keep = np.minimum(n_ref, n_other - m) - np.maximum(0, -m) >= 0.5 * n_ref
+            other = replace(
+                fb, voltage_samples=fb.voltage_samples[:n_other], current_samples=fb.current_samples[:n_other]
+            )
+            if not keep.any():
+                with pytest.raises(InsufficientOverlapError):
+                    residual_curve(ref, other, LINE.R_wire, search)
+                continue
+            shifts, residuals = residual_curve(ref, other, LINE.R_wire, search)
+            assert np.array_equal(shifts, -m[keep] / FS), (n_ref, n_other)
+            assert residuals.shape == shifts.shape
 
 
 def test_residual_curve_valley_is_at_negative_offset():
