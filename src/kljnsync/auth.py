@@ -21,6 +21,10 @@ from .errors import ConfigError, KeyExhaustedError, UnknownSpanError
 from .noise import derive_seed
 
 
+# the largest key a ledger holds: a 128 MiB pad
+MAX_KEY_BITS = 2**30
+
+
 @dataclass(frozen=True)
 class Digest:
     data: bytes
@@ -74,8 +78,8 @@ class KeyLedger:
         raw 64-bit words of a PCG64 stream seeded with derive_seed(seed,
         0xFEED), little-endian, cut to whole bytes: the bytes
         Generator.bytes would give, without its uint32 round trip."""
-        if n_bits < 0:
-            raise ConfigError("n_bits: must be >= 0")
+        if not 0 <= n_bits <= MAX_KEY_BITS:
+            raise ConfigError(f"n_bits: must be in [0, {MAX_KEY_BITS}]")
         ledger = cls(b"")
         ledger.bit_length, ledger._pad, ledger._seed = n_bits, None, seed
         return ledger

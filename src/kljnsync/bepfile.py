@@ -86,7 +86,7 @@ class BepFile:
                 self.local_start, self.config_digest, len(self),
             )
             samples = np.concatenate([self.voltage_samples, self.current_samples], dtype=_SAMPLE)
-            blob = header + samples.tobytes()
+            blob = b"".join((header, samples))
             object.__setattr__(self, "_payload_cache", blob)
         return blob
 

@@ -20,6 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .adversaries import Attack, LineMod, install
+from .auth import MAX_KEY_BITS
 from .channel import format_event_log
 from .config import ChannelConfig, ClockConfig, ProtocolConfig, check_fields, read, to_doc
 from .errors import ConfigError, ProtocolIncompleteError, UnknownParameterError, UnknownSeriesError
@@ -55,6 +56,8 @@ class ScenarioConfig:
     def __post_init__(self):
         check_fields(self)
         problems = [f"{name}: must be >= 0" for name in ("seed", "key_bits") if getattr(self, name) < 0]
+        if self.key_bits > MAX_KEY_BITS:
+            problems.append(f"key_bits: must be <= {MAX_KEY_BITS}")
         # a line change scheduled for a BEP the protocol never records would
         # never fire, and the run would report clean
         problems += [

@@ -65,6 +65,10 @@ def timing_defaults(bandwidth_B: float) -> tuple[float, float]:
     return 0.1 / bandwidth_B, 100.0 / bandwidth_B
 
 
+# the most samples one trace of a BEP may be synthesized with: 128 MiB of float64
+MAX_RECORD_SAMPLES = 2**24
+
+
 @dataclass(frozen=True)
 class LineConfig:
     """Channel physics for one scenario.
@@ -117,8 +121,24 @@ class LineConfig:
             problems.append("bep_duration: must be > 0")
         if self.sample_rate < 2.0 * self.bandwidth_B:
             problems.append("sample_rate: must be >= 2 * bandwidth_B")
+        # each trace is synthesized with a guard of sample_rate / B samples at either end
+        synthesized = self.bep_duration * self.sample_rate + 2.0 * self.sample_rate / self.bandwidth_B
+        if synthesized > MAX_RECORD_SAMPLES:
+            problems.append(
+                f"bep_duration: a record and its noise guard take {synthesized:.3g} samples, "
+                f"more than the {MAX_RECORD_SAMPLES} allowed"
+            )
         if problems:
             raise ConfigError(problems)
+        # every party's level for every arrangement, and the sum the MIXED level halves
+        ns_B, resistors = self.noise_scale * self.bandwidth_B, (self.R_L, self.R_H)
+        try:
+            levels = [_level(ns_B, r_own, r_far, self.R_wire) for r_own in resistors for r_far in resistors]
+            levels.append(levels[1] + levels[2])
+        except ArithmeticError:  # a square overflowed, or underflowed to a zero divisor
+            levels = [math.inf]
+        if not all(map(math.isfinite, levels)):
+            raise ConfigError("analytic_levels: not finite for these R_L, R_H, R_wire, noise_scale and bandwidth_B")
 
     def resistance(self, choice: ResistorChoice) -> float:
         return self.R_L if choice is ResistorChoice.L else self.R_H

@@ -4,9 +4,17 @@ Each test prints its own pass/fail line so a plain pytest run doubles as
 the acceptance report; `kljnsync verify` executes the same list.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from kljnsync.acceptance import CRITERIA
+import kljnsync
+from kljnsync.acceptance import CRITERIA, ks_2samp
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[f"criterion_{c.number:02d}" for c in CRITERIA])
@@ -15,3 +23,62 @@ def test_acceptance_criterion(criterion):
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] criterion {criterion.number}: {criterion.name} - {detail}")
     assert passed, f"criterion {criterion.number} ({criterion.name}): {detail}"
+
+
+# (x, y, statistic, p) with the statistic and p-value that scipy 1.17.1's
+# stats.ks_2samp(x, y, method="exact") gave for these samples
+_rng = np.random.default_rng
+KS_PINNED = {
+    "equal_sizes": (_rng(1).standard_normal(50), _rng(2).standard_normal(50) + 0.3, 0.26, 0.06779471096995852),
+    "unequal_sizes": (
+        _rng(3).standard_normal(37), _rng(4).standard_normal(64) + 0.2, 0.22381756756756757, 0.15957074703262064,
+    ),
+    "ties": (_rng(5).integers(0, 6, 40), _rng(6).integers(0, 6, 55), 0.14545454545454545, 0.6511021051936617),
+    "p_near_0.01": (
+        _rng(7).standard_normal(80), _rng(8).standard_normal(120) + 0.26, 0.23333333333333334, 0.009411055801037339,
+    ),
+    "identical_ecdfs": ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], 0.0, 1.0),
+    "disjoint": ([0.0, 1.0, 2.0], [5.0, 6.0, 7.0, 8.0], 1.0, 0.05714285714285715),
+}
+
+
+@pytest.mark.parametrize("case", KS_PINNED)
+def test_ks_2samp_matches_the_exact_scipy_values(case):
+    x, y, statistic, p = KS_PINNED[case]
+    got_statistic, got_p = ks_2samp(x, y)
+    assert got_statistic == statistic
+    assert abs(got_p - p) < 1e-13
+
+
+_WITHOUT_SCIPY = """
+import importlib, json, pkgutil, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import kljnsync
+for info in pkgutil.iter_modules(kljnsync.__path__):
+    importlib.import_module("kljnsync." + info.name)
+from kljnsync import acceptance
+results = []
+def recording(x, y, ks=acceptance.ks_2samp):
+    results.append(ks(x, y))
+    return results[-1]
+acceptance.ks_2samp = recording
+passed, detail = acceptance.criterion_8_security_identity()
+print(json.dumps({"passed": passed, "detail": detail, "ks": results}))
+"""
+
+
+def test_the_package_and_criterion_8_run_without_scipy():
+    # criterion 8's 511 x 511 populations: scipy 1.17.1 gave statistic
+    # 0.050880626223091974 and exact p 0.5230965742394403
+    src = str(Path(kljnsync.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    out = json.loads(done.stdout)
+    assert out["passed"], out["detail"]
+    assert "KS p = 0.523;" in out["detail"]
+    [(statistic, p)] = out["ks"]
+    assert statistic == 0.050880626223091974
+    assert abs(p - 0.5230965742394403) < 1e-13

@@ -206,3 +206,33 @@ def test_plot_of_integer_rows_prints_them(tmp_path, capsys):
     path.write_text(json.dumps({**REPORT_BODY, "series": {"x": [[1, 2], [3.5, -4]]}}))
     assert main(["plot", str(path), "--series", "x"]) == 0
     assert capsys.readouterr().out == "1 2\n3.5 -4\n"
+
+
+@pytest.mark.parametrize(
+    "name, edits, message",
+    [
+        ("honest_protocol_a", {"line.R_H": 1e300}, "error: line.analytic_levels: not finite"),
+        ("honest_protocol_a", {"line.R_L": 1e-300, "line.R_wire": 1e-302}, "error: line.analytic_levels: not finite"),
+        ("honest_protocol_b", {"key_bits": 2**62}, "error: key_bits: must be <= 1073741824"),
+        (
+            "honest_protocol_c",
+            {"line.bep_duration": 1e6},
+            "error: line.bep_duration: a record and its noise guard take 2e+11 samples, more than the 16777216",
+        ),
+    ],
+    ids=["levels_overflow", "levels_underflow", "key_bits", "record_samples"],
+)
+def test_run_of_a_config_too_large_to_simulate_exits_2(tmp_path, capsys, name, edits, message):
+    doc = load_bundled(name).canonical_dict()
+    for path, value in edits.items():
+        *sections, key = path.split(".")
+        target = doc
+        for section in sections:
+            target = target[section]
+        target[key] = value
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(doc))
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert _one_error_line(capsys).startswith(message)
+    assert not (tmp_path / "out").exists()
