@@ -182,10 +182,10 @@ def _substitute_message_hook(spec: Substitute, rng: Optional[np.random.Generator
             new_value = spec.value
         else:
             new_value = getattr(msg, fname) + (spec.delta or 0.0)
-        forged = dc_replace(msg, **{fname: new_value})
+        changes = {fname: new_value}
         if spec.fabricate_tag and msg.tag is not None:
-            forged = dc_replace(forged, tag=AuthTag(rng.bytes(32), msg.tag.span))
-        env.payload = forged
+            changes["tag"] = AuthTag(rng.bytes(32), msg.tag.span)
+        env.payload = dc_replace(msg, **changes)
         return env
 
     return hook

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,16 +35,14 @@ class Digest:
             raise ConfigError("digest: must be a non-empty byte string")
 
 
-@dataclass(frozen=True)
-class KeySpan:
+class KeySpan(NamedTuple):
     """Identifies consumed key bits: bit offset and bit count."""
 
     offset: int
     length: int
 
 
-@dataclass(frozen=True)
-class AuthTag:
+class AuthTag(NamedTuple):
     ciphertext: bytes
     span: KeySpan
 
@@ -158,5 +157,4 @@ def verify(payload: bytes, tag: AuthTag, ledger_view: KeyLedger) -> bool:
     if len(tag.ciphertext) * 8 != tag.span.length:
         return False
     pad = ledger_view.read(tag.span)
-    recovered = _xor(tag.ciphertext, pad)
-    return recovered == hash_message(payload).data
+    return _xor(tag.ciphertext, pad) == hashlib.sha256(payload).digest()

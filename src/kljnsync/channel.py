@@ -18,7 +18,7 @@ import enum
 import hashlib
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigError, LivelockError
 from .line import Party
@@ -50,7 +50,7 @@ class Direction(enum.Enum):
     B_TO_A = "BtoA"
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     payload: object
     sent_absolute: float
@@ -80,15 +80,11 @@ class ChannelState:
         return self.delay_a_to_b if direction is Direction.A_TO_B else self.delay_b_to_a
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     absolute: float
     kind: str
     direction: str
     digest: str
-
-    def line(self) -> str:
-        return f"{self.absolute:.9f} {self.direction} {self.kind} {self.digest}"
 
 
 def payload_digest(payload: object) -> str:
@@ -99,7 +95,7 @@ def payload_digest(payload: object) -> str:
 
 def format_event_log(log: list[EventRecord]) -> str:
     """One event per line: absolute time, direction, kind, payload digest."""
-    return "\n".join(rec.line() for rec in log) + ("\n" if log else "")
+    return "".join(f"{rec.absolute:.9f} {rec.direction} {rec.kind} {rec.digest}\n" for rec in log)
 
 
 class Scheduler:

@@ -195,21 +195,45 @@ def to_doc(obj) -> dict:
     two documents that read into equal sections get equal documents.
     Nested sections become documents and a tuple becomes a list. A section
     in a list is an item of a union (an attack): it becomes its "kind" plus
-    the fields that differ from their defaults."""
+    the fields that differ from their defaults.
+
+    The document is built once per section object and kept on it; each
+    call returns a copy that shares no dict or list with another."""
+    doc = dict(derived(obj, "_doc", _build_doc))
+    for name, value in doc.items():
+        if type(value) is dict:  # a nested section
+            doc[name] = to_doc(getattr(obj, name))
+        elif type(value) is list:  # scalars, or attack documents
+            doc[name] = [dict(x) if type(x) is dict else x for x in value]
+    return doc
+
+
+def derived(section, name: str, compute):
+    """compute(section), computed once per section object and kept on it
+    under name: sections are frozen, so what they derive never changes."""
+    value = section.__dict__.get(name)
+    if value is None:  # stored as functools.cached_property stores, past __setattr__
+        value = section.__dict__[name] = compute(section)
+    return value
+
+
+def _build_doc(obj) -> dict:
+    # shared by the documents of the sections that hold obj, so never handed out
     doc = {}
     for name, (_, read, _) in _schema(type(obj)).items():
         value = getattr(obj, name)
         if isinstance(value, tuple):
-            value = [_tagged_doc(x) if dataclasses.is_dataclass(x) else x for x in value]
+            value = [derived(x, "_tagged", _tagged_doc) if dataclasses.is_dataclass(x) else x for x in value]
         elif read is not None:  # a nested section
-            value = to_doc(value)
+            value = derived(value, "_doc", _build_doc)
         doc[name] = value
     return doc
 
 
 def _tagged_doc(obj) -> dict:
     defaults = {f.name: f.default for f in dataclasses.fields(obj)}
-    return {"kind": type(obj).__name__, **{k: v for k, v in to_doc(obj).items() if v != defaults[k]}}
+    doc = derived(obj, "_doc", _build_doc)
+    return {"kind": type(obj).__name__, **{k: v for k, v in doc.items() if v != defaults[k]}}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -22,9 +22,9 @@ import numpy as np
 from .adversaries import Attack, LineMod, install
 from .auth import MAX_KEY_BITS
 from .channel import format_event_log
-from .config import ChannelConfig, ClockConfig, ProtocolConfig, check_fields, read, to_doc
+from .config import ChannelConfig, ClockConfig, ProtocolConfig, check_fields, derived, read, to_doc
 from .errors import ConfigError, ProtocolIncompleteError, UnknownParameterError, UnknownSeriesError
-from .line import BitState, LineConfig, analytic_levels, classification_thresholds
+from .line import LineConfig, analytic_levels, classification_thresholds
 from .noise import NoiseTrace, empirical_autocorrelation
 from .protocols import (
     ProtocolKind,
@@ -194,7 +194,7 @@ def _result_dict(result: SyncResult) -> dict:
     }
 
 
-def _series_from(scenario: Scenario, levels: dict) -> dict:
+def _series_from(scenario: Scenario, msq_levels: dict) -> dict:
     series = {}
     diag = scenario.diagnostics
     if "residual_curve" in diag:
@@ -208,25 +208,27 @@ def _series_from(scenario: Scenario, levels: dict) -> dict:
         series["autocorrelation"] = ac.tolist()
     if "bep_msq" in diag and diag["bep_msq"]:
         values = np.asarray(diag["bep_msq"])
-        top = float(levels[BitState.HH]) * 1.5
+        top = msq_levels["HH"] * 1.5
         counts, edges = np.histogram(values, bins=24, range=(0.0, top))
         centers = 0.5 * (edges[:-1] + edges[1:])
         series["msq_histogram"] = [[float(c), int(n)] for c, n in zip(centers, counts)]
     return series
 
 
+def _msq_levels(line: LineConfig) -> dict:
+    levels = analytic_levels(line)
+    low, high = classification_thresholds(line, levels=levels)
+    named = {state.value: float(level) for state, level in levels.items()}
+    return dict(named, threshold_low=low, threshold_high=high)
+
+
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute one configured run and package the deterministic report."""
     start = time.perf_counter()
     scenario = config.build_scenario()
-    runner = {
-        ProtocolKind.A: protocol_a,
-        ProtocolKind.B: protocol_b,
-        ProtocolKind.C: protocol_c,
-        ProtocolKind.COMBINED: combined_check,
-    }[ProtocolKind(config.protocol.kind)]
+    runners = {"A": protocol_a, "B": protocol_b, "C": protocol_c, "Combined": combined_check}
     try:
-        result = runner(scenario)
+        result = runners[config.protocol.kind](scenario)
     except ProtocolIncompleteError as exc:
         # protocol A has no detection: a stalled run is a failure, not a flag
         result = SyncResult(
@@ -234,22 +236,15 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             auth_ok=True, attack_flag=False, detail=f"incomplete: {exc}",
         )
 
-    levels = analytic_levels(scenario.line)
-    low, high = classification_thresholds(scenario.line, levels=levels)
+    msq_levels = dict(derived(scenario.line, "_msq_levels", _msq_levels))
     event_log = format_event_log(scenario.scheduler.log)
     report = RunReport(
         config=config.canonical_dict(),
         result=_result_dict(result),
         event_log_digest=hashlib.sha256(event_log.encode()).hexdigest(),
-        msq_levels={
-            "LL": float(levels[BitState.LL]),
-            "MIXED": float(levels[BitState.MIXED]),
-            "HH": float(levels[BitState.HH]),
-            "threshold_low": float(low),
-            "threshold_high": float(high),
-        },
+        msq_levels=msq_levels,
         key_bits_consumed=int(scenario.ledger.consumed),
-        series=_series_from(scenario, levels),
+        series=_series_from(scenario, msq_levels),
         wall_seconds=time.perf_counter() - start,
         event_log=event_log,
     )

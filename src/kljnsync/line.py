@@ -16,12 +16,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import check_fields
+from .config import check_fields, derived
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -67,6 +68,9 @@ def timing_defaults(bandwidth_B: float) -> tuple[float, float]:
 
 # the most samples one trace of a BEP may be synthesized with: 128 MiB of float64
 MAX_RECORD_SAMPLES = 2**24
+# how far a squared sample may exceed the power it is drawn at: a peak of
+# 1000 standard deviations, which no Gaussian draw reaches
+PEAK_HEADROOM = 1e6
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,22 @@ class LineConfig:
             levels = [math.inf]
         if not all(map(math.isfinite, levels)):
             raise ConfigError("analytic_levels: not finite for these R_L, R_H, R_wire, noise_scale and bandwidth_B")
+        # The run squares samples and sums them: record energies, (V/R_wire)^2,
+        # the autocorrelation's |rfft|^2 (up to n^2 times the largest square
+        # over n samples) and the thresholds' products of two levels. Bound
+        # that square: the noisiest generator's power, with the measurement
+        # noise on top and PEAK_HEADROOM, over the smallest resistance a
+        # voltage is divided by.
+        try:
+            square = PEAK_HEADROOM * ns_B * self.R_H * (1.0 + self.measurement_noise_rel) ** 2
+            square /= min(1.0, self.R_L, self.R_wire or 1.0) ** 2
+        except ArithmeticError:  # overflowed, or divided by a resistance squared to 0
+            square = math.inf
+        if not square * max(square, synthesized * synthesized) <= sys.float_info.max:
+            raise ConfigError(
+                f"noise_scale: samples that square to {square:.3g} overflow the sums over "
+                f"{synthesized:.3g} samples; lower noise_scale, R_H or measurement_noise_rel"
+            )
 
     def resistance(self, choice: ResistorChoice) -> float:
         return self.R_L if choice is ResistorChoice.L else self.R_H
@@ -158,7 +178,7 @@ class LineConfig:
         return ";".join(f"{k}={v!r}" for k, v in fields).encode("ascii")
 
     def digest(self) -> bytes:
-        return hashlib.sha256(self.canonical_bytes()).digest()
+        return derived(self, "_digest", lambda config: hashlib.sha256(config.canonical_bytes()).digest())
 
 
 @dataclass(frozen=True)

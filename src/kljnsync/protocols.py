@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -77,27 +77,24 @@ class SyncMessage:
     t2_star: Optional[float] = None
     t2: Optional[float] = None
     tag: Optional[AuthTag] = None
+    # made when the message is built, so a message rewritten with
+    # dataclasses.replace is encoded afresh
+    _encoding: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        required = MESSAGE_FIELDS[self.kind]
-        for name in required:
+        for name in MESSAGE_FIELDS[self.kind]:
             if getattr(self, name) is None:
                 raise ConfigError(f"{self.kind.value} message requires {name}")
+        parts = [self.kind.value.encode("ascii")]
+        for i, value in enumerate((self.t1, self.t1_star, self.t2_star, self.t2)):
+            if value is not None:
+                parts.append(struct.pack(">Bd", i, value))
+        object.__setattr__(self, "_encoding", b"|".join(parts))
 
     def canonical_bytes(self) -> bytes:
         """Deterministic encoding of the content (tag excluded): the kind
-        name plus each populated field as a tagged big-endian double.
-        Encoded once per message: the fields are frozen."""
-        blob = getattr(self, "_canonical", None)
-        if blob is None:
-            parts = [self.kind.value.encode("ascii")]
-            for i, name in enumerate(("t1", "t1_star", "t2_star", "t2")):
-                value = getattr(self, name)
-                if value is not None:
-                    parts.append(struct.pack(">Bd", i, value))
-            blob = b"|".join(parts)
-            object.__setattr__(self, "_canonical", blob)
-        return blob
+        name plus each populated field as a tagged big-endian double."""
+        return self._encoding
 
 
 class ProtocolKind(enum.Enum):
@@ -151,6 +148,8 @@ class _TwoWayRun:
     def __init__(self, scenario: Scenario, authenticated: bool):
         self.scenario = scenario
         self.authenticated = authenticated
+        self.alice, self.bob = scenario.clock(Party.ALICE), scenario.clock(Party.BOB)
+        self.resolution = scenario.clock_config.quantization
         self.t1: Optional[float] = None
         self.t1_star: Optional[float] = None
         self.t2_star: Optional[float] = None
@@ -158,56 +157,43 @@ class _TwoWayRun:
         self.share_delivered = False
         self.verdicts: list[bool] = []
 
-    def _outgoing(self, msg: SyncMessage) -> SyncMessage:
-        if not self.authenticated:
-            return msg
-        blob = msg.canonical_bytes()
-        tagged = replace(msg, tag=encrypt_digest(hash_message(blob), self.scenario.ledger))
-        # the tag is not part of the encoding, so the tagged message keeps it
-        object.__setattr__(tagged, "_canonical", blob)
-        return tagged
+    def _send(self, msg: SyncMessage, direction: Direction, now: float) -> None:
+        if self.authenticated:
+            # the tag is not part of the encoding: the sender tags the
+            # message it has just built, before the channel sees it
+            tag = encrypt_digest(hash_message(msg.canonical_bytes()), self.scenario.ledger)
+            object.__setattr__(msg, "tag", tag)
+        self.scenario.scheduler.send(msg, direction, now)
 
     def _check(self, msg: SyncMessage) -> None:
-        if not self.authenticated:
-            return
-        if msg.tag is None:
-            self.verdicts.append(False)
-            return
-        self.verdicts.append(verify(msg.canonical_bytes(), msg.tag, self.scenario.ledger))
+        if self.authenticated:
+            tag = msg.tag
+            self.verdicts.append(tag is not None and verify(msg.canonical_bytes(), tag, self.scenario.ledger))
 
     def start(self, start_absolute: float) -> None:
-        scen = self.scenario
-        alice = scen.clock(Party.ALICE)
-        self.t1 = quantize(alice.local_time(start_absolute), scen.clock_config.quantization)
-        msg = self._outgoing(SyncMessage(MessageKind.TIME_STAMP, t1=self.t1))
-        scen.scheduler.send(msg, Direction.A_TO_B, start_absolute)
+        self.t1 = quantize(self.alice.local_time(start_absolute), self.resolution)
+        self._send(SyncMessage(MessageKind.TIME_STAMP, t1=self.t1), Direction.A_TO_B, start_absolute)
 
     def on_deliver(self, sched: Scheduler, env: Envelope) -> None:
         msg = env.payload
         if not isinstance(msg, SyncMessage):
             return
-        scen = self.scenario
         now = env.deliver_absolute
         if msg.kind is MessageKind.TIME_STAMP:
             # at Bob: note arrival, think, respond with both of his stamps
             self._check(msg)
-            bob = scen.clock(Party.BOB)
-            t1_star = quantize(bob.local_time(now), scen.clock_config.quantization)
-            respond_at = now + scen.channel_config.processing_delay
-            t2_star = quantize(bob.local_time(respond_at), scen.clock_config.quantization)
-            reply = self._outgoing(
-                SyncMessage(MessageKind.RESPONSE, t1_star=t1_star, t2_star=t2_star)
-            )
-            sched.send(reply, Direction.B_TO_A, respond_at)
+            t1_star = quantize(self.bob.local_time(now), self.resolution)
+            respond_at = now + self.scenario.channel_config.processing_delay
+            t2_star = quantize(self.bob.local_time(respond_at), self.resolution)
+            reply = SyncMessage(MessageKind.RESPONSE, t1_star=t1_star, t2_star=t2_star)
+            self._send(reply, Direction.B_TO_A, respond_at)
         elif msg.kind is MessageKind.RESPONSE:
             # at Alice: record her arrival time and share it
             self._check(msg)
-            alice = scen.clock(Party.ALICE)
             self.t1_star = msg.t1_star
             self.t2_star = msg.t2_star
-            self.t2 = quantize(alice.local_time(now), scen.clock_config.quantization)
-            share = self._outgoing(SyncMessage(MessageKind.SHARE, t2=self.t2))
-            sched.send(share, Direction.A_TO_B, now)
+            self.t2 = quantize(self.alice.local_time(now), self.resolution)
+            self._send(SyncMessage(MessageKind.SHARE, t2=self.t2), Direction.A_TO_B, now)
         elif msg.kind is MessageKind.SHARE:
             self._check(msg)
             self.share_delivered = True

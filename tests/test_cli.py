@@ -219,8 +219,10 @@ def test_plot_of_integer_rows_prints_them(tmp_path, capsys):
             {"line.bep_duration": 1e6},
             "error: line.bep_duration: a record and its noise guard take 2e+11 samples, more than the 16777216",
         ),
+        # finite levels, but the run's sums of squared samples overflow
+        ("honest_combined", {"line.noise_scale": 1e300}, "error: line.noise_scale: samples that square to inf"),
     ],
-    ids=["levels_overflow", "levels_underflow", "key_bits", "record_samples"],
+    ids=["levels_overflow", "levels_underflow", "key_bits", "record_samples", "sample_squares"],
 )
 def test_run_of_a_config_too_large_to_simulate_exits_2(tmp_path, capsys, name, edits, message):
     doc = load_bundled(name).canonical_dict()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -275,6 +276,113 @@ def test_verdict_table_covers_every_bundled_scenario():
 def test_bundled_scenario_verdicts(name):
     result = run_scenario(load_bundled(name)).result
     assert (result["attack_flag"], result["auth_ok"], result["detail"]) == VERDICTS[name]
+
+
+# sha256 of each bundled run's canonical_json() and of its event log, taken
+# with numpy 2.4.6; byte identity is promised within one numpy major
+BUNDLED_BYTES = {
+    "delay_attack_a": (
+        "cfc8fcc8aeaa7debc8dd2ef0ad5b17c222e550adcfcb11e6c360a6f360fc59d4",
+        "fdcb9059fd49f35d0af634d92c77b7567b0e675f5b5b28958b14f33f0910a74a",
+    ),
+    "delay_attack_b": (
+        "00a70d51c0fea733dbb5f7a7cfd4ca4f5afb9b06224ee8260b6e59343e07893b",
+        "fdcb9059fd49f35d0af634d92c77b7567b0e675f5b5b28958b14f33f0910a74a",
+    ),
+    "delay_attack_combined": (
+        "0736a065072dc47cafedb54aeb3d99dedf4b9724005e4a83fbd969e49f7d6df4",
+        "6db3cece81113f5672873477e1913cf415bfda8ee8f200628ba7ad692199e48a",
+    ),
+    "file_tamper_c": (
+        "9fcd9fadc67a42f89e70e4e365c012f43397da3eee3b69958636880907c35cef",
+        "da7fac09fbac1a9a82a4f5b7ae61e75fd10bc66d641c9e2b24ee103ce2a9811e",
+    ),
+    "honest_combined": (
+        "33377a9c3a73e778b07b24c70ecf6a4cf33dc9ae204d1c3c51c692f7a66df357",
+        "0fe951996062b48889c775f876c5a60c877a5510a6d6ca5af1763d37d87b1c3a",
+    ),
+    "honest_protocol_a": (
+        "ffc7336602d18655997dfe2d1df51287daf47fe76c40adf906ae406f408494cc",
+        "034f4d223d44ec5bde3991e924365d0133760e4083584b894386461dce968a0b",
+    ),
+    "honest_protocol_b": (
+        "8dc0c2bd83f87fa4db29e942f52c82ee7c457d6ac6ee6c2e03d131c99b0a3df2",
+        "034f4d223d44ec5bde3991e924365d0133760e4083584b894386461dce968a0b",
+    ),
+    "honest_protocol_c": (
+        "d2aad6c9db8424d6b7c20f554b5b28ebbab54967fbed5a684f8c4e8df220b87f",
+        "c38af88940d67095b508a8cfb6fb7b7eb919e62b6485fc73a43ff220c5bea768",
+    ),
+    "linemod_attack_c": (
+        "3343822ef9e4b847b568d1b5c7f5fb7a0a9139806cfb89098ef9f66c293778a6",
+        "b1d7d040775b57767ecd91d4c48c4757ad6e8f96719e58857f9b1d89a00649d5",
+    ),
+    "replay_attack_c": (
+        "58b976d77f007616e631a73ba2ed33a19f355b7fed8902f27dba1f19a3faf001",
+        "acad86195f8c9cbd75a62d30e1c21cde121667fe612e7e7ecf246fccadddcd50",
+    ),
+    "substitution_attack_b": (
+        "ed966d8a02029d61c32c9b70e054a9310522d88359ab415a8bbbc1eb58b61d54",
+        "2000a0617778cd915546953a37d458b2c6154e270e9aee0789efd5415c2087f3",
+    ),
+    "taumod_attack_combined": (
+        "daa4d36d3c0f6f950486a09f74a123bff2b92566d77aae4eb455c32614e328b6",
+        "1217652aa8bf92b16e0c344d92f01d1fbea4257532dd6a0e3fedc358518c1457",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_runs_keep_their_bytes(name):
+    report = run_scenario(load_bundled(name))
+    texts = (report.canonical_json(), report.event_log)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
+    assert digests == BUNDLED_BYTES[name]
+    assert report.event_log_digest == digests[1]
+
+
+def test_reports_share_no_dict_or_list():
+    # config documents and msq levels are kept on the frozen config sections;
+    # each report must still get containers of its own
+    cfg = load_bundled("substitution_attack_b")
+    reports = sweep(cfg, "clock.t0", [0.0, 1e-3]) + [run_scenario(cfg), run_scenario(cfg)]
+
+    def containers(node):
+        if isinstance(node, (dict, list)):
+            yield id(node)
+            for child in node.values() if isinstance(node, dict) else node:
+                yield from containers(child)
+
+    ids = [{i for part in (r.config, r.msq_levels) for i in containers(part)} for r in reports]
+    assert sum(map(len, ids)) == len(set().union(*ids))
+    expected = reports[3].canonical_json()
+    reports[2].config["line"]["R_L"] = -1.0
+    reports[2].config["protocol"]["k_range"].append(7)
+    reports[2].config["attacks"][0]["delta"] = -1.0
+    reports[2].msq_levels["LL"] = -1.0
+    assert cfg.canonical_dict() == reports[3].config
+    assert run_scenario(cfg).canonical_json() == expected
+
+
+@pytest.mark.parametrize("rel", [0.0, 1e-3])
+def test_the_noisiest_line_a_config_accepts_runs_without_overflow(rel):
+    # RuntimeWarnings are errors in tier 1, so an overflow anywhere fails this
+    base = load_bundled("honest_combined").canonical_dict()
+
+    def line(exponent: float) -> dict:
+        return dict(base["line"], noise_scale=10.0**exponent, measurement_noise_rel=rel)
+
+    accepted, rejected = -4.0, 300.0
+    for _ in range(40):
+        mid = (accepted + rejected) / 2
+        try:
+            LineConfig(**line(mid))
+            accepted = mid
+        except ConfigError:
+            rejected = mid
+    assert accepted > 100
+    report = run_scenario(ScenarioConfig.from_dict(dict(base, line=line(accepted))))
+    assert "Infinity" not in report.canonical_json() and "NaN" not in report.canonical_json()
 
 
 def test_a_config_built_in_code_runs_and_sweeps_like_its_document():
