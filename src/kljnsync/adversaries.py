@@ -267,8 +267,6 @@ def passive_bit_guess(
         local_start_time=0.0,
         voltage_trace=voltage_trace,
         current_trace=current_trace,
-        msq_voltage=voltage_trace.mean_square(),
-        msq_current=current_trace.mean_square(),
     )
     state = classify_bep(meas, config)
     if state is not BitState.MIXED:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,15 +23,6 @@ from .noise import derive_seed
 
 # the largest key a ledger holds: a 128 MiB pad
 MAX_KEY_BITS = 2**30
-
-
-@dataclass(frozen=True)
-class Digest:
-    data: bytes
-
-    def __post_init__(self):
-        if not isinstance(self.data, bytes) or len(self.data) == 0:
-            raise ConfigError("digest: must be a non-empty byte string")
 
 
 class KeySpan(NamedTuple):
@@ -135,8 +125,9 @@ class KeyLedger:
         return total == self.consumed and cursor <= self.bit_length
 
 
-def hash_message(payload: bytes) -> Digest:
-    return Digest(hashlib.sha256(payload).digest())
+def hash_message(payload: bytes) -> bytes:
+    """The 32-byte sha256 digest of payload."""
+    return hashlib.sha256(payload).digest()
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -145,10 +136,10 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")).to_bytes(n, "big")
 
 
-def encrypt_digest(digest: Digest, ledger: KeyLedger) -> AuthTag:
+def encrypt_digest(digest: bytes, ledger: KeyLedger) -> AuthTag:
     """One-time-pad the digest with the next unconsumed key bits."""
-    span, pad = ledger.take(8 * len(digest.data))
-    return AuthTag(_xor(digest.data, pad), span)
+    span, pad = ledger.take(8 * len(digest))
+    return AuthTag(_xor(digest, pad), span)
 
 
 def verify(payload: bytes, tag: AuthTag, ledger_view: KeyLedger) -> bool:

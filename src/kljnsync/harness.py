@@ -217,7 +217,7 @@ def _series_from(scenario: Scenario, msq_levels: dict) -> dict:
 
 def _msq_levels(line: LineConfig) -> dict:
     levels = analytic_levels(line)
-    low, high = classification_thresholds(line, levels=levels)
+    low, high = classification_thresholds(line)
     named = {state.value: float(level) for state, level in levels.items()}
     return dict(named, threshold_low=low, threshold_high=high)
 

@@ -14,10 +14,11 @@ check in the synchronization protocol leans on.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -79,6 +80,13 @@ class LineConfig:
 
     noise_scale is the generator density per ohm: a connected resistor R
     contributes one-sided voltage density noise_scale * R over [0, B].
+
+    Validation computes the analytic mean-square voltage of every resistor
+    arrangement, and the config keeps what classification needs of them:
+    the three BitState levels and the two thresholds between them (see
+    analytic_levels and classification_thresholds). They are derived from
+    the fields, so they are not init fields and take no part in the
+    document or in equality.
     """
 
     R_L: float
@@ -90,6 +98,8 @@ class LineConfig:
     bep_duration: Optional[float] = None  # default 100 / B
     sample_rate: Optional[float] = None  # default 20 * B
     measurement_noise_rel: float = 0.0
+    _levels: dict[BitState, float] = field(init=False, repr=False, compare=False)
+    _thresholds: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self)
@@ -159,6 +169,10 @@ class LineConfig:
                 f"noise_scale: samples that square to {square:.3g} overflow the sums over "
                 f"{synthesized:.3g} samples; lower noise_scale, R_H or measurement_noise_rel"
             )
+        # kept only now: the thresholds multiply two levels, which the bound above keeps finite
+        ll, mixed, hh = levels[0], 0.5 * levels[4], levels[3]
+        object.__setattr__(self, "_levels", {BitState.LL: ll, BitState.MIXED: mixed, BitState.HH: hh})
+        object.__setattr__(self, "_thresholds", (math.sqrt(ll * mixed), math.sqrt(mixed * hh)))
 
     def resistance(self, choice: ResistorChoice) -> float:
         return self.R_L if choice is ResistorChoice.L else self.R_H
@@ -183,34 +197,32 @@ class LineConfig:
 
 @dataclass(frozen=True)
 class BepMeasurement:
-    """One party's record of a single bit exchange period."""
+    """One party's record of a single bit exchange period.
+
+    msq_voltage and msq_current are the mean squares of the two traces,
+    computed from the samples the first time each is read (0.0 for an empty
+    record), so a record cannot carry a level its samples disagree with.
+    """
 
     party: Party
     bep_index: int
     local_start_time: float
     voltage_trace: NoiseTrace
     current_trace: NoiseTrace
-    msq_voltage: float
-    msq_current: float
 
     def __post_init__(self):
         if len(self.voltage_trace) != len(self.current_trace):
             raise ConfigError("traces: voltage and current lengths differ")
         if self.voltage_trace.sample_rate != self.current_trace.sample_rate:
             raise ConfigError("traces: sample rates differ")
-        if len(self.voltage_trace):
-            for name, trace, msq in (
-                ("msq_voltage", self.voltage_trace, self.msq_voltage),
-                ("msq_current", self.current_trace, self.msq_current),
-            ):
-                if not _close(msq, trace.mean_square()):
-                    raise ConfigError(f"{name}: does not match its trace")
 
+    @functools.cached_property
+    def msq_voltage(self) -> float:
+        return self.voltage_trace.mean_square() if len(self.voltage_trace) else 0.0
 
-def _close(a: float, b: float) -> bool:
-    """np.isclose(a, b, rtol=1e-9, atol=0) on two floats, without the array
-    set-up: within tolerance of a finite b, or equal (inf to inf)."""
-    return (abs(a - b) <= 1e-9 * abs(b) and math.isfinite(b)) or a == b
+    @functools.cached_property
+    def msq_current(self) -> float:
+        return self.current_trace.mean_square() if len(self.current_trace) else 0.0
 
 
 def _level(ns_B: float, r_own: float, r_far: float, r_wire: float) -> float:
@@ -242,36 +254,26 @@ def analytic_msq_current(
     return ns_B * (r_a + r_b) / (r_a + r_b + config.R_wire) ** 2
 
 
-def analytic_levels(config: LineConfig, party: Party = Party.ALICE) -> dict[BitState, float]:
-    """The three mean-square voltage levels a party can observe.
+def analytic_levels(config: LineConfig) -> dict[BitState, float]:
+    """The three mean-square voltage levels either party can observe, as
+    the config computed them when it was validated.
 
-    With nonzero wire resistance the LH and HL values differ by a few parts
-    per million; the MIXED level is their mean, which is far below anything
-    the per-BEP statistics could resolve.
+    LL and HH are analytic_msq_voltage of those arrangements. With nonzero
+    wire resistance the LH and HL values differ by a few parts per million;
+    the MIXED level is their mean, which is far below anything the per-BEP
+    statistics could resolve. One set serves both parties: Bob's LH and HL
+    are Alice's HL and LH, and their sum is the same.
     """
-    L, H = ResistorChoice.L, ResistorChoice.H
-    mixed = 0.5 * (
-        analytic_msq_voltage(config, L, H, party) + analytic_msq_voltage(config, H, L, party)
-    )
-    return {
-        BitState.LL: analytic_msq_voltage(config, L, L, party),
-        BitState.MIXED: mixed,
-        BitState.HH: analytic_msq_voltage(config, H, H, party),
-    }
+    return dict(config._levels)
 
 
-def classification_thresholds(
-    config: LineConfig, party: Party = Party.ALICE, levels: Optional[dict[BitState, float]] = None
-) -> tuple[float, float]:
-    """Geometric midpoints between the three analytic levels. The levels are
-    log-spaced in resistance, so geometric midpoints balance the error
-    probability on both sides. A caller that already holds
-    analytic_levels(config, party) passes them as levels."""
-    if levels is None:
-        levels = analytic_levels(config, party)
-    low = float(np.sqrt(levels[BitState.LL] * levels[BitState.MIXED]))
-    high = float(np.sqrt(levels[BitState.MIXED] * levels[BitState.HH]))
-    return low, high
+def classification_thresholds(config: LineConfig) -> tuple[float, float]:
+    """(low, high): the geometric midpoints between the three analytic
+    levels, kept by the config beside them. The levels are log-spaced in
+    resistance, so geometric midpoints balance the error probability on
+    both sides. Both parties classify against the same pair, because they
+    share the levels."""
+    return config._thresholds
 
 
 def simulate_bep(
@@ -282,7 +284,6 @@ def simulate_bep(
     *,
     bep_index: int = 0,
     start_absolute: float = 0.0,
-    offset_A: float = 0.0,
     offset_B: float = 0.0,
     r_wire_schedule: Optional[list[tuple[float, float]]] = None,
 ) -> tuple[BepMeasurement, BepMeasurement]:
@@ -296,7 +297,8 @@ def simulate_bep(
         U_cB(t) = U_B(t) + I(t) * R_B
 
     with current positive in the Alice-to-Bob direction, and returns both
-    parties' measurements stamped with their local clocks.
+    parties' measurements stamped with their local clocks: Alice holds the
+    master clock, and Bob's runs offset_B ahead of it.
 
     r_wire_schedule is a list of (absolute_time, new_R_wire) step changes,
     the hook line-modification attacks use; samples at or after a step time
@@ -332,21 +334,13 @@ def simulate_bep(
             rng = np.random.default_rng(derive_seed(seed, 2, j))
             records[key] = sig + config.measurement_noise_rel * rms * rng.standard_normal(n)
 
-    def measurement(party: Party, v: np.ndarray, i: np.ndarray, offset: float) -> BepMeasurement:
+    def measurement(party: Party, v: np.ndarray, i: np.ndarray, local_start: float) -> BepMeasurement:
         vt = NoiseTrace(v, fs, Unit.VOLT)
         it = NoiseTrace(i, fs, Unit.AMPERE)
-        return BepMeasurement(
-            party=party,
-            bep_index=bep_index,
-            local_start_time=start_absolute + offset,
-            voltage_trace=vt,
-            current_trace=it,
-            msq_voltage=vt.mean_square() if n else 0.0,
-            msq_current=it.mean_square() if n else 0.0,
-        )
+        return BepMeasurement(party, bep_index, local_start, vt, it)
 
-    meas_a = measurement(Party.ALICE, records["vA"], records["iA"], offset_A)
-    meas_b = measurement(Party.BOB, records["vB"], records["iB"], offset_B)
+    meas_a = measurement(Party.ALICE, records["vA"], records["iA"], start_absolute)
+    meas_b = measurement(Party.BOB, records["vB"], records["iB"], start_absolute + offset_B)
     return meas_a, meas_b
 
 
@@ -367,7 +361,7 @@ def classify_bep(meas: BepMeasurement, config: LineConfig) -> BitState:
             f"measurement spans {len(meas.voltage_trace)} samples; "
             f"need at least half a BEP ({n_needed:.0f})"
         )
-    low, high = classification_thresholds(config, meas.party)
+    low, high = classification_thresholds(config)
     msq = meas.msq_voltage
     for thr in (low, high):
         if abs(msq - thr) <= GUARD_BAND * thr:

@@ -278,17 +278,16 @@ def exchange_files(
     file_a: BepFile,
     file_b: BepFile,
     send_absolute: float,
-    expected_index: Optional[int] = None,
 ) -> ExchangeOutcome:
     """Swap the two measurement files through the authenticated channel.
 
     Each file crosses with a one-time-pad encrypted hash of its serialized
     payload; the receiver re-hashes what arrived and compares. The BEP index
     and line-config digest sit inside the hashed bytes, so a replayed or
-    re-parameterized file is caught by the expected-index check even though
-    its tag verifies.
+    re-parameterized file is caught even though its tag verifies: each
+    received file must carry file_a's BEP index and the local config digest.
     """
-    expected = file_a.bep_index if expected_index is None else expected_index
+    expected = file_a.bep_index
     outcome = ExchangeOutcome()
     local_digest = scenario.line.digest()
 
@@ -506,7 +505,6 @@ def run_bep(scenario: Scenario, k: int):
         derive_seed(scenario.seed, _SEED_BEP, k),
         bep_index=k,
         start_absolute=t_k,
-        offset_A=scenario.clock(Party.ALICE).offset_t0,
         offset_B=scenario.clock(Party.BOB).offset_t0,
         r_wire_schedule=scenario.r_wire_schedule or None,
     )
@@ -551,7 +549,7 @@ def protocol_c(scenario: Scenario) -> SyncResult:
         file_a = build_bep_file(meas_a, scenario.line)
         file_b = build_bep_file(meas_b, scenario.line)
         send_at = bep_start_time(scenario, k) + scenario.line.bep_duration
-        outcome = exchange_files(scenario, file_a, file_b, send_at, expected_index=k)
+        outcome = exchange_files(scenario, file_a, file_b, send_at)
         if not outcome.complete:
             return SyncResult(
                 ProtocolKind.C, None, None, None,

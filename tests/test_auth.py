@@ -5,7 +5,6 @@ import pytest
 
 from kljnsync.auth import (
     AuthTag,
-    Digest,
     KeyLedger,
     KeySpan,
     _xor,
@@ -30,9 +29,9 @@ def test_hash_is_deterministic_and_matches_stdlib():
     d1 = hash_message(payload)
     d2 = hash_message(payload)
     assert d1 == d2
-    assert d1.data == hashlib.sha256(payload).digest()
-    assert len(d1.data) == 32
-    assert hash_message(b"").data == hashlib.sha256(b"").digest()
+    assert d1 == hashlib.sha256(payload).digest()
+    assert len(d1) == 32
+    assert hash_message(b"") == hashlib.sha256(b"").digest()
 
 
 def test_single_bit_flip_changes_digest():
@@ -50,7 +49,7 @@ def test_encrypt_round_trip_and_span_accounting():
     assert ledger.consumed == 256
     # decrypting with the same span restores the digest (XOR involution)
     pad = ledger.read(tag.span)
-    assert bytes(a ^ b for a, b in zip(tag.ciphertext, pad)) == digest.data
+    assert bytes(a ^ b for a, b in zip(tag.ciphertext, pad)) == digest
 
     tag2 = encrypt_digest(hash_message(b"other"), ledger)
     assert tag2.span.offset == tag.span.offset + tag.span.length
@@ -61,7 +60,7 @@ def test_zero_key_makes_ciphertext_equal_digest():
     ledger = KeyLedger(bytes(64))
     digest = hash_message(b"x")
     tag = encrypt_digest(digest, ledger)
-    assert tag.ciphertext == digest.data
+    assert tag.ciphertext == digest
 
 
 def test_key_exhaustion():
@@ -164,8 +163,3 @@ def test_audit_detects_overlap():
     ledger.issued.append(KeySpan(0, 256))
     ledger.issued.append(KeySpan(128, 256))
     assert ledger.audit_one_time() is False
-
-
-def test_digest_validation():
-    with pytest.raises(ConfigError):
-        Digest(b"")

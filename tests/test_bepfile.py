@@ -85,7 +85,7 @@ def test_local_start_carries_the_party_clock():
 
 def test_empty_measurement_rejected():
     empty = NoiseTrace(np.zeros(0), CFG.sample_rate)
-    meas = BepMeasurement(Party.ALICE, 0, 0.0, empty, empty, 0.0, 0.0)
+    meas = BepMeasurement(Party.ALICE, 0, 0.0, empty, empty)
     with pytest.raises(DegenerateInputError):
         build_bep_file(meas, CFG)
 

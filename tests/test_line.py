@@ -8,9 +8,9 @@ from kljnsync.errors import (
     DegenerateInputError,
     InconsistentStateError,
 )
+from kljnsync.harness import bundled_scenario_names, load_bundled
 from kljnsync.line import (
     BepMeasurement,
-    _close,
     BitState,
     LineConfig,
     Party,
@@ -136,33 +136,66 @@ def test_measurement_invariants_checked():
     tr = NoiseTrace(np.ones(100), 1e3)
     short = NoiseTrace(np.ones(99), 1e3)
     with pytest.raises(ConfigError):
-        BepMeasurement(Party.ALICE, 0, 0.0, tr, short, 1.0, 1.0)
-    with pytest.raises(ConfigError):
-        BepMeasurement(Party.ALICE, 0, 0.0, tr, tr, 2.0, 1.0)
+        BepMeasurement(Party.ALICE, 0, 0.0, tr, short)
 
 
-CLOSE_GRID = [0.0, 1.0, -1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1.1e-9, 1.0 - 1.1e-9, 1e300,
-              np.inf, -np.inf, np.nan, 5e-324]
+def test_record_mean_squares_are_computed_once_on_first_read(monkeypatch):
+    original, passes = NoiseTrace.mean_square, []
+
+    def counted(trace):
+        passes.append(trace.unit)
+        return original(trace)
+
+    monkeypatch.setattr(NoiseTrace, "mean_square", counted)
+    meas_a, _ = simulate_bep(L, H, CFG, seed=17)
+    assert passes == []
+    for _ in range(2):  # the second read finds the value the first one kept
+        assert meas_a.msq_voltage == float(np.mean(meas_a.voltage_trace.samples**2))
+        assert meas_a.msq_current == float(np.mean(meas_a.current_trace.samples**2))
+    assert passes == [Unit.VOLT, Unit.AMPERE]
+    empty = NoiseTrace(np.zeros(0), CFG.sample_rate)
+    assert BepMeasurement(Party.BOB, 0, 0.0, empty, empty).msq_voltage == 0.0
+    assert len(passes) == 2
 
 
-@pytest.mark.parametrize("a", CLOSE_GRID)
-def test_measurement_check_is_isclose_to_1e_9(a):
-    for b in CLOSE_GRID:
-        assert _close(a, b) == bool(np.isclose(a, b, rtol=1e-9, atol=0.0)), (a, b)
+def _levels_from_msq_voltage(cfg: LineConfig, party: Party) -> tuple[dict, tuple[float, float]]:
+    # the levels and thresholds as built per party from the arrangement levels
+    mixed = 0.5 * (analytic_msq_voltage(cfg, L, H, party) + analytic_msq_voltage(cfg, H, L, party))
+    levels = {
+        BitState.LL: analytic_msq_voltage(cfg, L, L, party),
+        BitState.MIXED: mixed,
+        BitState.HH: analytic_msq_voltage(cfg, H, H, party),
+    }
+    low = float(np.sqrt(levels[BitState.LL] * levels[BitState.MIXED]))
+    high = float(np.sqrt(levels[BitState.MIXED] * levels[BitState.HH]))
+    return levels, (low, high)
 
 
-def test_measurement_check_rejects_a_level_off_by_more_than_1e_9():
-    tr = NoiseTrace(np.ones(100), 1e3)
-    BepMeasurement(Party.ALICE, 0, 0.0, tr, tr, 1.0 + 0.9e-9, 1.0 - 0.9e-9)
-    with pytest.raises(ConfigError, match="msq_current"):
-        BepMeasurement(Party.ALICE, 0, 0.0, tr, tr, 1.0, 1.0 + 1.1e-9)
-    with pytest.raises(ConfigError, match="msq_voltage"):
-        BepMeasurement(Party.ALICE, 0, 0.0, tr, tr, np.nan, 1.0)
+def _line_configs():
+    yield from (load_bundled(name).line for name in bundled_scenario_names())
+    yield CFG_NOWIRE
+    rng = np.random.default_rng(2022)
+    for _ in range(2000):
+        r_l = float(10.0 ** rng.uniform(-3, 4))
+        yield LineConfig(
+            R_L=r_l,
+            R_H=r_l * float(10.0 ** rng.uniform(0.01, 3)),
+            bandwidth_B=float(10.0 ** rng.uniform(1, 6)),
+            noise_scale=float(10.0 ** rng.uniform(-20, -2)),
+            R_wire=None if rng.integers(4) == 0 else r_l * float(rng.choice([0.0, 1e-4, 1e-2, 0.3])),
+        )
+
+
+def test_both_parties_share_the_kept_levels_bit_for_bit():
+    for cfg in _line_configs():
+        levels, thresholds = analytic_levels(cfg), classification_thresholds(cfg)
+        for party in (Party.ALICE, Party.BOB):
+            assert (levels, thresholds) == _levels_from_msq_voltage(cfg, party), (cfg, party)
 
 
 def _measurement_with_msq(msq: float, n: int = 2000) -> BepMeasurement:
     tr = NoiseTrace(np.full(n, np.sqrt(msq)), CFG.sample_rate)
-    return BepMeasurement(Party.ALICE, 0, 0.0, tr, tr, msq, msq)
+    return BepMeasurement(Party.ALICE, 0, 0.0, tr, tr)
 
 
 def test_classify_on_level_inputs():
