@@ -13,15 +13,18 @@ party (u8: 0 Alice, 1 Bob), BEP index k (u64), sample rate fs (f64),
 local start (f64, seconds on the writer's clock), the 32-byte line-config
 digest and the sample count n (u64) - then n voltage and n current samples
 (f64, 16 bytes per sample), then optionally the tag as ``AuthTag.to_bytes``
-writes it. The record keeps the measured floats bit for bit, so
-serialize -> parse -> serialize is byte-exact and the parsed record equals
-the built one.
+writes it. A record holds its payload (header and samples) once, in one
+read-only buffer, and its samples are read-only big-endian views of it.
+Built from fields, it encodes them once; parsed, it keeps the received
+bytes and copies no sample. Both run one validation: samples 1-D, of one
+length and finite, fs > 0, fs and start finite, and a party, index and
+digest the header can hold. Serialize -> parse -> serialize is byte-exact.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -36,7 +39,7 @@ _PARTIES = (Party.ALICE, Party.BOB)
 _SAMPLE = np.dtype(">f8")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class BepFile:
     party: Party
     bep_index: int
@@ -45,6 +48,10 @@ class BepFile:
     voltage_samples: np.ndarray
     current_samples: np.ndarray
     config_digest: bytes
+    # parse_bep_file's received payload, which the fields were read from and
+    # the samples view; None (as dataclasses.replace passes) encodes them
+    _received: InitVar[Optional[memoryview]] = None
+    _payload: memoryview = field(init=False, repr=False)
 
     def __eq__(self, other) -> bool:
         # every field feeds the serialized payload, so byte equality is
@@ -53,42 +60,37 @@ class BepFile:
             return NotImplemented
         return self.payload_bytes() == other.payload_bytes()
 
-    def __post_init__(self):
-        # read-only copies: both parties' measurements share one current
-        # array, and a record must not change after it is hashed
-        for name in ("voltage_samples", "current_samples"):
-            samples = np.array(getattr(self, name), dtype=np.float64)
-            samples.setflags(write=False)
-            object.__setattr__(self, name, samples)
-        if self.voltage_samples.size != self.current_samples.size:
-            raise ConfigError("bep file: voltage and current lengths differ")
-        if self.sample_rate <= 0:
-            raise ConfigError("bep file: sample_rate must be > 0")
-        if not 0 <= self.bep_index < 2**64:
-            raise ConfigError("bep file: bep_index must fit an unsigned 64-bit field")
-        if self.party not in _PARTIES or len(self.config_digest) != 32:
-            raise ConfigError("bep file: party must be alice or bob, config_digest 32 bytes")
+    def __post_init__(self, _received):
+        volts, amps = np.asarray(self.voltage_samples), np.asarray(self.current_samples)
+        if volts.ndim != 1 or volts.shape != amps.shape:
+            raise ConfigError("bep file: voltage and current must be 1-D and of one length")
+        fs, start = self.sample_rate, self.local_start
+        finite = all(np.isfinite(x).all() for x in ((fs, start), volts, amps))
+        if not (fs > 0 and finite):
+            raise ConfigError("bep file: sample_rate must be > 0; it, local_start and the samples finite")
+        if self.party not in _PARTIES or not 0 <= self.bep_index < 2**64 or len(self.config_digest) != 32:
+            raise ConfigError("bep file: party must be alice or bob, bep_index a u64, config_digest 32 bytes")
+        payload, n = _received, volts.size
+        if payload is None:
+            # the samples are byte-swapped straight into place, in one pass
+            buffer = np.empty(_HEADER.size + 2 * n * _SAMPLE.itemsize, np.uint8)
+            party = _PARTIES.index(self.party)
+            _HEADER.pack_into(buffer, 0, _MAGIC, party, self.bep_index, fs, start, self.config_digest, n)
+            np.concatenate((volts, amps), out=buffer[_HEADER.size :].view(_SAMPLE))
+            buffer.setflags(write=False)
+            payload = memoryview(buffer)
+            volts, amps = np.ndarray((2, n), _SAMPLE, payload, _HEADER.size)
+        object.__setattr__(self, "voltage_samples", volts)
+        object.__setattr__(self, "current_samples", amps)
+        object.__setattr__(self, "_payload", payload)
 
     def __len__(self) -> int:
-        return int(self.voltage_samples.size)
+        return len(self.voltage_samples)
 
-    def payload_bytes(self) -> bytes | memoryview:
-        """The authenticated content: header and samples, no tag.
-
-        Encoded once per record and kept: the fields are frozen and the
-        samples read-only, and a record changed with dataclasses.replace
-        is a new record with no encoding yet. A parsed record's payload is
-        a read-only view of the bytes it was parsed from."""
-        blob = getattr(self, "_payload_cache", None)
-        if blob is None:
-            header = _HEADER.pack(
-                _MAGIC, _PARTIES.index(self.party), self.bep_index, self.sample_rate,
-                self.local_start, self.config_digest, len(self),
-            )
-            samples = np.concatenate([self.voltage_samples, self.current_samples], dtype=_SAMPLE)
-            blob = b"".join((header, samples))
-            object.__setattr__(self, "_payload_cache", blob)
-        return blob
+    def payload_bytes(self) -> memoryview:
+        """The authenticated content: header and samples, no tag. It is the
+        record's one buffer, read-only, and the samples are views of it."""
+        return self._payload
 
     # the scheduler hashes payloads via this hook
     canonical_bytes = payload_bytes
@@ -126,13 +128,7 @@ def parse_bep_file(blob: bytes) -> tuple[BepFile, Optional[AuthTag]]:
         raise ConfigError("bep file: bad magic or party")
     if len(blob) < end:
         raise ConfigError(f"bep file: {n} samples do not fit in {len(blob)} bytes")
-    samples = np.frombuffer(blob, _SAMPLE, 2 * n, _HEADER.size)
-    if not (np.isfinite(sample_rate) and np.isfinite(local_start) and np.isfinite(samples).all()):
-        raise ConfigError("bep file: fs, local_start and samples must be finite")
     tag = AuthTag.from_bytes(blob[end:]) if len(blob) > end else None
-    volts, amps = samples[:n], samples[n:]
-    record = BepFile(_PARTIES[party], bep_index, sample_rate, local_start, volts, amps, config_digest)
-    # the received bytes are exactly what encoding the record would give;
-    # a view keeps them in place instead of copying them out from before a tag
-    object.__setattr__(record, "_payload_cache", memoryview(blob)[:end])
-    return record, tag
+    payload = memoryview(blob)[:end]
+    volts, amps = np.ndarray((2, n), _SAMPLE, payload, _HEADER.size)
+    return BepFile(_PARTIES[party], bep_index, sample_rate, local_start, volts, amps, config_digest, payload), tag

@@ -52,7 +52,10 @@ def _load_config(ref: str) -> tuple[str, ScenarioConfig]:
 
 def _out_dir(override: str | None) -> Path:
     out = Path(override or os.environ.get("KLJNSYNC_OUT", "./out"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise KljnError(f"report directory: cannot create {str(out)!r} ({exc.strerror})") from None
     return out
 
 
@@ -60,8 +63,11 @@ def _write(out: Path, stem: str, report: RunReport) -> Path:
     """Write <stem>.report.json and, beside it, <stem>.events.log, the log
     whose sha256 the report carries."""
     path = out / f"{stem}.report.json"
-    path.write_text(report.canonical_json())
-    (out / f"{stem}.events.log").write_bytes(report.event_log.encode())
+    try:
+        path.write_text(report.canonical_json())
+        (out / f"{stem}.events.log").write_bytes(report.event_log.encode())
+    except OSError as exc:
+        raise KljnError(f"report: cannot write {exc.filename!r} ({exc.strerror})") from None
     return path
 
 

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -52,7 +53,8 @@ def test_build_keeps_the_measurement_bit_for_bit():
     assert np.array_equal(f.voltage_samples, meas_a.voltage_trace.samples)
     assert np.array_equal(f.current_samples, meas_a.current_trace.samples)
     assert f.local_start == meas_a.local_start_time
-    # the parties share one current array; each record owns a frozen copy
+    # the parties share one current array; each record's samples are
+    # read-only views of its own payload
     f_b = build_bep_file(meas_b, CFG)
     for record, meas in ((f, meas_a), (f_b, meas_b)):
         for mine, theirs in (
@@ -179,8 +181,15 @@ def test_mismatched_lengths_rejected():
 
 @pytest.mark.parametrize(
     "field",
-    [{"bep_index": -1}, {"bep_index": 2**64}, {"party": Party.EVE}, {"config_digest": b"\x00" * 31}],
-    ids=["negative_index", "index_too_large", "eve", "short_digest"],
+    [
+        {"bep_index": -1},
+        {"bep_index": 2**64},
+        {"party": Party.EVE},
+        {"config_digest": b"\x00" * 31},
+        {"voltage_samples": np.zeros((2, 2))},  # as many samples as the current, in two rows
+        {"current_samples": np.array([0.0, np.inf, 0.0, 0.0])},
+    ],
+    ids=["negative_index", "index_too_large", "eve", "short_digest", "two_dimensional", "inf_sample"],
 )
 def test_fields_the_layout_cannot_hold_rejected(field):
     args = dict(
@@ -264,3 +273,37 @@ def test_a_replaced_record_is_encoded_afresh():
         assert forged.payload_bytes() != record.payload_bytes()
         assert not verify(forged.payload_bytes(), tag, ledger)
         assert replace(forged, voltage_samples=record.voltage_samples) == record
+
+
+def test_the_samples_cannot_be_made_writable():
+    f = build_bep_file(honest_measurement()[0], CFG)
+    parsed, _ = parse_bep_file(serialize_bep_file(f))
+    for record in (f, parsed):
+        for samples in (record.voltage_samples, record.current_samples):
+            with pytest.raises(ValueError):
+                samples.setflags(write=True)
+    assert parsed == f
+
+
+def test_a_record_holds_its_samples_once():
+    config = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4, bep_duration=0.1)
+    meas_a = simulate_bep(ResistorChoice.L, ResistorChoice.H, config, seed=5)[0]
+    blob = serialize_bep_file(build_bep_file(meas_a, config))
+    parse_bep_file(blob)  # first calls fill caches that are not the record's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        built = build_bep_file(meas_a, config)
+        payload = built.payload_bytes()
+        built_bytes = tracemalloc.get_traced_memory()[0] - start
+        start = tracemalloc.get_traced_memory()[0]
+        parsed, tag = parse_bep_file(blob)
+        parsed.payload_bytes()
+        parsed_bytes = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(built) == 20_000 and tag is None
+    # the payload and a few small objects, not a second copy of the samples
+    assert built_bytes <= 1.05 * len(payload)
+    # the record's own objects: its samples are the blob's bytes
+    assert parsed_bytes < 1024

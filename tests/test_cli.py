@@ -238,3 +238,33 @@ def test_run_of_a_config_too_large_to_simulate_exits_2(tmp_path, capsys, name, e
     assert rc == 2
     assert _one_error_line(capsys).startswith(message)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["file", "under_a_file", "env_file"])
+def test_run_into_an_out_path_that_is_not_a_directory_exits_2(tmp_path, capsys, monkeypatch, where):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    out = taken / "sub" if where == "under_a_file" else taken
+    args = ["run", "honest_protocol_b"]
+    if where == "env_file":
+        monkeypatch.setenv("KLJNSYNC_OUT", str(out))
+    else:
+        args += ["--out", str(out)]
+    assert main(args) == 2
+    assert _one_error_line(capsys).startswith(f"error: report directory: cannot create {str(out)!r} (")
+    assert taken.read_text() == "not a directory"
+
+
+def test_sweep_into_an_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    args = ["sweep", "honest_protocol_b", "--param", "clock.t0", "--values", "0.001", "--out", str(taken)]
+    assert main(args) == 2
+    assert _one_error_line(capsys).startswith(f"error: report directory: cannot create {str(taken)!r} (")
+
+
+def test_run_whose_report_cannot_be_written_exits_2(tmp_path, capsys):
+    blocked = tmp_path / "honest_protocol_b.report.json"
+    blocked.mkdir()  # a directory where the report file goes
+    assert main(["run", "honest_protocol_b", "--out", str(tmp_path)]) == 2
+    assert _one_error_line(capsys).startswith(f"error: report: cannot write {str(blocked)!r} (")

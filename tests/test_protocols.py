@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kljnsync.adversaries import AsymDelay, LineMod, Substitute, install
-from kljnsync.bepfile import build_bep_file
+from kljnsync.bepfile import build_bep_file, parse_bep_file, serialize_bep_file
 from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig
 from kljnsync.errors import (
     ConfigError,
@@ -404,6 +404,19 @@ def test_residual_curve_keeps_the_lags_the_overlap_mask_kept():
             shifts, residuals = residual_curve(ref, other, LINE.R_wire, search)
             assert np.array_equal(shifts, -m[keep] / FS), (n_ref, n_other)
             assert residuals.shape == shifts.shape
+
+
+@pytest.mark.parametrize("offset", [7.0, 7.3])
+@pytest.mark.parametrize("input_", ["voltage", "current"])
+def test_residual_curve_over_received_records_is_bit_identical(offset, input_):
+    # the records as a party receives them: parsed from the wire bytes
+    built = bep_files(t0=offset / FS)
+    parsed = [parse_bep_file(serialize_bep_file(f))[0] for f in built]
+    search = ProtocolConfig("C", input=input_)
+    for ref, other in ((0, 1), (1, 0)):
+        want = residual_curve(built[ref], built[other], LINE.R_wire, search)
+        got = residual_curve(parsed[ref], parsed[other], LINE.R_wire, search)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_residual_curve_valley_is_at_negative_offset():
