@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adversaries import AsymDelay, LineMod, Substitute, install, passive_bit_guess
+from .adversaries import AsymDelay, LineMod, Substitute, passive_bit_guess
 from .auth import AuthTag, KeyLedger, KeySpan, encrypt_digest, hash_message, verify
 from .bepfile import build_bep_file
 from .config import ChannelConfig, ClockConfig, ProtocolConfig
@@ -24,7 +24,7 @@ from .errors import (
     FlatResidualError,
     InconsistentStateError,
 )
-from .harness import bundled_scenario_names, load_bundled, run_scenario
+from .harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_scenario
 from .line import (
     BitState,
     LineConfig,
@@ -44,20 +44,23 @@ from .noise import (
     theoretical_autocorrelation,
 )
 from .protocols import combined_check, estimate_offset, exchange_files, protocol_a, protocol_b, protocol_c
-from .scenario import make_scenario
 
 LINE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 FS = LINE.sample_rate
 
 
-def _scenario(kind: str, seed: int, t0: float, tau: float, quantization=1e-6):
-    return make_scenario(
+def _scenario(kind: str, seed: int, t0: float, tau: float, *attacks, **clock):
+    """A scenario on LINE with its attacks installed, built as `kljnsync
+    run` builds one: from a validated ScenarioConfig. clock holds the
+    ClockConfig fields other than t0."""
+    return ScenarioConfig(
+        seed,
         LINE,
-        seed=seed,
-        protocol=ProtocolConfig(kind),
-        clock=ClockConfig(t0=t0, quantization=quantization),
+        ProtocolConfig(kind),
+        clock=ClockConfig(t0=t0, **clock),
         channel=ChannelConfig(tau=tau),
-    )
+        attacks=attacks,
+    ).build_scenario()
 
 
 def criterion_1_autocorrelation() -> tuple[bool, str]:
@@ -123,8 +126,7 @@ def criterion_4_delay_algebra() -> tuple[bool, str]:
     for delta in (1e-3, 2e-3, 4e-3, 8e-3):
         for leg, sign in (("AtoB", +1.0), ("BtoA", -1.0)):
             for kind, runner in (("A", protocol_a), ("B", protocol_b)):
-                sc = _scenario(kind, seed=7, t0=t0, tau=tau)
-                install(AsymDelay(leg, delta), sc)
+                sc = _scenario(kind, 7, t0, tau, AsymDelay(leg, delta))
                 res = runner(sc)
                 if res.attack_flag:
                     return False, f"{runner.__name__} flagged a pure delay"
@@ -150,8 +152,8 @@ def criterion_5_substitution_detection() -> tuple[bool, str]:
     for i in range(100):
         target, field_name = targets[i % len(targets)]
         delta = float(rng.uniform(1e-5, 1e-2))
-        sc = _scenario("B", seed=1000 + i, t0=0.005, tau=0.002)
-        install(Substitute(target, field_name, delta=delta, fabricate_tag=bool(i % 3 == 0)), sc)
+        attack = Substitute(target, field_name, delta=delta, fabricate_tag=bool(i % 3 == 0))
+        sc = _scenario("B", 1000 + i, 0.005, 0.002, attack)
         caught += protocol_b(sc).attack_flag
     if caught != 100:
         return False, f"only {caught}/100 message substitutions flagged"
@@ -160,17 +162,14 @@ def criterion_5_substitution_detection() -> tuple[bool, str]:
     file_a, file_b = build_bep_file(meas_a, LINE), build_bep_file(meas_b, LINE)
     caught_files = 0
     for i in range(100):
-        sc = _scenario("C", seed=2000 + i, t0=0.0, tau=0.002)
-        install(
-            Substitute(
-                "file",
-                mode="alter_sample",
-                sample_index=int(rng.integers(len(file_a))),
-                delta=float(rng.uniform(1e-4, 1.0)),
-                direction="AtoB" if i % 2 else "BtoA",
-            ),
-            sc,
+        attack = Substitute(
+            "file",
+            mode="alter_sample",
+            sample_index=int(rng.integers(len(file_a))),
+            delta=float(rng.uniform(1e-4, 1.0)),
+            direction="AtoB" if i % 2 else "BtoA",
         )
+        sc = _scenario("C", 2000 + i, 0.0, 0.002, attack)
         out = exchange_files(sc, file_a, file_b, 0.0)
         caught_files += not out.all_ok
     if caught_files != 100:
@@ -270,8 +269,7 @@ def criterion_7_integrity_detection() -> tuple[bool, str]:
             break
 
     for quanta in (4, 8, 4000):
-        sc = _scenario("Combined", seed=42, t0=7.0 / FS, tau=0.002)
-        install(AsymDelay("BtoA", quanta * 1e-6), sc)
+        sc = _scenario("Combined", 42, 7.0 / FS, 0.002, AsymDelay("BtoA", quanta * 1e-6))
         if not combined_check(sc).attack_flag:
             return False, f"combined check missed a {quanta}-quantum delay"
     return True, (
@@ -386,8 +384,7 @@ def criterion_9_attack_matrix() -> tuple[bool, str]:
         ("A/AsymDelay", delay, False),
         ("A/LineMod", lm_tau, False),
     ):
-        sc = _scenario("A", seed=91, t0=0.005, tau=0.002)
-        install(attack, sc)
+        sc = _scenario("A", 91, 0.005, 0.002, attack)
         expect(label, protocol_a(sc).attack_flag, want)
 
     for label, attack, want in (
@@ -395,8 +392,7 @@ def criterion_9_attack_matrix() -> tuple[bool, str]:
         ("B/AsymDelay", delay, False),
         ("B/LineMod", lm_tau, False),
     ):
-        sc = _scenario("B", seed=92, t0=0.005, tau=0.002)
-        install(attack, sc)
+        sc = _scenario("B", 92, 0.005, 0.002, attack)
         expect(label, protocol_b(sc).attack_flag, want)
 
     for label, attack, want in (
@@ -405,8 +401,7 @@ def criterion_9_attack_matrix() -> tuple[bool, str]:
         ("C+Combined/LineMod(wire)", lm_wire, True),
         ("C+Combined/LineMod(tau)", lm_tau_late, True),
     ):
-        sc = _scenario("Combined", seed=93, t0=7.0 / FS, tau=0.002)
-        install(attack, sc)
+        sc = _scenario("Combined", 93, 7.0 / FS, 0.002, attack)
         expect(label, combined_check(sc).attack_flag, want)
 
     if flips:

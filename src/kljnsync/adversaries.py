@@ -1,17 +1,19 @@
 """Eve's strategies, installed as channel hooks or line mutations.
 
-Four behaviors are modeled. A passive Eve only listens: she can classify a
-BEP as mixed but the two mixed arrangements look identical to her, so her
-best move is a coin flip. A substituting Eve rewrites message fields or
-file samples in flight (she can also drop envelopes outright). A delaying
-Eve adds a constant to one channel direction, which biases two-way time
-transfer by half the added delay without touching any content. A
+Three attack kinds can be installed. A substituting Eve rewrites message
+fields or file samples in flight (she can also drop envelopes outright). A
+delaying Eve adds a constant to one channel direction, which biases two-way
+time transfer by half the added delay without touching any content. A
 line-modifying Eve changes the channel itself - the wire resistance during
 a record, or the propagation delay - which leaves authentication intact but
 breaks either the wire-model residual or the delay monitoring.
 
 Hooks run synchronously inside the scheduler and every action they take is
 recorded in the event log.
+
+A passive Eve only listens: passive_bit_guess gives her best guess at a
+mixed BEP's key bit. She can classify a BEP as mixed, but the two mixed
+arrangements look identical to her, so her best move is a coin flip.
 """
 
 from __future__ import annotations
@@ -29,15 +31,6 @@ from .line import BepMeasurement, BitState, LineConfig, Party, classify_bep
 from .noise import NoiseTrace, derive_seed
 from .protocols import MESSAGE_FIELDS, FileTransfer, MessageKind, SyncMessage, bep_start_time
 from .scenario import Scenario
-
-
-@dataclass(frozen=True)
-class Passive:
-    """Eve only listens, logging each BEP's levels and guessing its bit."""
-
-    def apply(self, scenario: Scenario, n: int) -> None:
-        if scenario.passive_log is None:
-            scenario.passive_log = []
 
 
 @dataclass(frozen=True)
@@ -101,7 +94,7 @@ class Substitute:
 
     def apply(self, scenario: Scenario, n: int) -> None:
         # only a fabricated tag draws: from the stream of the attack's place n
-        rng = np.random.default_rng(derive_seed(scenario.seed, 0xE5E, n)) if self.fabricate_tag else None
+        rng = np.random.default_rng(derive_seed(scenario.config.seed, 0xE5E, n)) if self.fabricate_tag else None
         hook = _substitute_file_hook if self.target == "file" else _substitute_message_hook
         scenario.channel.hooks.append(hook(self, rng))
 
@@ -141,19 +134,19 @@ class LineMod:
     def apply(self, scenario: Scenario, n: int) -> None:
         at = self.at_time
         if at is None:
-            at = bep_start_time(scenario, self.at_bep) + self.fraction * scenario.line.bep_duration
+            at = bep_start_time(scenario, self.at_bep) + self.fraction * scenario.config.line.bep_duration
         if self.tau is not None:
             scenario.channel.hooks.append(_tau_mod_hook(self.tau, at))
             scenario.scheduler.record(at, "attack-linemod-tau")
             return
-        new_r = self.r_wire if self.r_wire is not None else scenario.line.R_wire * self.r_wire_factor
+        new_r = self.r_wire if self.r_wire is not None else scenario.config.line.R_wire * self.r_wire_factor
         if any(t == at for t, _ in scenario.r_wire_schedule):
             raise ConflictingAttackError(f"two line modifications at t={at}")
         scenario.r_wire_schedule.append((at, new_r))
         scenario.scheduler.record(at, "attack-linemod-rwire")
 
 
-Attack = Union[Passive, AsymDelay, Substitute, LineMod]
+Attack = Union[AsymDelay, Substitute, LineMod]
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +229,8 @@ def install(attacks, scenario: Scenario) -> Scenario:
     """Install one attack spec (or a list, applied in order) into a scenario.
 
     Substitutions and delays become channel hooks; wire-resistance changes
-    append to the scenario's line-modification schedule; a passive Eve just
-    gets a notebook. Two wire modifications at the same instant conflict.
+    append to the scenario's line-modification schedule. Two wire
+    modifications at the same instant conflict.
     An attack learns its place n in the list; an attack that draws random
     values seeds them from the scenario seed and n.
     """

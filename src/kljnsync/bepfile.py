@@ -55,10 +55,11 @@ class BepFile:
 
     def __eq__(self, other) -> bool:
         # every field feeds the serialized payload, so byte equality is
-        # exactly record identity
+        # exactly record identity; memoryview == compares item by item
         if not isinstance(other, BepFile):
             return NotImplemented
-        return self.payload_bytes() == other.payload_bytes()
+        mine, theirs = (np.frombuffer(r.payload_bytes(), np.uint8) for r in (self, other))
+        return np.array_equal(mine, theirs)
 
     def __post_init__(self, _received):
         volts, amps = np.asarray(self.voltage_samples), np.asarray(self.current_samples)

@@ -56,7 +56,6 @@ class Envelope:
     sent_absolute: float
     deliver_absolute: float
     direction: Direction
-    dropped: bool = False
     # the payload's digest, taken once when the scheduler sends it and
     # again only when a hook substitutes the payload
     digest: str = "-"

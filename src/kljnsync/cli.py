@@ -80,8 +80,9 @@ def _number(text: str) -> float:
 
 def _cmd_run(args) -> int:
     name, config = _load_config(args.config)
+    out = _out_dir(args.out)
     report = run_scenario(config)
-    path = _write(_out_dir(args.out), name, report)
+    path = _write(out, name, report)
     print(report.summary())
     print(f"report written to {path}, event log beside it")
     return 0
@@ -90,8 +91,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     name, config = _load_config(args.config)
     values = [_number(v) for v in args.values.split(",")]
-    reports = sweep(config, args.param, values, seed_policy=args.seed_policy)
     out = _out_dir(args.out)
+    reports = sweep(config, args.param, values, seed_policy=args.seed_policy)
     header = f"{args.param:>24}  {'t0_est':>14}  {'tau_est':>14}  {'residual':>12}  flag"
     print(header)
     for i, (value, report) in enumerate(zip(values, reports)):

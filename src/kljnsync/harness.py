@@ -92,14 +92,7 @@ class ScenarioConfig:
         return to_doc(self)
 
     def build_scenario(self) -> Scenario:
-        scenario = make_scenario(
-            self.line,
-            seed=self.seed,
-            protocol=self.protocol,
-            clock=self.clock,
-            channel=self.channel,
-            key_bits=self.key_bits,
-        )
+        scenario = make_scenario(self)
         if self.attacks:
             install(self.attacks, scenario)
         return scenario
@@ -203,7 +196,7 @@ def _series_from(scenario: Scenario, msq_levels: dict) -> dict:
     if "first_bep_voltage" in diag:
         trace: NoiseTrace = diag["first_bep_voltage"]
         fs = trace.sample_rate
-        max_lag = min(len(trace) - 1, int(round(2.0 * fs / scenario.line.bandwidth_B)))
+        max_lag = min(len(trace) - 1, int(round(2.0 * fs / scenario.config.line.bandwidth_B)))
         ac = empirical_autocorrelation(trace, max_lag)
         series["autocorrelation"] = ac.tolist()
     if "bep_msq" in diag and diag["bep_msq"]:
@@ -236,7 +229,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             auth_ok=True, attack_flag=False, detail=f"incomplete: {exc}",
         )
 
-    msq_levels = dict(derived(scenario.line, "_msq_levels", _msq_levels))
+    msq_levels = dict(derived(config.line, "_msq_levels", _msq_levels))
     event_log = format_event_log(scenario.scheduler.log)
     report = RunReport(
         config=config.canonical_dict(),

@@ -48,11 +48,11 @@ from .line import Party, ResistorChoice, simulate_bep
 from .noise import derive_seed
 from .scenario import Scenario
 
-# spawn-key namespaces for the per-purpose random streams
+# spawn-key namespaces for the per-purpose random streams; each keys the
+# draws of every seeded report, so a value is never reused or renumbered
 _SEED_CHOICE_A = 1
 _SEED_CHOICE_B = 2
 _SEED_BEP = 3
-_SEED_EVE = 4
 _SEED_PROBE = 5
 
 
@@ -149,7 +149,7 @@ class _TwoWayRun:
         self.scenario = scenario
         self.authenticated = authenticated
         self.alice, self.bob = scenario.clock(Party.ALICE), scenario.clock(Party.BOB)
-        self.resolution = scenario.clock_config.quantization
+        self.resolution = scenario.config.clock.quantization
         self.t1: Optional[float] = None
         self.t1_star: Optional[float] = None
         self.t2_star: Optional[float] = None
@@ -183,7 +183,7 @@ class _TwoWayRun:
             # at Bob: note arrival, think, respond with both of his stamps
             self._check(msg)
             t1_star = quantize(self.bob.local_time(now), self.resolution)
-            respond_at = now + self.scenario.channel_config.processing_delay
+            respond_at = now + self.scenario.config.channel.processing_delay
             t2_star = quantize(self.bob.local_time(respond_at), self.resolution)
             reply = SyncMessage(MessageKind.RESPONSE, t1_star=t1_star, t2_star=t2_star)
             self._send(reply, Direction.B_TO_A, respond_at)
@@ -289,7 +289,7 @@ def exchange_files(
     """
     expected = file_a.bep_index
     outcome = ExchangeOutcome()
-    local_digest = scenario.line.digest()
+    local_digest = scenario.config.line.digest()
 
     def tagged(file: BepFile) -> FileTransfer:
         tag = encrypt_digest(hash_message(file.payload_bytes()), scenario.ledger)
@@ -482,12 +482,12 @@ def bep_start_time(scenario: Scenario, k: int) -> float:
     """Absolute start of BEP k on the shared timeline: records are taken
     back to back with enough slack after each for the file exchange."""
     slack = 2.0 * (scenario.channel.delay_a_to_b + scenario.channel.delay_b_to_a)
-    return k * (scenario.line.bep_duration + slack)
+    return k * (scenario.config.line.bep_duration + slack)
 
 
 def _draw_choices(scenario: Scenario, k: int) -> tuple[ResistorChoice, ResistorChoice]:
-    rng_a = np.random.default_rng(derive_seed(scenario.seed, _SEED_CHOICE_A, k))
-    rng_b = np.random.default_rng(derive_seed(scenario.seed, _SEED_CHOICE_B, k))
+    rng_a = np.random.default_rng(derive_seed(scenario.config.seed, _SEED_CHOICE_A, k))
+    rng_b = np.random.default_rng(derive_seed(scenario.config.seed, _SEED_CHOICE_B, k))
     c_a = ResistorChoice.L if rng_a.integers(2) == 0 else ResistorChoice.H
     c_b = ResistorChoice.L if rng_b.integers(2) == 0 else ResistorChoice.H
     return c_a, c_b
@@ -501,8 +501,8 @@ def run_bep(scenario: Scenario, k: int):
     meas_a, meas_b = simulate_bep(
         c_a,
         c_b,
-        scenario.line,
-        derive_seed(scenario.seed, _SEED_BEP, k),
+        scenario.config.line,
+        derive_seed(scenario.config.seed, _SEED_BEP, k),
         bep_index=k,
         start_absolute=t_k,
         offset_B=scenario.clock(Party.BOB).offset_t0,
@@ -511,16 +511,6 @@ def run_bep(scenario: Scenario, k: int):
     scenario.scheduler.record(t_k, "bep")
     scenario.diagnostics.setdefault("first_bep_voltage", meas_a.voltage_trace)
     scenario.diagnostics.setdefault("bep_msq", []).append(meas_a.msq_voltage)
-    if scenario.passive_log is not None:
-        rng = np.random.default_rng(derive_seed(scenario.seed, _SEED_EVE, k))
-        scenario.passive_log.append(
-            {
-                "k": k,
-                "msq_voltage": meas_a.msq_voltage,
-                "msq_current": meas_a.msq_current,
-                "guess_bit": int(rng.integers(2)),
-            }
-        )
     return meas_a, meas_b
 
 
@@ -539,16 +529,16 @@ def protocol_c(scenario: Scenario) -> SyncResult:
     This protocol produces no propagation-delay estimate; only the embedded
     two-way probe of the combined check measures tau.
     """
-    search = scenario.protocol_config
+    line, search = scenario.config.line, scenario.config.protocol
 
     curves_alice: list[tuple[np.ndarray, np.ndarray]] = []
     curves_bob: list[tuple[np.ndarray, np.ndarray]] = []
 
     for k in search.k_range:
         meas_a, meas_b = run_bep(scenario, k)
-        file_a = build_bep_file(meas_a, scenario.line)
-        file_b = build_bep_file(meas_b, scenario.line)
-        send_at = bep_start_time(scenario, k) + scenario.line.bep_duration
+        file_a = build_bep_file(meas_a, line)
+        file_b = build_bep_file(meas_b, line)
+        send_at = bep_start_time(scenario, k) + line.bep_duration
         outcome = exchange_files(scenario, file_a, file_b, send_at)
         if not outcome.complete:
             return SyncResult(
@@ -565,8 +555,8 @@ def protocol_c(scenario: Scenario) -> SyncResult:
             )
         # Alice searches her own record against Bob's received copy; Bob
         # does the mirror image with Alice's received copy, on his own grid.
-        curves_alice.append(residual_curve(file_a, outcome.received_by_alice, scenario.line.R_wire, search))
-        curves_bob.append(residual_curve(file_b, outcome.received_by_bob, scenario.line.R_wire, search))
+        curves_alice.append(residual_curve(file_a, outcome.received_by_alice, line.R_wire, search))
+        curves_bob.append(residual_curve(file_b, outcome.received_by_bob, line.R_wire, search))
 
     # every BEP's records have the same lengths, so position p of each curve
     # is the same index lag; its shifts differ only by the float rounding of
@@ -590,7 +580,7 @@ def protocol_c(scenario: Scenario) -> SyncResult:
 
     t0_est = -dt_alice
     # symmetric searches must agree (their shifts are mutual negatives)
-    if abs(dt_alice + dt_bob) > 1.0 / scenario.line.sample_rate:
+    if abs(dt_alice + dt_bob) > 1.0 / line.sample_rate:
         return SyncResult(
             ProtocolKind.C, t0_est, None, best,
             auth_ok=True, attack_flag=True, detail="parties' shift estimates disagree",
@@ -615,7 +605,7 @@ def combined_check(scenario: Scenario) -> SyncResult:
     # probe at a random later instant, snapped to the clock grid (parties
     # initiate on their own clock ticks)
     last = max((rec.absolute for rec in scenario.scheduler.log), default=0.0)
-    rng = np.random.default_rng(derive_seed(scenario.seed, _SEED_PROBE))
+    rng = np.random.default_rng(derive_seed(scenario.config.seed, _SEED_PROBE))
     quantum = scenario.quantum
     wait = float(rng.integers(1_000, 1_000_000)) * quantum
     probe_start = (np.ceil(last / quantum) + 1) * quantum + wait
@@ -623,8 +613,8 @@ def combined_check(scenario: Scenario) -> SyncResult:
     b_result = protocol_b(scenario, start_absolute=probe_start)
 
     q = scenario.quantum
-    nominal_tau = scenario.channel_config.tau
-    tolerances = scenario.protocol_config
+    nominal_tau = scenario.config.channel.tau
+    tolerances = scenario.config.protocol
     failures = []
     if c_result.attack_flag:
         failures.append(f"integrity check: {c_result.detail or 'flagged'}")

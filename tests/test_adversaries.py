@@ -4,7 +4,6 @@ import pytest
 from kljnsync.adversaries import (
     AsymDelay,
     LineMod,
-    Passive,
     Substitute,
     install,
     passive_bit_guess,
@@ -16,22 +15,20 @@ from kljnsync.errors import (
     ConflictingAttackError,
     InconsistentStateError,
 )
+from kljnsync.harness import ScenarioConfig
 from kljnsync.line import LineConfig, ResistorChoice, simulate_bep
 from kljnsync.protocols import combined_check, protocol_a, protocol_b, protocol_c
-from kljnsync.scenario import make_scenario
 
 LINE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 FS = LINE.sample_rate
 
 
-def scenario(seed=1, t0=7.0 / FS, k_range=(0,)):
-    return make_scenario(
-        LINE,
-        seed=seed,
-        protocol=ProtocolConfig("Combined", k_range=k_range),
-        clock=ClockConfig(t0=t0),
-        channel=ChannelConfig(tau=0.002),
-    )
+def scenario(seed=1, t0=7.0 / FS):
+    """A scenario on LINE built as `kljnsync run` builds one, from a
+    validated ScenarioConfig; attacks are installed by each test."""
+    return ScenarioConfig(
+        seed, LINE, ProtocolConfig("Combined"), clock=ClockConfig(t0=t0), channel=ChannelConfig(tau=0.002)
+    ).build_scenario()
 
 
 def test_spec_constructors_validate():
@@ -84,14 +81,6 @@ def test_hook_actions_are_audited_in_the_log():
     protocol_c(sc)
     kinds = {rec.kind for rec in sc.scheduler.log}
     assert "attack-linemod-rwire" in kinds
-
-
-def test_passive_installation_records_observations():
-    sc = scenario(k_range=(0, 1))
-    install(Passive(), sc)
-    protocol_c(sc)
-    assert sc.passive_log is not None and len(sc.passive_log) == 2
-    assert {"k", "msq_voltage", "msq_current", "guess_bit"} <= set(sc.passive_log[0])
 
 
 def test_passive_guess_requires_mixed_bep():
@@ -167,7 +156,6 @@ def test_only_a_fabricated_tag_seeds_a_generator(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args) or default_rng(*args))
     install(
         [
-            Passive(),
             AsymDelay("BtoA", 1e-3),
             LineMod(r_wire_factor=1.5, at_bep=0),
             Substitute("Response", "t2_star", delta=1e-3),

@@ -14,10 +14,10 @@ from kljnsync.auth import (
 )
 from kljnsync.config import ProtocolConfig
 from kljnsync.errors import ConfigError, KeyExhaustedError, UnknownSpanError
+from kljnsync.harness import ScenarioConfig
 from kljnsync.line import LineConfig
 from kljnsync.noise import derive_seed
 from kljnsync.protocols import protocol_a, protocol_b
-from kljnsync.scenario import make_scenario
 
 
 def make_ledger(n_bits=8192, seed=1):
@@ -135,10 +135,10 @@ def test_a_generated_ledger_draws_the_seeded_stream_on_first_use(n_bits):
 
 def test_a_protocol_a_run_spends_and_draws_no_key():
     line = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
-    sc = make_scenario(line, seed=3, protocol=ProtocolConfig("A"))
+    sc = ScenarioConfig(3, line, ProtocolConfig("A")).build_scenario()
     protocol_a(sc)
     assert sc.ledger.consumed == 0 and sc.ledger._pad is None
-    sc = make_scenario(line, seed=3, protocol=ProtocolConfig("B"))
+    sc = ScenarioConfig(3, line, ProtocolConfig("B")).build_scenario()
     protocol_b(sc)
     assert sc.ledger.consumed == 3 * 256
     assert sc.ledger._key == np.random.default_rng(derive_seed(3, 0xFEED)).bytes(1024)

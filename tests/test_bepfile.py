@@ -275,6 +275,18 @@ def test_a_replaced_record_is_encoded_afresh():
         assert replace(forged, voltage_samples=record.voltage_samples) == record
 
 
+def test_records_are_equal_exactly_when_their_payload_bytes_are():
+    f = build_bep_file(honest_measurement()[0], CFG)
+    blob = serialize_bep_file(f)
+    assert parse_bep_file(blob)[0] == f and f == parse_bep_file(blob)[0]
+    flipped = bytearray(blob)
+    flipped[HEADER + 8 * 5 + 7] ^= 0x01  # the last mantissa byte of sample 5
+    assert parse_bep_file(flipped)[0] != f
+    shorter = replace(f, voltage_samples=f.voltage_samples[:-1], current_samples=f.current_samples[:-1])
+    assert shorter != f and f != shorter
+    assert (f == blob) is False and f.__eq__(blob) is NotImplemented
+
+
 def test_the_samples_cannot_be_made_writable():
     f = build_bep_file(honest_measurement()[0], CFG)
     parsed, _ = parse_bep_file(serialize_bep_file(f))

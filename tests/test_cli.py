@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from kljnsync import cli
 from kljnsync.cli import main
 from kljnsync.harness import load_bundled, sweep
 
@@ -240,8 +241,20 @@ def test_run_of_a_config_too_large_to_simulate_exits_2(tmp_path, capsys, name, e
     assert not (tmp_path / "out").exists()
 
 
+def _forbid_work(monkeypatch):
+    """Make running a scenario or a sweep fail the test: an unusable --out
+    must be reported before any work is done."""
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("the work ran before the report directory was made")
+
+    monkeypatch.setattr(cli, "run_scenario", never)
+    monkeypatch.setattr(cli, "sweep", never)
+
+
 @pytest.mark.parametrize("where", ["file", "under_a_file", "env_file"])
 def test_run_into_an_out_path_that_is_not_a_directory_exits_2(tmp_path, capsys, monkeypatch, where):
+    _forbid_work(monkeypatch)
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
     out = taken / "sub" if where == "under_a_file" else taken
@@ -255,7 +268,8 @@ def test_run_into_an_out_path_that_is_not_a_directory_exits_2(tmp_path, capsys, 
     assert taken.read_text() == "not a directory"
 
 
-def test_sweep_into_an_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+def test_sweep_into_an_out_path_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    _forbid_work(monkeypatch)
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
     args = ["sweep", "honest_protocol_b", "--param", "clock.t0", "--values", "0.001", "--out", str(taken)]

@@ -2,12 +2,16 @@
 from ScenarioConfig.from_dict, and the CLI turns it into one error line."""
 
 import copy
+import dataclasses
 import json
 import math
+import re
+import typing
+from pathlib import Path
 
 import pytest
 
-from kljnsync.adversaries import AsymDelay, LineMod, Substitute
+from kljnsync.adversaries import Attack, AsymDelay, LineMod, Substitute
 from kljnsync.cli import main
 from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig
 from kljnsync.errors import ConfigError
@@ -71,6 +75,18 @@ def test_named_malformed_configs_fail_closed(name, path, value, tmp_path, capsys
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_a_passive_attack_kind_fails_closed(tmp_path, capsys):
+    doc = dict(load_bundled("honest_protocol_c").canonical_dict(), attacks=[{"kind": "Passive"}])
+    message = "attacks.0.kind: must be one of AsymDelay, Substitute, LineMod"
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(doc)
+    assert err.value.problems == [message]
+    config_file = tmp_path / "passive.json"
+    config_file.write_text(json.dumps(doc))
+    assert main(["run", str(config_file), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Per section (an attack's section is its kind): the keys it must have, its
@@ -185,3 +201,33 @@ def test_sections_built_in_code_are_checked_too():
     ):
         with pytest.raises(ConfigError):
             build()
+
+
+def _documented_keys(readme: str) -> dict:
+    """The keys each table of README's "Scenario config format" reference
+    names, by table: "" for the top level, then each section and attack
+    kind by the name its heading or bullet starts with."""
+    reference = readme.split("\n## Scenario config format\n", 1)[1].split("\n## ", 1)[0]
+    tables, name = {"": set()}, ""
+    for line in reference.split("\nTop level:\n", 1)[1].splitlines():
+        heading = re.match(r"`(\w+)`.*:$|- `(\w+)` ", line)
+        row = re.match(r"\s*\| `(\w+)` \|", line)
+        if heading:
+            name = heading.group(1) or heading.group(2)
+            tables[name] = set()
+        elif row:
+            tables[name].add(row.group(1))
+    return tables
+
+
+def test_the_readme_config_reference_names_exactly_the_schema():
+    def keys(cls):
+        return {f.name for f in dataclasses.fields(cls) if f.init}
+
+    hints = typing.get_type_hints(ScenarioConfig)
+    schema = {"": keys(ScenarioConfig)}
+    schema.update({name: keys(hints[name]) for name in schema[""] if dataclasses.is_dataclass(hints[name])})
+    schema.update({kind.__name__: keys(kind) for kind in typing.get_args(Attack)})
+    assert set(schema) == {"", "line", "protocol", "clock", "channel", "AsymDelay", "Substitute", "LineMod"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _documented_keys(readme) == schema

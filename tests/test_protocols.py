@@ -16,6 +16,7 @@ from kljnsync.errors import (
     ProtocolIncompleteError,
 )
 from kljnsync import protocols
+from kljnsync.harness import ScenarioConfig
 from kljnsync.line import LineConfig, Party, ResistorChoice, simulate_bep
 from kljnsync.protocols import (
     MessageKind,
@@ -31,21 +32,23 @@ from kljnsync.protocols import (
     protocol_c,
     residual_curve,
 )
-from kljnsync.scenario import make_scenario
 
 LINE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 FS = LINE.sample_rate
+COMBINED = ProtocolConfig("Combined")
 
 
-def scenario(seed=1, t0=0.005, tau=0.002, clock=None, channel=None, k_range=(0,), key_bits=8192):
-    return make_scenario(
+def scenario(seed=1, t0=0.005, tau=0.002, clock=None, channel=None, protocol=COMBINED, **config):
+    """A scenario on LINE built as `kljnsync run` builds one, from a
+    validated ScenarioConfig; config holds its other fields (key_bits)."""
+    return ScenarioConfig(
+        seed,
         LINE,
-        seed=seed,
-        protocol=ProtocolConfig("Combined", k_range=k_range),
+        protocol,
         clock=clock or ClockConfig(t0=t0),
         channel=channel or ChannelConfig(tau=tau),
-        key_bits=key_bits,
-    )
+        **config,
+    ).build_scenario()
 
 
 # --- messages ---------------------------------------------------------------
@@ -451,7 +454,7 @@ def test_protocol_c_honest_recovers_and_corrects():
 
 def test_protocol_c_multi_bep_pooling():
     t0 = -9.0 / FS
-    sc = scenario(seed=6, t0=t0, k_range=(0, 1, 2))
+    sc = scenario(seed=6, t0=t0, protocol=replace(COMBINED, k_range=(0, 1, 2)))
     res = protocol_c(sc)
     assert res.attack_flag is False
     assert res.t0_est == pytest.approx(t0, abs=1.0 / FS)
@@ -460,7 +463,7 @@ def test_protocol_c_multi_bep_pooling():
 
 def test_protocol_c_multi_bep_pooling_with_a_sub_sample_offset():
     t0 = -9.4 / FS
-    sc = scenario(seed=6, t0=t0, k_range=(0, 1, 2))
+    sc = scenario(seed=6, t0=t0, protocol=replace(COMBINED, k_range=(0, 1, 2)))
     res = protocol_c(sc)
     assert res.attack_flag is False, res.detail
     assert res.t0_est == pytest.approx(t0, abs=1.0 / FS)
@@ -478,7 +481,7 @@ def test_protocol_c_honest_offsets_anywhere_in_range(samples):
     assert res.residual < 1e-4
     # the reported curve is 2 * dt_window + 1 points around the minimum
     shifts, residuals = sc.diagnostics["residual_curve"]
-    assert shifts.size == 2 * sc.protocol_config.dt_window + 1
+    assert shifts.size == 2 * sc.config.protocol.dt_window + 1
     assert shifts[np.argmin(residuals)] == pytest.approx(-t0, abs=0.5 / FS)
 
 
@@ -493,7 +496,7 @@ def test_protocol_c_flags_tampered_file_and_skips_correction():
 
 
 def test_protocol_c_flags_replayed_file():
-    sc = scenario(seed=5, t0=7.0 / FS, k_range=(0, 1))
+    sc = scenario(seed=5, t0=7.0 / FS, protocol=replace(COMBINED, k_range=(0, 1)))
     install(Substitute("file", mode="replay"), sc)
     res = protocol_c(sc)
     assert res.attack_flag is True
@@ -514,7 +517,7 @@ def test_combined_check_honest_passes():
     assert res.protocol is ProtocolKind.COMBINED
     assert res.attack_flag is False
     assert abs(res.t0_est) <= 2 * sc.quantum
-    assert res.tau_est == pytest.approx(sc.channel_config.tau, abs=1.5 * sc.quantum)
+    assert res.tau_est == pytest.approx(sc.config.channel.tau, abs=1.5 * sc.quantum)
     assert res.residual < 1e-4
 
 
