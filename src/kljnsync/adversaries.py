@@ -25,7 +25,7 @@ import numpy as np
 
 from .auth import AuthTag
 from .channel import Direction, Envelope, Scheduler
-from .config import check_fields
+from .config import MAX_SECONDS, check_fields
 from .errors import ConfigError, ConflictingAttackError, InconsistentStateError
 from .line import BepMeasurement, BitState, LineConfig, Party, classify_bep
 from .noise import NoiseTrace, derive_seed
@@ -42,8 +42,8 @@ class AsymDelay:
 
     def __post_init__(self):
         check_fields(self)
-        if self.delta < 0:
-            raise ConfigError("delta: must be >= 0")
+        if not 0 <= self.delta <= MAX_SECONDS:
+            raise ConfigError(f"delta: must be in [0, {MAX_SECONDS:g}]")
 
     def apply(self, scenario: Scenario, n: int) -> None:
         scenario.channel.hooks.append(_asym_delay_hook(Direction(self.leg), self.delta))
@@ -126,6 +126,10 @@ class LineMod:
         for name in ("r_wire", "r_wire_factor", "tau", "at_bep"):
             if (getattr(self, name) or 0) < 0:
                 problems.append(f"{name}: must be >= 0")
+        if (self.tau or 0) > MAX_SECONDS:
+            problems.append(f"tau: must be <= {MAX_SECONDS:g}")
+        if abs(self.at_time or 0) > MAX_SECONDS:
+            problems.append(f"at_time: must be in [-{MAX_SECONDS:g}, {MAX_SECONDS:g}]")
         if not 0.0 <= self.fraction <= 1.0:
             problems.append("fraction: must be in [0, 1]")
         if problems:

@@ -58,7 +58,6 @@ class KeyLedger:
         self._pad: bytes | None = bytes(key_bytes)
         self.bit_length = 8 * len(self._pad)
         self.consumed = 0
-        self.issued: list[KeySpan] = []
 
     @classmethod
     def generate(cls, n_bits: int, seed: int) -> "KeyLedger":
@@ -85,7 +84,8 @@ class KeyLedger:
     def remaining_bits(self) -> int:
         return self.bit_length - self.consumed
 
-    def _slice(self, span: KeySpan) -> bytes:
+    def read(self, span: KeySpan) -> bytes:
+        """The key bits of span, as a tag's sender took them; never consumes."""
         if span.offset % 8 or span.length % 8:
             raise UnknownSpanError("key spans must be byte aligned")
         if span.offset + span.length > self.bit_length:
@@ -105,24 +105,7 @@ class KeyLedger:
             )
         span = KeySpan(self.consumed, n_bits)
         self.consumed += n_bits
-        self.issued.append(span)
-        return span, self._slice(span)
-
-    def read(self, span: KeySpan) -> bytes:
-        """Read previously issued bits for verification; never consumes."""
-        return self._slice(span)
-
-    def audit_one_time(self) -> bool:
-        """True iff no issued spans overlap and consumption adds up."""
-        spans = sorted(self.issued, key=lambda s: s.offset)
-        cursor = 0
-        total = 0
-        for span in spans:
-            if span.offset < cursor:
-                return False
-            cursor = span.offset + span.length
-            total += span.length
-        return total == self.consumed and cursor <= self.bit_length
+        return span, self.read(span)
 
 
 def hash_message(payload: bytes) -> bytes:

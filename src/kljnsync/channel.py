@@ -41,9 +41,6 @@ class ClockState:
     def local_time(self, absolute: float) -> float:
         return absolute + self.offset_t0
 
-    def absolute_time(self, local: float) -> float:
-        return local - self.offset_t0
-
 
 class Direction(enum.Enum):
     A_TO_B = "AtoB"
@@ -162,6 +159,3 @@ class Scheduler:
             self.record(env.deliver_absolute, "deliver", env.direction.value, env.digest)
             on_deliver(self, env)
         return self.log
-
-    def deliveries(self) -> list[EventRecord]:
-        return [rec for rec in self.log if rec.kind == "deliver"]

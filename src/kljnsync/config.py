@@ -33,6 +33,10 @@ from .errors import ConfigError
 
 _FAILED = object()  # a read that recorded its problems and produced nothing
 
+# the largest time, either way, that a config may give in seconds: an offset, a
+# delay or an instant. A run divides sums of a few of them by the clock quantum.
+MAX_SECONDS = 1e9
+
 
 def _type_check(hint):
     """A function value -> problem text (None when the value fits hint)."""
@@ -246,8 +250,11 @@ class ClockConfig:
 
     def __post_init__(self):
         check_fields(self)
+        problems = [f"t0: must be in [-{MAX_SECONDS:g}, {MAX_SECONDS:g}]"] if abs(self.t0) > MAX_SECONDS else []
         if self.quantization is not None and self.quantization < 0:
-            raise ConfigError("quantization: must be null or >= 0")
+            problems.append("quantization: must be null or >= 0")
+        if problems:
+            raise ConfigError(problems)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -260,7 +267,8 @@ class ChannelConfig:
 
     def __post_init__(self):
         check_fields(self)
-        problems = [f"{name}: must be >= 0" for name in ("tau", "processing_delay") if getattr(self, name) < 0]
+        limit = f"must be in [0, {MAX_SECONDS:g}]"
+        problems = [f"{n}: {limit}" for n in ("tau", "processing_delay") if not 0 <= getattr(self, n) <= MAX_SECONDS]
         if problems:
             raise ConfigError(problems)
 
@@ -294,8 +302,8 @@ class ProtocolConfig:
             problems.append("dt_window: must be >= 1")
         if self.residual_threshold < 1e-12:
             problems.append("residual_threshold: must be >= 1e-12")
-        if not self.k_range or min(self.k_range) < 0:
-            problems.append("k_range: must list at least one BEP index, each >= 0")
+        if not self.k_range or min(self.k_range) < 0 or max(self.k_range) >= 2**64:
+            problems.append("k_range: must list at least one BEP index, each in [0, 2**64)")
         for name in ("t0_tol_quanta", "tau_tol_quanta"):
             if getattr(self, name) < 0:
                 problems.append(f"{name}: must be >= 0")

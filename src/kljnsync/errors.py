@@ -39,10 +39,6 @@ class UnknownSpanError(KljnError):
     """An authentication tag names key bits outside the receiver's ledger."""
 
 
-class ProtocolIncompleteError(KljnError):
-    """A protocol run stalled before all messages were delivered."""
-
-
 class InsufficientOverlapError(KljnError):
     """Exchanged records overlap by less than half after candidate shifts."""
 

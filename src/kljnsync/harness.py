@@ -23,17 +23,10 @@ from .adversaries import Attack, LineMod, install
 from .auth import MAX_KEY_BITS
 from .channel import format_event_log
 from .config import ChannelConfig, ClockConfig, ProtocolConfig, check_fields, derived, read, to_doc
-from .errors import ConfigError, ProtocolIncompleteError, UnknownParameterError, UnknownSeriesError
+from .errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from .line import LineConfig, analytic_levels, classification_thresholds
 from .noise import NoiseTrace, empirical_autocorrelation
-from .protocols import (
-    ProtocolKind,
-    SyncResult,
-    combined_check,
-    protocol_a,
-    protocol_b,
-    protocol_c,
-)
+from .protocols import SyncResult, combined_check, protocol_a, protocol_b, protocol_c
 from .scenario import Scenario, make_scenario
 
 
@@ -220,18 +213,11 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     start = time.perf_counter()
     scenario = config.build_scenario()
     runners = {"A": protocol_a, "B": protocol_b, "C": protocol_c, "Combined": combined_check}
-    try:
-        result = runners[config.protocol.kind](scenario)
-    except ProtocolIncompleteError as exc:
-        # protocol A has no detection: a stalled run is a failure, not a flag
-        result = SyncResult(
-            ProtocolKind(config.protocol.kind), None, None, None,
-            auth_ok=True, attack_flag=False, detail=f"incomplete: {exc}",
-        )
+    result = runners[config.protocol.kind](scenario)
 
     msq_levels = dict(derived(config.line, "_msq_levels", _msq_levels))
     event_log = format_event_log(scenario.scheduler.log)
-    report = RunReport(
+    return RunReport(
         config=config.canonical_dict(),
         result=_result_dict(result),
         event_log_digest=hashlib.sha256(event_log.encode()).hexdigest(),
@@ -241,7 +227,6 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         wall_seconds=time.perf_counter() - start,
         event_log=event_log,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -232,37 +232,16 @@ def _level(ns_B: float, r_own: float, r_far: float, r_wire: float) -> float:
     return ns_B * (r_own * (r_far + r_wire) ** 2 + r_far * r_own**2) / r_tot**2
 
 
-def analytic_msq_voltage(
-    config: LineConfig, choice_A: ResistorChoice, choice_B: ResistorChoice, party: Party = Party.ALICE
-) -> float:
-    """Exact mean-square terminal voltage for a resistor arrangement."""
-    ns_B = config.noise_scale * config.bandwidth_B
-    r_a = config.resistance(choice_A)
-    r_b = config.resistance(choice_B)
-    if party is Party.BOB:
-        return _level(ns_B, r_b, r_a, config.R_wire)
-    return _level(ns_B, r_a, r_b, config.R_wire)
-
-
-def analytic_msq_current(
-    config: LineConfig, choice_A: ResistorChoice, choice_B: ResistorChoice
-) -> float:
-    """Exact mean-square loop current for a resistor arrangement."""
-    ns_B = config.noise_scale * config.bandwidth_B
-    r_a = config.resistance(choice_A)
-    r_b = config.resistance(choice_B)
-    return ns_B * (r_a + r_b) / (r_a + r_b + config.R_wire) ** 2
-
-
 def analytic_levels(config: LineConfig) -> dict[BitState, float]:
     """The three mean-square voltage levels either party can observe, as
     the config computed them when it was validated.
 
-    LL and HH are analytic_msq_voltage of those arrangements. With nonzero
-    wire resistance the LH and HL values differ by a few parts per million;
-    the MIXED level is their mean, which is far below anything the per-BEP
-    statistics could resolve. One set serves both parties: Bob's LH and HL
-    are Alice's HL and LH, and their sum is the same.
+    LL and HH are the exact mean-square terminal voltages of those
+    arrangements (_level). With nonzero wire resistance the LH and HL values
+    differ by a few parts per million; the MIXED level is their mean, which
+    is far below anything the per-BEP statistics could resolve. One set
+    serves both parties: Bob's LH and HL are Alice's HL and LH, and their
+    sum is the same.
     """
     return dict(config._levels)
 

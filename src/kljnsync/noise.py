@@ -68,10 +68,6 @@ class NoiseTrace:
     def __len__(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
-
     def mean_square(self) -> float:
         if len(self) == 0:
             raise DegenerateInputError("mean square of an empty trace")
@@ -263,26 +259,3 @@ def autocorrelation_standard_error(spec: NoiseSpec, n_samples: int, sample_rate:
     """
     effective = n_samples * spec.bandwidth_B / sample_rate
     return spec.variance() / np.sqrt(effective)
-
-
-def averaged_periodogram(trace: NoiseTrace, n_segments: int) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided PSD estimate by averaging rectangular-window periodograms
-    of n_segments non-overlapping segments. Returns (frequencies, psd)."""
-    n = len(trace)
-    if n == 0:
-        raise DegenerateInputError("periodogram of an empty trace")
-    seg_len = n // n_segments
-    if seg_len < 2:
-        raise ConfigError("n_segments: leaves segments shorter than 2 samples")
-    fs = trace.sample_rate
-    acc = np.zeros(seg_len // 2 + 1)
-    for i in range(n_segments):
-        seg = trace.samples[i * seg_len : (i + 1) * seg_len]
-        spectrum = np.fft.rfft(seg)
-        psd = (np.abs(spectrum) ** 2) / (fs * seg_len)
-        psd[1:] *= 2.0  # fold negative frequencies; DC (and Nyquist) once
-        if seg_len % 2 == 0:
-            psd[-1] /= 2.0
-        acc += psd
-    freqs = np.fft.rfftfreq(seg_len, d=1.0 / fs)
-    return freqs, acc / n_segments

@@ -38,12 +38,7 @@ from .auth import AuthTag, encrypt_digest, hash_message, verify
 from .bepfile import BepFile, build_bep_file
 from .channel import Direction, Envelope, Scheduler, quantize
 from .config import ProtocolConfig
-from .errors import (
-    ConfigError,
-    FlatResidualError,
-    InsufficientOverlapError,
-    ProtocolIncompleteError,
-)
+from .errors import ConfigError, FlatResidualError, InsufficientOverlapError
 from .line import Party, ResistorChoice, simulate_bep
 from .noise import derive_seed
 from .scenario import Scenario
@@ -148,13 +143,14 @@ class _TwoWayRun:
     def __init__(self, scenario: Scenario, authenticated: bool):
         self.scenario = scenario
         self.authenticated = authenticated
-        self.alice, self.bob = scenario.clock(Party.ALICE), scenario.clock(Party.BOB)
+        self.alice, self.bob = scenario.clocks[Party.ALICE], scenario.clocks[Party.BOB]
         self.resolution = scenario.config.clock.quantization
         self.t1: Optional[float] = None
         self.t1_star: Optional[float] = None
         self.t2_star: Optional[float] = None
         self.t2: Optional[float] = None
-        self.share_delivered = False
+        # a Share is sent only once every timestamp is known
+        self.complete = False
         self.verdicts: list[bool] = []
 
     def _send(self, msg: SyncMessage, direction: Direction, now: float) -> None:
@@ -178,10 +174,10 @@ class _TwoWayRun:
         msg = env.payload
         if not isinstance(msg, SyncMessage):
             return
+        self._check(msg)
         now = env.deliver_absolute
         if msg.kind is MessageKind.TIME_STAMP:
             # at Bob: note arrival, think, respond with both of his stamps
-            self._check(msg)
             t1_star = quantize(self.bob.local_time(now), self.resolution)
             respond_at = now + self.scenario.config.channel.processing_delay
             t2_star = quantize(self.bob.local_time(respond_at), self.resolution)
@@ -189,18 +185,12 @@ class _TwoWayRun:
             self._send(reply, Direction.B_TO_A, respond_at)
         elif msg.kind is MessageKind.RESPONSE:
             # at Alice: record her arrival time and share it
-            self._check(msg)
             self.t1_star = msg.t1_star
             self.t2_star = msg.t2_star
             self.t2 = quantize(self.alice.local_time(now), self.resolution)
             self._send(SyncMessage(MessageKind.SHARE, t2=self.t2), Direction.A_TO_B, now)
         elif msg.kind is MessageKind.SHARE:
-            self._check(msg)
-            self.share_delivered = True
-
-    @property
-    def complete(self) -> bool:
-        return None not in (self.t1, self.t1_star, self.t2_star, self.t2) and self.share_delivered
+            self.complete = True
 
     def estimates(self) -> tuple[float, float]:
         t0 = (self.t1_star - self.t1 - self.t2 + self.t2_star) / 2.0
@@ -208,17 +198,26 @@ class _TwoWayRun:
         return t0, tau
 
 
+def _two_way(scenario: Scenario, kind: ProtocolKind, start_absolute: float) -> SyncResult:
+    """One A or B exchange, driven until the channel is idle; only B tags
+    its messages and checks them."""
+    run = _TwoWayRun(scenario, authenticated=kind is ProtocolKind.B)
+    run.start(start_absolute)
+    scenario.scheduler.run_until_idle(run.on_deliver)
+    if run.complete and all(run.verdicts):
+        return SyncResult(kind, *run.estimates(), None, auth_ok=True, attack_flag=False)
+    if kind is ProtocolKind.A:  # A has nothing to detect with: a stall is a failure, not a flag
+        detail = "incomplete: synchronization exchange never finished"
+        return SyncResult(kind, None, None, None, auth_ok=True, attack_flag=False, detail=detail)
+    detail = "authentication failed" if run.complete else "timeout: exchange stalled"
+    return SyncResult(kind, None, None, None, auth_ok=False, attack_flag=True, detail=detail)
+
+
 def protocol_a(scenario: Scenario, start_absolute: float = 0.0) -> SyncResult:
     """Undefended two-way synchronization. Recovers (t0, tau) exactly over an
     honest channel; never raises an attack flag because it has nothing to
-    check. Raises ProtocolIncompleteError when a message never arrives."""
-    run = _TwoWayRun(scenario, authenticated=False)
-    run.start(start_absolute)
-    scenario.scheduler.run_until_idle(run.on_deliver)
-    if not run.complete:
-        raise ProtocolIncompleteError("synchronization exchange never finished")
-    t0, tau = run.estimates()
-    return SyncResult(ProtocolKind.A, t0, tau, None, auth_ok=True, attack_flag=False)
+    check. A stalled exchange is reported unflagged, as incomplete."""
+    return _two_way(scenario, ProtocolKind.A, start_absolute)
 
 
 def protocol_b(scenario: Scenario, start_absolute: float = 0.0) -> SyncResult:
@@ -226,22 +225,7 @@ def protocol_b(scenario: Scenario, start_absolute: float = 0.0) -> SyncResult:
     by the tags; a stalled exchange is reported as a timeout detection. Pure
     delay or line-length games pass unflagged - the combined check exists
     for those."""
-    run = _TwoWayRun(scenario, authenticated=True)
-    run.start(start_absolute)
-    scenario.scheduler.run_until_idle(run.on_deliver)
-    if not run.complete:
-        return SyncResult(
-            ProtocolKind.B, None, None, None,
-            auth_ok=False, attack_flag=True, detail="timeout: exchange stalled",
-        )
-    auth_ok = bool(run.verdicts) and all(run.verdicts)
-    if not auth_ok:
-        return SyncResult(
-            ProtocolKind.B, None, None, None,
-            auth_ok=False, attack_flag=True, detail="authentication failed",
-        )
-    t0, tau = run.estimates()
-    return SyncResult(ProtocolKind.B, t0, tau, None, auth_ok=True, attack_flag=False)
+    return _two_way(scenario, ProtocolKind.B, start_absolute)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +489,7 @@ def run_bep(scenario: Scenario, k: int):
         derive_seed(scenario.config.seed, _SEED_BEP, k),
         bep_index=k,
         start_absolute=t_k,
-        offset_B=scenario.clock(Party.BOB).offset_t0,
+        offset_B=scenario.clocks[Party.BOB].offset_t0,
         r_wire_schedule=scenario.r_wire_schedule or None,
     )
     scenario.scheduler.record(t_k, "bep")
@@ -540,19 +524,14 @@ def protocol_c(scenario: Scenario) -> SyncResult:
         file_b = build_bep_file(meas_b, line)
         send_at = bep_start_time(scenario, k) + line.bep_duration
         outcome = exchange_files(scenario, file_a, file_b, send_at)
-        if not outcome.complete:
-            return SyncResult(
-                ProtocolKind.C, None, None, None,
-                auth_ok=False, attack_flag=True, detail="timeout: file exchange stalled",
-            )
         if not outcome.all_ok:
-            reason = "authentication failed" if not (
-                outcome.auth_ok_at_bob and outcome.auth_ok_at_alice
-            ) else "stale or mismatched file"
-            return SyncResult(
-                ProtocolKind.C, None, None, None,
-                auth_ok=False, attack_flag=True, detail=reason,
-            )
+            if not outcome.complete:
+                detail = "timeout: file exchange stalled"
+            elif not (outcome.auth_ok_at_bob and outcome.auth_ok_at_alice):
+                detail = "authentication failed"
+            else:
+                detail = "stale or mismatched file"
+            return SyncResult(ProtocolKind.C, None, None, None, auth_ok=False, attack_flag=True, detail=detail)
         # Alice searches her own record against Bob's received copy; Bob
         # does the mirror image with Alice's received copy, on his own grid.
         curves_alice.append(residual_curve(file_a, outcome.received_by_alice, line.R_wire, search))
@@ -587,7 +566,7 @@ def protocol_c(scenario: Scenario) -> SyncResult:
         )
 
     # Bob, the non-master, corrects his clock
-    scenario.clock(Party.BOB).offset_t0 -= t0_est
+    scenario.clocks[Party.BOB].offset_t0 -= t0_est
     return SyncResult(ProtocolKind.C, t0_est, None, best, auth_ok=True, attack_flag=False)
 
 
@@ -606,13 +585,12 @@ def combined_check(scenario: Scenario) -> SyncResult:
     # initiate on their own clock ticks)
     last = max((rec.absolute for rec in scenario.scheduler.log), default=0.0)
     rng = np.random.default_rng(derive_seed(scenario.config.seed, _SEED_PROBE))
-    quantum = scenario.quantum
-    wait = float(rng.integers(1_000, 1_000_000)) * quantum
-    probe_start = (np.ceil(last / quantum) + 1) * quantum + wait
+    q = scenario.quantum
+    wait = float(rng.integers(1_000, 1_000_000)) * q
+    probe_start = (np.ceil(last / q) + 1) * q + wait
 
     b_result = protocol_b(scenario, start_absolute=probe_start)
 
-    q = scenario.quantum
     nominal_tau = scenario.config.channel.tau
     tolerances = scenario.config.protocol
     failures = []

@@ -32,9 +32,6 @@ class Scenario:
     # per-run artifacts (residual curves, sample traces) for reporting
     diagnostics: dict = field(default_factory=dict)
 
-    def clock(self, party: Party) -> ClockState:
-        return self.clocks[party]
-
     @property
     def quantum(self) -> float:
         """Clock quantum used for tolerance arithmetic (1 us fallback when

@@ -14,10 +14,11 @@ from kljnsync.auth import (
 )
 from kljnsync.config import ProtocolConfig
 from kljnsync.errors import ConfigError, KeyExhaustedError, UnknownSpanError
-from kljnsync.harness import ScenarioConfig
+from kljnsync.channel import format_event_log
+from kljnsync.harness import ScenarioConfig, load_bundled, run_scenario
 from kljnsync.line import LineConfig
 from kljnsync.noise import derive_seed
-from kljnsync.protocols import protocol_a, protocol_b
+from kljnsync.protocols import combined_check, protocol_a, protocol_b
 
 
 def make_ledger(n_bits=8192, seed=1):
@@ -53,7 +54,6 @@ def test_encrypt_round_trip_and_span_accounting():
 
     tag2 = encrypt_digest(hash_message(b"other"), ledger)
     assert tag2.span.offset == tag.span.offset + tag.span.length
-    assert ledger.audit_one_time()
 
 
 def test_zero_key_makes_ciphertext_equal_digest():
@@ -158,8 +158,18 @@ def test_xor_matches_the_bytewise_form_and_cuts_to_the_shorter_input():
     assert _xor(b"\x00\x00\x01", b"\x00\x00\x01") == b"\x00\x00\x00"
 
 
-def test_audit_detects_overlap():
-    ledger = make_ledger()
-    ledger.issued.append(KeySpan(0, 256))
-    ledger.issued.append(KeySpan(128, 256))
-    assert ledger.audit_one_time() is False
+@pytest.mark.parametrize(
+    "name, runner, bits", [("honest_combined", combined_check, 1280), ("honest_protocol_b", protocol_b, 768)]
+)
+def test_the_key_spans_on_the_channel_tile_what_the_ledger_spent(name, runner, bits):
+    config, spans = load_bundled(name), []
+    sc = config.build_scenario()
+    # a hook that returns the envelope unchanged leaves no line in the log
+    sc.channel.hooks.append(lambda env, sched: spans.append(env.payload.tag.span) or env)
+    runner(sc)
+    cursor = 0
+    for span in sorted(spans):  # disjoint and contiguous from 0
+        assert span.offset == cursor and span.length > 0
+        cursor += span.length
+    assert cursor == sc.ledger.consumed == bits
+    assert format_event_log(sc.scheduler.log) == run_scenario(config).event_log

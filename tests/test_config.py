@@ -58,6 +58,24 @@ NAMED = [
     ("substitution_attack_b", "attacks.0.field", "t1"),
     ("linemod_attack_c", "attacks.0.fraction", 7.0),
     ("linemod_attack_c", "attacks.0.at_bep", 5),
+    # times too large for a run's float arithmetic
+    ("honest_protocol_a", "clock.t0", 1e303),
+    ("honest_protocol_a", "clock.t0", -1e303),
+    ("honest_protocol_a", "channel.tau", 1e308),
+    ("honest_protocol_a", "channel.processing_delay", 1e308),
+    ("honest_protocol_b", "clock.t0", 1e303),
+    ("honest_protocol_b", "clock.t0", -1e303),
+    ("honest_protocol_b", "channel.tau", 1e308),
+    ("honest_protocol_b", "channel.processing_delay", 1e308),
+    ("honest_combined", "clock.t0", 1e303),
+    ("honest_combined", "clock.t0", -1e303),
+    ("honest_combined", "channel.tau", 1e308),
+    ("honest_combined", "channel.processing_delay", 1e308),
+    ("honest_protocol_c", "protocol.k_range", [10**400]),
+    ("honest_combined", "protocol.k_range", [2**64]),
+    ("delay_attack_b", "attacks.0.delta", 1e308),
+    ("taumod_attack_combined", "attacks.0.tau", 1e308),
+    ("taumod_attack_combined", "attacks.0.at_time", 1e308),
 ]
 
 

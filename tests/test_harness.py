@@ -418,6 +418,17 @@ def test_a_fabricated_tag_run_keeps_its_bytes():
     )
 
 
+def test_a_stalled_protocol_a_run_is_reported_unflagged():
+    drop = {"kind": "Substitute", "target": "Response", "drop": True}
+    doc = dict(load_bundled("honest_protocol_a").raw, attacks=[drop])
+    report = run_scenario(ScenarioConfig.from_dict(doc))
+    nothing = dict.fromkeys(("t0_est", "tau_est", "residual"))
+    detail = "incomplete: synchronization exchange never finished"
+    assert report.result == dict(protocol="A", **nothing, auth_ok=True, attack_flag=False, detail=detail)
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest == "417e0df44c615dbe83893881bb393d92aa134f3da6364f787e814d57b7e22c16"
+
+
 def test_sweep_takes_list_items_by_their_position_only():
     # "-1" is no position: the edited attack would run beside the base one
     with pytest.raises(UnknownParameterError):

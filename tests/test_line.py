@@ -15,9 +15,8 @@ from kljnsync.line import (
     LineConfig,
     Party,
     ResistorChoice,
+    _level,
     analytic_levels,
-    analytic_msq_current,
-    analytic_msq_voltage,
     classification_thresholds,
     classify_bep,
     infer_partner_choice,
@@ -33,6 +32,28 @@ L, H = ResistorChoice.L, ResistorChoice.H
 # levels 0.5 (LL), 10/11 (MIXED), 5.0 (HH).
 CFG = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 CFG_NOWIRE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4, R_wire=0.0)
+
+
+def analytic_msq_voltage(
+    config: LineConfig, choice_A: ResistorChoice, choice_B: ResistorChoice, party: Party = Party.ALICE
+) -> float:
+    """Exact mean-square terminal voltage for a resistor arrangement."""
+    ns_B = config.noise_scale * config.bandwidth_B
+    r_a = config.resistance(choice_A)
+    r_b = config.resistance(choice_B)
+    if party is Party.BOB:
+        return _level(ns_B, r_b, r_a, config.R_wire)
+    return _level(ns_B, r_a, r_b, config.R_wire)
+
+
+def analytic_msq_current(
+    config: LineConfig, choice_A: ResistorChoice, choice_B: ResistorChoice
+) -> float:
+    """Exact mean-square loop current for a resistor arrangement."""
+    ns_B = config.noise_scale * config.bandwidth_B
+    r_a = config.resistance(choice_A)
+    r_b = config.resistance(choice_B)
+    return ns_B * (r_a + r_b) / (r_a + r_b + config.R_wire) ** 2
 
 
 def test_timing_defaults():
