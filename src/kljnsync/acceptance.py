@@ -331,7 +331,7 @@ def criterion_8_security_identity() -> tuple[bool, str]:
             msq[pair].append(meas_a.msq_voltage)
             true_bit = 0 if pair == (0, 1) else 1
             try:
-                guess = passive_bit_guess(meas_a.voltage_trace, meas_a.current_trace, LINE, seed=k)
+                guess = passive_bit_guess(meas_a, LINE, seed=k)
                 guesses.append(guess == true_bit)
             except (InconsistentStateError, AmbiguousMeasurementError):
                 pass

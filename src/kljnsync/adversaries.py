@@ -27,8 +27,8 @@ from .auth import AuthTag
 from .channel import Direction, Envelope, Scheduler
 from .config import MAX_SECONDS, check_fields
 from .errors import ConfigError, ConflictingAttackError, InconsistentStateError
-from .line import BepMeasurement, BitState, LineConfig, Party, classify_bep
-from .noise import NoiseTrace, derive_seed
+from .line import BepMeasurement, BitState, LineConfig, classify_bep
+from .noise import derive_seed
 from .protocols import MESSAGE_FIELDS, FileTransfer, MessageKind, SyncMessage, bep_start_time
 from .scenario import Scenario
 
@@ -46,7 +46,7 @@ class AsymDelay:
             raise ConfigError(f"delta: must be in [0, {MAX_SECONDS:g}]")
 
     def apply(self, scenario: Scenario, n: int) -> None:
-        scenario.channel.hooks.append(_asym_delay_hook(Direction(self.leg), self.delta))
+        scenario.scheduler.hooks.append(_asym_delay_hook(Direction(self.leg), self.delta))
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class Substitute:
         # only a fabricated tag draws: from the stream of the attack's place n
         rng = np.random.default_rng(derive_seed(scenario.config.seed, 0xE5E, n)) if self.fabricate_tag else None
         hook = _substitute_file_hook if self.target == "file" else _substitute_message_hook
-        scenario.channel.hooks.append(hook(self, rng))
+        scenario.scheduler.hooks.append(hook(self, rng))
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,9 @@ class LineMod:
     def apply(self, scenario: Scenario, n: int) -> None:
         at = self.at_time
         if at is None:
-            at = bep_start_time(scenario, self.at_bep) + self.fraction * scenario.config.line.bep_duration
+            at = bep_start_time(scenario.config, self.at_bep) + self.fraction * scenario.config.line.bep_duration
         if self.tau is not None:
-            scenario.channel.hooks.append(_tau_mod_hook(self.tau, at))
+            scenario.scheduler.hooks.append(_tau_mod_hook(self.tau, at))
             scenario.scheduler.record(at, "attack-linemod-tau")
             return
         new_r = self.r_wire if self.r_wire is not None else scenario.config.line.R_wire * self.r_wire_factor
@@ -245,26 +245,15 @@ def install(attacks, scenario: Scenario) -> Scenario:
     return scenario
 
 
-def passive_bit_guess(
-    voltage_trace: NoiseTrace,
-    current_trace: NoiseTrace,
-    config: LineConfig,
-    seed: int,
-) -> int:
-    """Eve's best channel-only guess at the key bit of a mixed BEP.
+def passive_bit_guess(meas: BepMeasurement, config: LineConfig, seed: int) -> int:
+    """Eve's best channel-only guess at the key bit of a mixed BEP, from
+    a record of the line (with a short line every tap point looks alike).
 
     She can confirm the BEP is mixed from the mean-square level, but the
     two mixed arrangements produce identical statistics, so the guess is a
     seeded coin flip. Raises InconsistentStateError when the measurement
     does not classify as mixed.
     """
-    meas = BepMeasurement(
-        party=Party.ALICE,  # Eve taps the wire; with a short line all points look alike
-        bep_index=0,
-        local_start_time=0.0,
-        voltage_trace=voltage_trace,
-        current_trace=current_trace,
-    )
     state = classify_bep(meas, config)
     if state is not BitState.MIXED:
         raise InconsistentStateError(f"passive guessing requires a mixed BEP, got {state.value}")

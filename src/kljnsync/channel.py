@@ -1,11 +1,12 @@
-"""Per-party clocks and a deterministic message channel.
+"""Clock quantization and a deterministic message channel.
 
-Absolute time is a real-valued quantity owned by the scheduler. Each party
-reads it through its own clock, which differs from absolute time by a
-constant offset (the master clock's offset is zero). Messages cross the
-channel with a per-direction propagation delay and may be intercepted by
-adversary hooks that rewrite, delay, or drop them in flight; every hook
-action is recorded in the event log, so no mutation is silent.
+Absolute time is a real-valued quantity owned by the scheduler. Alice's
+clock is the master and reads absolute time; Bob's reads it plus a
+constant offset (Scenario.bob_offset). Messages cross the channel with one
+honest propagation delay in either direction and may be intercepted by
+adversary hooks that rewrite, delay, or drop them in flight; only hooks
+make the channel asymmetric. Every hook action is recorded in the event
+log, so no mutation is silent.
 
 Event processing is single-threaded and fully ordered: envelopes deliver in
 (deliver_time, insertion_order), making whole runs reproducible byte for
@@ -17,11 +18,14 @@ from __future__ import annotations
 import enum
 import hashlib
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigError, LivelockError
-from .line import Party
+
+# the most deliveries one run_until_idle may make: a hook that keeps
+# resending what it sees would otherwise never let the queue drain
+EVENT_BUDGET = 1_000_000
 
 
 def quantize(t: float, resolution: Optional[float]) -> float:
@@ -29,17 +33,6 @@ def quantize(t: float, resolution: Optional[float]) -> float:
     if not resolution:
         return t
     return round(t / resolution) * resolution
-
-
-@dataclass
-class ClockState:
-    """local_time = absolute_time + offset_t0; the master has offset 0."""
-
-    party: Party
-    offset_t0: float = 0.0
-
-    def local_time(self, absolute: float) -> float:
-        return absolute + self.offset_t0
 
 
 class Direction(enum.Enum):
@@ -62,20 +55,6 @@ class Envelope:
             raise ConfigError("envelope: deliver_absolute precedes sent_absolute")
 
 
-@dataclass
-class ChannelState:
-    delay_a_to_b: float
-    delay_b_to_a: float
-    hooks: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.delay_a_to_b < 0 or self.delay_b_to_a < 0:
-            raise ConfigError("channel delays must be >= 0")
-
-    def delay(self, direction: Direction) -> float:
-        return self.delay_a_to_b if direction is Direction.A_TO_B else self.delay_b_to_a
-
-
 class EventRecord(NamedTuple):
     absolute: float
     kind: str
@@ -95,16 +74,17 @@ def format_event_log(log: list[EventRecord]) -> str:
 
 
 class Scheduler:
-    """Single-threaded event queue over one channel.
+    """Single-threaded event queue over one channel whose honest one-way
+    delay is tau in either direction.
 
-    Handlers passed to run_until_idle may send new envelopes; ties in
-    delivery time break by insertion order. A configurable event budget
-    guards against livelock.
+    hooks are called in order on every envelope sent (see send). Handlers
+    passed to run_until_idle may send new envelopes; ties in delivery time
+    break by insertion order. EVENT_BUDGET guards against livelock.
     """
 
-    def __init__(self, channel: ChannelState, event_budget: int = 1_000_000):
-        self.channel = channel
-        self.event_budget = event_budget
+    def __init__(self, tau: float):
+        self.tau = tau
+        self.hooks: list[Callable[[Envelope, Scheduler], Optional[Envelope]]] = []
         self.log: list[EventRecord] = []
         self._queue: list[tuple[float, int, Envelope]] = []
         self._seq = 0
@@ -122,13 +102,13 @@ class Scheduler:
         env = Envelope(
             payload=payload,
             sent_absolute=now_absolute,
-            deliver_absolute=now_absolute + self.channel.delay(direction),
+            deliver_absolute=now_absolute + self.tau,
             direction=direction,
             digest=payload_digest(payload),
         )
         self.record(now_absolute, "send", direction.value, env.digest)
 
-        for hook in self.channel.hooks:
+        for hook in self.hooks:
             before_payload = env.payload
             before_deliver = env.deliver_absolute
             result = hook(env, self)
@@ -153,8 +133,8 @@ class Scheduler:
         processed = 0
         while self._queue:
             processed += 1
-            if processed > self.event_budget:
-                raise LivelockError(f"event budget of {self.event_budget} exceeded")
+            if processed > EVENT_BUDGET:
+                raise LivelockError(f"event budget of {EVENT_BUDGET} exceeded")
             _, _, env = heapq.heappop(self._queue)
             self.record(env.deliver_absolute, "deliver", env.direction.value, env.digest)
             on_deliver(self, env)

@@ -36,6 +36,9 @@ _FAILED = object()  # a read that recorded its problems and produced nothing
 # the largest time, either way, that a config may give in seconds: an offset, a
 # delay or an instant. A run divides sums of a few of them by the clock quantum.
 MAX_SECONDS = 1e9
+# the finest clock resolution, a picosecond: a few times MAX_SECONDS are then
+# about 1e21 quanta, which rounding to the clock grid takes without overflow
+MIN_QUANTIZATION = 1e-12
 
 
 def _type_check(hint):
@@ -243,7 +246,8 @@ def _tagged_doc(obj) -> dict:
 @dataclasses.dataclass(frozen=True)
 class ClockConfig:
     """Bob's clock runs t0 seconds ahead of Alice's master clock; both read
-    in steps of quantization seconds (null or 0 disables the rounding)."""
+    in steps of quantization seconds (null or 0 disables the rounding, and
+    a step is at least MIN_QUANTIZATION)."""
 
     t0: float = 0.0
     quantization: Optional[float] = 1e-6
@@ -251,10 +255,16 @@ class ClockConfig:
     def __post_init__(self):
         check_fields(self)
         problems = [f"t0: must be in [-{MAX_SECONDS:g}, {MAX_SECONDS:g}]"] if abs(self.t0) > MAX_SECONDS else []
-        if self.quantization is not None and self.quantization < 0:
-            problems.append("quantization: must be null or >= 0")
+        if self.quantization and not self.quantization >= MIN_QUANTIZATION:
+            problems.append(f"quantization: must be null, 0 or >= {MIN_QUANTIZATION:g}")
         if problems:
             raise ConfigError(problems)
+
+    @property
+    def quantum(self) -> float:
+        """The clock step tolerances are counted in (1 us when rounding is
+        disabled)."""
+        return self.quantization or 1e-6
 
 
 @dataclasses.dataclass(frozen=True)

@@ -22,11 +22,11 @@ import numpy as np
 from .adversaries import Attack, LineMod, install
 from .auth import MAX_KEY_BITS
 from .channel import format_event_log
-from .config import ChannelConfig, ClockConfig, ProtocolConfig, check_fields, derived, read, to_doc
+from .config import MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, check_fields, derived, read, to_doc
 from .errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from .line import LineConfig, analytic_levels, classification_thresholds
 from .noise import NoiseTrace, empirical_autocorrelation
-from .protocols import SyncResult, combined_check, protocol_a, protocol_b, protocol_c
+from .protocols import PROBE_WAIT_QUANTA, SyncResult, bep_start_time, combined_check, protocol_a, protocol_b, protocol_c
 from .scenario import Scenario, make_scenario
 
 
@@ -59,6 +59,19 @@ class ScenarioConfig:
             if isinstance(attack, LineMod) and attack.at_bep is not None
             and attack.at_bep not in self.protocol.k_range
         ]
+        # a run's float timeline must resolve its clock quanta: its last BEP
+        # ends, file exchange included, where the next one would start, and
+        # the combined check's probe starts up to PROBE_WAIT_QUANTA + 2
+        # quanta later
+        if self.protocol.kind in ("C", "Combined"):
+            latest = bep_start_time(self, max(self.protocol.k_range) + 1)
+            if self.protocol.kind == "Combined":
+                latest += (PROBE_WAIT_QUANTA + 2) * self.clock.quantum
+            if not latest <= MAX_SECONDS:
+                problems.append(
+                    f"protocol.k_range: the run would reach t = {latest:.3g} s, past {MAX_SECONDS:g} s; "
+                    "lower the BEP indices, line.bep_duration, channel.tau or (for Combined) clock.quantization"
+                )
         if problems:
             raise ConfigError(problems)
 

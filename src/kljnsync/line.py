@@ -30,13 +30,12 @@ from .errors import (
     DegenerateInputError,
     InconsistentStateError,
 )
-from .noise import NoiseSpec, NoiseTrace, Unit, derive_seed, generate_with_guard
+from .noise import NoiseSpec, NoiseTrace, derive_seed, generate_with_guard
 
 
 class Party(enum.Enum):
     ALICE = "alice"
     BOB = "bob"
-    EVE = "eve"
 
 
 class ResistorChoice(enum.Enum):
@@ -314,9 +313,7 @@ def simulate_bep(
             records[key] = sig + config.measurement_noise_rel * rms * rng.standard_normal(n)
 
     def measurement(party: Party, v: np.ndarray, i: np.ndarray, local_start: float) -> BepMeasurement:
-        vt = NoiseTrace(v, fs, Unit.VOLT)
-        it = NoiseTrace(i, fs, Unit.AMPERE)
-        return BepMeasurement(party, bep_index, local_start, vt, it)
+        return BepMeasurement(party, bep_index, local_start, NoiseTrace(v, fs), NoiseTrace(i, fs))
 
     meas_a = measurement(Party.ALICE, records["vA"], records["iA"], start_absolute)
     meas_b = measurement(Party.BOB, records["vB"], records["iB"], start_absolute + offset_B)

@@ -20,18 +20,12 @@ a length with no prime factor above 5, where the inverse FFT is fast.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
-
-
-class Unit(enum.Enum):
-    VOLT = "volt"
-    AMPERE = "ampere"
 
 
 def derive_seed(master: int, *path: int) -> int:
@@ -49,13 +43,12 @@ def derive_seed(master: int, *path: int) -> int:
 class NoiseTrace:
     """A uniformly sampled real-valued signal.
 
-    samples are volts or amperes per the unit tag; sample_rate is in Hz.
-    An empty trace is permitted only as a degenerate value.
+    samples are volts or amperes; sample_rate is in Hz. An empty trace is
+    permitted only as a degenerate value.
     """
 
     samples: np.ndarray
     sample_rate: float
-    unit: Unit = Unit.VOLT
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -124,7 +117,7 @@ def generate_bandlimited_gaussian(spec: NoiseSpec, duration: float, sample_rate:
     Returns
     -------
     NoiseTrace
-        Tagged Unit.VOLT.
+        The generator voltage.
     """
     n = _sample_count(spec, duration, sample_rate)
     return NoiseTrace(_synthesize(spec, n, sample_rate), sample_rate)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -43,12 +43,19 @@ from .line import Party, ResistorChoice, simulate_bep
 from .noise import derive_seed
 from .scenario import Scenario
 
+if TYPE_CHECKING:  # harness imports this module
+    from .harness import ScenarioConfig
+
 # spawn-key namespaces for the per-purpose random streams; each keys the
 # draws of every seeded report, so a value is never reused or renumbered
 _SEED_CHOICE_A = 1
 _SEED_CHOICE_B = 2
 _SEED_BEP = 3
 _SEED_PROBE = 5
+
+# the combined check's probe starts fewer than this many clock quanta after
+# the next tick past the last event
+PROBE_WAIT_QUANTA = 1_000_000
 
 
 class MessageKind(enum.Enum):
@@ -143,7 +150,6 @@ class _TwoWayRun:
     def __init__(self, scenario: Scenario, authenticated: bool):
         self.scenario = scenario
         self.authenticated = authenticated
-        self.alice, self.bob = scenario.clocks[Party.ALICE], scenario.clocks[Party.BOB]
         self.resolution = scenario.config.clock.quantization
         self.t1: Optional[float] = None
         self.t1_star: Optional[float] = None
@@ -167,7 +173,7 @@ class _TwoWayRun:
             self.verdicts.append(tag is not None and verify(msg.canonical_bytes(), tag, self.scenario.ledger))
 
     def start(self, start_absolute: float) -> None:
-        self.t1 = quantize(self.alice.local_time(start_absolute), self.resolution)
+        self.t1 = quantize(start_absolute, self.resolution)
         self._send(SyncMessage(MessageKind.TIME_STAMP, t1=self.t1), Direction.A_TO_B, start_absolute)
 
     def on_deliver(self, sched: Scheduler, env: Envelope) -> None:
@@ -178,16 +184,17 @@ class _TwoWayRun:
         now = env.deliver_absolute
         if msg.kind is MessageKind.TIME_STAMP:
             # at Bob: note arrival, think, respond with both of his stamps
-            t1_star = quantize(self.bob.local_time(now), self.resolution)
+            offset = self.scenario.bob_offset
+            t1_star = quantize(now + offset, self.resolution)
             respond_at = now + self.scenario.config.channel.processing_delay
-            t2_star = quantize(self.bob.local_time(respond_at), self.resolution)
+            t2_star = quantize(respond_at + offset, self.resolution)
             reply = SyncMessage(MessageKind.RESPONSE, t1_star=t1_star, t2_star=t2_star)
             self._send(reply, Direction.B_TO_A, respond_at)
         elif msg.kind is MessageKind.RESPONSE:
             # at Alice: record her arrival time and share it
             self.t1_star = msg.t1_star
             self.t2_star = msg.t2_star
-            self.t2 = quantize(self.alice.local_time(now), self.resolution)
+            self.t2 = quantize(now, self.resolution)
             self._send(SyncMessage(MessageKind.SHARE, t2=self.t2), Direction.A_TO_B, now)
         elif msg.kind is MessageKind.SHARE:
             self.complete = True
@@ -462,11 +469,11 @@ def estimate_offset(
     return locate_minimum(shifts, residuals, search.residual_threshold)
 
 
-def bep_start_time(scenario: Scenario, k: int) -> float:
+def bep_start_time(config: ScenarioConfig, k: int) -> float:
     """Absolute start of BEP k on the shared timeline: records are taken
     back to back with enough slack after each for the file exchange."""
-    slack = 2.0 * (scenario.channel.delay_a_to_b + scenario.channel.delay_b_to_a)
-    return k * (scenario.config.line.bep_duration + slack)
+    slack = 2.0 * (config.channel.tau + config.channel.tau)
+    return k * (config.line.bep_duration + slack)
 
 
 def _draw_choices(scenario: Scenario, k: int) -> tuple[ResistorChoice, ResistorChoice]:
@@ -480,7 +487,7 @@ def _draw_choices(scenario: Scenario, k: int) -> tuple[ResistorChoice, ResistorC
 def run_bep(scenario: Scenario, k: int):
     """Simulate BEP k with the parties' current clocks and any installed
     line modification, and log it in the scenario trace."""
-    t_k = bep_start_time(scenario, k)
+    t_k = bep_start_time(scenario.config, k)
     c_a, c_b = _draw_choices(scenario, k)
     meas_a, meas_b = simulate_bep(
         c_a,
@@ -489,7 +496,7 @@ def run_bep(scenario: Scenario, k: int):
         derive_seed(scenario.config.seed, _SEED_BEP, k),
         bep_index=k,
         start_absolute=t_k,
-        offset_B=scenario.clocks[Party.BOB].offset_t0,
+        offset_B=scenario.bob_offset,
         r_wire_schedule=scenario.r_wire_schedule or None,
     )
     scenario.scheduler.record(t_k, "bep")
@@ -522,7 +529,7 @@ def protocol_c(scenario: Scenario) -> SyncResult:
         meas_a, meas_b = run_bep(scenario, k)
         file_a = build_bep_file(meas_a, line)
         file_b = build_bep_file(meas_b, line)
-        send_at = bep_start_time(scenario, k) + line.bep_duration
+        send_at = bep_start_time(scenario.config, k) + line.bep_duration
         outcome = exchange_files(scenario, file_a, file_b, send_at)
         if not outcome.all_ok:
             if not outcome.complete:
@@ -566,7 +573,7 @@ def protocol_c(scenario: Scenario) -> SyncResult:
         )
 
     # Bob, the non-master, corrects his clock
-    scenario.clocks[Party.BOB].offset_t0 -= t0_est
+    scenario.bob_offset -= t0_est
     return SyncResult(ProtocolKind.C, t0_est, None, best, auth_ok=True, attack_flag=False)
 
 
@@ -585,8 +592,8 @@ def combined_check(scenario: Scenario) -> SyncResult:
     # initiate on their own clock ticks)
     last = max((rec.absolute for rec in scenario.scheduler.log), default=0.0)
     rng = np.random.default_rng(derive_seed(scenario.config.seed, _SEED_PROBE))
-    q = scenario.quantum
-    wait = float(rng.integers(1_000, 1_000_000)) * q
+    q = scenario.config.clock.quantum
+    wait = float(rng.integers(1_000, PROBE_WAIT_QUANTA)) * q
     probe_start = (np.ceil(last / q) + 1) * q + wait
 
     b_result = protocol_b(scenario, start_absolute=probe_start)

@@ -2,7 +2,7 @@
 
 A Scenario holds the validated config it was built from, which the
 protocols and attacks read their parameters from, and the state derived
-deterministically from it: both parties' clocks, the scheduled channel and
+deterministically from it: Bob's clock offset, the scheduled channel and
 the shared key ledger. Scenarios are isolated values; any number of them
 can run concurrently as long as each is driven by one thread.
 """
@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .auth import KeyLedger
-from .channel import ChannelState, ClockState, Scheduler
-from .line import Party
+from .channel import Scheduler
 
 if TYPE_CHECKING:  # harness imports this module
     from .harness import ScenarioConfig
@@ -23,20 +22,15 @@ if TYPE_CHECKING:  # harness imports this module
 @dataclass
 class Scenario:
     config: ScenarioConfig
-    clocks: dict[Party, ClockState]
-    channel: ChannelState
+    # Bob's clock reads absolute time plus bob_offset; Alice's, the master,
+    # reads absolute time. Protocol C corrects it.
+    bob_offset: float
     scheduler: Scheduler
     ledger: KeyLedger
     # line-modification attack state (consulted by the BEP simulation)
     r_wire_schedule: list[tuple[float, float]] = field(default_factory=list)
     # per-run artifacts (residual curves, sample traces) for reporting
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def quantum(self) -> float:
-        """Clock quantum used for tolerance arithmetic (1 us fallback when
-        quantization is disabled)."""
-        return self.config.clock.quantization or 1e-6
 
 
 def make_scenario(config: ScenarioConfig) -> Scenario:
@@ -47,12 +41,9 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
     clock.t0. Both channel directions carry the same honest delay
     channel.tau.
     """
-    tau = config.channel.tau
-    channel_state = ChannelState(delay_a_to_b=tau, delay_b_to_a=tau)
     return Scenario(
         config=config,
-        clocks={Party.ALICE: ClockState(Party.ALICE, 0.0), Party.BOB: ClockState(Party.BOB, config.clock.t0)},
-        channel=channel_state,
-        scheduler=Scheduler(channel_state),
+        bob_offset=config.clock.t0,
+        scheduler=Scheduler(config.channel.tau),
         ledger=KeyLedger.generate(config.key_bits, config.seed),
     )

@@ -86,13 +86,13 @@ def test_hook_actions_are_audited_in_the_log():
 def test_passive_guess_requires_mixed_bep():
     meas, _ = simulate_bep(ResistorChoice.L, ResistorChoice.L, LINE, seed=50)
     with pytest.raises(InconsistentStateError):
-        passive_bit_guess(meas.voltage_trace, meas.current_trace, LINE, seed=0)
+        passive_bit_guess(meas, LINE, seed=0)
 
 
 def test_passive_guess_is_deterministic():
     meas, _ = simulate_bep(ResistorChoice.L, ResistorChoice.H, LINE, seed=51)
-    g1 = passive_bit_guess(meas.voltage_trace, meas.current_trace, LINE, seed=7)
-    g2 = passive_bit_guess(meas.voltage_trace, meas.current_trace, LINE, seed=7)
+    g1 = passive_bit_guess(meas, LINE, seed=7)
+    g2 = passive_bit_guess(meas, LINE, seed=7)
     assert g1 == g2 and g1 in (0, 1)
 
 
@@ -108,7 +108,7 @@ def test_passive_guess_accuracy_is_chance():
             c_a, c_b, true_bit = ResistorChoice.H, ResistorChoice.L, 1
         meas, _ = simulate_bep(c_a, c_b, LINE, seed=60_000 + k)
         try:
-            guess = passive_bit_guess(meas.voltage_trace, meas.current_trace, LINE, seed=k)
+            guess = passive_bit_guess(meas, LINE, seed=k)
         except (InconsistentStateError, AmbiguousMeasurementError):
             continue  # unclassifiable BEP, Eve skips it too
         hits += guess == true_bit

@@ -184,7 +184,7 @@ def test_mismatched_lengths_rejected():
     [
         {"bep_index": -1},
         {"bep_index": 2**64},
-        {"party": Party.EVE},
+        {"party": "eve"},
         {"config_digest": b"\x00" * 31},
         {"voltage_samples": np.zeros((2, 2))},  # as many samples as the current, in two rows
         {"current_samples": np.array([0.0, np.inf, 0.0, 0.0])},

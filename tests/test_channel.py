@@ -2,26 +2,26 @@ import hashlib
 
 import pytest
 
-from kljnsync.channel import (
-    ChannelState,
-    ClockState,
-    Direction,
-    Envelope,
-    Scheduler,
-    format_event_log,
-    quantize,
-)
+from kljnsync import channel
+from kljnsync.channel import Direction, Envelope, Scheduler, format_event_log, quantize
 from kljnsync.errors import ConfigError, LivelockError
-from kljnsync.line import Party
+from kljnsync.harness import load_bundled
+from kljnsync.protocols import protocol_a
 
 
 def test_local_time_is_offset_translation():
-    master = ClockState(Party.ALICE, 0.0)
-    assert master.local_time(7.0) == 7.0
-    bob = ClockState(Party.BOB, 0.005)
-    assert bob.local_time(1.000) == 1.005
-    early = ClockState(Party.BOB, -3e-3)
-    assert early.local_time(0.0) == -0.003
+    # Alice's stamps read absolute time, Bob's absolute time plus clock.t0
+    config = load_bundled("honest_protocol_a")
+    q, t0 = config.clock.quantization, config.clock.t0
+    sc = config.build_scenario()
+    seen = []  # (message, arrival) of every envelope; the hook passes each on
+    sc.scheduler.hooks.append(lambda env, sched: seen.append((env.payload, env.deliver_absolute)) or env)
+    protocol_a(sc)
+    (stamp, at_bob), (response, at_alice), (share, _) = seen
+    assert stamp.t1 == 0.0 and t0 > 1000 * q
+    assert response.t1_star == quantize(at_bob + t0, q)
+    assert response.t2_star == quantize(at_bob + config.channel.processing_delay + t0, q)
+    assert share.t2 == quantize(at_alice, q)
 
 
 def test_quantize():
@@ -32,7 +32,7 @@ def test_quantize():
 
 
 def test_honest_send_is_pure_delay():
-    sched = Scheduler(ChannelState(0.002, 0.002))
+    sched = Scheduler(0.002)
     env = sched.send("ping", Direction.A_TO_B, 0.0)
     assert env.deliver_absolute == 0.002
     got = []
@@ -43,22 +43,21 @@ def test_honest_send_is_pure_delay():
 
 
 def test_empty_queue_gives_empty_log():
-    sched = Scheduler(ChannelState(0.001, 0.001))
+    sched = Scheduler(0.001)
     assert sched.run_until_idle(lambda s, e: None) == []
     assert format_event_log(sched.log) == ""
 
 
 def test_delay_hook_composes_additively():
     # Bob sends at 10 ms over a 2 ms channel; Eve adds 4 ms on that leg only
-    channel = ChannelState(0.002, 0.002)
+    sched = Scheduler(0.002)
 
     def eve(env, sched):
         if env.direction is Direction.B_TO_A:
             env.deliver_absolute += 0.004
         return env
 
-    channel.hooks.append(eve)
-    sched = Scheduler(channel)
+    sched.hooks.append(eve)
     env = sched.send("reply", Direction.B_TO_A, 0.010)
     assert env.deliver_absolute == pytest.approx(0.016)
     unharmed = sched.send("fwd", Direction.A_TO_B, 0.010)
@@ -67,14 +66,13 @@ def test_delay_hook_composes_additively():
 
 
 def test_substitution_hook_logs_original_and_replacement():
-    channel = ChannelState(0.002, 0.002)
+    sched = Scheduler(0.002)
 
     def eve(env, sched):
         env.payload = "forged"
         return env
 
-    channel.hooks.append(eve)
-    sched = Scheduler(channel)
+    sched.hooks.append(eve)
     env = sched.send("genuine", Direction.A_TO_B, 0.0)
     assert env.payload == "forged"
     assert env.deliver_absolute == 0.002  # delivery time untouched
@@ -84,9 +82,8 @@ def test_substitution_hook_logs_original_and_replacement():
 
 
 def test_drop_is_recorded_not_raised():
-    channel = ChannelState(0.002, 0.002)
-    channel.hooks.append(lambda env, sched: None)
-    sched = Scheduler(channel)
+    sched = Scheduler(0.002)
+    sched.hooks.append(lambda env, sched: None)
     assert sched.send("gone", Direction.A_TO_B, 0.0) is None
     delivered = []
     sched.run_until_idle(lambda s, e: delivered.append(e))
@@ -95,14 +92,13 @@ def test_drop_is_recorded_not_raised():
 
 
 def test_hooks_cannot_break_causality():
-    channel = ChannelState(0.002, 0.002)
+    sched = Scheduler(0.002)
 
     def eve(env, sched):
         env.deliver_absolute = env.sent_absolute - 1.0
         return env
 
-    channel.hooks.append(eve)
-    sched = Scheduler(channel)
+    sched.hooks.append(eve)
     env = sched.send("m", Direction.A_TO_B, 5.0)
     assert env.deliver_absolute >= env.sent_absolute
 
@@ -113,7 +109,7 @@ def test_envelope_validates_causality():
 
 
 def test_ties_break_by_insertion_order():
-    sched = Scheduler(ChannelState(0.001, 0.001))
+    sched = Scheduler(0.001)
     sched.send("first", Direction.A_TO_B, 0.0)
     sched.send("second", Direction.B_TO_A, 0.0)
     got = []
@@ -123,7 +119,14 @@ def test_ties_break_by_insertion_order():
 
 def test_identical_runs_give_identical_logs():
     def run():
-        sched = Scheduler(ChannelState(0.002, 0.003))
+        sched = Scheduler(0.002)
+
+        def slow_replies(env, sched):  # Eve holds Bob's replies 1 ms longer
+            if env.direction is Direction.B_TO_A:
+                env.deliver_absolute += 0.001
+            return env
+
+        sched.hooks.append(slow_replies)
         sched.send("a", Direction.A_TO_B, 0.0)
         sched.send("b", Direction.B_TO_A, 0.001)
         sched.run_until_idle(lambda s, e: None)
@@ -133,7 +136,7 @@ def test_identical_runs_give_identical_logs():
 
 
 def test_event_log_line_format():
-    sched = Scheduler(ChannelState(0.002, 0.002))
+    sched = Scheduler(0.002)
     sched.send("payload", Direction.A_TO_B, 0.25)
     sched.run_until_idle(lambda s, e: None)
     lines = format_event_log(sched.log).splitlines()
@@ -142,8 +145,9 @@ def test_event_log_line_format():
     assert len(digest) == 64
 
 
-def test_livelock_guard():
-    sched = Scheduler(ChannelState(0.001, 0.001), event_budget=50)
+def test_livelock_guard(monkeypatch):
+    monkeypatch.setattr(channel, "EVENT_BUDGET", 50)
+    sched = Scheduler(0.001)
 
     def echo(s, env):
         s.send(env.payload, env.direction, env.deliver_absolute)
@@ -151,11 +155,6 @@ def test_livelock_guard():
     sched.send("loop", Direction.A_TO_B, 0.0)
     with pytest.raises(LivelockError):
         sched.run_until_idle(echo)
-
-
-def test_channel_rejects_negative_delay():
-    with pytest.raises(ConfigError):
-        ChannelState(-0.001, 0.001)
 
 
 class Counted:
@@ -170,7 +169,7 @@ class Counted:
 
 
 def test_a_payload_is_digested_once_from_send_to_delivery():
-    sched = Scheduler(ChannelState(0.002, 0.002))
+    sched = Scheduler(0.002)
     payload = Counted("t1")
     env = sched.send(payload, Direction.A_TO_B, 0.0)
     sched.run_until_idle(lambda s, e: None)
@@ -181,7 +180,7 @@ def test_a_payload_is_digested_once_from_send_to_delivery():
 
 
 def test_a_substituted_payload_is_digested_again():
-    channel = ChannelState(0.002, 0.002)
+    sched = Scheduler(0.002)
     forged = Counted("forged")
 
     def eve(env, sched):
@@ -189,8 +188,7 @@ def test_a_substituted_payload_is_digested_again():
         env.deliver_absolute += 0.001
         return env
 
-    channel.hooks.append(eve)
-    sched = Scheduler(channel)
+    sched.hooks.append(eve)
     sched.send(Counted("genuine"), Direction.A_TO_B, 0.0)
     sched.run_until_idle(lambda s, e: None)
     assert forged.encodes == 1
@@ -201,9 +199,8 @@ def test_a_substituted_payload_is_digested_again():
 
 
 def test_a_dropped_payload_logs_the_digest_it_was_sent_with():
-    channel = ChannelState(0.002, 0.002)
-    channel.hooks.append(lambda env, sched: None)
-    sched = Scheduler(channel)
+    sched = Scheduler(0.002)
+    sched.hooks.append(lambda env, sched: None)
     payload = Counted("gone")
     sched.send(payload, Direction.A_TO_B, 0.0)
     assert [rec.digest for rec in sched.log] == [hashlib.sha256(b"gone").hexdigest()] * 2

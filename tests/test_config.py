@@ -36,7 +36,8 @@ def mutated(doc, path: str, value):
     return doc
 
 
-# (bundled scenario, dotted path, new value): one change each
+# (bundled scenario, dotted path, new value[, changes made before it]): one
+# change each
 NAMED = [
     ("honest_protocol_c", "protocol", "C"),
     ("honest_protocol_c", "line.R_L", "1"),
@@ -76,12 +77,29 @@ NAMED = [
     ("delay_attack_b", "attacks.0.delta", 1e308),
     ("taumod_attack_combined", "attacks.0.tau", 1e308),
     ("taumod_attack_combined", "attacks.0.at_time", 1e308),
+    # runs whose latest instant is past MAX_SECONDS, where the float timeline
+    # no longer resolves the clock
+    ("honest_protocol_c", "protocol.k_range", [2**50]),
+    ("honest_protocol_c", "protocol.k_range", [2**40]),
+    ("honest_combined", "protocol.k_range", [1000], {"line.bandwidth_B": 1e-280, "line.noise_scale": 1e276}),
+    # clock steps so fine that a time divided by them overflows
+    ("honest_protocol_a", "clock.quantization", 5e-324),
+    ("honest_protocol_a", "clock.quantization", 1e-300, {"clock.t0": 1e9}),
 ]
+NAMED = [row if len(row) == 4 else (*row, {}) for row in NAMED]
 
 
-@pytest.mark.parametrize("name,path,value", NAMED, ids=[f"{n}:{p}={'deleted' if v is DELETE else repr(v)}" for n, p, v in NAMED])
-def test_named_malformed_configs_fail_closed(name, path, value, tmp_path, capsys):
-    doc = mutated(load_bundled(name).raw, path, value)
+def _named_id(name, path, value, before):
+    changes = [f"{p}={v!r}" for p, v in before.items()] + [f"{path}={'deleted' if value is DELETE else repr(value)}"]
+    return f"{name}:{','.join(changes)}"
+
+
+@pytest.mark.parametrize("name,path,value,before", NAMED, ids=[_named_id(*row) for row in NAMED])
+def test_named_malformed_configs_fail_closed(name, path, value, before, tmp_path, capsys):
+    doc = load_bundled(name).raw
+    for earlier, earlier_value in before.items():
+        doc = mutated(doc, earlier, earlier_value)
+    doc = mutated(doc, path, value)
     with pytest.raises(ConfigError) as err:
         ScenarioConfig.from_dict(doc)
     assert any(p.startswith(path) for p in err.value.problems), err.value.problems

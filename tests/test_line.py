@@ -24,7 +24,7 @@ from kljnsync.line import (
     timing_defaults,
     true_bit_state,
 )
-from kljnsync.noise import NoiseTrace, Unit
+from kljnsync.noise import NoiseTrace
 
 L, H = ResistorChoice.L, ResistorChoice.H
 
@@ -134,7 +134,6 @@ def test_ohm_consistency_links_the_two_terminals():
 def test_both_parties_record_the_same_loop_current():
     meas_a, meas_b = simulate_bep(H, L, CFG, seed=14)
     assert np.array_equal(meas_a.current_trace.samples, meas_b.current_trace.samples)
-    assert meas_a.current_trace.unit is Unit.AMPERE
 
 
 def test_local_clock_stamps():
@@ -164,7 +163,7 @@ def test_record_mean_squares_are_computed_once_on_first_read(monkeypatch):
     original, passes = NoiseTrace.mean_square, []
 
     def counted(trace):
-        passes.append(trace.unit)
+        passes.append(trace)
         return original(trace)
 
     monkeypatch.setattr(NoiseTrace, "mean_square", counted)
@@ -173,7 +172,8 @@ def test_record_mean_squares_are_computed_once_on_first_read(monkeypatch):
     for _ in range(2):  # the second read finds the value the first one kept
         assert meas_a.msq_voltage == float(np.mean(meas_a.voltage_trace.samples**2))
         assert meas_a.msq_current == float(np.mean(meas_a.current_trace.samples**2))
-    assert passes == [Unit.VOLT, Unit.AMPERE]
+    assert len(passes) == 2
+    assert passes[0] is meas_a.voltage_trace and passes[1] is meas_a.current_trace
     empty = NoiseTrace(np.zeros(0), CFG.sample_rate)
     assert BepMeasurement(Party.BOB, 0, 0.0, empty, empty).msq_voltage == 0.0
     assert len(passes) == 2

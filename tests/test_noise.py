@@ -5,7 +5,6 @@ from kljnsync.errors import ConfigError, DegenerateInputError
 from kljnsync.noise import (
     NoiseSpec,
     NoiseTrace,
-    Unit,
     _fast_length,
     autocorrelation_standard_error,
     empirical_autocorrelation,
@@ -234,5 +233,4 @@ def test_trace_invariants():
         NoiseTrace(np.array([1.0, np.inf]), 1e3)
     with pytest.raises(ConfigError):
         NoiseTrace(np.zeros(3), 0.0)
-    tr = NoiseTrace(np.zeros(10), 100.0, Unit.AMPERE)
-    assert len(tr) == 10 and tr.unit is Unit.AMPERE
+    assert len(NoiseTrace(np.zeros(10), 100.0)) == 10

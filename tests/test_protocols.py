@@ -448,7 +448,7 @@ def test_protocol_c_honest_recovers_and_corrects():
     assert res.t0_est == pytest.approx(t0, abs=1.0 / FS)
     assert res.tau_est is None  # this protocol cannot see tau
     assert res.residual < 1e-4
-    assert abs(sc.clocks[Party.BOB].offset_t0) < 1.0 / FS
+    assert abs(sc.bob_offset) < 1.0 / FS
 
 
 def test_protocol_c_multi_bep_pooling():
@@ -467,7 +467,7 @@ def test_protocol_c_multi_bep_pooling_with_a_sub_sample_offset():
     assert res.attack_flag is False, res.detail
     assert res.t0_est == pytest.approx(t0, abs=1.0 / FS)
     assert res.residual < 1e-4
-    assert abs(sc.clocks[Party.BOB].offset_t0) < 1.0 / FS
+    assert abs(sc.bob_offset) < 1.0 / FS
 
 
 @pytest.mark.parametrize("samples", [7.3, -0.5, 150.0, -901.7])
@@ -491,7 +491,7 @@ def test_protocol_c_flags_tampered_file_and_skips_correction():
     res = protocol_c(sc)
     assert res.attack_flag is True and res.auth_ok is False
     assert res.t0_est is None
-    assert sc.clocks[Party.BOB].offset_t0 == pytest.approx(t0)  # uncorrected
+    assert sc.bob_offset == pytest.approx(t0)  # uncorrected
 
 
 def test_protocol_c_flags_replayed_file():
@@ -515,8 +515,8 @@ def test_combined_check_honest_passes():
     res = combined_check(sc)
     assert res.protocol is ProtocolKind.COMBINED
     assert res.attack_flag is False
-    assert abs(res.t0_est) <= 2 * sc.quantum
-    assert res.tau_est == pytest.approx(sc.config.channel.tau, abs=1.5 * sc.quantum)
+    assert abs(res.t0_est) <= 2 * sc.config.clock.quantum
+    assert res.tau_est == pytest.approx(sc.config.channel.tau, abs=1.5 * sc.config.clock.quantum)
     assert res.residual < 1e-4
 
 

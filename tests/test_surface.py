@@ -10,14 +10,52 @@ ALLOWED = {
     "msq_current": "the planned noise-floor estimate reads a record's current level",
 }
 
+# fields no code in the package reads, each kept for one reader outside it
+UNREAD_FIELDS = {
+    "raw": "perfbench/workloads.py edits a copy of the document a config was read from",
+    "partner": "the tests pin the partner's resistor PartnerInference infers; the program reads only key_bit",
+}
+
+
+def _package_nodes() -> list[ast.AST]:
+    package = Path(__file__).resolve().parents[1] / "src" / "kljnsync"
+    return [node for path in package.glob("*.py") for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+
 
 def test_every_function_class_and_method_has_a_caller_in_the_package():
     # every def and class at any depth (so every top-level one and every
     # method), dunders aside, must be named somewhere in the package
-    package = Path(__file__).resolve().parents[1] / "src" / "kljnsync"
-    nodes = [node for path in package.glob("*.py") for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+    nodes = _package_nodes()
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined = {n.name for n in nodes if isinstance(n, kinds) and not re.fullmatch("__.*__", n.name)}
     used = {n.id if isinstance(n, ast.Name) else n.attr for n in nodes if isinstance(n, (ast.Name, ast.Attribute))}
     dead = sorted(defined - used)
     assert dead == sorted(ALLOWED), f"no caller in the package: {dead}"
+
+
+def test_every_field_is_read_and_every_enum_member_named_in_the_package():
+    # every annotated field of a class (InitVars aside) must be read as an
+    # attribute somewhere, and every member of an Enum named as one
+    nodes = _package_nodes()
+    classes = [n for n in nodes if isinstance(n, ast.ClassDef)]
+    fields = {
+        stmt.target.id
+        for cls in classes
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and "InitVar" not in ast.unparse(stmt.annotation)
+    }
+    members = {
+        target.id
+        for cls in classes
+        if any(ast.unparse(base).endswith("Enum") for base in cls.bases)
+        for stmt in cls.body
+        if isinstance(stmt, ast.Assign)
+        for target in stmt.targets
+        if isinstance(target, ast.Name)
+    }
+    attributes = [n for n in nodes if isinstance(n, ast.Attribute)]
+    read = {n.attr for n in attributes if isinstance(n.ctx, ast.Load)}
+    named = {n.attr for n in attributes}
+    unread = sorted((fields - read) | (members - named))
+    assert unread == sorted(UNREAD_FIELDS), f"never read in the package: {unread}"
