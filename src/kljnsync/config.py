@@ -314,6 +314,9 @@ class ProtocolConfig:
             problems.append("residual_threshold: must be >= 1e-12")
         if not self.k_range or min(self.k_range) < 0 or max(self.k_range) >= 2**64:
             problems.append("k_range: must list at least one BEP index, each in [0, 2**64)")
+        elif any(a >= b for a, b in zip(self.k_range, self.k_range[1:])):
+            # each BEP is recorded once, and the records follow the timeline
+            problems.append("k_range: must be strictly increasing")
         for name in ("t0_tol_quanta", "tau_tol_quanta"):
             if getattr(self, name) < 0:
                 problems.append(f"{name}: must be >= 0")

@@ -59,11 +59,18 @@ class ScenarioConfig:
             if isinstance(attack, LineMod) and attack.at_bep is not None
             and attack.at_bep not in self.protocol.k_range
         ]
-        # a run's float timeline must resolve its clock quanta: its last BEP
-        # ends, file exchange included, where the next one would start, and
-        # the combined check's probe starts up to PROBE_WAIT_QUANTA + 2
-        # quanta later
         if self.protocol.kind in ("C", "Combined"):
+            # the alignment search needs a loop current and divides by the
+            # wire resistance: without either an honest run could not pass
+            problems += [
+                f"line.{name}: must be > 0 for protocol {self.protocol.kind}"
+                for name in ("noise_scale", "R_wire")
+                if getattr(self.line, name) == 0
+            ]
+            # a run's float timeline must resolve its clock quanta: its last
+            # BEP ends, file exchange included, where the next one would
+            # start, and the combined check's probe starts up to
+            # PROBE_WAIT_QUANTA + 2 quanta later
             latest = bep_start_time(self, max(self.protocol.k_range) + 1)
             if self.protocol.kind == "Combined":
                 latest += (PROBE_WAIT_QUANTA + 2) * self.clock.quantum
@@ -183,7 +190,7 @@ class RunReport:
 
 def _result_dict(result: SyncResult) -> dict:
     return {
-        "protocol": result.protocol.value,
+        "protocol": result.protocol,
         "t0_est": None if result.t0_est is None else float(result.t0_est),
         "tau_est": None if result.tau_est is None else float(result.tau_est),
         "residual": None if result.residual is None else float(result.residual),

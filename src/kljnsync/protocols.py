@@ -99,13 +99,6 @@ class SyncMessage:
         return self._encoding
 
 
-class ProtocolKind(enum.Enum):
-    A = "A"
-    B = "B"
-    C = "C"
-    COMBINED = "Combined"
-
-
 @dataclass(frozen=True)
 class SyncResult:
     """Outcome of one synchronization run.
@@ -115,7 +108,7 @@ class SyncResult:
     strayed from nominal; estimates from a flagged run are discarded.
     """
 
-    protocol: ProtocolKind
+    protocol: str  # the config's kind: "A", "B", "C" or "Combined"
     t0_est: Optional[float]
     tau_est: Optional[float]
     residual: Optional[float]
@@ -144,87 +137,68 @@ class FileTransfer:
 # ---------------------------------------------------------------------------
 
 
-class _TwoWayRun:
-    """State machine for one A/B exchange, driven by the scheduler."""
+def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult:
+    """One A or B exchange, driven until the channel is idle; only B tags
+    its messages and checks them."""
+    authenticated = kind == "B"
+    resolution = scenario.config.clock.quantization
+    t1 = quantize(start_absolute, resolution)
+    t1_star = t2_star = t2 = None
+    shared = False  # a Share is sent only once every timestamp is known
+    verdicts: list[bool] = []
 
-    def __init__(self, scenario: Scenario, authenticated: bool):
-        self.scenario = scenario
-        self.authenticated = authenticated
-        self.resolution = scenario.config.clock.quantization
-        self.t1: Optional[float] = None
-        self.t1_star: Optional[float] = None
-        self.t2_star: Optional[float] = None
-        self.t2: Optional[float] = None
-        # a Share is sent only once every timestamp is known
-        self.complete = False
-        self.verdicts: list[bool] = []
-
-    def _send(self, msg: SyncMessage, direction: Direction, now: float) -> None:
-        if self.authenticated:
+    def send(msg: SyncMessage, direction: Direction, now: float) -> None:
+        if authenticated:
             # the tag is not part of the encoding: the sender tags the
             # message it has just built, before the channel sees it
-            tag = encrypt_digest(hash_message(msg.canonical_bytes()), self.scenario.ledger)
+            tag = encrypt_digest(hash_message(msg.canonical_bytes()), scenario.ledger)
             object.__setattr__(msg, "tag", tag)
-        self.scenario.scheduler.send(msg, direction, now)
+        scenario.scheduler.send(msg, direction, now)
 
-    def _check(self, msg: SyncMessage) -> None:
-        if self.authenticated:
-            tag = msg.tag
-            self.verdicts.append(tag is not None and verify(msg.canonical_bytes(), tag, self.scenario.ledger))
-
-    def start(self, start_absolute: float) -> None:
-        self.t1 = quantize(start_absolute, self.resolution)
-        self._send(SyncMessage(MessageKind.TIME_STAMP, t1=self.t1), Direction.A_TO_B, start_absolute)
-
-    def on_deliver(self, sched: Scheduler, env: Envelope) -> None:
+    def on_deliver(sched: Scheduler, env: Envelope) -> None:
+        nonlocal t1_star, t2_star, t2, shared
         msg = env.payload
         if not isinstance(msg, SyncMessage):
             return
-        self._check(msg)
+        if authenticated:
+            verdicts.append(msg.tag is not None and verify(msg.canonical_bytes(), msg.tag, scenario.ledger))
         now = env.deliver_absolute
         if msg.kind is MessageKind.TIME_STAMP:
             # at Bob: note arrival, think, respond with both of his stamps
-            offset = self.scenario.bob_offset
-            t1_star = quantize(now + offset, self.resolution)
-            respond_at = now + self.scenario.config.channel.processing_delay
-            t2_star = quantize(respond_at + offset, self.resolution)
-            reply = SyncMessage(MessageKind.RESPONSE, t1_star=t1_star, t2_star=t2_star)
-            self._send(reply, Direction.B_TO_A, respond_at)
+            offset = scenario.bob_offset
+            respond_at = now + scenario.config.channel.processing_delay
+            reply = SyncMessage(
+                MessageKind.RESPONSE,
+                t1_star=quantize(now + offset, resolution),
+                t2_star=quantize(respond_at + offset, resolution),
+            )
+            send(reply, Direction.B_TO_A, respond_at)
         elif msg.kind is MessageKind.RESPONSE:
             # at Alice: record her arrival time and share it
-            self.t1_star = msg.t1_star
-            self.t2_star = msg.t2_star
-            self.t2 = quantize(now, self.resolution)
-            self._send(SyncMessage(MessageKind.SHARE, t2=self.t2), Direction.A_TO_B, now)
-        elif msg.kind is MessageKind.SHARE:
-            self.complete = True
+            t1_star, t2_star = msg.t1_star, msg.t2_star
+            t2 = quantize(now, resolution)
+            send(SyncMessage(MessageKind.SHARE, t2=t2), Direction.A_TO_B, now)
+        else:
+            shared = True
 
-    def estimates(self) -> tuple[float, float]:
-        t0 = (self.t1_star - self.t1 - self.t2 + self.t2_star) / 2.0
-        tau = (self.t1_star - self.t1 + self.t2 - self.t2_star) / 2.0
-        return t0, tau
-
-
-def _two_way(scenario: Scenario, kind: ProtocolKind, start_absolute: float) -> SyncResult:
-    """One A or B exchange, driven until the channel is idle; only B tags
-    its messages and checks them."""
-    run = _TwoWayRun(scenario, authenticated=kind is ProtocolKind.B)
-    run.start(start_absolute)
-    scenario.scheduler.run_until_idle(run.on_deliver)
-    if run.complete and all(run.verdicts):
-        return SyncResult(kind, *run.estimates(), None, auth_ok=True, attack_flag=False)
-    if kind is ProtocolKind.A:  # A has nothing to detect with: a stall is a failure, not a flag
+    send(SyncMessage(MessageKind.TIME_STAMP, t1=t1), Direction.A_TO_B, start_absolute)
+    scenario.scheduler.run_until_idle(on_deliver)
+    if shared and all(verdicts):
+        t0 = (t1_star - t1 - t2 + t2_star) / 2.0
+        tau = (t1_star - t1 + t2 - t2_star) / 2.0
+        return SyncResult(kind, t0, tau, None, auth_ok=True, attack_flag=False)
+    if kind == "A":  # A has nothing to detect with: a stall is a failure, not a flag
         detail = "incomplete: synchronization exchange never finished"
         return SyncResult(kind, None, None, None, auth_ok=True, attack_flag=False, detail=detail)
-    detail = "authentication failed" if run.complete else "timeout: exchange stalled"
+    detail = "authentication failed" if shared else "timeout: exchange stalled"
     return SyncResult(kind, None, None, None, auth_ok=False, attack_flag=True, detail=detail)
 
 
-def protocol_a(scenario: Scenario, start_absolute: float = 0.0) -> SyncResult:
+def protocol_a(scenario: Scenario) -> SyncResult:
     """Undefended two-way synchronization. Recovers (t0, tau) exactly over an
     honest channel; never raises an attack flag because it has nothing to
     check. A stalled exchange is reported unflagged, as incomplete."""
-    return _two_way(scenario, ProtocolKind.A, start_absolute)
+    return _two_way(scenario, "A", 0.0)
 
 
 def protocol_b(scenario: Scenario, start_absolute: float = 0.0) -> SyncResult:
@@ -232,7 +206,7 @@ def protocol_b(scenario: Scenario, start_absolute: float = 0.0) -> SyncResult:
     by the tags; a stalled exchange is reported as a timeout detection. Pure
     delay or line-length games pass unflagged - the combined check exists
     for those."""
-    return _two_way(scenario, ProtocolKind.B, start_absolute)
+    return _two_way(scenario, "B", start_absolute)
 
 
 # ---------------------------------------------------------------------------
@@ -240,36 +214,12 @@ def protocol_b(scenario: Scenario, start_absolute: float = 0.0) -> SyncResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExchangeOutcome:
-    received_by_bob: Optional[BepFile] = None  # Alice's record, as delivered
-    received_by_alice: Optional[BepFile] = None  # Bob's record, as delivered
-    auth_ok_at_bob: Optional[bool] = None
-    auth_ok_at_alice: Optional[bool] = None
-    index_ok: bool = True
-    config_ok: bool = True
-
-    @property
-    def complete(self) -> bool:
-        return self.received_by_bob is not None and self.received_by_alice is not None
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.complete
-            and bool(self.auth_ok_at_bob)
-            and bool(self.auth_ok_at_alice)
-            and self.index_ok
-            and self.config_ok
-        )
-
-
 def exchange_files(
     scenario: Scenario,
     file_a: BepFile,
     file_b: BepFile,
     send_absolute: float,
-) -> ExchangeOutcome:
+) -> tuple[dict[Direction, BepFile], str]:
     """Swap the two measurement files through the authenticated channel.
 
     Each file crosses with a one-time-pad encrypted hash of its serialized
@@ -277,36 +227,40 @@ def exchange_files(
     and line-config digest sit inside the hashed bytes, so a replayed or
     re-parameterized file is caught even though its tag verifies: each
     received file must carry file_a's BEP index and the local config digest.
+
+    Returns (received, problem): received maps each direction to the file
+    delivered along it, and problem is "" or the one thing wrong with the
+    exchange. A stall outranks a failed tag, which outranks a stale or
+    mismatched file.
     """
     expected = file_a.bep_index
-    outcome = ExchangeOutcome()
     local_digest = scenario.config.line.digest()
+    received: dict[Direction, BepFile] = {}
+    authentic: dict[Direction, bool] = {}  # the last verdict in each direction
+    fresh = True
 
     def tagged(file: BepFile) -> FileTransfer:
         tag = encrypt_digest(hash_message(file.payload_bytes()), scenario.ledger)
         return FileTransfer(file, tag)
 
     def on_deliver(sched: Scheduler, env: Envelope) -> None:
+        nonlocal fresh
         transfer = env.payload
         if not isinstance(transfer, FileTransfer):
             return
-        ok = verify(transfer.file.payload_bytes(), transfer.tag, scenario.ledger)
-        if env.direction is Direction.A_TO_B:
-            outcome.received_by_bob = transfer.file
-            outcome.auth_ok_at_bob = ok
-        else:
-            outcome.received_by_alice = transfer.file
-            outcome.auth_ok_at_alice = ok
-        if transfer.file.bep_index != expected:
-            outcome.index_ok = False
-        if transfer.file.config_digest != local_digest:
-            outcome.config_ok = False
+        received[env.direction] = transfer.file
+        authentic[env.direction] = verify(transfer.file.payload_bytes(), transfer.tag, scenario.ledger)
+        fresh &= transfer.file.bep_index == expected and transfer.file.config_digest == local_digest
 
     sched = scenario.scheduler
     sched.send(tagged(file_a), Direction.A_TO_B, send_absolute)
     sched.send(tagged(file_b), Direction.B_TO_A, send_absolute)
     sched.run_until_idle(on_deliver)
-    return outcome
+    if len(received) < 2:
+        return received, "timeout: file exchange stalled"
+    if not all(authentic.values()):
+        return received, "authentication failed"
+    return received, "" if fresh else "stale or mismatched file"
 
 
 def residual_curve(
@@ -449,14 +403,9 @@ def locate_minimum(shifts: np.ndarray, residuals: np.ndarray, threshold: float) 
     return _refine_vertex(shifts, residuals, i), best
 
 
-def estimate_offset(
-    file_ref: BepFile,
-    file_other: BepFile,
-    r_wire: float,
-    search: ProtocolConfig = ProtocolConfig("C"),
-) -> tuple[float, float]:
+def estimate_offset(file_ref: BepFile, file_other: BepFile, r_wire: float) -> tuple[float, float]:
     """Find the shift where the other party's record satisfies the wire
-    model against the reference record.
+    model against the reference record, with the default search settings.
 
     Returns (dt_star, residual) as locate_minimum does. The reference
     party's clock offset relative to the other is -dt_star; run with Alice
@@ -465,6 +414,7 @@ def estimate_offset(
     Raises FlatResidualError when no candidate gets below the detection
     threshold - either the line was modified or the model is wrong.
     """
+    search = ProtocolConfig("C")
     shifts, residuals = residual_curve(file_ref, file_other, r_wire, search)
     return locate_minimum(shifts, residuals, search.residual_threshold)
 
@@ -530,19 +480,13 @@ def protocol_c(scenario: Scenario) -> SyncResult:
         file_a = build_bep_file(meas_a, line)
         file_b = build_bep_file(meas_b, line)
         send_at = bep_start_time(scenario.config, k) + line.bep_duration
-        outcome = exchange_files(scenario, file_a, file_b, send_at)
-        if not outcome.all_ok:
-            if not outcome.complete:
-                detail = "timeout: file exchange stalled"
-            elif not (outcome.auth_ok_at_bob and outcome.auth_ok_at_alice):
-                detail = "authentication failed"
-            else:
-                detail = "stale or mismatched file"
-            return SyncResult(ProtocolKind.C, None, None, None, auth_ok=False, attack_flag=True, detail=detail)
+        received, problem = exchange_files(scenario, file_a, file_b, send_at)
+        if problem:
+            return SyncResult("C", None, None, None, auth_ok=False, attack_flag=True, detail=problem)
         # Alice searches her own record against Bob's received copy; Bob
         # does the mirror image with Alice's received copy, on his own grid.
-        curves_alice.append(residual_curve(file_a, outcome.received_by_alice, line.R_wire, search))
-        curves_bob.append(residual_curve(file_b, outcome.received_by_bob, line.R_wire, search))
+        curves_alice.append(residual_curve(file_a, received[Direction.B_TO_A], line.R_wire, search))
+        curves_bob.append(residual_curve(file_b, received[Direction.A_TO_B], line.R_wire, search))
 
     # every BEP's records have the same lengths, so position p of each curve
     # is the same index lag; its shifts differ only by the float rounding of
@@ -559,7 +503,7 @@ def protocol_c(scenario: Scenario) -> SyncResult:
         dt_bob, _ = locate_minimum(shifts_bob, mean_bob, search.residual_threshold)
     except FlatResidualError as err:
         return SyncResult(
-            ProtocolKind.C, None, None, err.residual,
+            "C", None, None, err.residual,
             auth_ok=True, attack_flag=True,
             detail=f"no shift explains the data (residual {err.residual:.3e})",
         )
@@ -568,13 +512,13 @@ def protocol_c(scenario: Scenario) -> SyncResult:
     # symmetric searches must agree (their shifts are mutual negatives)
     if abs(dt_alice + dt_bob) > 1.0 / line.sample_rate:
         return SyncResult(
-            ProtocolKind.C, t0_est, None, best,
+            "C", t0_est, None, best,
             auth_ok=True, attack_flag=True, detail="parties' shift estimates disagree",
         )
 
     # Bob, the non-master, corrects his clock
     scenario.bob_offset -= t0_est
-    return SyncResult(ProtocolKind.C, t0_est, None, best, auth_ok=True, attack_flag=False)
+    return SyncResult("C", t0_est, None, best, auth_ok=True, attack_flag=False)
 
 
 def combined_check(scenario: Scenario) -> SyncResult:
@@ -602,9 +546,9 @@ def combined_check(scenario: Scenario) -> SyncResult:
     tolerances = scenario.config.protocol
     failures = []
     if c_result.attack_flag:
-        failures.append(f"integrity check: {c_result.detail or 'flagged'}")
+        failures.append(f"integrity check: {c_result.detail}")
     if b_result.attack_flag:
-        failures.append(f"probe: {b_result.detail or 'flagged'}")
+        failures.append(f"probe: {b_result.detail}")
     else:
         if abs(b_result.t0_est) > tolerances.t0_tol_quanta * q:
             failures.append(f"offset after correction is {b_result.t0_est:.3e}s, not zero")
@@ -615,7 +559,7 @@ def combined_check(scenario: Scenario) -> SyncResult:
             )
 
     return SyncResult(
-        ProtocolKind.COMBINED,
+        "Combined",
         b_result.t0_est,
         b_result.tau_est,
         c_result.residual,

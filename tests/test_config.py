@@ -15,7 +15,7 @@ from kljnsync.adversaries import Attack, AsymDelay, LineMod, Substitute
 from kljnsync.cli import main
 from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig
 from kljnsync.errors import ConfigError
-from kljnsync.harness import ScenarioConfig, bundled_scenario_names, load_bundled
+from kljnsync.harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_scenario
 from kljnsync.line import LineConfig
 
 DELETE = object()
@@ -85,6 +85,15 @@ NAMED = [
     # clock steps so fine that a time divided by them overflows
     ("honest_protocol_a", "clock.quantization", 5e-324),
     ("honest_protocol_a", "clock.quantization", 1e-300, {"clock.t0": 1e9}),
+    # a repeated BEP index records the same BEP twice, so a replayed record
+    # is the fresh one; a descending list runs the event log backwards
+    ("replay_attack_c", "protocol.k_range", [0, 0]),
+    ("honest_protocol_c", "protocol.k_range", [1, 0]),
+    # integrity checks an honest run cannot pass: no loop current to align,
+    # or no wire resistance for the search to divide by
+    ("honest_protocol_c", "line.noise_scale", 0),
+    ("honest_combined", "line.noise_scale", 0),
+    ("honest_protocol_c", "line.R_wire", 0),
 ]
 NAMED = [row if len(row) == 4 else (*row, {}) for row in NAMED]
 
@@ -195,6 +204,16 @@ def test_every_mutant_of_a_bundled_config_fails_closed(name):
     assert not escaped, escaped
 
 
+def test_only_the_integrity_checks_need_noise_and_a_wire():
+    # the two-way protocols never read the records
+    for name in ("honest_protocol_a", "honest_protocol_b"):
+        doc = mutated(mutated(load_bundled(name).raw, "line.noise_scale", 0), "line.R_wire", 0)
+        assert run_scenario(ScenarioConfig.from_dict(doc)).result["attack_flag"] is False
+    # any loop current at all is enough: the bound is exact
+    doc = mutated(load_bundled("honest_protocol_c").raw, "line.noise_scale", 1e-300)
+    assert run_scenario(ScenarioConfig.from_dict(doc)).result["attack_flag"] is False
+
+
 def test_problems_are_collected_across_sections():
     doc = load_bundled("substitution_attack_b").raw
     doc = mutated(mutated(mutated(doc, "extra", 1), "line.R_H", 0.5), "attacks.0.value", 1.0)
@@ -227,6 +246,7 @@ def test_sections_built_in_code_are_checked_too():
         lambda: ChannelConfig(tau=math.nan),
         lambda: ProtocolConfig("C", dt_window=2.5),
         lambda: ProtocolConfig("C", k_range=[0]),
+        lambda: ProtocolConfig("C", k_range=(0, 2, 2)),
         lambda: ProtocolConfig("D"),
         lambda: LineConfig(R_L=True, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4),
         lambda: AsymDelay("BtoA", math.inf),

@@ -7,6 +7,7 @@ import pytest
 
 from kljnsync.adversaries import AsymDelay, LineMod, Substitute, install
 from kljnsync.bepfile import build_bep_file, parse_bep_file, serialize_bep_file
+from kljnsync.channel import Direction
 from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig
 from kljnsync.errors import (
     ConfigError,
@@ -19,7 +20,6 @@ from kljnsync.harness import ScenarioConfig
 from kljnsync.line import LineConfig, Party, ResistorChoice, simulate_bep
 from kljnsync.protocols import (
     MessageKind,
-    ProtocolKind,
     SyncMessage,
     SyncResult,
     _pick_minimum,
@@ -91,7 +91,7 @@ def test_protocol_a_honest_recovery():
     res = protocol_a(scenario())
     assert res.t0_est == pytest.approx(0.005, abs=1e-12)
     assert res.tau_est == pytest.approx(0.002, abs=1e-12)
-    assert res.attack_flag is False and res.protocol is ProtocolKind.A
+    assert res.attack_flag is False and res.protocol == "A"
 
 
 def test_protocol_a_exchange_is_three_deliveries():
@@ -128,7 +128,7 @@ def test_protocol_a_dropped_message_is_reported_incomplete_and_unflagged():
     sc = scenario()
     install(Substitute("Response", drop=True), sc)
     detail = "incomplete: synchronization exchange never finished"
-    assert protocol_a(sc) == SyncResult(ProtocolKind.A, None, None, None, True, False, detail)
+    assert protocol_a(sc) == SyncResult("A", None, None, None, True, False, detail)
 
 
 def test_protocol_a_never_flags_substitution():
@@ -225,30 +225,31 @@ def bep_files(seed=21, t0=0.0, k=0, **kw):
 def test_exchange_files_honest():
     sc = scenario(seed=4)
     fa, fb = bep_files()
-    out = exchange_files(sc, fa, fb, send_absolute=0.0)
-    assert out.all_ok
-    assert out.received_by_bob == fa and out.received_by_alice == fb
+    received, problem = exchange_files(sc, fa, fb, send_absolute=0.0)
+    assert problem == ""
+    assert received == {Direction.A_TO_B: fa, Direction.B_TO_A: fb}
 
 
 def test_exchange_files_flags_altered_sample():
     sc = scenario(seed=4)
     install(Substitute("file", mode="alter_sample", sample_index=7, delta=0.25), sc)
     fa, fb = bep_files()
-    out = exchange_files(sc, fa, fb, send_absolute=0.0)
-    assert out.auth_ok_at_bob is False  # Alice's file crossed A->B tampered
-    assert out.auth_ok_at_alice is True
+    received, problem = exchange_files(sc, fa, fb, send_absolute=0.0)
+    assert problem == "authentication failed"
+    assert received[Direction.A_TO_B] != fa  # Alice's file crossed A->B tampered
+    assert received[Direction.B_TO_A] == fb
 
 
 def test_exchange_files_detects_replay():
     sc = scenario(seed=4, key_bits=16384)
     install(Substitute("file", mode="replay"), sc)
     fa0, fb0 = bep_files(seed=21, k=0)
-    out0 = exchange_files(sc, fa0, fb0, send_absolute=0.0)
-    assert out0.all_ok  # first pass is recorded, not altered
+    received0, problem0 = exchange_files(sc, fa0, fb0, send_absolute=0.0)
+    assert problem0 == "" and received0[Direction.A_TO_B] == fa0  # first pass is recorded, not altered
     fa1, fb1 = bep_files(seed=22, k=1)
-    out1 = exchange_files(sc, fa1, fb1, send_absolute=1.0)
-    assert out1.auth_ok_at_bob is True  # stale tag still verifies...
-    assert out1.index_ok is False  # ...but the freshness check trips
+    received1, problem1 = exchange_files(sc, fa1, fb1, send_absolute=1.0)
+    assert received1[Direction.A_TO_B] == fa0  # the stale record arrives, its tag verifies...
+    assert problem1 == "stale or mismatched file"  # ...but the freshness check trips
 
 
 # --- alignment search -------------------------------------------------------
@@ -281,8 +282,10 @@ def test_estimate_offset_symmetry():
 def test_estimate_offset_voltage_and_current_inputs_agree():
     t0 = -4.0 / FS
     fa, fb = bep_files(t0=t0)
-    dt_v, _ = estimate_offset(fa, fb, LINE.R_wire, ProtocolConfig("C", input="voltage"))
-    dt_c, _ = estimate_offset(fa, fb, LINE.R_wire, ProtocolConfig("C", input="current"))
+    dt_v, dt_c = (
+        locate_minimum(*residual_curve(fa, fb, LINE.R_wire, search), search.residual_threshold)[0]
+        for search in (ProtocolConfig("C", input="voltage"), ProtocolConfig("C", input="current"))
+    )
     assert dt_v == pytest.approx(dt_c, abs=1.0 / FS)
 
 
@@ -443,7 +446,7 @@ def test_protocol_c_honest_recovers_and_corrects():
     t0 = 7.0 / FS
     sc = scenario(seed=5, t0=t0)
     res = protocol_c(sc)
-    assert res.protocol is ProtocolKind.C
+    assert res.protocol == "C"
     assert res.attack_flag is False and res.auth_ok is True
     assert res.t0_est == pytest.approx(t0, abs=1.0 / FS)
     assert res.tau_est is None  # this protocol cannot see tau
@@ -502,6 +505,24 @@ def test_protocol_c_flags_replayed_file():
     assert "stale" in res.detail
 
 
+def test_protocol_c_flags_disagreeing_shift_estimates(monkeypatch):
+    t0 = 7.0 / FS
+    alice_estimate = protocol_c(scenario(seed=5, t0=t0)).t0_est
+    curve = protocols.residual_curve
+
+    def skewed(file_ref, file_other, r_wire, search):
+        # Bob's valley moves 3 lags away from the mirror image of Alice's
+        shifts, residuals = curve(file_ref, file_other, r_wire, search)
+        return shifts, np.roll(residuals, 3) if file_ref.party is Party.BOB else residuals
+
+    monkeypatch.setattr(protocols, "residual_curve", skewed)
+    sc = scenario(seed=5, t0=t0)
+    res = protocol_c(sc)
+    assert res.attack_flag is True and res.detail == "parties' shift estimates disagree"
+    assert res.t0_est == alice_estimate
+    assert sc.bob_offset == t0  # uncorrected
+
+
 def test_protocol_c_flags_line_modification():
     sc = scenario(seed=7, t0=7.0 / FS)
     install(LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5), sc)
@@ -513,7 +534,7 @@ def test_protocol_c_flags_line_modification():
 def test_combined_check_honest_passes():
     sc = scenario(seed=8, t0=7.0 / FS)
     res = combined_check(sc)
-    assert res.protocol is ProtocolKind.COMBINED
+    assert res.protocol == "Combined"
     assert res.attack_flag is False
     assert abs(res.t0_est) <= 2 * sc.config.clock.quantum
     assert res.tau_est == pytest.approx(sc.config.channel.tau, abs=1.5 * sc.config.clock.quantum)

@@ -16,6 +16,12 @@ UNREAD_FIELDS = {
     "partner": "the tests pin the partner's resistor PartnerInference infers; the program reads only key_bit",
 }
 
+# defaulted parameters no call in the package sets, each kept for one caller outside it
+UNSET_DEFAULTS = {
+    ("main", "argv"): "the CLI entry point: the console script passes nothing, the tests their own arguments",
+    ("serialize_bep_file", "tag"): "perfbench/workloads.py and perfbench/tracing.py write a record with its tag",
+}
+
 
 def _package_nodes() -> list[ast.AST]:
     package = Path(__file__).resolve().parents[1] / "src" / "kljnsync"
@@ -59,3 +65,41 @@ def test_every_field_is_read_and_every_enum_member_named_in_the_package():
     named = {n.attr for n in attributes}
     unread = sorted((fields - read) | (members - named))
     assert unread == sorted(UNREAD_FIELDS), f"never read in the package: {unread}"
+
+
+def test_every_defaulted_parameter_is_set_by_some_call_in_the_package():
+    # a call sets a parameter by keyword, by position, or possibly through
+    # *args or **kwargs; a method's first parameter is bound, not passed
+    nodes = _package_nodes()
+    calls: dict[str, list[ast.Call]] = {}
+    for n in nodes:
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+            calls.setdefault(n.func.id if isinstance(n.func, ast.Name) else n.func.attr, []).append(n)
+    methods = {
+        stmt
+        for cls in nodes
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef) and "staticmethod" not in map(ast.unparse, stmt.decorator_list)
+    }
+
+    def sets(call: ast.Call, position, name: str) -> bool:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg in (None, name) for k in call.keywords):
+            return True
+        return position is not None and len(call.args) > position
+
+    unset = []
+    for fn in nodes:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        bound = fn in methods
+        defaulted = [(i - bound, p.arg) for i, p in enumerate(positional) if i >= first]
+        defaulted += [(None, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        unset += [
+            (fn.name, name)
+            for position, name in defaulted
+            if not any(sets(call, position, name) for call in calls.get(fn.name, []))
+        ]
+    assert sorted(unset) == sorted(UNSET_DEFAULTS), f"defaulted, never set in the package: {sorted(unset)}"
