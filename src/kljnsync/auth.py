@@ -12,7 +12,10 @@ used twice.
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
+import threading
+from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +26,50 @@ from .noise import derive_seed
 
 # the largest key a ledger holds: a 128 MiB pad
 MAX_KEY_BITS = 2**30
+
+# the memory key_pad keeps pads in: 64 KiB, about 53 default 8192-bit pads
+# with their entries; a longer pad is drawn on every call. Where no seed
+# repeats the memo only churns: there a 1 MiB budget cost 1.3 MB of peak
+# RSS, and a 256 KiB one extra page faults.
+PAD_MEMO_BYTES = 2**16
+# what an entry takes beside its pad: key tuple, bytes header, dict slot
+_ENTRY_BYTES = 192
+# pads by (seed, nbytes), least recently used first, and what they take
+_pads: OrderedDict[tuple[int, int], bytes] = OrderedDict()
+_kept_bytes = 0
+_pads_lock = threading.Lock()
+
+
+def key_pad(seed: int, nbytes: int) -> bytes:
+    """nbytes of the key seeded by seed: the raw 64-bit words of a PCG64
+    stream seeded with derive_seed(seed, 0xFEED), little-endian, cut to
+    whole bytes (the bytes Generator.bytes would give, without its uint32
+    round trip).
+
+    The pad is a pure function of (seed, nbytes), and bytes are immutable,
+    so every caller gets the one drawn copy: the pads last used are kept
+    while they and their entries take at most PAD_MEMO_BYTES.
+    """
+    global _kept_bytes
+    # as an int, so that a float seed raises TypeError as derive_seed does
+    # instead of finding its integer's pad
+    key = (operator.index(seed), nbytes)
+    with _pads_lock:
+        pad = _pads.get(key)
+        if pad is not None:
+            _pads.move_to_end(key)
+            return pad
+    words = np.random.PCG64(derive_seed(seed, 0xFEED)).random_raw((nbytes + 7) // 8)
+    pad = words.astype("<u8").tobytes()[:nbytes]
+    cost = nbytes + _ENTRY_BYTES
+    if cost <= PAD_MEMO_BYTES:
+        with _pads_lock:
+            if key not in _pads:  # another thread may have drawn it meanwhile
+                _pads[key] = pad
+                _kept_bytes += cost
+                while _kept_bytes > PAD_MEMO_BYTES:
+                    _kept_bytes -= len(_pads.popitem(last=False)[1]) + _ENTRY_BYTES
+    return pad
 
 
 class KeySpan(NamedTuple):
@@ -61,11 +108,11 @@ class KeyLedger:
 
     @classmethod
     def generate(cls, n_bits: int, seed: int) -> "KeyLedger":
-        """n_bits of seeded key. The bits are drawn the first time a span is
-        read or taken, so a run that spends no key draws none. The pad is the
-        raw 64-bit words of a PCG64 stream seeded with derive_seed(seed,
-        0xFEED), little-endian, cut to whole bytes: the bytes
-        Generator.bytes would give, without its uint32 round trip."""
+        """n_bits of seeded key, key_pad(seed, whole bytes). The pad is
+        drawn the first time a span is read or taken, so a run that spends
+        no key draws none. It is memoised: ledgers of one seed and size
+        share one immutable pad, each with its own consumption counter, and
+        key_pad keeps up to PAD_MEMO_BYTES (64 KiB) of recent pads."""
         if not 0 <= n_bits <= MAX_KEY_BITS:
             raise ConfigError(f"n_bits: must be in [0, {MAX_KEY_BITS}]")
         ledger = cls(b"")
@@ -75,9 +122,7 @@ class KeyLedger:
     @property
     def _key(self) -> bytes:
         if self._pad is None:
-            nbytes = (self.bit_length + 7) // 8
-            words = np.random.PCG64(derive_seed(self._seed, 0xFEED)).random_raw((nbytes + 7) // 8)
-            self._pad = words.astype("<u8").tobytes()[:nbytes]
+            self._pad = key_pad(self._seed, (self.bit_length + 7) // 8)
         return self._pad
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import reprlib
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -67,6 +68,16 @@ class ScenarioConfig:
                 for name in ("noise_scale", "R_wire")
                 if getattr(self.line, name) == 0
             ]
+            # the search divides the terminal voltages' difference by R_wire,
+            # so their round-off leaves an honest residual of up to
+            # (eps * R_H / R_wire)^2, R_H being the larger terminal
+            # resistance; keep it 100x under the threshold
+            r_wire_min = math.ulp(1.0) * self.line.R_H / math.sqrt(self.protocol.residual_threshold / 100)
+            if 0 < self.line.R_wire < r_wire_min:
+                problems.append(
+                    f"line.R_wire: must be >= {r_wire_min!r} for protocol {self.protocol.kind}, "
+                    "where round-off in the terminal voltages stays under protocol.residual_threshold / 100"
+                )
             # a run's float timeline must resolve its clock quanta: its last
             # BEP ends, file exchange included, where the next one would
             # start, and the combined check's probe starts up to

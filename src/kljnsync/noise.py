@@ -28,12 +28,17 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def derive_seed(master: int, *path: int) -> int:
     """Derive an independent 64-bit child seed from a master seed.
 
     Every random draw in the simulator takes its seed from some
     (master, path) pair, so distinct purposes get decorrelated streams and
     the whole run stays reproducible from one integer.
+
+    The last 256 (master, path) pairs are memoised, so runs that share a
+    seed build its SeedSequence once. The memo is typed: derive_seed(5.0)
+    raises TypeError as SeedSequence does, whatever derive_seed(5) left.
     """
     seq = np.random.SeedSequence(master, spawn_key=tuple(path))
     return int(seq.generate_state(1, dtype=np.uint64)[0])

@@ -1,8 +1,12 @@
 import hashlib
+import sys
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from kljnsync import auth
 from kljnsync.auth import (
     AuthTag,
     KeyLedger,
@@ -10,6 +14,7 @@ from kljnsync.auth import (
     _xor,
     encrypt_digest,
     hash_message,
+    key_pad,
     verify,
 )
 from kljnsync.config import ProtocolConfig
@@ -173,3 +178,76 @@ def test_the_key_spans_on_the_channel_tile_what_the_ledger_spent(name, runner, b
         cursor += span.length
     assert cursor == sc.ledger.consumed == bits
     assert format_event_log(sc.scheduler.log) == run_scenario(config).event_log
+
+
+def test_ledgers_of_one_seed_share_the_pad_but_not_the_counter():
+    a, b = KeyLedger.generate(4096, seed=21), KeyLedger.generate(4096, seed=21)
+    assert a.take(256) == b.take(256)
+    assert a._key is b._key  # one drawn pad, read by both
+    a.take(512)
+    assert (a.consumed, b.consumed) == (768, 256)
+    assert b.remaining_bits == 4096 - 256
+    assert b.take(512)[1] == a.read(KeySpan(256, 512))
+
+
+def test_a_float_seed_raises_after_its_integer_pad_is_memoised():
+    KeyLedger.generate(64, seed=5).take(8)
+    with pytest.raises(TypeError):
+        KeyLedger.generate(64, seed=5.0).take(8)
+
+
+def _reference_pad(seed, nbytes):
+    return np.random.default_rng(derive_seed(seed, 0xFEED)).bytes(nbytes)
+
+
+@pytest.fixture
+def small_pad_memo(monkeypatch):
+    """An empty pad memo with a 4 kB budget; returns what its entries take."""
+    monkeypatch.setattr(auth, "PAD_MEMO_BYTES", 4096)
+    monkeypatch.setattr(auth, "_pads", OrderedDict())
+    monkeypatch.setattr(auth, "_kept_bytes", 0)
+
+    def taken():
+        assert auth._kept_bytes == sum(len(pad) + auth._ENTRY_BYTES for pad in auth._pads.values())
+        return auth._kept_bytes
+
+    return taken
+
+
+def test_the_pad_memo_keeps_at_most_its_byte_budget(small_pad_memo):
+    for seed in range(30):
+        for nbytes in (0, 1, 100, 1024, 3000):
+            assert key_pad(seed, nbytes) == _reference_pad(seed, nbytes)
+            assert small_pad_memo() <= 4096
+            assert next(reversed(auth._pads)) == (seed, nbytes)  # the last drawn is kept
+    # a pad longer than the budget is drawn every time and never kept
+    assert key_pad(3, 5000) == _reference_pad(3, 5000)
+    assert (3, 5000) not in auth._pads and small_pad_memo() <= 4096
+    # a hit returns the kept pad itself and makes it the last to go
+    first = next(iter(auth._pads))
+    assert key_pad(*first) is auth._pads[first]
+    assert next(reversed(auth._pads)) == first
+
+
+def test_threads_drawing_pads_keep_the_memo_within_its_budget(small_pad_memo):
+    pads, switch = {}, sys.getswitchinterval()
+
+    def draw(worker):
+        for i in range(200):
+            seed, nbytes = (worker * 7 + i) % 23, 100 * (i % 5)
+            pads.setdefault((seed, nbytes), []).append(key_pad(seed, nbytes))
+
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=draw, args=(w,)) for w in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers)
+    assert sum(map(len, pads.values())) == 6 * 200
+    assert small_pad_memo() <= 4096
+    for (seed, nbytes), drawn in pads.items():
+        assert set(drawn) == {_reference_pad(seed, nbytes)}

@@ -214,6 +214,33 @@ def test_only_the_integrity_checks_need_noise_and_a_wire():
     assert run_scenario(ScenarioConfig.from_dict(doc)).result["attack_flag"] is False
 
 
+# where (eps * R_H / R_wire)^2 reaches residual_threshold / 100, at the
+# bundled R_H = 10 and the default threshold 0.01
+R_WIRE_MIN = 2.220446049250313e-13
+
+
+@pytest.mark.parametrize("name", ["honest_protocol_c", "honest_combined"])
+def test_r_wire_must_keep_the_round_off_floor_under_the_threshold(name, tmp_path, capsys):
+    doc = load_bundled(name).raw
+    above = ScenarioConfig.from_dict(mutated(doc, "line.R_wire", R_WIRE_MIN * (1 + 1e-9)))
+    assert run_scenario(above).result["attack_flag"] is False
+    below = mutated(doc, "line.R_wire", R_WIRE_MIN * (1 - 1e-9))
+    message = (
+        f"line.R_wire: must be >= {R_WIRE_MIN!r} for protocol {doc['protocol']['kind']}, "
+        "where round-off in the terminal voltages stays under protocol.residual_threshold / 100"
+    )
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(below)
+    assert err.value.problems == [message]
+    config = tmp_path / "thin_wire.json"
+    config.write_text(json.dumps(below))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the bound scales with the threshold, and the two-way protocols have none
+    ScenarioConfig.from_dict(mutated(below, "protocol.residual_threshold", 0.0101))
+    ScenarioConfig.from_dict(mutated(mutated(below, "protocol.kind", "B"), "line.R_wire", 1e-20))
+
+
 def test_problems_are_collected_across_sections():
     doc = load_bundled("substitution_attack_b").raw
     doc = mutated(mutated(mutated(doc, "extra", 1), "line.R_H", 0.5), "attacks.0.value", 1.0)

@@ -7,6 +7,7 @@ from kljnsync.noise import (
     NoiseTrace,
     _fast_length,
     autocorrelation_standard_error,
+    derive_seed,
     empirical_autocorrelation,
     generate_bandlimited_gaussian,
     generate_with_guard,
@@ -234,3 +235,24 @@ def test_trace_invariants():
     with pytest.raises(ConfigError):
         NoiseTrace(np.zeros(3), 0.0)
     assert len(NoiseTrace(np.zeros(10), 100.0)) == 10
+
+
+def test_derive_seed_is_the_seed_sequence_state_cold_and_warm():
+    masters = [0, 1, 5, 2**31 - 1, 2**63 + 7]
+    paths = [(), (0,), (1,), (0xFEED,), (2, 7), (0xE5E, 3, 1)]
+    want = {
+        (m, p): int(np.random.SeedSequence(m, spawn_key=p).generate_state(1, np.uint64)[0])
+        for m in masters
+        for p in paths
+    }
+    derive_seed.cache_clear()
+    assert {(m, p): derive_seed(m, *p) for m, p in want} == want
+    hits = derive_seed.cache_info().hits
+    assert {(m, p): derive_seed(m, *p) for m, p in want} == want
+    assert derive_seed.cache_info().hits == hits + len(want)
+
+
+def test_a_float_master_raises_after_its_integer_is_memoised():
+    derive_seed(5, 1)
+    with pytest.raises(TypeError):
+        derive_seed(5.0, 1)

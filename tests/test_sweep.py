@@ -1,12 +1,16 @@
 """Sweeps: pinned report bytes, and bad values failing like config files."""
 
 import copy
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 from pinned import indented_report_digest
 
+from kljnsync import auth
 from kljnsync.errors import ConfigError
 from kljnsync.harness import ScenarioConfig, load_bundled, run_scenario, sweep
+from kljnsync.noise import derive_seed
 
 TWOWAY_T0 = [-0.0071, -0.002, 0.0, 3.5e-05, 0.0042, 0.0099]
 
@@ -150,3 +154,33 @@ def test_a_sweep_edits_one_field_of_the_config_the_report_shows():
     (report,) = sweep(config, "line.R_L", [2.0])
     assert report.config == dict(base, line=dict(base["line"], R_L=2.0))
     assert report.canonical_json() == run_scenario(ScenarioConfig.from_dict(report.config)).canonical_json()
+
+
+def _cold_memos(monkeypatch):
+    derive_seed.cache_clear()
+    monkeypatch.setattr(auth, "_pads", OrderedDict())
+    monkeypatch.setattr(auth, "_kept_bytes", 0)
+
+
+def test_a_fixed_seed_sweep_draws_its_key_pad_once(monkeypatch):
+    _cold_memos(monkeypatch)
+    built, pcg64 = [], np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or pcg64(seed))
+    values = [i * 1e-3 for i in range(10)]
+    reports = sweep(load_bundled("honest_protocol_b"), "clock.t0", values)
+    assert [r.key_bits_consumed for r in reports] == [768] * 10
+    assert built == [derive_seed(load_bundled("honest_protocol_b").seed, 0xFEED)]
+
+
+def test_a_sweep_gives_the_same_bytes_with_cold_and_warm_memos(monkeypatch):
+    values = [i * 1e-3 for i in range(10)]
+    _cold_memos(monkeypatch)
+    cold = [r.canonical_json() for r in sweep(load_bundled("honest_protocol_b"), "clock.t0", values)]
+    warm = [r.canonical_json() for r in sweep(load_bundled("honest_protocol_b"), "clock.t0", values)]
+    assert cold == warm
+    # the pins were taken without memos
+    case = ("honest_protocol_b", "clock.t0")
+    _cold_memos(monkeypatch)
+    for _ in ("cold", "warm"):
+        reports = sweep(load_bundled(case[0]), case[1], *CASES[case])
+        assert [indented_report_digest(r.canonical_json()) for r in reports] == GOLDEN[case]
