@@ -37,7 +37,6 @@ from .line import (
     true_bit_state,
 )
 from .noise import (
-    NoiseSpec,
     autocorrelation_standard_error,
     empirical_autocorrelation,
     generate_bandlimited_gaussian,
@@ -68,10 +67,9 @@ def criterion_1_autocorrelation() -> tuple[bool, str]:
     rectangular spectrum at the reference lags, and its power is S0*B."""
     started = time.perf_counter()
     B, S0, fs, duration = 1e4, 1e-6, 2e5, 10.0
-    spec = NoiseSpec(B, S0, seed=101)
-    trace = generate_bandlimited_gaussian(spec, duration, fs)
-    ac = empirical_autocorrelation(trace, 20)
-    se = autocorrelation_standard_error(spec, len(trace), fs)
+    trace = generate_bandlimited_gaussian(B, S0, 101, duration, fs)
+    ac = empirical_autocorrelation(trace, fs, 20)
+    se = autocorrelation_standard_error(B, S0, len(trace), fs)
 
     problems = []
     for lag_samples in (0, 5, 10, 20):  # 0, 1/(4B), 1/(2B), 1/B

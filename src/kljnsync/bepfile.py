@@ -98,16 +98,17 @@ class BepFile:
 
 
 def build_bep_file(meas: BepMeasurement, config: LineConfig) -> BepFile:
-    """Freeze a measurement into its exchangeable file form."""
-    if len(meas.voltage_trace) == 0:
+    """Freeze a measurement, sampled at config.sample_rate, into its
+    exchangeable file form."""
+    if len(meas.voltage) == 0:
         raise DegenerateInputError("cannot build a file from an empty measurement")
     return BepFile(
         party=meas.party,
         bep_index=meas.bep_index,
-        sample_rate=meas.voltage_trace.sample_rate,
+        sample_rate=config.sample_rate,
         local_start=float(meas.local_start_time),
-        voltage_samples=meas.voltage_trace.samples,
-        current_samples=meas.current_trace.samples,
+        voltage_samples=meas.voltage,
+        current_samples=meas.current,
         config_digest=config.digest(),
     )
 

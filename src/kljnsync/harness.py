@@ -26,7 +26,7 @@ from .channel import format_event_log
 from .config import MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, check_fields, derived, read, to_doc
 from .errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from .line import LineConfig, analytic_levels, classification_thresholds
-from .noise import NoiseTrace, empirical_autocorrelation
+from .noise import empirical_autocorrelation
 from .protocols import PROBE_WAIT_QUANTA, SyncResult, bep_start_time, combined_check, protocol_a, protocol_b, protocol_c
 from .scenario import Scenario, make_scenario
 
@@ -68,6 +68,12 @@ class ScenarioConfig:
                 for name in ("noise_scale", "R_wire")
                 if getattr(self.line, name) == 0
             ]
+            # each record holds floor(bep_duration * sample_rate) samples
+            if self.line.bep_duration * self.line.sample_rate < 1:
+                problems.append(
+                    f"line.bep_duration: must span at least one sample (1 / line.sample_rate = "
+                    f"{1 / self.line.sample_rate!r} s) for protocol {self.protocol.kind}"
+                )
             # the search divides the terminal voltages' difference by R_wire,
             # so their round-off leaves an honest residual of up to
             # (eps * R_H / R_wire)^2, R_H being the larger terminal
@@ -218,10 +224,9 @@ def _series_from(scenario: Scenario, msq_levels: dict) -> dict:
         shifts, residuals = diag["residual_curve"]
         series["residual_curve"] = np.column_stack((shifts, residuals)).tolist()
     if "first_bep_voltage" in diag:
-        trace: NoiseTrace = diag["first_bep_voltage"]
-        fs = trace.sample_rate
-        max_lag = min(len(trace) - 1, int(round(2.0 * fs / scenario.config.line.bandwidth_B)))
-        ac = empirical_autocorrelation(trace, max_lag)
+        trace, line = diag["first_bep_voltage"], scenario.config.line
+        max_lag = min(len(trace) - 1, int(round(2.0 * line.sample_rate / line.bandwidth_B)))
+        ac = empirical_autocorrelation(trace, line.sample_rate, max_lag)
         series["autocorrelation"] = ac.tolist()
     if "bep_msq" in diag and diag["bep_msq"]:
         values = np.asarray(diag["bep_msq"])

@@ -30,7 +30,7 @@ from .errors import (
     DegenerateInputError,
     InconsistentStateError,
 )
-from .noise import NoiseSpec, NoiseTrace, derive_seed, generate_with_guard
+from .noise import derive_seed, generate_with_guard
 
 
 class Party(enum.Enum):
@@ -198,30 +198,25 @@ class LineConfig:
 class BepMeasurement:
     """One party's record of a single bit exchange period.
 
-    msq_voltage and msq_current are the mean squares of the two traces,
-    computed from the samples the first time each is read (0.0 for an empty
+    voltage and current are float64 arrays sampled at the line's
+    sample_rate. msq_voltage and msq_current are their mean squares,
+    computed from the arrays the first time each is read (0.0 for an empty
     record), so a record cannot carry a level its samples disagree with.
     """
 
     party: Party
     bep_index: int
     local_start_time: float
-    voltage_trace: NoiseTrace
-    current_trace: NoiseTrace
-
-    def __post_init__(self):
-        if len(self.voltage_trace) != len(self.current_trace):
-            raise ConfigError("traces: voltage and current lengths differ")
-        if self.voltage_trace.sample_rate != self.current_trace.sample_rate:
-            raise ConfigError("traces: sample rates differ")
+    voltage: np.ndarray
+    current: np.ndarray
 
     @functools.cached_property
     def msq_voltage(self) -> float:
-        return self.voltage_trace.mean_square() if len(self.voltage_trace) else 0.0
+        return float(np.mean(self.voltage**2)) if self.voltage.size else 0.0
 
     @functools.cached_property
     def msq_current(self) -> float:
-        return self.current_trace.mean_square() if len(self.current_trace) else 0.0
+        return float(np.mean(self.current**2)) if self.current.size else 0.0
 
 
 def _level(ns_B: float, r_own: float, r_far: float, r_wire: float) -> float:
@@ -287,10 +282,9 @@ def simulate_bep(
     r_a = config.resistance(choice_A)
     r_b = config.resistance(choice_B)
 
-    spec_a = NoiseSpec(config.bandwidth_B, config.noise_scale * r_a, derive_seed(seed, 0))
-    spec_b = NoiseSpec(config.bandwidth_B, config.noise_scale * r_b, derive_seed(seed, 1))
-    u_a = generate_with_guard(spec_a, config.bep_duration, fs).samples
-    u_b = generate_with_guard(spec_b, config.bep_duration, fs).samples
+    B, scale, duration = config.bandwidth_B, config.noise_scale, config.bep_duration
+    u_a = generate_with_guard(B, scale * r_a, derive_seed(seed, 0), duration, fs)
+    u_b = generate_with_guard(B, scale * r_b, derive_seed(seed, 1), duration, fs)
 
     n = u_a.size
     r_wire = float(config.R_wire)
@@ -312,11 +306,8 @@ def simulate_bep(
             rng = np.random.default_rng(derive_seed(seed, 2, j))
             records[key] = sig + config.measurement_noise_rel * rms * rng.standard_normal(n)
 
-    def measurement(party: Party, v: np.ndarray, i: np.ndarray, local_start: float) -> BepMeasurement:
-        return BepMeasurement(party, bep_index, local_start, NoiseTrace(v, fs), NoiseTrace(i, fs))
-
-    meas_a = measurement(Party.ALICE, records["vA"], records["iA"], start_absolute)
-    meas_b = measurement(Party.BOB, records["vB"], records["iB"], start_absolute + offset_B)
+    meas_a = BepMeasurement(Party.ALICE, bep_index, start_absolute, records["vA"], records["iA"])
+    meas_b = BepMeasurement(Party.BOB, bep_index, start_absolute + offset_B, records["vB"], records["iB"])
     return meas_a, meas_b
 
 
@@ -332,9 +323,9 @@ def classify_bep(meas: BepMeasurement, config: LineConfig) -> BitState:
     rather than guessed at.
     """
     n_needed = 0.5 * config.bep_duration * config.sample_rate
-    if len(meas.voltage_trace) < n_needed:
+    if len(meas.voltage) < n_needed:
         raise DegenerateInputError(
-            f"measurement spans {len(meas.voltage_trace)} samples; "
+            f"measurement spans {len(meas.voltage)} samples; "
             f"need at least half a BEP ({n_needed:.0f})"
         )
     low, high = classification_thresholds(config)

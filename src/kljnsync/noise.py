@@ -9,6 +9,9 @@ on the autocorrelation of that process,
 
 which is flat-topped near tau = 0 and has its first zero at tau = 1/(2B).
 
+A trace is a float64 array of samples, volts or amperes; its sample rate
+and spectrum are the caller's, passed alongside where they are needed.
+
 Synthesis works in the frequency domain. A trace of n samples draws only
 its rfft bins at or below B, each distributed as the rfft of unit white
 noise is there, and takes one inverse FFT: the same process as white noise
@@ -21,80 +24,26 @@ a length with no prime factor above 5, where the inverse FFT is fast.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
 
 
-@functools.lru_cache(maxsize=256, typed=True)
 def derive_seed(master: int, *path: int) -> int:
     """Derive an independent 64-bit child seed from a master seed.
 
     Every random draw in the simulator takes its seed from some
     (master, path) pair, so distinct purposes get decorrelated streams and
     the whole run stays reproducible from one integer.
-
-    The last 256 (master, path) pairs are memoised, so runs that share a
-    seed build its SeedSequence once. The memo is typed: derive_seed(5.0)
-    raises TypeError as SeedSequence does, whatever derive_seed(5) left.
     """
     seq = np.random.SeedSequence(master, spawn_key=tuple(path))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class NoiseTrace:
-    """A uniformly sampled real-valued signal.
-
-    samples are volts or amperes; sample_rate is in Hz. An empty trace is
-    permitted only as a degenerate value.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", arr)
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate: must be > 0")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ConfigError("samples: all values must be finite")
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
-
-    def mean_square(self) -> float:
-        if len(self) == 0:
-            raise DegenerateInputError("mean square of an empty trace")
-        return float(np.mean(self.samples**2))
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Target spectrum for synthesis: one-sided density S0 over [0, B]."""
-
-    bandwidth_B: float
-    spectral_density_S0: float
-    seed: int = 0
-
-    def __post_init__(self):
-        problems = []
-        if self.bandwidth_B <= 0:
-            problems.append("bandwidth_B: must be > 0")
-        if self.spectral_density_S0 < 0:
-            problems.append("spectral_density_S0: must be >= 0")
-        if problems:
-            raise ConfigError(problems)
-
-    def variance(self) -> float:
-        """Total power of the ideal rectangular spectrum, S0 * B."""
-        return self.spectral_density_S0 * self.bandwidth_B
-
-
-def generate_bandlimited_gaussian(spec: NoiseSpec, duration: float, sample_rate: float) -> NoiseTrace:
+def generate_bandlimited_gaussian(
+    bandwidth_B: float, density_S0: float, seed: int, duration: float, sample_rate: float
+) -> np.ndarray:
     """Synthesize Gaussian noise with a flat one-sided spectrum over [0, B].
 
     The trace is drawn in the frequency domain: only the rfft bins at or
@@ -107,28 +56,33 @@ def generate_bandlimited_gaussian(spec: NoiseSpec, duration: float, sample_rate:
     autocorrelation that the synchronization analysis relies on. The trace
     is circular: its end wraps smoothly onto its start.
 
-    Deterministic for fixed (seed, spec, duration, sample_rate); the stream
-    is PCG64 seeded with spec.seed.
+    Deterministic for fixed arguments; the stream is PCG64 seeded with seed.
 
     Parameters
     ----------
-    spec : NoiseSpec
+    bandwidth_B : float
+        Cutoff in Hz, > 0.
+    density_S0 : float
+        One-sided spectral density over [0, B], >= 0.
+    seed : int
     duration : float
         Record length in seconds; the trace has floor(duration*sample_rate)
         samples.
     sample_rate : float
-        Must satisfy sample_rate >= 2 * spec.bandwidth_B.
+        In Hz; must satisfy sample_rate >= 2 * bandwidth_B.
 
     Returns
     -------
-    NoiseTrace
-        The generator voltage.
+    np.ndarray
+        The generator voltage, float64.
     """
-    n = _sample_count(spec, duration, sample_rate)
-    return NoiseTrace(_synthesize(spec, n, sample_rate), sample_rate)
+    n = _sample_count(bandwidth_B, density_S0, duration, sample_rate)
+    return _synthesize(bandwidth_B, density_S0, seed, n, sample_rate)
 
 
-def generate_with_guard(spec: NoiseSpec, duration: float, sample_rate: float) -> NoiseTrace:
+def generate_with_guard(
+    bandwidth_B: float, density_S0: float, seed: int, duration: float, sample_rate: float
+) -> np.ndarray:
     """Like generate_bandlimited_gaussian, but not circular: the trace is
     the interior of a longer circular one, so the wraparound never touches
     the samples handed to the protocols.
@@ -138,32 +92,33 @@ def generate_with_guard(spec: NoiseSpec, duration: float, sample_rate: float) ->
     2^a * 3^b * 5^c, where the inverse FFT is fast. The trace is samples
     [cut, cut + n) of it.
     """
-    n = _sample_count(spec, duration, sample_rate)
-    cut = int(round(sample_rate / spec.bandwidth_B))
-    padded = _synthesize(spec, _fast_length(n + 2 * cut), sample_rate)
-    return NoiseTrace(padded[cut : cut + n].copy(), sample_rate)
+    n = _sample_count(bandwidth_B, density_S0, duration, sample_rate)
+    cut = int(round(sample_rate / bandwidth_B))
+    padded = _synthesize(bandwidth_B, density_S0, seed, _fast_length(n + 2 * cut), sample_rate)
+    return padded[cut : cut + n].copy()
 
 
-def _sample_count(spec: NoiseSpec, duration: float, sample_rate: float) -> int:
+def _sample_count(bandwidth_B: float, density_S0: float, duration: float, sample_rate: float) -> int:
     """floor(duration * sample_rate), once the arguments are checked."""
     problems = []
+    if bandwidth_B <= 0:
+        problems.append("bandwidth_B: must be > 0")
+    if density_S0 < 0:
+        problems.append("density_S0: must be >= 0")
     if duration < 0:
         problems.append("duration: must be >= 0")
-    if sample_rate < 2.0 * spec.bandwidth_B:
-        problems.append(
-            f"sample_rate: {sample_rate} Hz is below Nyquist "
-            f"2B = {2.0 * spec.bandwidth_B} Hz"
-        )
+    if sample_rate < 2.0 * bandwidth_B:
+        problems.append(f"sample_rate: {sample_rate} Hz is below Nyquist 2B = {2.0 * bandwidth_B} Hz")
     if problems:
         raise ConfigError(problems)
     return int(np.floor(duration * sample_rate))
 
 
-def _synthesize(spec: NoiseSpec, n: int, sample_rate: float) -> np.ndarray:
+def _synthesize(bandwidth_B: float, density_S0: float, seed: int, n: int, sample_rate: float) -> np.ndarray:
     """n samples of circular noise with a flat spectrum over [0, B]."""
-    if n == 0 or spec.spectral_density_S0 == 0.0:
+    if n == 0 or density_S0 == 0.0:
         return np.zeros(n)
-    kept = _kept_bins(n, sample_rate, spec.bandwidth_B)
+    kept = _kept_bins(n, sample_rate, bandwidth_B)
     # real bins: DC and, for even n, the Nyquist bin when it is kept
     real = [0, n // 2] if n % 2 == 0 and kept == n // 2 + 1 else [0]
 
@@ -171,11 +126,11 @@ def _synthesize(spec: NoiseSpec, n: int, sample_rate: float) -> np.ndarray:
     # expected_power is E[sum(y^2)] for masked unit-variance white input;
     # scaling by it makes E[var] = S0*B exact.
     expected_power = 2.0 * kept - len(real)
-    scale = np.sqrt(spec.variance() * n / expected_power)
+    scale = np.sqrt(density_S0 * bandwidth_B * n / expected_power)
 
     # the rfft of n unit white samples: interior bins sqrt(n/2)*(z + iz'),
     # real bins sqrt(n)*z
-    z = np.random.default_rng(spec.seed).standard_normal((2, kept))
+    z = np.random.default_rng(seed).standard_normal((2, kept))
     bins = (z[0] + 1j * z[1]) * (scale * np.sqrt(n / 2.0))
     bins[real] = z[0, real] * (scale * np.sqrt(n))
     return np.fft.irfft(bins, n=n)
@@ -202,8 +157,8 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def empirical_autocorrelation(trace: NoiseTrace, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation estimate of a trace.
+def empirical_autocorrelation(samples: np.ndarray, sample_rate: float, max_lag: int) -> np.ndarray:
+    """Biased autocorrelation estimate of a trace sampled at sample_rate Hz.
 
     Returns an array of shape (max_lag + 1, 2) whose rows are
     (lag in seconds, value in squared trace units), with
@@ -216,15 +171,14 @@ def empirical_autocorrelation(trace: NoiseTrace, max_lag: int) -> np.ndarray:
     bandlimited traces the generator produces. For m much smaller than N it
     agrees with the linear biased estimator to O(m/N).
     """
-    n = len(trace)
+    n = len(samples)
     if n == 0:
         raise DegenerateInputError("autocorrelation of an empty trace")
     if max_lag >= n:
         raise ConfigError(f"max_lag: {max_lag} must be < trace length {n}")
-    x = trace.samples
-    spectrum = np.fft.rfft(x)
+    spectrum = np.fft.rfft(samples)
     values = np.fft.irfft(np.abs(spectrum) ** 2, n=n)[: max_lag + 1] / n
-    lags = np.arange(max_lag + 1) / trace.sample_rate
+    lags = np.arange(max_lag + 1) / sample_rate
     return np.column_stack([lags, values])
 
 
@@ -248,12 +202,14 @@ def theoretical_autocorrelation(B: float, S0: float, tau) -> np.ndarray | float:
     return out
 
 
-def autocorrelation_standard_error(spec: NoiseSpec, n_samples: int, sample_rate: float) -> float:
+def autocorrelation_standard_error(
+    bandwidth_B: float, density_S0: float, n_samples: int, sample_rate: float
+) -> float:
     """Sampling std of the lag-0 autocorrelation estimate.
 
     For the rectangular spectrum the estimator variance at lag 0 is
     (S0*B)^2 / (B*T) with T the record length; at other lags it is at most
     that, so this value is a safe one-size band for all small lags.
     """
-    effective = n_samples * spec.bandwidth_B / sample_rate
-    return spec.variance() / np.sqrt(effective)
+    effective = n_samples * bandwidth_B / sample_rate
+    return density_S0 * bandwidth_B / np.sqrt(effective)

@@ -422,7 +422,7 @@ def estimate_offset(file_ref: BepFile, file_other: BepFile, r_wire: float) -> tu
 def bep_start_time(config: ScenarioConfig, k: int) -> float:
     """Absolute start of BEP k on the shared timeline: records are taken
     back to back with enough slack after each for the file exchange."""
-    slack = 2.0 * (config.channel.tau + config.channel.tau)
+    slack = 4.0 * config.channel.tau
     return k * (config.line.bep_duration + slack)
 
 
@@ -450,7 +450,7 @@ def run_bep(scenario: Scenario, k: int):
         r_wire_schedule=scenario.r_wire_schedule or None,
     )
     scenario.scheduler.record(t_k, "bep")
-    scenario.diagnostics.setdefault("first_bep_voltage", meas_a.voltage_trace)
+    scenario.diagnostics.setdefault("first_bep_voltage", meas_a.voltage)
     scenario.diagnostics.setdefault("bep_msq", []).append(meas_a.msq_voltage)
     return meas_a, meas_b
 

@@ -16,7 +16,6 @@ from kljnsync.line import (
     ResistorChoice,
     simulate_bep,
 )
-from kljnsync.noise import NoiseTrace
 
 CFG = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 HEADER = 73  # bytes before the first sample
@@ -50,23 +49,24 @@ def test_round_trip_with_tag():
 def test_build_keeps_the_measurement_bit_for_bit():
     meas_a, meas_b = honest_measurement()
     f = build_bep_file(meas_a, CFG)
-    assert np.array_equal(f.voltage_samples, meas_a.voltage_trace.samples)
-    assert np.array_equal(f.current_samples, meas_a.current_trace.samples)
+    assert np.array_equal(f.voltage_samples, meas_a.voltage)
+    assert np.array_equal(f.current_samples, meas_a.current)
+    assert f.sample_rate == CFG.sample_rate
     assert f.local_start == meas_a.local_start_time
     # the parties share one current array; each record's samples are
     # read-only views of its own payload
     f_b = build_bep_file(meas_b, CFG)
     for record, meas in ((f, meas_a), (f_b, meas_b)):
         for mine, theirs in (
-            (record.voltage_samples, meas.voltage_trace.samples),
-            (record.current_samples, meas.current_trace.samples),
+            (record.voltage_samples, meas.voltage),
+            (record.current_samples, meas.current),
         ):
             assert not mine.flags.writeable
             assert not np.shares_memory(mine, theirs)
     assert not np.shares_memory(f.current_samples, f_b.current_samples)
     parsed, _ = parse_bep_file(serialize_bep_file(f))
-    assert np.array_equal(parsed.voltage_samples, meas_a.voltage_trace.samples)
-    assert np.array_equal(parsed.current_samples, meas_a.current_trace.samples)
+    assert np.array_equal(parsed.voltage_samples, meas_a.voltage)
+    assert np.array_equal(parsed.current_samples, meas_a.current)
     assert parsed.local_start == meas_a.local_start_time
 
 
@@ -86,9 +86,15 @@ def test_local_start_carries_the_party_clock():
 
 
 def test_empty_measurement_rejected():
-    empty = NoiseTrace(np.zeros(0), CFG.sample_rate)
+    empty = np.zeros(0)
     meas = BepMeasurement(Party.ALICE, 0, 0.0, empty, empty)
     with pytest.raises(DegenerateInputError):
+        build_bep_file(meas, CFG)
+
+
+def test_measurement_whose_voltage_and_current_differ_in_length_rejected():
+    meas = BepMeasurement(Party.ALICE, 0, 0.0, np.ones(100), np.ones(99))
+    with pytest.raises(ConfigError):
         build_bep_file(meas, CFG)
 
 

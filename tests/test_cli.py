@@ -145,6 +145,16 @@ def test_sweep_value_that_is_not_a_number_exits_2_before_running(tmp_path, capsy
     assert not out.exists()
 
 
+def test_sweep_to_a_record_with_no_samples_exits_2(tmp_path, capsys):
+    args = ["sweep", "honest_protocol_c", "--param", "line.bep_duration", "--values"]
+    assert main(args + ["1e-6", "--out", str(tmp_path)]) == 2
+    assert _one_error_line(capsys).startswith("error: line.bep_duration: must span at least one sample")
+    assert not list(tmp_path.glob("*.report.json"))
+    # one sample, 1 / 200 kHz, is enough
+    assert main(args + ["5e-6", "--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("*.report.json"))) == 1
+
+
 def test_run_and_sweep_write_the_event_log_each_report_digests(tmp_path, capsys):
     assert main(["run", "honest_protocol_c", "--out", str(tmp_path)]) == 0
     args = ["sweep", "honest_protocol_b", "--param", "clock.t0", "--values", "0.001,0.002"]

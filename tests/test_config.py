@@ -94,6 +94,11 @@ NAMED = [
     ("honest_protocol_c", "line.noise_scale", 0),
     ("honest_combined", "line.noise_scale", 0),
     ("honest_protocol_c", "line.R_wire", 0),
+    # a record of floor(bep_duration * sample_rate) = 0 samples: half a
+    # sample period at 200 kHz, and a fifth of one
+    ("honest_protocol_c", "line.bep_duration", 2.5e-6),
+    ("honest_combined", "line.bep_duration", 2.5e-6),
+    ("honest_combined", "line.bep_duration", 1e-6),
 ]
 NAMED = [row if len(row) == 4 else (*row, {}) for row in NAMED]
 

@@ -24,7 +24,6 @@ from kljnsync.line import (
     timing_defaults,
     true_bit_state,
 )
-from kljnsync.noise import NoiseTrace
 
 L, H = ResistorChoice.L, ResistorChoice.H
 
@@ -113,27 +112,27 @@ def test_zero_noise_scale_gives_silent_line():
     cfg = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=0.0)
     meas_a, meas_b = simulate_bep(L, H, cfg, seed=1)
     assert meas_a.msq_voltage == 0.0 and meas_a.msq_current == 0.0
-    assert np.all(meas_b.voltage_trace.samples == 0.0)
+    assert np.all(meas_b.voltage == 0.0)
 
 
 def test_simulation_is_deterministic():
     a1, b1 = simulate_bep(L, H, CFG, seed=99)
     a2, b2 = simulate_bep(L, H, CFG, seed=99)
-    assert np.array_equal(a1.voltage_trace.samples, a2.voltage_trace.samples)
-    assert np.array_equal(b1.current_trace.samples, b2.current_trace.samples)
+    assert np.array_equal(a1.voltage, a2.voltage)
+    assert np.array_equal(b1.current, b2.current)
 
 
 def test_ohm_consistency_links_the_two_terminals():
     meas_a, meas_b = simulate_bep(L, H, CFG, seed=13)
-    recon = (meas_a.voltage_trace.samples - meas_b.voltage_trace.samples) / CFG.R_wire
-    i = meas_a.current_trace.samples
+    recon = (meas_a.voltage - meas_b.voltage) / CFG.R_wire
+    i = meas_a.current
     scale = np.sqrt(np.mean(i**2))
     assert np.max(np.abs(recon - i)) / scale < 1e-9
 
 
 def test_both_parties_record_the_same_loop_current():
     meas_a, meas_b = simulate_bep(H, L, CFG, seed=14)
-    assert np.array_equal(meas_a.current_trace.samples, meas_b.current_trace.samples)
+    assert np.array_equal(meas_a.current, meas_b.current)
 
 
 def test_local_clock_stamps():
@@ -145,36 +144,29 @@ def test_local_clock_stamps():
 def test_r_wire_step_changes_the_loop_mid_record():
     sched = [(0.005, 0.015)]  # +50% halfway through the 10 ms BEP
     meas_a, meas_b = simulate_bep(L, H, CFG, seed=16, r_wire_schedule=sched)
-    recon = (meas_a.voltage_trace.samples - meas_b.voltage_trace.samples) / CFG.R_wire
-    i = meas_a.current_trace.samples
+    recon = (meas_a.voltage - meas_b.voltage) / CFG.R_wire
+    i = meas_a.current
     n_half = len(i) // 2
     assert np.allclose(recon[:n_half], i[:n_half], rtol=1e-9)
     assert np.allclose(recon[n_half:], 1.5 * i[n_half:], rtol=1e-9)
 
 
-def test_measurement_invariants_checked():
-    tr = NoiseTrace(np.ones(100), 1e3)
-    short = NoiseTrace(np.ones(99), 1e3)
-    with pytest.raises(ConfigError):
-        BepMeasurement(Party.ALICE, 0, 0.0, tr, short)
-
-
 def test_record_mean_squares_are_computed_once_on_first_read(monkeypatch):
-    original, passes = NoiseTrace.mean_square, []
+    original, passes = np.mean, []
 
-    def counted(trace):
-        passes.append(trace)
-        return original(trace)
+    def counted(squares, *args, **kwargs):
+        passes.append(squares)
+        return original(squares, *args, **kwargs)
 
-    monkeypatch.setattr(NoiseTrace, "mean_square", counted)
+    monkeypatch.setattr(np, "mean", counted)
     meas_a, _ = simulate_bep(L, H, CFG, seed=17)
     assert passes == []
     for _ in range(2):  # the second read finds the value the first one kept
-        assert meas_a.msq_voltage == float(np.mean(meas_a.voltage_trace.samples**2))
-        assert meas_a.msq_current == float(np.mean(meas_a.current_trace.samples**2))
+        assert meas_a.msq_voltage == float(original(meas_a.voltage**2))
+        assert meas_a.msq_current == float(original(meas_a.current**2))
     assert len(passes) == 2
-    assert passes[0] is meas_a.voltage_trace and passes[1] is meas_a.current_trace
-    empty = NoiseTrace(np.zeros(0), CFG.sample_rate)
+    assert np.array_equal(passes[0], meas_a.voltage**2) and np.array_equal(passes[1], meas_a.current**2)
+    empty = np.zeros(0)
     assert BepMeasurement(Party.BOB, 0, 0.0, empty, empty).msq_voltage == 0.0
     assert len(passes) == 2
 
@@ -215,7 +207,7 @@ def test_both_parties_share_the_kept_levels_bit_for_bit():
 
 
 def _measurement_with_msq(msq: float, n: int = 2000) -> BepMeasurement:
-    tr = NoiseTrace(np.full(n, np.sqrt(msq)), CFG.sample_rate)
+    tr = np.full(n, np.sqrt(msq))
     return BepMeasurement(Party.ALICE, 0, 0.0, tr, tr)
 
 

@@ -103,3 +103,22 @@ def test_every_defaulted_parameter_is_set_by_some_call_in_the_package():
             if not any(sets(call, position, name) for call in calls.get(fn.name, []))
         ]
     assert sorted(unset) == sorted(UNSET_DEFAULTS), f"defaulted, never set in the package: {sorted(unset)}"
+
+
+def test_every_module_level_import_is_used_in_its_module():
+    # a name a module imports at its top (or under a module-level if, such
+    # as TYPE_CHECKING) must be named somewhere else in that module
+    package = Path(__file__).resolve().parents[1] / "src" / "kljnsync"
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = [s for stmt in tree.body for s in (stmt.body if isinstance(stmt, ast.If) else [stmt])]
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for stmt in top
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", None) != "__future__"
+            for alias in stmt.names
+        }
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - named)]
+    assert unused == [], f"imported, never used: {unused}"

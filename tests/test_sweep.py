@@ -157,7 +157,6 @@ def test_a_sweep_edits_one_field_of_the_config_the_report_shows():
 
 
 def _cold_memos(monkeypatch):
-    derive_seed.cache_clear()
     monkeypatch.setattr(auth, "_pads", OrderedDict())
     monkeypatch.setattr(auth, "_kept_bytes", 0)
 
