@@ -18,12 +18,7 @@ from .adversaries import AsymDelay, LineMod, Substitute, passive_bit_guess
 from .auth import AuthTag, KeyLedger, KeySpan, encrypt_digest, hash_message, verify
 from .bepfile import build_bep_file
 from .config import ChannelConfig, ClockConfig, ProtocolConfig
-from .errors import (
-    AmbiguousMeasurementError,
-    ConfigError,
-    FlatResidualError,
-    InconsistentStateError,
-)
+from .errors import AmbiguousMeasurementError, ConfigError, InconsistentStateError
 from .harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_scenario
 from .line import (
     BitState,
@@ -42,7 +37,7 @@ from .noise import (
     generate_bandlimited_gaussian,
     theoretical_autocorrelation,
 )
-from .protocols import combined_check, estimate_offset, exchange_files, protocol_a, protocol_b, protocol_c
+from .protocols import combined_check, exchange_files, protocol_a, protocol_b, protocol_c, residual_curve
 
 LINE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 FS = LINE.sample_rate
@@ -243,11 +238,7 @@ def criterion_7_integrity_detection() -> tuple[bool, str]:
             ResistorChoice.L, ResistorChoice.H, LINE, seed=seed, r_wire_schedule=sched
         )
         fa, fb = build_bep_file(meas_a, LINE), build_bep_file(meas_b, LINE)
-        try:
-            _, res = estimate_offset(fa, fb, LINE.R_wire)
-        except FlatResidualError as err:
-            res = err.residual
-        return res
+        return float(residual_curve(fa, fb, LINE.R_wire)[1].min())
 
     caught = 0
     min_residual = np.inf

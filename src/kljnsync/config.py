@@ -289,19 +289,21 @@ class ProtocolConfig:
 
     The alignment search of protocol C tries every shift on the sample
     lattice that keeps half of a record overlapping, driving the wire model
-    with the record named by input, over the BEPs in k_range; the run is
+    with the two terminal voltages, over the BEPs in k_range; the run is
     flagged when no shift gets the residual to residual_threshold. The
     report keeps the residual curve over +-dt_window samples around its
-    minimum. The combined check's probe
-    must then find the offset within t0_tol_quanta clock quanta of zero and
-    the delay within tau_tol_quanta quanta of the channel's tau.
+    minimum. input takes one value, "voltage": every report's config shows
+    the field, so it stays until the reports change format. The combined
+    check's probe must then find the offset within t0_tol_quanta clock
+    quanta of zero and the delay within tau_tol_quanta quanta of the
+    channel's tau.
     """
 
     kind: Literal["A", "B", "C", "Combined"]
     dt_window: int = 100
     residual_threshold: float = 0.01
     k_range: tuple[int, ...] = (0,)
-    input: Literal["voltage", "current"] = "voltage"
+    input: Literal["voltage"] = "voltage"
     t0_tol_quanta: float = 2.0
     tau_tol_quanta: float = 1.5
 

@@ -43,23 +43,6 @@ class InsufficientOverlapError(KljnError):
     """Exchanged records overlap by less than half after candidate shifts."""
 
 
-class FlatResidualError(KljnError):
-    """No candidate shift brought the residual below the detection threshold.
-
-    Signals an ongoing line modification or a wrong channel model. Carries
-    the best shift found and its residual so callers can still report them.
-    """
-
-    def __init__(self, dt_star, residual, threshold):
-        self.dt_star = dt_star
-        self.residual = residual
-        self.threshold = threshold
-        super().__init__(
-            f"residual minimum {residual:.3e} at shift {dt_star:.3e}s "
-            f"exceeds detection threshold {threshold:.3e}"
-        )
-
-
 class LivelockError(KljnError):
     """The event scheduler exceeded its event budget."""
 

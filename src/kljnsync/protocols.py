@@ -37,8 +37,7 @@ import numpy as np
 from .auth import AuthTag, encrypt_digest, hash_message, verify
 from .bepfile import BepFile, build_bep_file
 from .channel import Direction, Envelope, Scheduler, quantize
-from .config import ProtocolConfig
-from .errors import ConfigError, FlatResidualError, InsufficientOverlapError
+from .errors import ConfigError, InsufficientOverlapError
 from .line import Party, ResistorChoice, simulate_bep
 from .noise import derive_seed
 from .scenario import Scenario
@@ -263,12 +262,7 @@ def exchange_files(
     return received, "" if fresh else "stale or mismatched file"
 
 
-def residual_curve(
-    file_ref: BepFile,
-    file_other: BepFile,
-    r_wire: float,
-    search: ProtocolConfig = ProtocolConfig("C"),
-) -> tuple[np.ndarray, np.ndarray]:
+def residual_curve(file_ref: BepFile, file_other: BepFile, r_wire: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalized mean-square mismatch against the wire model, per shift.
 
     The candidate shifts lie on the sample lattice. With base the offset,
@@ -276,20 +270,17 @@ def residual_curve(
     maps reference sample n exactly onto other sample n + m, m = rint(base)
     - j, so no interpolation is needed. Every shift whose overlap keeps at
     least half of the reference record is a candidate: about +-N/2 samples
-    for two N-sample records. search.input names the record that drives the
-    wire model:
+    for two N-sample records. The two terminal voltages drive the wire
+    model: I_sim = (U_alice - U_bob) / r_wire is compared with the
+    reference party's measured current I, and the residual is
+    sum((I_sim - I)^2) / sum(I^2) over the overlap.
 
-      voltage input: I_sim = (U_alice - U_bob) / r_wire, compared with the
-        reference party's measured current;
-      current input: the other record's current predicts the terminal
-        voltage difference I * r_wire, compared with the measured difference.
-
-    Written as sum((a - b)^2) / sum(d^2) over the overlap, the numerator is
-    expanded into sum(a^2) - 2 sum(a b) + sum(b^2): the cross term of every
-    shift comes from one FFT cross-correlation, the energies and the
-    denominator d^2 from prefix sums. The expansion cancels badly where the
-    residual is small, so the minimum and its two neighbours are computed
-    again directly. search.dt_window does not limit the search.
+    Written as sum((a - b)^2) / sum(I^2), with a = +-U_ref / r_wire - I and
+    b = +-U_other / r_wire, the numerator is expanded into sum(a^2) -
+    2 sum(a b) + sum(b^2): the cross term of every shift comes from one FFT
+    cross-correlation, the energies and the denominator from prefix sums.
+    The expansion cancels badly where the residual is small, so the minimum
+    and its two neighbours are computed again directly.
 
     Returns (shifts_seconds, residuals), shifts ascending. Raises
     InsufficientOverlapError when no shift leaves half the reference record
@@ -321,15 +312,9 @@ def residual_curve(
     hi = np.minimum(n_ref, n_other - m)
 
     sign = 1.0 if file_ref.party is Party.ALICE else -1.0
-    v_ref, v_other = file_ref.voltage_samples, file_other.voltage_samples
-    if search.input == "voltage":
-        a = sign * v_ref / r_wire - file_ref.current_samples
-        b = sign * v_other / r_wire
-        d2, d_lo, d_hi = file_ref.current_samples**2, lo, hi
-    else:
-        a = sign * v_ref
-        b = sign * v_other + r_wire * file_other.current_samples
-        d2, d_lo, d_hi = (r_wire * file_other.current_samples) ** 2, lo + m, hi + m
+    v_ref, v_other, i_ref = file_ref.voltage_samples, file_other.voltage_samples, file_ref.current_samples
+    a = sign * v_ref / r_wire - i_ref
+    b = sign * v_other / r_wire
 
     size = 1 << (n_ref + n_other - 2).bit_length()  # a power of two >= n_ref + n_other - 1
     spectrum = np.conj(np.fft.rfft(a, size)) * np.fft.rfft(b, size)
@@ -341,23 +326,18 @@ def residual_curve(
         np.cumsum(x, out=sums[1:])
         return sums
 
-    energy_a, energy_b, energy_d = prefix(a * a), prefix(b * b), prefix(d2)
+    energy_a, energy_b, energy_i = prefix(a * a), prefix(b * b), prefix(i_ref**2)
     num = energy_a[hi] - energy_a[lo] - 2.0 * cross + energy_b[hi + m] - energy_b[lo + m]
-    den = energy_d[d_hi] - energy_d[d_lo]
+    den = energy_i[hi] - energy_i[lo]
     residuals = np.full(m.size, np.inf)
     # rounding can take the expanded numerator of a near-zero residual below 0
     np.divide(np.maximum(num, 0.0), den, out=residuals, where=den > 0)
 
     def direct(k: int) -> float:
         n = slice(lo[k], hi[k])
-        other = slice(lo[k] + m[k], hi[k] + m[k])
-        v_diff = sign * (v_ref[n] - v_other[other])
-        if search.input == "voltage":
-            i_meas = file_ref.current_samples[n]
-            mismatch, norm = np.sum((v_diff / r_wire - i_meas) ** 2), np.sum(i_meas**2)
-        else:
-            v_pred = file_other.current_samples[other] * r_wire
-            mismatch, norm = np.sum((v_diff - v_pred) ** 2), np.sum(v_pred**2)
+        v_diff = sign * (v_ref[n] - v_other[lo[k] + m[k] : hi[k] + m[k]])
+        i_meas = i_ref[n]
+        mismatch, norm = np.sum((v_diff / r_wire - i_meas) ** 2), np.sum(i_meas**2)
         return mismatch / norm if norm > 0 else np.inf
 
     best = int(np.argmin(residuals))
@@ -386,37 +366,6 @@ def _refine_vertex(shifts: np.ndarray, residuals: np.ndarray, i: int) -> float:
     step = shifts[1] - shifts[0]
     delta = 0.5 * (y0 - y2) / denom
     return float(shifts[i] + np.clip(delta, -0.5, 0.5) * step)
-
-
-def locate_minimum(shifts: np.ndarray, residuals: np.ndarray, threshold: float) -> tuple[float, float]:
-    """The verdict on one residual curve.
-
-    Returns (dt_star, residual): the minimizing shift, refined to
-    sub-sample by a three-point parabola, and the residual at the grid
-    minimum. Raises FlatResidualError when that residual is not below
-    threshold - either the line was modified or the model is wrong.
-    """
-    i = _pick_minimum(shifts, residuals)
-    best = float(residuals[i])
-    if not best <= threshold:
-        raise FlatResidualError(float(shifts[i]), best, threshold)
-    return _refine_vertex(shifts, residuals, i), best
-
-
-def estimate_offset(file_ref: BepFile, file_other: BepFile, r_wire: float) -> tuple[float, float]:
-    """Find the shift where the other party's record satisfies the wire
-    model against the reference record, with the default search settings.
-
-    Returns (dt_star, residual) as locate_minimum does. The reference
-    party's clock offset relative to the other is -dt_star; run with Alice
-    as reference, that recovers Bob's offset directly.
-
-    Raises FlatResidualError when no candidate gets below the detection
-    threshold - either the line was modified or the model is wrong.
-    """
-    search = ProtocolConfig("C")
-    shifts, residuals = residual_curve(file_ref, file_other, r_wire, search)
-    return locate_minimum(shifts, residuals, search.residual_threshold)
 
 
 def bep_start_time(config: ScenarioConfig, k: int) -> float:
@@ -461,11 +410,13 @@ def protocol_c(scenario: Scenario) -> SyncResult:
     Per BEP: record, exchange files with authentication, and accumulate the
     residual curve; curves from multiple BEPs are averaged before the
     minimum is taken, which sharpens the valley. Alice and Bob run the
-    search symmetrically (their shifts are negatives of each other); Bob,
-    as the non-master, applies the correction, after which his clock offset
-    is zero to within the search resolution. The run is flagged, and no
-    correction applied, when any file fails authentication or freshness, or
-    when no shift explains the data (line modified mid-record).
+    search symmetrically (their shifts are negatives of each other). Each
+    party's grid minimum must reach residual_threshold; it is then refined
+    to sub-sample by a three-point parabola, and Bob, as the non-master,
+    applies the correction, after which his clock offset is zero to within
+    the search resolution. The run is flagged, and no correction applied,
+    when any file fails authentication or freshness, when no shift explains
+    the data (line modified mid-record), or when the two shifts disagree.
 
     This protocol produces no propagation-delay estimate; only the embedded
     two-way probe of the combined check measures tau.
@@ -485,29 +436,32 @@ def protocol_c(scenario: Scenario) -> SyncResult:
             return SyncResult("C", None, None, None, auth_ok=False, attack_flag=True, detail=problem)
         # Alice searches her own record against Bob's received copy; Bob
         # does the mirror image with Alice's received copy, on his own grid.
-        curves_alice.append(residual_curve(file_a, received[Direction.B_TO_A], line.R_wire, search))
-        curves_bob.append(residual_curve(file_b, received[Direction.A_TO_B], line.R_wire, search))
+        curves_alice.append(residual_curve(file_a, received[Direction.B_TO_A], line.R_wire))
+        curves_bob.append(residual_curve(file_b, received[Direction.A_TO_B], line.R_wire))
 
     # every BEP's records have the same lengths, so position p of each curve
     # is the same index lag; its shifts differ only by the float rounding of
     # each BEP's start-stamp difference
     shifts_alice, mean_alice = np.mean(curves_alice, axis=0)
     shifts_bob, mean_bob = np.mean(curves_bob, axis=0)
-    i = _pick_minimum(shifts_alice, mean_alice)
+    i_alice, i_bob = _pick_minimum(shifts_alice, mean_alice), _pick_minimum(shifts_bob, mean_bob)
     width = 2 * search.dt_window + 1
-    lo = max(min(i - search.dt_window, mean_alice.size - width), 0)
+    lo = max(min(i_alice - search.dt_window, mean_alice.size - width), 0)
     scenario.diagnostics["residual_curve"] = (shifts_alice[lo : lo + width], mean_alice[lo : lo + width])
 
-    try:
-        dt_alice, best = locate_minimum(shifts_alice, mean_alice, search.residual_threshold)
-        dt_bob, _ = locate_minimum(shifts_bob, mean_bob, search.residual_threshold)
-    except FlatResidualError as err:
-        return SyncResult(
-            "C", None, None, err.residual,
-            auth_ok=True, attack_flag=True,
-            detail=f"no shift explains the data (residual {err.residual:.3e})",
-        )
+    # either party's grid minimum left above threshold: the line was
+    # modified mid-record, or the model is wrong
+    best = float(mean_alice[i_alice])
+    for residual in (best, float(mean_bob[i_bob])):
+        if not residual <= search.residual_threshold:
+            return SyncResult(
+                "C", None, None, residual,
+                auth_ok=True, attack_flag=True,
+                detail=f"no shift explains the data (residual {residual:.3e})",
+            )
 
+    dt_alice = _refine_vertex(shifts_alice, mean_alice, i_alice)
+    dt_bob = _refine_vertex(shifts_bob, mean_bob, i_bob)
     t0_est = -dt_alice
     # symmetric searches must agree (their shifts are mutual negatives)
     if abs(dt_alice + dt_bob) > 1.0 / line.sample_rate:

@@ -6,6 +6,7 @@ the acceptance report; `kljnsync verify` executes the same list.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +18,32 @@ import kljnsync
 from kljnsync.acceptance import CRITERIA, ks_2samp
 
 
+# each criterion's detail with its trailing timing cut off, as numpy 2.4.6
+# gave it; like the pinned report digests, the round-off figures (criterion
+# 6's residuals) hold within one numpy major
+DETAILS = {
+    1: "max |dev| 0.90 SE, lag-0 within 0.13%",
+    2: "(10 us, 10 ms) exact; range note present",
+    3: "worst error 6.94e-18s over 1000 pairs",
+    4: "16 protocol/leg/delta combinations exact, all unflagged",
+    5: "100/100 message, 100/100 file substitutions flagged; 0/10000 forgeries verified",
+    6: "100/100 within 1 sample (worst 0.001), max residual 6.61e-26; sub-sample 50/50 (worst 0.001), "
+    "beyond 100 samples 10/10 (worst 0.000), max residual 6.48e-26",
+    7: "100/100 wire changes flagged (min residual 0.096, >= 964x honest bound; detection boundary ~15% "
+    "at threshold 0.01); delays of 4+ quanta all caught",
+    8: "KS p = 0.523; Eve accuracy 0.493 in 0.5 +- 0.047 (n = 1010); agreement 1010/1010",
+    9: "A detects {}; B detects {Substitute}; C+Combined detects all three",
+    10: "12 bundled scenarios byte-identical",
+}
+
+
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[f"criterion_{c.number:02d}" for c in CRITERIA])
 def test_acceptance_criterion(criterion):
     passed, detail = criterion.run()
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] criterion {criterion.number}: {criterion.name} - {detail}")
     assert passed, f"criterion {criterion.number} ({criterion.name}): {detail}"
+    assert re.sub(r"[,;] \d+\.\ds$", "", detail) == DETAILS[criterion.number]
 
 
 # (x, y, statistic, p) with the statistic and p-value that scipy 1.17.1's

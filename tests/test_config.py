@@ -50,6 +50,7 @@ NAMED = [
     ("honest_protocol_c", "protocol.dt_window", 2.5),
     ("honest_protocol_c", "protocol.dt_window", True),
     ("honest_protocol_c", "protocol.k_range", [-1]),
+    ("honest_protocol_c", "protocol.input", "current"),
     ("delay_attack_b", "attacks.0.leg", "sideways"),
     ("delay_attack_b", "attacks.0", {"kind": "AsymDelay"}),
     ("delay_attack_b", "attacks.0.delta", "x"),

@@ -11,7 +11,6 @@ from kljnsync.channel import Direction
 from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig
 from kljnsync.errors import (
     ConfigError,
-    FlatResidualError,
     InsufficientOverlapError,
     KeyExhaustedError,
 )
@@ -23,10 +22,9 @@ from kljnsync.protocols import (
     SyncMessage,
     SyncResult,
     _pick_minimum,
+    _refine_vertex,
     combined_check,
-    estimate_offset,
     exchange_files,
-    locate_minimum,
     protocol_a,
     protocol_b,
     protocol_c,
@@ -255,9 +253,16 @@ def test_exchange_files_detects_replay():
 # --- alignment search -------------------------------------------------------
 
 
+def located(shifts, residuals):
+    """What protocol_c takes from one curve: the shift at the picked grid
+    minimum, refined by the three-point parabola, and the residual there."""
+    i = _pick_minimum(shifts, residuals)
+    return _refine_vertex(shifts, residuals, i), residuals[i]
+
+
 def test_estimate_offset_zero_offset_noiseless():
     fa, fb = bep_files(t0=0.0)
-    dt, residual = estimate_offset(fa, fb, LINE.R_wire)
+    dt, residual = located(*residual_curve(fa, fb, LINE.R_wire))
     assert abs(dt) < 0.5 / FS
     assert residual < 1e-6
 
@@ -265,7 +270,7 @@ def test_estimate_offset_zero_offset_noiseless():
 def test_estimate_offset_recovers_integer_shift():
     t0 = 3.0 / FS  # Bob's clock ahead by 3 sample intervals
     fa, fb = bep_files(t0=t0)
-    dt, residual = estimate_offset(fa, fb, LINE.R_wire)
+    dt, residual = located(*residual_curve(fa, fb, LINE.R_wire))
     assert dt == pytest.approx(-t0, abs=1.0 / FS)
     assert -dt == pytest.approx(t0, abs=1.0 / FS)  # recovered offset
     assert residual < 1e-6
@@ -274,37 +279,26 @@ def test_estimate_offset_recovers_integer_shift():
 def test_estimate_offset_symmetry():
     t0 = 5.0 / FS
     fa, fb = bep_files(t0=t0)
-    dt_alice, _ = estimate_offset(fa, fb, LINE.R_wire)
-    dt_bob, _ = estimate_offset(fb, fa, LINE.R_wire)
+    dt_alice, _ = located(*residual_curve(fa, fb, LINE.R_wire))
+    dt_bob, _ = located(*residual_curve(fb, fa, LINE.R_wire))
     assert dt_alice + dt_bob == pytest.approx(0.0, abs=1.0 / FS)
-
-
-def test_estimate_offset_voltage_and_current_inputs_agree():
-    t0 = -4.0 / FS
-    fa, fb = bep_files(t0=t0)
-    dt_v, dt_c = (
-        locate_minimum(*residual_curve(fa, fb, LINE.R_wire, search), search.residual_threshold)[0]
-        for search in (ProtocolConfig("C", input="voltage"), ProtocolConfig("C", input="current"))
-    )
-    assert dt_v == pytest.approx(dt_c, abs=1.0 / FS)
 
 
 def test_estimate_offset_flags_line_modification():
     # +50% wire resistance halfway through the record
     sched = [(LINE.bep_duration / 2, LINE.R_wire * 1.5)]
     fa, fb = bep_files(t0=0.0, r_wire_schedule=sched)
-    with pytest.raises(FlatResidualError) as err:
-        estimate_offset(fa, fb, LINE.R_wire)
-    assert err.value.residual > 1e-2
+    _, residual = located(*residual_curve(fa, fb, LINE.R_wire))
+    assert residual > 1e-2  # above the default residual_threshold
 
 
 def test_estimate_offset_requires_positive_wire():
     fa, fb = bep_files()
     with pytest.raises(ConfigError):
-        estimate_offset(fa, fb, 0.0)
+        residual_curve(fa, fb, 0.0)
 
 
-def reference_curve(file_ref, file_other, r_wire, search):
+def reference_curve(file_ref, file_other, r_wire):
     """The per-shift loop the closed form replaced, on the sample lattice:
     for every index lag m whose overlap keeps half of the reference record,
     the wire-model residual summed directly over that overlap."""
@@ -318,27 +312,21 @@ def reference_curve(file_ref, file_other, r_wire, search):
         if hi - lo < 0.5 * n_ref:
             continue
         v_diff = sign * (file_ref.voltage_samples[lo:hi] - file_other.voltage_samples[lo + m : hi + m])
-        if search.input == "voltage":
-            i_sim = v_diff / r_wire
-            i_meas = file_ref.current_samples[lo:hi]
-            num = np.sum((i_sim - i_meas) ** 2)
-            den = np.sum(i_meas**2)
-        else:
-            v_pred = file_other.current_samples[lo + m : hi + m] * r_wire
-            num = np.sum((v_diff - v_pred) ** 2)
-            den = np.sum(v_pred**2)
+        i_sim = v_diff / r_wire
+        i_meas = file_ref.current_samples[lo:hi]
+        num = np.sum((i_sim - i_meas) ** 2)
+        den = np.sum(i_meas**2)
         shifts.append((base - m) / fs)
         residuals.append(num / den if den > 0 else np.inf)
     return np.array(shifts), np.array(residuals)
 
 
-@pytest.mark.parametrize("offset", [0.0, 7.0, 7.3, -12.6, 150.0])
-@pytest.mark.parametrize("input_", ["voltage", "current"])
-def test_residual_curve_matches_the_per_shift_loop(offset, input_):
+# the ids name the input that drives the wire model, as protocol.input does
+@pytest.mark.parametrize("offset", [0.0, 7.0, 7.3, -12.6, 150.0], ids="voltage-{}".format)
+def test_residual_curve_matches_the_per_shift_loop(offset):
     fa, fb = bep_files(t0=offset / FS)
-    search = ProtocolConfig("C", input=input_)
-    shifts, residuals = residual_curve(fa, fb, LINE.R_wire, search)
-    want_shifts, want = reference_curve(fa, fb, LINE.R_wire, search)
+    shifts, residuals = residual_curve(fa, fb, LINE.R_wire)
+    want_shifts, want = reference_curve(fa, fb, LINE.R_wire)
     assert shifts.size == want.size == 2 * (len(fa) // 2) + 1  # the full +-N/2 range
     np.testing.assert_allclose(shifts, want_shifts, rtol=0, atol=1e-9 / FS)
     assert np.all(np.abs(residuals - want) <= 1e-9 * np.maximum(1.0, want))
@@ -353,13 +341,13 @@ def test_residual_curve_matches_the_per_shift_loop(offset, input_):
 def test_locate_minimum_ties_go_to_the_smallest_shift():
     shifts = np.arange(-2.0, 3.0) / FS
     # equal minima at -2, 0 and +2 samples: the zero shift wins
-    dt, best = locate_minimum(shifts, np.array([0.0, 3.0, 0.0, 3.0, 0.0]), 0.01)
+    dt, best = located(shifts, np.array([0.0, 3.0, 0.0, 3.0, 0.0]))
     assert dt == 0.0 and best == 0.0
     # equal minima at -1 and +1 samples: the negative one wins
-    dt, best = locate_minimum(shifts, np.array([3.0, 0.0, 3.0, 0.0, 3.0]), 0.01)
+    dt, best = located(shifts, np.array([3.0, 0.0, 3.0, 0.0, 3.0]))
     assert dt == -1.0 / FS and best == 0.0
-    with pytest.raises(FlatResidualError):
-        locate_minimum(shifts, np.array([3.0, 0.5, 3.0, 0.5, 3.0]), 0.01)
+    _, best = located(shifts, np.array([3.0, 0.5, 3.0, 0.5, 3.0]))
+    assert best > 0.01  # above the default residual_threshold
 
 
 def test_pick_minimum_matches_the_lexicographic_order():
@@ -386,14 +374,13 @@ def test_residual_curve_insufficient_overlap():
 
     short = replace(fb, voltage_samples=fb.voltage_samples[:300], current_samples=fb.current_samples[:300])
     with pytest.raises(InsufficientOverlapError):
-        residual_curve(fa, short, LINE.R_wire, ProtocolConfig("C", dt_window=100))
+        residual_curve(fa, short, LINE.R_wire)
 
 
 def test_residual_curve_keeps_the_lags_the_overlap_mask_kept():
     # the lags are computed as one run; the mask over all n_ref + n_other - 1
     # lags is the definition they must match for every pair of lengths
     fa, fb = bep_files()
-    search = ProtocolConfig("C")
     for n_ref in range(1, 65):
         ref = replace(fa, voltage_samples=fa.voltage_samples[:n_ref], current_samples=fa.current_samples[:n_ref])
         for n_other in range(1, 65):
@@ -404,37 +391,35 @@ def test_residual_curve_keeps_the_lags_the_overlap_mask_kept():
             )
             if not keep.any():
                 with pytest.raises(InsufficientOverlapError):
-                    residual_curve(ref, other, LINE.R_wire, search)
+                    residual_curve(ref, other, LINE.R_wire)
                 continue
-            shifts, residuals = residual_curve(ref, other, LINE.R_wire, search)
+            shifts, residuals = residual_curve(ref, other, LINE.R_wire)
             assert np.array_equal(shifts, -m[keep] / FS), (n_ref, n_other)
             assert residuals.shape == shifts.shape
 
 
-@pytest.mark.parametrize("offset", [7.0, 7.3])
-@pytest.mark.parametrize("input_", ["voltage", "current"])
-def test_residual_curve_over_received_records_is_bit_identical(offset, input_):
+@pytest.mark.parametrize("offset", [7.0, 7.3], ids="voltage-{}".format)
+def test_residual_curve_over_received_records_is_bit_identical(offset):
     # the records as a party receives them: parsed from the wire bytes
     built = bep_files(t0=offset / FS)
     parsed = [parse_bep_file(serialize_bep_file(f))[0] for f in built]
-    search = ProtocolConfig("C", input=input_)
     for ref, other in ((0, 1), (1, 0)):
-        want = residual_curve(built[ref], built[other], LINE.R_wire, search)
-        got = residual_curve(parsed[ref], parsed[other], LINE.R_wire, search)
+        want = residual_curve(built[ref], built[other], LINE.R_wire)
+        got = residual_curve(parsed[ref], parsed[other], LINE.R_wire)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_residual_curve_valley_is_at_negative_offset():
     t0 = 6.0 / FS
     fa, fb = bep_files(t0=t0)
-    shifts, residuals = residual_curve(fa, fb, LINE.R_wire, ProtocolConfig("C", dt_window=20))
+    shifts, residuals = residual_curve(fa, fb, LINE.R_wire)
     assert shifts[np.argmin(residuals)] == pytest.approx(-t0, abs=0.5 / FS)
 
 
 @pytest.mark.parametrize("samples", [7.3, -12.6, 0.5, 150.0, -640.25])
 def test_estimate_offset_recovers_sub_sample_and_far_offsets(samples):
     fa, fb = bep_files(t0=samples / FS)
-    dt, residual = estimate_offset(fa, fb, LINE.R_wire)
+    dt, residual = located(*residual_curve(fa, fb, LINE.R_wire))
     assert -dt == pytest.approx(samples / FS, abs=1.0 / FS)
     assert residual < 1e-15
 
@@ -510,9 +495,9 @@ def test_protocol_c_flags_disagreeing_shift_estimates(monkeypatch):
     alice_estimate = protocol_c(scenario(seed=5, t0=t0)).t0_est
     curve = protocols.residual_curve
 
-    def skewed(file_ref, file_other, r_wire, search):
+    def skewed(file_ref, file_other, r_wire):
         # Bob's valley moves 3 lags away from the mirror image of Alice's
-        shifts, residuals = curve(file_ref, file_other, r_wire, search)
+        shifts, residuals = curve(file_ref, file_other, r_wire)
         return shifts, np.roll(residuals, 3) if file_ref.party is Party.BOB else residuals
 
     monkeypatch.setattr(protocols, "residual_curve", skewed)
@@ -529,6 +514,28 @@ def test_protocol_c_flags_line_modification():
     res = protocol_c(sc)
     assert res.attack_flag is True
     assert res.residual is None or res.residual > 1e-2
+    assert res.detail.startswith("no shift explains the data")
+
+
+@pytest.mark.parametrize("flat", [Party.ALICE, Party.BOB])
+def test_protocol_c_flags_either_partys_flat_curve(monkeypatch, flat):
+    # one party's curve is lifted past residual_threshold everywhere; the
+    # verdict carries that party's residual, and no correction is applied
+    t0 = 7.0 / FS
+    curve = protocols.residual_curve
+
+    def lifted(file_ref, file_other, r_wire):
+        shifts, residuals = curve(file_ref, file_other, r_wire)
+        return shifts, residuals + 0.5 if file_ref.party is flat else residuals
+
+    monkeypatch.setattr(protocols, "residual_curve", lifted)
+    sc = scenario(seed=5, t0=t0)
+    res = protocol_c(sc)
+    assert res.attack_flag is True and res.auth_ok is True
+    assert res.t0_est is None
+    assert 0.5 <= res.residual < 0.5 + 1e-4
+    assert res.detail == f"no shift explains the data (residual {res.residual:.3e})"
+    assert sc.bob_offset == t0  # uncorrected
 
 
 def test_combined_check_honest_passes():

@@ -14,6 +14,7 @@ ALLOWED = {
 UNREAD_FIELDS = {
     "raw": "perfbench/workloads.py edits a copy of the document a config was read from",
     "partner": "the tests pin the partner's resistor PartnerInference infers; the program reads only key_bit",
+    "input": "every report's config shows it; the schema-2 report's byte break deletes it",
 }
 
 # defaulted parameters no call in the package sets, each kept for one caller outside it
