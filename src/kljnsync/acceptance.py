@@ -66,19 +66,16 @@ def criterion_1_autocorrelation() -> tuple[bool, str]:
     ac = empirical_autocorrelation(trace, fs, 20)
     se = autocorrelation_standard_error(B, S0, len(trace), fs)
 
-    problems = []
-    for lag_samples in (0, 5, 10, 20):  # 0, 1/(4B), 1/(2B), 1/B
-        lag = ac[lag_samples, 0]
-        dev = abs(ac[lag_samples, 1] - theoretical_autocorrelation(B, S0, lag))
-        if dev >= 5.0 * se:
-            problems.append(f"lag {lag:.2e}s off by {dev / se:.1f} SE")
+    rows = ac[[0, 5, 10, 20]]  # lags 0, 1/(4B), 1/(2B), 1/B
+    devs = [abs(value - theoretical_autocorrelation(B, S0, lag)) for lag, value in rows]
+    problems = [f"lag {lag:.2e}s off by {dev / se:.1f} SE" for (lag, _), dev in zip(rows, devs) if dev >= 5.0 * se]
     lag0_rel = abs(ac[0, 1] - S0 * B) / (S0 * B)
     if lag0_rel >= 0.03:
         problems.append(f"lag-0 value off by {lag0_rel:.1%}")
     elapsed = time.perf_counter() - started
     if elapsed >= 10.0:
         problems.append(f"took {elapsed:.1f}s (budget 10s)")
-    detail = f"max |dev| {max(abs(ac[m,1]-theoretical_autocorrelation(B,S0,ac[m,0]))/se for m in (0,5,10,20)):.2f} SE, lag-0 within {lag0_rel:.2%}, {elapsed:.1f}s"
+    detail = f"max |dev| {max(devs) / se:.2f} SE, lag-0 within {lag0_rel:.2%}, {elapsed:.1f}s"
     return not problems, detail if not problems else "; ".join(problems)
 
 

@@ -11,11 +11,10 @@ used twice.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 import struct
-import threading
-from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -27,17 +26,19 @@ from .noise import derive_seed
 # the largest key a ledger holds: a 128 MiB pad
 MAX_KEY_BITS = 2**30
 
-# the memory key_pad keeps pads in: 64 KiB, about 53 default 8192-bit pads
-# with their entries; a longer pad is drawn on every call. Where no seed
-# repeats the memo only churns: there a 1 MiB budget cost 1.3 MB of peak
-# RSS, and a 256 KiB one extra page faults.
-PAD_MEMO_BYTES = 2**16
-# what an entry takes beside its pad: key tuple, bytes header, dict slot
-_ENTRY_BYTES = 192
-# pads by (seed, nbytes), least recently used first, and what they take
-_pads: OrderedDict[tuple[int, int], bytes] = OrderedDict()
-_kept_bytes = 0
-_pads_lock = threading.Lock()
+# key_pad keeps the 16 pads it last drew, of up to PAD_MEMO_BYTES each: 64 KiB
+# at most. A longer pad is drawn on every call. Where no seed repeats the
+# memo only churns: there a 1 MiB budget cost 1.3 MB of peak RSS, and a
+# 256 KiB one extra page faults.
+PAD_MEMO_BYTES = 2**12
+
+
+def _draw_pad(seed: int, nbytes: int) -> bytes:
+    words = np.random.PCG64(derive_seed(seed, 0xFEED)).random_raw((nbytes + 7) // 8)
+    return words.astype("<u8").tobytes()[:nbytes]
+
+
+_kept_pad = functools.lru_cache(maxsize=16)(_draw_pad)
 
 
 def key_pad(seed: int, nbytes: int) -> bytes:
@@ -47,29 +48,13 @@ def key_pad(seed: int, nbytes: int) -> bytes:
     round trip).
 
     The pad is a pure function of (seed, nbytes), and bytes are immutable,
-    so every caller gets the one drawn copy: the pads last used are kept
-    while they and their entries take at most PAD_MEMO_BYTES.
+    so every caller gets the one drawn copy: a pad of at most
+    PAD_MEMO_BYTES is kept in an lru_cache of the 16 last drawn.
     """
-    global _kept_bytes
     # as an int, so that a float seed raises TypeError as derive_seed does
     # instead of finding its integer's pad
-    key = (operator.index(seed), nbytes)
-    with _pads_lock:
-        pad = _pads.get(key)
-        if pad is not None:
-            _pads.move_to_end(key)
-            return pad
-    words = np.random.PCG64(derive_seed(seed, 0xFEED)).random_raw((nbytes + 7) // 8)
-    pad = words.astype("<u8").tobytes()[:nbytes]
-    cost = nbytes + _ENTRY_BYTES
-    if cost <= PAD_MEMO_BYTES:
-        with _pads_lock:
-            if key not in _pads:  # another thread may have drawn it meanwhile
-                _pads[key] = pad
-                _kept_bytes += cost
-                while _kept_bytes > PAD_MEMO_BYTES:
-                    _kept_bytes -= len(_pads.popitem(last=False)[1]) + _ENTRY_BYTES
-    return pad
+    seed = operator.index(seed)
+    return (_kept_pad if nbytes <= PAD_MEMO_BYTES else _draw_pad)(seed, nbytes)
 
 
 class KeySpan(NamedTuple):
@@ -112,7 +97,8 @@ class KeyLedger:
         drawn the first time a span is read or taken, so a run that spends
         no key draws none. It is memoised: ledgers of one seed and size
         share one immutable pad, each with its own consumption counter, and
-        key_pad keeps up to PAD_MEMO_BYTES (64 KiB) of recent pads."""
+        key_pad keeps the 16 pads it last drew, of up to PAD_MEMO_BYTES
+        (4 KiB) each."""
         if not 0 <= n_bits <= MAX_KEY_BITS:
             raise ConfigError(f"n_bits: must be in [0, {MAX_KEY_BITS}]")
         ledger = cls(b"")

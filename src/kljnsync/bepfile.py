@@ -109,7 +109,7 @@ def build_bep_file(meas: BepMeasurement, config: LineConfig) -> BepFile:
         local_start=float(meas.local_start_time),
         voltage_samples=meas.voltage,
         current_samples=meas.current,
-        config_digest=config.digest(),
+        config_digest=config.digest,
     )
 
 

@@ -204,9 +204,10 @@ def to_doc(obj) -> dict:
     in a list is an item of a union (an attack): it becomes its "kind" plus
     the fields that differ from their defaults.
 
-    The document is built once per section object and kept on it; each
-    call returns a copy that shares no dict or list with another."""
-    doc = dict(derived(obj, "_doc", _build_doc))
+    The document is built once per section object and kept on it by
+    _derived, which serves only these documents; each call returns a copy
+    that shares no dict or list with another."""
+    doc = dict(_derived(obj, "_doc", _build_doc))
     for name, value in doc.items():
         if type(value) is dict:  # a nested section
             doc[name] = to_doc(getattr(obj, name))
@@ -215,7 +216,7 @@ def to_doc(obj) -> dict:
     return doc
 
 
-def derived(section, name: str, compute):
+def _derived(section, name: str, compute):
     """compute(section), computed once per section object and kept on it
     under name: sections are frozen, so what they derive never changes."""
     value = section.__dict__.get(name)
@@ -230,16 +231,16 @@ def _build_doc(obj) -> dict:
     for name, (_, read, _) in _schema(type(obj)).items():
         value = getattr(obj, name)
         if isinstance(value, tuple):
-            value = [derived(x, "_tagged", _tagged_doc) if dataclasses.is_dataclass(x) else x for x in value]
+            value = [_derived(x, "_tagged", _tagged_doc) if dataclasses.is_dataclass(x) else x for x in value]
         elif read is not None:  # a nested section
-            value = derived(value, "_doc", _build_doc)
+            value = _derived(value, "_doc", _build_doc)
         doc[name] = value
     return doc
 
 
 def _tagged_doc(obj) -> dict:
     defaults = {f.name: f.default for f in dataclasses.fields(obj)}
-    doc = derived(obj, "_doc", _build_doc)
+    doc = _derived(obj, "_doc", _build_doc)
     return {"kind": type(obj).__name__, **{k: v for k, v in doc.items() if v != defaults[k]}}
 
 

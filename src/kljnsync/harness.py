@@ -23,9 +23,9 @@ import numpy as np
 from .adversaries import Attack, LineMod, install
 from .auth import MAX_KEY_BITS
 from .channel import format_event_log
-from .config import MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, check_fields, derived, read, to_doc
+from .config import MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, check_fields, read, to_doc
 from .errors import ConfigError, UnknownParameterError, UnknownSeriesError
-from .line import LineConfig, analytic_levels, classification_thresholds
+from .line import LineConfig
 from .noise import empirical_autocorrelation
 from .protocols import PROBE_WAIT_QUANTA, SyncResult, bep_start_time, combined_check, protocol_a, protocol_b, protocol_c
 from .scenario import Scenario, make_scenario
@@ -237,13 +237,6 @@ def _series_from(scenario: Scenario, msq_levels: dict) -> dict:
     return series
 
 
-def _msq_levels(line: LineConfig) -> dict:
-    levels = analytic_levels(line)
-    low, high = classification_thresholds(line)
-    named = {state.value: float(level) for state, level in levels.items()}
-    return dict(named, threshold_low=low, threshold_high=high)
-
-
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute one configured run and package the deterministic report."""
     start = time.perf_counter()
@@ -251,7 +244,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     runners = {"A": protocol_a, "B": protocol_b, "C": protocol_c, "Combined": combined_check}
     result = runners[config.protocol.kind](scenario)
 
-    msq_levels = dict(derived(config.line, "_msq_levels", _msq_levels))
+    msq_levels = dict(config.line.msq_levels)
     event_log = format_event_log(scenario.scheduler.log)
     return RunReport(
         config=config.canonical_dict(),

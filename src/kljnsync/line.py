@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import check_fields, derived
+from .config import check_fields
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -81,11 +81,17 @@ class LineConfig:
     contributes one-sided voltage density noise_scale * R over [0, B].
 
     Validation computes the analytic mean-square voltage of every resistor
-    arrangement, and the config keeps what classification needs of them:
-    the three BitState levels and the two thresholds between them (see
-    analytic_levels and classification_thresholds). They are derived from
-    the fields, so they are not init fields and take no part in the
-    document or in equality.
+    arrangement and keeps, in msq_levels and as the report shows them, the
+    three levels either party can observe (LL, MIXED, HH) and the geometric
+    midpoints between them (threshold_low, threshold_high). LL and HH are
+    exact. With nonzero wire resistance the LH and HL values differ by a few
+    parts per million; MIXED is their mean, far below anything the per-BEP
+    statistics could resolve. One set serves both parties: Bob's LH and HL
+    are Alice's HL and LH. The levels are log-spaced in resistance, so
+    geometric midpoints balance the error probability on both sides.
+    msq_levels is derived from the fields, so it is no init field and takes
+    no part in the document or in equality. digest, the sha256 of
+    canonical_bytes, is computed on first read and kept.
     """
 
     R_L: float
@@ -97,8 +103,7 @@ class LineConfig:
     bep_duration: Optional[float] = None  # default 100 / B
     sample_rate: Optional[float] = None  # default 20 * B
     measurement_noise_rel: float = 0.0
-    _levels: dict[BitState, float] = field(init=False, repr=False, compare=False)
-    _thresholds: tuple[float, float] = field(init=False, repr=False, compare=False)
+    msq_levels: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self)
@@ -170,8 +175,8 @@ class LineConfig:
             )
         # kept only now: the thresholds multiply two levels, which the bound above keeps finite
         ll, mixed, hh = levels[0], 0.5 * levels[4], levels[3]
-        object.__setattr__(self, "_levels", {BitState.LL: ll, BitState.MIXED: mixed, BitState.HH: hh})
-        object.__setattr__(self, "_thresholds", (math.sqrt(ll * mixed), math.sqrt(mixed * hh)))
+        low, high = math.sqrt(ll * mixed), math.sqrt(mixed * hh)
+        object.__setattr__(self, "msq_levels", dict(LL=ll, MIXED=mixed, HH=hh, threshold_low=low, threshold_high=high))
 
     def resistance(self, choice: ResistorChoice) -> float:
         return self.R_L if choice is ResistorChoice.L else self.R_H
@@ -190,8 +195,9 @@ class LineConfig:
         )
         return ";".join(f"{k}={v!r}" for k, v in fields).encode("ascii")
 
+    @functools.cached_property
     def digest(self) -> bytes:
-        return derived(self, "_digest", lambda config: hashlib.sha256(config.canonical_bytes()).digest())
+        return hashlib.sha256(self.canonical_bytes()).digest()
 
 
 @dataclass(frozen=True)
@@ -224,29 +230,6 @@ def _level(ns_B: float, r_own: float, r_far: float, r_wire: float) -> float:
     # densities proportional to resistance.
     r_tot = r_own + r_far + r_wire
     return ns_B * (r_own * (r_far + r_wire) ** 2 + r_far * r_own**2) / r_tot**2
-
-
-def analytic_levels(config: LineConfig) -> dict[BitState, float]:
-    """The three mean-square voltage levels either party can observe, as
-    the config computed them when it was validated.
-
-    LL and HH are the exact mean-square terminal voltages of those
-    arrangements (_level). With nonzero wire resistance the LH and HL values
-    differ by a few parts per million; the MIXED level is their mean, which
-    is far below anything the per-BEP statistics could resolve. One set
-    serves both parties: Bob's LH and HL are Alice's HL and LH, and their
-    sum is the same.
-    """
-    return dict(config._levels)
-
-
-def classification_thresholds(config: LineConfig) -> tuple[float, float]:
-    """(low, high): the geometric midpoints between the three analytic
-    levels, kept by the config beside them. The levels are log-spaced in
-    resistance, so geometric midpoints balance the error probability on
-    both sides. Both parties classify against the same pair, because they
-    share the levels."""
-    return config._thresholds
 
 
 def simulate_bep(
@@ -328,7 +311,7 @@ def classify_bep(meas: BepMeasurement, config: LineConfig) -> BitState:
             f"measurement spans {len(meas.voltage)} samples; "
             f"need at least half a BEP ({n_needed:.0f})"
         )
-    low, high = classification_thresholds(config)
+    low, high = config.msq_levels["threshold_low"], config.msq_levels["threshold_high"]
     msq = meas.msq_voltage
     for thr in (low, high):
         if abs(msq - thr) <= GUARD_BAND * thr:

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .auth import AuthTag, encrypt_digest, hash_message, verify
-from .bepfile import BepFile, build_bep_file
+from .bepfile import BepFile, build_bep_file, serialize_bep_file
 from .channel import Direction, Envelope, Scheduler, quantize
 from .errors import ConfigError, InsufficientOverlapError
 from .line import Party, ResistorChoice, simulate_bep
@@ -128,7 +128,7 @@ class FileTransfer:
     tag: AuthTag
 
     def canonical_bytes(self) -> bytes:
-        return b"".join((self.file.payload_bytes(), self.tag.to_bytes()))
+        return serialize_bep_file(self.file, self.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def exchange_files(
     mismatched file.
     """
     expected = file_a.bep_index
-    local_digest = scenario.config.line.digest()
+    local_digest = scenario.config.line.digest
     received: dict[Direction, BepFile] = {}
     authentic: dict[Direction, bool] = {}  # the last verdict in each direction
     fresh = True

@@ -1,7 +1,6 @@
 import hashlib
 import sys
 import threading
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -201,41 +200,45 @@ def _reference_pad(seed, nbytes):
 
 
 @pytest.fixture
-def small_pad_memo(monkeypatch):
-    """An empty pad memo with a 4 kB budget; returns what its entries take."""
-    monkeypatch.setattr(auth, "PAD_MEMO_BYTES", 4096)
-    monkeypatch.setattr(auth, "_pads", OrderedDict())
-    monkeypatch.setattr(auth, "_kept_bytes", 0)
+def small_pad_memo():
+    """The pad memo, emptied; returns how many pads it keeps."""
+    auth._kept_pad.cache_clear()
 
-    def taken():
-        assert auth._kept_bytes == sum(len(pad) + auth._ENTRY_BYTES for pad in auth._pads.values())
-        return auth._kept_bytes
+    def kept():
+        info = auth._kept_pad.cache_info()
+        assert info.currsize <= info.maxsize == 16
+        return info.currsize
 
-    return taken
+    yield kept
+    auth._kept_pad.cache_clear()
 
 
 def test_the_pad_memo_keeps_at_most_its_byte_budget(small_pad_memo):
+    assert auth.PAD_MEMO_BYTES == 4096
     for seed in range(30):
-        for nbytes in (0, 1, 100, 1024, 3000):
-            assert key_pad(seed, nbytes) == _reference_pad(seed, nbytes)
-            assert small_pad_memo() <= 4096
-            assert next(reversed(auth._pads)) == (seed, nbytes)  # the last drawn is kept
-    # a pad longer than the budget is drawn every time and never kept
-    assert key_pad(3, 5000) == _reference_pad(3, 5000)
-    assert (3, 5000) not in auth._pads and small_pad_memo() <= 4096
-    # a hit returns the kept pad itself and makes it the last to go
-    first = next(iter(auth._pads))
-    assert key_pad(*first) is auth._pads[first]
-    assert next(reversed(auth._pads)) == first
+        for nbytes in (0, 1, 100, 1024, 4096):
+            misses = auth._kept_pad.cache_info().misses
+            pad = key_pad(seed, nbytes)
+            assert pad == _reference_pad(seed, nbytes)
+            assert auth._kept_pad.cache_info().misses == misses + 1  # the last drawn is kept
+            assert key_pad(seed, nbytes) is pad  # a hit returns the kept pad itself
+            small_pad_memo()
+    assert small_pad_memo() == 16
+    # a pad longer than PAD_MEMO_BYTES is drawn every time and never kept
+    before = auth._kept_pad.cache_info()
+    long_pad = key_pad(3, 4097)
+    assert long_pad == _reference_pad(3, 4097) and key_pad(3, 4097) is not long_pad
+    assert auth._kept_pad.cache_info() == before
 
 
 def test_threads_drawing_pads_keep_the_memo_within_its_budget(small_pad_memo):
-    pads, switch = {}, sys.getswitchinterval()
+    pads, switch, counts = {}, sys.getswitchinterval(), []
 
     def draw(worker):
         for i in range(200):
             seed, nbytes = (worker * 7 + i) % 23, 100 * (i % 5)
             pads.setdefault((seed, nbytes), []).append(key_pad(seed, nbytes))
+            counts.append(small_pad_memo())
 
     sys.setswitchinterval(1e-6)
     try:
@@ -247,7 +250,7 @@ def test_threads_drawing_pads_keep_the_memo_within_its_budget(small_pad_memo):
     finally:
         sys.setswitchinterval(switch)
     assert not any(w.is_alive() for w in workers)
-    assert sum(map(len, pads.values())) == 6 * 200
-    assert small_pad_memo() <= 4096
+    assert sum(map(len, pads.values())) == len(counts) == 6 * 200
+    assert max(counts) <= 16
     for (seed, nbytes), drawn in pads.items():
         assert set(drawn) == {_reference_pad(seed, nbytes)}

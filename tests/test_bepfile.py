@@ -101,16 +101,16 @@ def test_measurement_whose_voltage_and_current_differ_in_length_rejected():
 def test_config_digest_embedded():
     meas_a, _ = honest_measurement()
     f = build_bep_file(meas_a, CFG)
-    assert f.config_digest == CFG.digest()
+    assert f.config_digest == CFG.digest
     other = LineConfig(R_L=1.0, R_H=12.0, bandwidth_B=1e4, noise_scale=1e-4)
-    assert f.config_digest != other.digest()
+    assert f.config_digest != other.digest
 
 
 def test_parse_rejects_garbage():
     good = serialize_bep_file(build_bep_file(honest_measurement()[0], CFG))
     text_record = (
         "KLJN-BEP v1 party=alice k=0 fs=200000.000000 local_start=0.000000000 "
-        f"config={CFG.digest().hex()}\n0,1.00000000000e-03,2.00000000000e-04\n"
+        f"config={CFG.digest.hex()}\n0,1.00000000000e-03,2.00000000000e-04\n"
     ).encode()
     for blob in (b"", b"not a bep file\n", good[: HEADER - 1], text_record):
         with pytest.raises(ConfigError):
@@ -200,7 +200,7 @@ def test_mismatched_lengths_rejected():
 def test_fields_the_layout_cannot_hold_rejected(field):
     args = dict(
         party=Party.ALICE, bep_index=0, sample_rate=1e5, local_start=0.0,
-        voltage_samples=np.zeros(4), current_samples=np.zeros(4), config_digest=CFG.digest(),
+        voltage_samples=np.zeros(4), current_samples=np.zeros(4), config_digest=CFG.digest,
     )
     with pytest.raises(ConfigError):
         BepFile(**dict(args, **field))

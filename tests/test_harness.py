@@ -223,27 +223,21 @@ def test_sweep_of_an_integer_field_takes_whole_floats_only():
 
 
 def test_a_report_computes_the_msq_levels_once(monkeypatch):
-    from kljnsync import harness, line, protocols
+    # the line computes its levels when it is built; a run only copies them
+    from kljnsync import line
 
-    original, calls = line.analytic_levels, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "analytic_levels", counted)
-    monkeypatch.setattr(line, "analytic_levels", counted)
-    run_scenario(load_bundled("honest_protocol_a"))
-    assert len(calls) == 1
-    # with an msq histogram: one more call than the protocol's own BEP
-    # classification makes
-    cfg = load_bundled("replay_attack_c")
-    calls.clear()
-    protocols.protocol_c(cfg.build_scenario())
-    by_protocol = len(calls)
-    calls.clear()
-    run_scenario(cfg)
-    assert len(calls) == by_protocol + 1
+    calls, level = [], line._level
+    monkeypatch.setattr(line, "_level", lambda *args: calls.append(args) or level(*args))
+    configs = [load_bundled(name) for name in ("honest_protocol_a", "replay_attack_c")]
+    built = len(calls)
+    assert built > 0
+    for cfg in configs:
+        reports = [run_scenario(cfg), run_scenario(cfg)]
+        for report in reports:
+            assert report.msq_levels == cfg.line.msq_levels
+            assert report.msq_levels is not cfg.line.msq_levels
+        assert reports[0].msq_levels is not reports[1].msq_levels
+    assert len(calls) == built
 
 
 VERDICTS = {
@@ -342,8 +336,8 @@ def test_bundled_runs_keep_their_bytes(name):
 
 
 def test_reports_share_no_dict_or_list():
-    # config documents and msq levels are kept on the frozen config sections;
-    # each report must still get containers of its own
+    # config documents are kept on the frozen config sections and the msq
+    # levels on the line; each report must still get containers of its own
     cfg = load_bundled("substitution_attack_b")
     reports = sweep(cfg, "clock.t0", [0.0, 1e-3]) + [run_scenario(cfg), run_scenario(cfg)]
 
@@ -427,6 +421,26 @@ def test_a_stalled_protocol_a_run_is_reported_unflagged():
     assert report.result == dict(protocol="A", **nothing, auth_ok=True, attack_flag=False, detail=detail)
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     assert digest == "417e0df44c615dbe83893881bb393d92aa134f3da6364f787e814d57b7e22c16"
+
+
+# record attacks no bundled scenario runs, and the detail each gives
+RECORD_ATTACKS = [
+    ({"mode": "drop"}, "timeout: file exchange stalled"),
+    ({"mode": "drop", "direction": "BtoA"}, "timeout: file exchange stalled"),
+    ({"fabricate_tag": True}, "authentication failed"),
+    ({}, "authentication failed"),  # alter_sample with delta unset
+]
+
+
+@pytest.mark.parametrize("name", ["honest_protocol_c", "honest_combined"])
+@pytest.mark.parametrize("attack, detail", RECORD_ATTACKS)
+def test_record_attacks_are_flagged(name, attack, detail):
+    doc = dict(load_bundled(name).raw, attacks=[dict(kind="Substitute", target="file", **attack)])
+    result = run_scenario(ScenarioConfig.from_dict(doc)).result
+    if name == "honest_combined":
+        # C's record exchange failed, so the probe sees the uncorrected offset
+        detail = f"integrity check: {detail}; offset after correction is 3.500e-05s, not zero"
+    assert (result["attack_flag"], result["auth_ok"], result["detail"]) == (True, False, detail)
 
 
 def test_sweep_takes_list_items_by_their_position_only():

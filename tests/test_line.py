@@ -16,8 +16,6 @@ from kljnsync.line import (
     Party,
     ResistorChoice,
     _level,
-    analytic_levels,
-    classification_thresholds,
     classify_bep,
     infer_partner_choice,
     simulate_bep,
@@ -92,8 +90,8 @@ def test_level_ordering_holds_for_random_resistor_pairs():
         r_l = float(rng.uniform(0.1, 50.0))
         r_h = r_l * float(rng.uniform(1.5, 50.0))
         cfg = LineConfig(R_L=r_l, R_H=r_h, bandwidth_B=1e4, noise_scale=1e-4)
-        levels = analytic_levels(cfg)
-        assert levels[BitState.LL] < levels[BitState.MIXED] < levels[BitState.HH]
+        levels = cfg.msq_levels
+        assert levels["LL"] < levels["MIXED"] < levels["HH"]
 
 
 def test_simulated_mean_squares_match_divider_oracle():
@@ -171,17 +169,13 @@ def test_record_mean_squares_are_computed_once_on_first_read(monkeypatch):
     assert len(passes) == 2
 
 
-def _levels_from_msq_voltage(cfg: LineConfig, party: Party) -> tuple[dict, tuple[float, float]]:
+def _levels_from_msq_voltage(cfg: LineConfig, party: Party) -> dict:
     # the levels and thresholds as built per party from the arrangement levels
     mixed = 0.5 * (analytic_msq_voltage(cfg, L, H, party) + analytic_msq_voltage(cfg, H, L, party))
-    levels = {
-        BitState.LL: analytic_msq_voltage(cfg, L, L, party),
-        BitState.MIXED: mixed,
-        BitState.HH: analytic_msq_voltage(cfg, H, H, party),
-    }
-    low = float(np.sqrt(levels[BitState.LL] * levels[BitState.MIXED]))
-    high = float(np.sqrt(levels[BitState.MIXED] * levels[BitState.HH]))
-    return levels, (low, high)
+    levels = dict(LL=analytic_msq_voltage(cfg, L, L, party), MIXED=mixed, HH=analytic_msq_voltage(cfg, H, H, party))
+    low = float(np.sqrt(levels["LL"] * levels["MIXED"]))
+    high = float(np.sqrt(levels["MIXED"] * levels["HH"]))
+    return dict(levels, threshold_low=low, threshold_high=high)
 
 
 def _line_configs():
@@ -201,9 +195,8 @@ def _line_configs():
 
 def test_both_parties_share_the_kept_levels_bit_for_bit():
     for cfg in _line_configs():
-        levels, thresholds = analytic_levels(cfg), classification_thresholds(cfg)
         for party in (Party.ALICE, Party.BOB):
-            assert (levels, thresholds) == _levels_from_msq_voltage(cfg, party), (cfg, party)
+            assert cfg.msq_levels == _levels_from_msq_voltage(cfg, party), (cfg, party)
 
 
 def _measurement_with_msq(msq: float, n: int = 2000) -> BepMeasurement:
@@ -212,14 +205,14 @@ def _measurement_with_msq(msq: float, n: int = 2000) -> BepMeasurement:
 
 
 def test_classify_on_level_inputs():
-    levels = analytic_levels(CFG)
-    assert classify_bep(_measurement_with_msq(levels[BitState.LL]), CFG) is BitState.LL
+    levels = CFG.msq_levels
+    assert classify_bep(_measurement_with_msq(levels["LL"]), CFG) is BitState.LL
     assert classify_bep(_measurement_with_msq(0.91), CFG) is BitState.MIXED
-    assert classify_bep(_measurement_with_msq(levels[BitState.HH]), CFG) is BitState.HH
+    assert classify_bep(_measurement_with_msq(levels["HH"]), CFG) is BitState.HH
 
 
 def test_classify_guard_band_raises():
-    low, _ = classification_thresholds(CFG)
+    low = CFG.msq_levels["threshold_low"]
     with pytest.raises(AmbiguousMeasurementError):
         classify_bep(_measurement_with_msq(low * 1.01), CFG)
     # just outside the default 5% band is fine
@@ -314,6 +307,7 @@ def test_security_identity_lh_hl_indistinguishable():
 
 def test_config_digest_is_stable_and_field_sensitive():
     cfg2 = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
-    assert CFG.digest() == cfg2.digest()
+    assert CFG.digest == cfg2.digest
+    assert CFG.digest is CFG.digest  # computed on first read, then kept
     cfg3 = LineConfig(R_L=1.0, R_H=11.0, bandwidth_B=1e4, noise_scale=1e-4)
-    assert CFG.digest() != cfg3.digest()
+    assert CFG.digest != cfg3.digest

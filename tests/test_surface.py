@@ -5,7 +5,6 @@ from pathlib import Path
 # names with no caller in the package, each kept for one reader outside it
 ALLOWED = {
     "line_config": "perfbench/workloads.py reads a config's line through it",
-    "serialize_bep_file": "perfbench/workloads.py writes its records with it",
     "parse_bep_file": "perfbench/workloads.py reads its records back with it",
     "msq_current": "the planned noise-floor estimate reads a record's current level",
 }
@@ -20,7 +19,6 @@ UNREAD_FIELDS = {
 # defaulted parameters no call in the package sets, each kept for one caller outside it
 UNSET_DEFAULTS = {
     ("main", "argv"): "the CLI entry point: the console script passes nothing, the tests their own arguments",
-    ("serialize_bep_file", "tag"): "perfbench/workloads.py and perfbench/tracing.py write a record with its tag",
 }
 
 

@@ -1,7 +1,6 @@
 """Sweeps: pinned report bytes, and bad values failing like config files."""
 
 import copy
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -156,13 +155,12 @@ def test_a_sweep_edits_one_field_of_the_config_the_report_shows():
     assert report.canonical_json() == run_scenario(ScenarioConfig.from_dict(report.config)).canonical_json()
 
 
-def _cold_memos(monkeypatch):
-    monkeypatch.setattr(auth, "_pads", OrderedDict())
-    monkeypatch.setattr(auth, "_kept_bytes", 0)
+def _cold_memos():
+    auth._kept_pad.cache_clear()
 
 
 def test_a_fixed_seed_sweep_draws_its_key_pad_once(monkeypatch):
-    _cold_memos(monkeypatch)
+    _cold_memos()
     built, pcg64 = [], np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or pcg64(seed))
     values = [i * 1e-3 for i in range(10)]
@@ -171,15 +169,28 @@ def test_a_fixed_seed_sweep_draws_its_key_pad_once(monkeypatch):
     assert built == [derive_seed(load_bundled("honest_protocol_b").seed, 0xFEED)]
 
 
-def test_a_sweep_gives_the_same_bytes_with_cold_and_warm_memos(monkeypatch):
+def test_a_per_value_sweep_run_again_draws_no_key_pad(monkeypatch):
+    # ten seeds, ten 1 KiB pads: all of them stay in the memo
     values = [i * 1e-3 for i in range(10)]
-    _cold_memos(monkeypatch)
+    _cold_memos()
+    first = sweep(load_bundled("honest_protocol_b"), "clock.t0", values, "per-value")
+    assert auth._kept_pad.cache_info().misses == 10
+    built, pcg64 = [], np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or pcg64(seed))
+    again = sweep(load_bundled("honest_protocol_b"), "clock.t0", values, "per-value")
+    assert built == [] and auth._kept_pad.cache_info().misses == 10
+    assert [r.canonical_json() for r in again] == [r.canonical_json() for r in first]
+
+
+def test_a_sweep_gives_the_same_bytes_with_cold_and_warm_memos():
+    values = [i * 1e-3 for i in range(10)]
+    _cold_memos()
     cold = [r.canonical_json() for r in sweep(load_bundled("honest_protocol_b"), "clock.t0", values)]
     warm = [r.canonical_json() for r in sweep(load_bundled("honest_protocol_b"), "clock.t0", values)]
     assert cold == warm
     # the pins were taken without memos
     case = ("honest_protocol_b", "clock.t0")
-    _cold_memos(monkeypatch)
+    _cold_memos()
     for _ in ("cold", "warm"):
         reports = sweep(load_bundled(case[0]), case[1], *CASES[case])
         assert [indented_report_digest(r.canonical_json()) for r in reports] == GOLDEN[case]
