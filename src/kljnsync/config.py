@@ -204,16 +204,24 @@ def to_doc(obj) -> dict:
     in a list is an item of a union (an attack): it becomes its "kind" plus
     the fields that differ from their defaults.
 
-    The document is built once per section object and kept on it by
-    _derived, which serves only these documents; each call returns a copy
-    that shares no dict or list with another."""
-    doc = dict(_derived(obj, "_doc", _build_doc))
+    The document is built once per section object and kept on it (see
+    kept_doc); each call returns a copy that shares no dict or list with
+    another."""
+    doc = dict(kept_doc(obj))
     for name, value in doc.items():
         if type(value) is dict:  # a nested section
             doc[name] = to_doc(getattr(obj, name))
         elif type(value) is list:  # scalars, or attack documents
             doc[name] = [dict(x) if type(x) is dict else x for x in value]
     return doc
+
+
+def kept_doc(obj) -> dict:
+    """The document of a section as to_doc gives it, built once and kept on
+    the section object by _derived, which serves only these documents. It
+    shares its nested documents with those of the sections that hold obj:
+    read or encode it, never change it."""
+    return _derived(obj, "_doc", _build_doc)
 
 
 def _derived(section, name: str, compute):
@@ -233,14 +241,14 @@ def _build_doc(obj) -> dict:
         if isinstance(value, tuple):
             value = [_derived(x, "_tagged", _tagged_doc) if dataclasses.is_dataclass(x) else x for x in value]
         elif read is not None:  # a nested section
-            value = _derived(value, "_doc", _build_doc)
+            value = kept_doc(value)
         doc[name] = value
     return doc
 
 
 def _tagged_doc(obj) -> dict:
     defaults = {f.name: f.default for f in dataclasses.fields(obj)}
-    doc = _derived(obj, "_doc", _build_doc)
+    doc = kept_doc(obj)
     return {"kind": type(obj).__name__, **{k: v for k, v in doc.items() if v != defaults[k]}}
 
 

@@ -3,13 +3,16 @@
 A scenario config is a JSON document that, together with its seed, fully
 determines a run. Validation fails closed: unknown keys anywhere are
 errors, because a silently ignored key in an attack scenario would test
-the wrong thing. Reports embed the config that produced them, carry the
-plot-ready series, and serialize canonically so identical runs produce
-byte-identical files.
+the wrong thing. Reports keep the validated config that produced them and
+embed its document, carry the plot-ready series, and serialize canonically
+so identical runs produce byte-identical files. A report's ``config`` dict
+is built on first read, and a report read back from JSON must carry a
+config that validates.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -23,7 +26,7 @@ import numpy as np
 from .adversaries import Attack, LineMod, install
 from .auth import MAX_KEY_BITS
 from .channel import format_event_log
-from .config import MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, check_fields, read, to_doc
+from .config import MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, check_fields, kept_doc, read, to_doc
 from .errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from .line import LineConfig
 from .noise import empirical_autocorrelation
@@ -134,13 +137,25 @@ class ScenarioConfig:
 
 
 # one encoder for every report; without indent json uses its C encoder
-# no circular check: run_scenario builds each report body as a fresh tree
+# no circular check: a report body is a tree, though the config documents
+# in it may share subtrees with other reports' bodies
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 @dataclass
 class RunReport:
-    config: dict
+    """One run's outcome and the validated config it ran.
+
+    ``config`` is that config's document, as ``canonical_dict`` gives it.
+    It is built on first read and then kept: a run or sweep that never
+    reads it never builds it, and a caller may change the dict without
+    touching another report or the canonical form, which encodes the
+    config's own kept document. ``from_json`` validates the config a report
+    carries, so a report whose config would not read as a config file fails
+    with ConfigError (``kljnsync plot`` exits 2).
+    """
+
+    scenario_config: ScenarioConfig
     result: dict
     event_log_digest: str
     msq_levels: dict
@@ -151,12 +166,16 @@ class RunReport:
     wall_seconds: float = 0.0
     event_log: str = field(default="", repr=False)
 
+    @functools.cached_property
+    def config(self) -> dict:
+        return self.scenario_config.canonical_dict()
+
     def canonical_json(self) -> str:
         """The report as one line of JSON with sorted keys and no spaces,
         plus a newline: identical runs give identical bytes. Pretty-print
         one with ``python -m json.tool``."""
         body = {
-            "config": self.config,
+            "config": kept_doc(self.scenario_config),
             "result": self.result,
             "event_log_digest": self.event_log_digest,
             "msq_levels": self.msq_levels,
@@ -179,8 +198,14 @@ class RunReport:
             raise ConfigError(missing)
         if not isinstance(body.get("series", {}), dict):
             raise ConfigError("report: 'series' is not an object")
+        if not isinstance(body["config"], dict):
+            raise ConfigError("report: 'config' is not an object")
+        try:
+            config = ScenarioConfig.from_dict(body["config"])
+        except ConfigError as exc:
+            raise ConfigError([f"report: config.{p}" for p in exc.problems]) from None
         return cls(
-            config=body["config"],
+            scenario_config=config,
             result=body["result"],
             event_log_digest=body["event_log_digest"],
             msq_levels=body["msq_levels"],
@@ -247,7 +272,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     msq_levels = dict(config.line.msq_levels)
     event_log = format_event_log(scenario.scheduler.log)
     return RunReport(
-        config=config.canonical_dict(),
+        scenario_config=config,
         result=_result_dict(result),
         event_log_digest=hashlib.sha256(event_log.encode()).hexdigest(),
         msq_levels=msq_levels,

@@ -482,7 +482,8 @@ def combined_check(scenario: Scenario) -> SyncResult:
     tolerance (C already corrected Bob's clock), (b) the probe's delay
     estimate matches the nominal propagation time, and (c) the integrity
     residual stayed below threshold. Failing any leg raises the attack
-    flag.
+    flag. When C flagged it made no correction, and the probe's offset is
+    not checked.
     """
     c_result = protocol_c(scenario)
 
@@ -504,7 +505,8 @@ def combined_check(scenario: Scenario) -> SyncResult:
     if b_result.attack_flag:
         failures.append(f"probe: {b_result.detail}")
     else:
-        if abs(b_result.t0_est) > tolerances.t0_tol_quanta * q:
+        # a flagged C corrected nothing, so the probe sees the configured offset
+        if not c_result.attack_flag and abs(b_result.t0_est) > tolerances.t0_tol_quanta * q:
             failures.append(f"offset after correction is {b_result.t0_est:.3e}s, not zero")
         if abs(b_result.tau_est - nominal_tau) > tolerances.tau_tol_quanta * q:
             failures.append(

@@ -119,14 +119,29 @@ def _one_error_line(capsys) -> str:
     return line
 
 
+REPORT_BODY = {
+    "config": load_bundled("honest_protocol_a").canonical_dict(),
+    "result": {},
+    "event_log_digest": "",
+    "msq_levels": {},
+    "key_bits_consumed": 0,
+}
+CONFIG = REPORT_BODY["config"]
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
         (None, "report: cannot read"),
         ("residual_curve 1 2\n", "report: invalid JSON"),
         ('{"config": {}}', "report: missing key 'result'"),
+        (json.dumps({**REPORT_BODY, "config": {**CONFIG, "oops": 1}}), "report: config.oops: unknown key"),
+        (
+            json.dumps({**REPORT_BODY, "config": {**CONFIG, "line": {**CONFIG["line"], "R_L": -1}}}),
+            "report: config.line.R_L: must be > 0",
+        ),
     ],
-    ids=["missing", "not_json", "no_result"],
+    ids=["missing", "not_json", "no_result", "config_unknown_key", "config_negative_R_L"],
 )
 def test_plot_of_a_bad_report_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.report.json"
@@ -179,15 +194,6 @@ def test_run_of_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     rc = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"config: {str(path)!r} is not UTF-8" in _one_error_line(capsys)
-
-
-REPORT_BODY = {
-    "config": {},
-    "result": {},
-    "event_log_digest": "",
-    "msq_levels": {},
-    "key_bits_consumed": 0,
-}
 
 
 @pytest.mark.parametrize(

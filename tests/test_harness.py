@@ -106,6 +106,15 @@ def test_report_is_self_describing_and_round_trips():
 def test_canonical_json_is_the_compact_sorted_form(name):
     text = run_scenario(load_bundled(name)).canonical_json()
     assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    assert RunReport.from_json(text).canonical_json() == text
+
+
+def _report_text(config) -> str:
+    body = {"config": config, "result": {}, "event_log_digest": "", "msq_levels": {}, "key_bits_consumed": 0}
+    return json.dumps(body)
+
+
+CONFIG_A = load_bundled("honest_protocol_a").canonical_dict()
 
 
 @pytest.mark.parametrize(
@@ -115,12 +124,37 @@ def test_canonical_json_is_the_compact_sorted_form(name):
         ("[1, 2]", r"^report: not a JSON object$"),
         ('{"config": {}}', "^report: missing key 'result'; report: missing key 'event_log_digest'; "
                            "report: missing key 'msq_levels'; report: missing key 'key_bits_consumed'$"),
+        (_report_text(dict(CONFIG_A, oops=1)), r"^report: config\.oops: unknown key$"),
+        (_report_text(dict(CONFIG_A, line=dict(CONFIG_A["line"], R_L=-1))), r"^report: config\.line\.R_L: must be > 0"),
+        (_report_text([]), r"^report: 'config' is not an object$"),
     ],
-    ids=["not_utf8", "not_an_object", "missing_keys"],
+    ids=[
+        "not_utf8", "not_an_object", "missing_keys",
+        "config_unknown_key", "config_negative_R_L", "config_not_an_object",
+    ],
 )
 def test_a_malformed_report_fails_closed(text, message):
     with pytest.raises(ConfigError, match=message):
         RunReport.from_json(text)
+
+
+def test_a_report_builds_its_config_document_only_when_read(monkeypatch):
+    canonical_dict = ScenarioConfig.canonical_dict
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return canonical_dict(config)
+
+    monkeypatch.setattr(ScenarioConfig, "canonical_dict", counted)
+    reports = sweep(load_bundled("honest_protocol_b"), "clock.t0", [0, 1e-3], "per-value")
+    for report in reports:
+        report.canonical_json()
+    assert calls == []
+    first = reports[1].config
+    assert reports[1].config is first
+    assert calls == [reports[1].scenario_config]
+    assert first == canonical_dict(reports[1].scenario_config)
 
 
 def test_repeated_runs_are_byte_identical():
@@ -438,8 +472,8 @@ def test_record_attacks_are_flagged(name, attack, detail):
     doc = dict(load_bundled(name).raw, attacks=[dict(kind="Substitute", target="file", **attack)])
     result = run_scenario(ScenarioConfig.from_dict(doc)).result
     if name == "honest_combined":
-        # C's record exchange failed, so the probe sees the uncorrected offset
-        detail = f"integrity check: {detail}; offset after correction is 3.500e-05s, not zero"
+        # C corrected nothing, so the probe's uncorrected offset is not a failure
+        detail = f"integrity check: {detail}"
     assert (result["attack_flag"], result["auth_ok"], result["detail"]) == (True, False, detail)
 
 
