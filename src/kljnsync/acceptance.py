@@ -100,7 +100,7 @@ def criterion_3_exactness() -> tuple[bool, str]:
     for _ in range(1000):
         t0 = float(rng.uniform(-0.05, 0.05))
         tau = float(rng.uniform(1e-7, 0.02))
-        sc = _scenario("A", seed=1, t0=t0, tau=tau, quantization=None)
+        sc = _scenario("A", seed=1, t0=t0, tau=tau, quantization=0.0)
         res = protocol_a(sc)
         worst = max(worst, abs(res.t0_est - t0), abs(res.tau_est - tau))
     elapsed = time.perf_counter() - started

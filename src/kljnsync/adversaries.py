@@ -19,7 +19,7 @@ arrangements look identical to her, so her best move is a coin flip.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Literal, Optional, Union
+from typing import TYPE_CHECKING, Literal, Optional, Union
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .line import BepMeasurement, BitState, LineConfig, classify_bep
 from .noise import derive_seed
 from .protocols import MESSAGE_FIELDS, FileTransfer, MessageKind, SyncMessage, bep_start_time
 from .scenario import Scenario
+
+if TYPE_CHECKING:  # harness imports this module
+    from .harness import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -53,22 +56,21 @@ class AsymDelay:
 class Substitute:
     """Eve rewrites or removes what crosses the channel.
 
-    A message target ('TimeStamp', 'Response', 'Share') gets its field
-    replaced by value or shifted by delta, or is removed when drop is set;
+    drop removes the payload, for any target. Otherwise a message target
+    ('TimeStamp', 'Response', 'Share') gets its field shifted by delta, and
     the original tag rides along unless fabricate_tag asks for a random one.
     The target 'file' tampers with the measurement files sent in direction:
     mode 'alter_sample' adds delta (1 + |sample| when delta is unset or 0)
-    to sample sample_index, 'replay' swaps in the first file seen on that
-    direction with its genuine old tag, and 'drop' removes the transfer.
+    to sample sample_index, and 'replay' swaps in the first file seen on
+    that direction with its genuine old tag.
     """
 
     target: Literal["TimeStamp", "Response", "Share", "file"]
     field: Optional[str] = None
-    value: Optional[float] = None
     delta: Optional[float] = None
     fabricate_tag: bool = False
     drop: bool = False
-    mode: Literal["alter_sample", "replay", "drop"] = "alter_sample"
+    mode: Literal["alter_sample", "replay"] = "alter_sample"
     sample_index: int = 0
     direction: Literal["AtoB", "BtoA"] = "AtoB"
 
@@ -76,7 +78,7 @@ class Substitute:
         check_fields(self)
         problems = []
         if self.target == "file":
-            unused = ("field", "value", "drop")
+            unused = ("field",)
         else:
             unused = ("mode", "sample_index", "direction")
             names = MESSAGE_FIELDS[MessageKind(self.target)]
@@ -84,8 +86,6 @@ class Substitute:
                 problems.append("field: required unless drop is set")
             elif self.field is not None and self.field not in names:
                 problems.append(f"field: a {self.target} message has only {', '.join(names)}")
-            if self.value is not None and self.delta is not None:
-                problems.append("value: give value or delta, not both")
         for name in unused:
             if getattr(self, name) != Substitute.__dataclass_fields__[name].default:
                 problems.append(f"{name}: not used with target {self.target!r}")
@@ -103,13 +103,12 @@ class Substitute:
 class LineMod:
     """Eve changes the line itself at a chosen instant.
 
-    Exactly one of r_wire (ohms), r_wire_factor (times the configured
-    R_wire) or tau (the new one-way delay, seconds) says what changes. The
-    change starts at absolute time at_time, or at the given fraction of
-    BEP at_bep's record window.
+    Exactly one of r_wire_factor (the new wire resistance, in multiples of
+    the configured R_wire) or tau (the new one-way delay, seconds) says
+    what changes. The change starts at absolute time at_time, or at the
+    given fraction of BEP at_bep's record window.
     """
 
-    r_wire: Optional[float] = None
     r_wire_factor: Optional[float] = None
     tau: Optional[float] = None
     at_time: Optional[float] = None
@@ -119,11 +118,11 @@ class LineMod:
     def __post_init__(self):
         check_fields(self)
         problems = []
-        if sum(x is not None for x in (self.r_wire, self.r_wire_factor, self.tau)) != 1:
-            problems.append("r_wire: choose exactly one of r_wire, r_wire_factor, tau")
+        if (self.r_wire_factor is None) == (self.tau is None):
+            problems.append("r_wire_factor: choose exactly one of r_wire_factor, tau")
         if (self.at_time is None) == (self.at_bep is None):
             problems.append("at_time: choose exactly one of at_time, at_bep")
-        for name in ("r_wire", "r_wire_factor", "tau", "at_bep"):
+        for name in ("r_wire_factor", "tau", "at_bep"):
             if (getattr(self, name) or 0) < 0:
                 problems.append(f"{name}: must be >= 0")
         if (self.tau or 0) > MAX_SECONDS:
@@ -135,18 +134,21 @@ class LineMod:
         if problems:
             raise ConfigError(problems)
 
+    def instant(self, config: ScenarioConfig) -> float:
+        """The absolute time the change starts under a scenario config."""
+        if self.at_time is not None:
+            return self.at_time
+        return bep_start_time(config, self.at_bep) + self.fraction * config.line.bep_duration
+
     def apply(self, scenario: Scenario, n: int) -> None:
-        at = self.at_time
-        if at is None:
-            at = bep_start_time(scenario.config, self.at_bep) + self.fraction * scenario.config.line.bep_duration
+        at = self.instant(scenario.config)
         if self.tau is not None:
             scenario.scheduler.hooks.append(_tau_mod_hook(self.tau, at))
             scenario.scheduler.record(at, "attack-linemod-tau")
             return
-        new_r = self.r_wire if self.r_wire is not None else scenario.config.line.R_wire * self.r_wire_factor
         if any(t == at for t, _ in scenario.r_wire_schedule):
             raise ConflictingAttackError(f"two line modifications at t={at}")
-        scenario.r_wire_schedule.append((at, new_r))
+        scenario.r_wire_schedule.append((at, scenario.config.line.R_wire * self.r_wire_factor))
         scenario.scheduler.record(at, "attack-linemod-rwire")
 
 
@@ -174,12 +176,7 @@ def _substitute_message_hook(spec: Substitute, rng: Optional[np.random.Generator
             return env
         if spec.drop:
             return None
-        fname = spec.field
-        if spec.value is not None:
-            new_value = spec.value
-        else:
-            new_value = getattr(msg, fname) + (spec.delta or 0.0)
-        changes = {fname: new_value}
+        changes = {spec.field: getattr(msg, spec.field) + (spec.delta or 0.0)}
         if spec.fabricate_tag and msg.tag is not None:
             changes["tag"] = AuthTag(rng.bytes(32), msg.tag.span)
         env.payload = dc_replace(msg, **changes)
@@ -196,13 +193,11 @@ def _substitute_file_hook(spec: Substitute, rng: Optional[np.random.Generator]):
         transfer = env.payload
         if not isinstance(transfer, FileTransfer) or env.direction is not direction:
             return env
-        mode = spec.mode
-        if mode == "drop":
+        if spec.drop:
             return None
-        if mode == "replay":
+        if spec.mode == "replay":
             if memory:
-                stale = memory[0]
-                env.payload = stale
+                env.payload = memory[0]
             else:
                 memory.append(transfer)  # first transfer passes, gets remembered
             return env

@@ -28,8 +28,8 @@ from .errors import ConfigError, LivelockError
 EVENT_BUDGET = 1_000_000
 
 
-def quantize(t: float, resolution: Optional[float]) -> float:
-    """Round a timestamp to the clock resolution; None or 0 disables."""
+def quantize(t: float, resolution: float) -> float:
+    """Round a timestamp to the clock resolution; 0 disables."""
     if not resolution:
         return t
     return round(t / resolution) * resolution

@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a scenario across parameter values")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--param", required=True, help="dotted config path, e.g. channel.tau")
-    p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
+    p_sweep.add_argument("--values", required=True, help="comma-separated numbers, such as -0.01,0.01")
     p_sweep.add_argument("--seed-policy", choices=("fixed", "per-value"), default="fixed")
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(fn=_cmd_sweep)
@@ -150,6 +150,12 @@ def main(argv=None) -> int:
     p_verify.add_argument("--criterion", type=int, help="run a single numbered criterion")
     p_verify.set_defaults(fn=_cmd_verify)
 
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--values" in argv[:-1]:
+        # argparse reads a value such as -0.01,0.01 or -1e-3 as an option
+        # unless it is glued on with '='
+        i = argv.index("--values")
+        argv[i : i + 2] = [f"--values={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -27,7 +27,7 @@ import functools
 import math
 import sys
 import typing
-from typing import Literal, Optional
+from typing import Literal
 
 from .errors import ConfigError
 
@@ -197,30 +197,17 @@ def read(cls, doc):
     return obj
 
 
-def to_doc(obj) -> dict:
+def kept_doc(obj) -> dict:
     """The JSON document of a section: every field, defaults included, so
     two documents that read into equal sections get equal documents.
     Nested sections become documents and a tuple becomes a list. A section
     in a list is an item of a union (an attack): it becomes its "kind" plus
     the fields that differ from their defaults.
 
-    The document is built once per section object and kept on it (see
-    kept_doc); each call returns a copy that shares no dict or list with
-    another."""
-    doc = dict(kept_doc(obj))
-    for name, value in doc.items():
-        if type(value) is dict:  # a nested section
-            doc[name] = to_doc(getattr(obj, name))
-        elif type(value) is list:  # scalars, or attack documents
-            doc[name] = [dict(x) if type(x) is dict else x for x in value]
-    return doc
-
-
-def kept_doc(obj) -> dict:
-    """The document of a section as to_doc gives it, built once and kept on
-    the section object by _derived, which serves only these documents. It
-    shares its nested documents with those of the sections that hold obj:
-    read or encode it, never change it."""
+    The document is built once per section object and kept on it by
+    _derived, which serves only these documents. It shares its nested
+    documents with those of the sections that hold obj: read or encode it,
+    never change it (copy.deepcopy gives a copy to change)."""
     return _derived(obj, "_doc", _build_doc)
 
 
@@ -255,17 +242,17 @@ def _tagged_doc(obj) -> dict:
 @dataclasses.dataclass(frozen=True)
 class ClockConfig:
     """Bob's clock runs t0 seconds ahead of Alice's master clock; both read
-    in steps of quantization seconds (null or 0 disables the rounding, and
-    a step is at least MIN_QUANTIZATION)."""
+    in steps of quantization seconds (0 disables the rounding, and a step
+    is at least MIN_QUANTIZATION)."""
 
     t0: float = 0.0
-    quantization: Optional[float] = 1e-6
+    quantization: float = 1e-6
 
     def __post_init__(self):
         check_fields(self)
         problems = [f"t0: must be in [-{MAX_SECONDS:g}, {MAX_SECONDS:g}]"] if abs(self.t0) > MAX_SECONDS else []
         if self.quantization and not self.quantization >= MIN_QUANTIZATION:
-            problems.append(f"quantization: must be null, 0 or >= {MIN_QUANTIZATION:g}")
+            problems.append(f"quantization: must be 0 or >= {MIN_QUANTIZATION:g}")
         if problems:
             raise ConfigError(problems)
 

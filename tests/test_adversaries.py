@@ -43,16 +43,16 @@ def test_spec_constructors_validate():
     with pytest.raises(ConfigError):
         LineMod()  # nothing selected
     with pytest.raises(ConfigError):
-        LineMod(r_wire=0.02, tau=1e-3, at_time=0.0)  # two selected
+        LineMod(r_wire_factor=2.0, tau=1e-3, at_time=0.0)  # two selected
     with pytest.raises(ConfigError):
-        LineMod(r_wire=0.02)  # no activation instant
+        LineMod(r_wire_factor=2.0)  # no activation instant
 
 
 def test_conflicting_line_modifications():
     sc = scenario()
-    install(LineMod(r_wire=0.02, at_time=0.005), sc)
+    install(LineMod(r_wire_factor=2.0, at_time=0.005), sc)
     with pytest.raises(ConflictingAttackError):
-        install(LineMod(r_wire=0.03, at_time=0.005), sc)
+        install(LineMod(r_wire_factor=3.0, at_time=0.005), sc)
 
 
 def test_attack_composition_applies_in_order():

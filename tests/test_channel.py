@@ -27,7 +27,6 @@ def test_local_time_is_offset_translation():
 def test_quantize():
     assert quantize(1.0000004, 1e-6) == pytest.approx(1.0, abs=1e-12)
     assert quantize(1.0000006, 1e-6) == pytest.approx(1.000001, abs=1e-12)
-    assert quantize(1.23456789, None) == 1.23456789
     assert quantize(1.23456789, 0) == 1.23456789
 
 

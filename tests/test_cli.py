@@ -160,6 +160,18 @@ def test_sweep_value_that_is_not_a_number_exits_2_before_running(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "values, runs",
+    [(["--values", "-0.001,0.001"], 2), (["--values", "-1e-3"], 1), (["--values=-0.001,0.001"], 2)],
+)
+def test_sweep_values_may_start_with_a_negative_number(tmp_path, capsys, values, runs):
+    args = ["sweep", "honest_protocol_b", "--param", "clock.t0", *values, "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    names = [f"honest_protocol_b.clock_t0={v!r}.run{i}.report.json" for i, v in enumerate((-0.001, 0.001))]
+    assert sorted(p.name for p in tmp_path.glob("*.report.json")) == names[:runs]
+
+
 def test_sweep_to_a_record_with_no_samples_exits_2(tmp_path, capsys):
     args = ["sweep", "honest_protocol_c", "--param", "line.bep_duration", "--values"]
     assert main(args + ["1e-6", "--out", str(tmp_path)]) == 2

@@ -152,9 +152,8 @@ REQUIRED = {
 }
 OPTIONAL = {
     "line": {"R_wire", "tau_f", "bep_duration", "sample_rate"},
-    "clock": {"quantization"},
-    "Substitute": {"field", "value", "delta"},
-    "LineMod": {"r_wire", "r_wire_factor", "tau", "at_time", "at_bep"},
+    "Substitute": {"field", "delta"},
+    "LineMod": {"r_wire_factor", "tau", "at_time", "at_bep"},
 }
 BOOLS = {"Substitute": {"fabricate_tag", "drop"}}
 JUNK = ["\x00not-a-choice", True, None, math.nan, math.inf, [None], {"x": 1}]
@@ -247,15 +246,72 @@ def test_r_wire_must_keep_the_round_off_floor_under_the_threshold(name, tmp_path
     ScenarioConfig.from_dict(mutated(mutated(below, "protocol.kind", "B"), "line.R_wire", 1e-20))
 
 
+# each setting has one spelling; the other ones a config once took fail closed
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("substitution_attack_b", "attacks.0.value", 1.0, "attacks.0.value: unknown key"),
+        ("linemod_attack_c", "attacks.0.r_wire", 0.015, "attacks.0.r_wire: unknown key"),
+        ("file_tamper_c", "attacks.0.mode", "drop", "attacks.0.mode: must be one of alter_sample, replay"),
+        ("honest_protocol_b", "clock.quantization", None, "clock.quantization: must be a number"),
+    ],
+    ids=["value", "r_wire", "mode_drop", "quantization_null"],
+)
+def test_a_removed_spelling_fails_closed(name, path, value, message, tmp_path, capsys):
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps(mutated(load_bundled(name).raw, path, value)))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def _run_linemod_attack_c(tmp_path, edits: dict) -> int:
+    doc = load_bundled("linemod_attack_c").raw
+    for path, value in edits.items():
+        doc = mutated(doc, path, value)
+    config = tmp_path / "late.json"
+    config.write_text(json.dumps(doc))
+    return main(["run", str(config), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "edits, at",
+    [
+        ({"attacks.0.fraction": 1.0}, 0.01),
+        ({"attacks.0.fraction": 0.9999}, 0.9999 * 0.01),
+        ({"attacks.0": {"kind": "LineMod", "r_wire_factor": 1.5, "at_time": 5.0}}, 5.0),
+    ],
+    ids=["fraction_1", "fraction_0.9999", "at_time_5"],
+)
+def test_a_wire_change_after_the_last_sample_fails_closed(edits, at, tmp_path, capsys):
+    # a change lands on the samples at or after its instant: past the last
+    # one (BEP 0's sample 1999 at 200 kHz, 9.995 ms in) no record sees it
+    assert _run_linemod_attack_c(tmp_path, edits) == 2
+    assert capsys.readouterr().err == (
+        f"error: attacks.0: the wire changes at t = {at!r} s, after the last recorded sample "
+        "(t = 0.009995 s), so no record would see it\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [{"attacks.0.fraction": 0.99}, {"attacks.0.fraction": 1.0, "protocol.k_range": [0, 1]}],
+    ids=["fraction_0.99", "fraction_1_before_bep_1"],
+)
+def test_a_wire_change_a_record_sees_runs(edits, tmp_path, capsys):
+    assert _run_linemod_attack_c(tmp_path, edits) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_problems_are_collected_across_sections():
     doc = load_bundled("substitution_attack_b").raw
-    doc = mutated(mutated(mutated(doc, "extra", 1), "line.R_H", 0.5), "attacks.0.value", 1.0)
+    doc = mutated(mutated(mutated(doc, "extra", 1), "line.R_H", 0.5), "attacks.0.field", "t1")
     doc = mutated(mutated(doc, "clock.bogus", 1), "protocol.kind", "D")
     doc = mutated(doc, "seed", True)
     with pytest.raises(ConfigError) as err:
         ScenarioConfig.from_dict(doc)
     assert sorted(err.value.problems) == [
-        "attacks.0.value: give value or delta, not both",
+        "attacks.0.field: a Response message has only t1_star, t2_star",
         "clock.bogus: unknown key",
         "extra: unknown key",
         "line.R_H: must exceed R_L",
@@ -285,7 +341,7 @@ def test_sections_built_in_code_are_checked_too():
         lambda: AsymDelay("BtoA", math.inf),
         lambda: Substitute("file", field="t1"),
         lambda: Substitute("Response", "t2_star", mode="replay"),
-        lambda: LineMod(r_wire=0.02, at_time=0.0, at_bep=0),
+        lambda: LineMod(r_wire_factor=2.0, at_time=0.0, at_bep=0),
         lambda: LineMod(tau=-1e-3, at_time=0.0),
     ):
         with pytest.raises(ConfigError):

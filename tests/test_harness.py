@@ -369,6 +369,17 @@ def test_bundled_runs_keep_their_bytes(name):
     assert report.event_log_digest == digests[1]
 
 
+def test_every_result_value_is_a_plain_json_scalar():
+    # a report's result is its SyncResult's fields as they are, so the
+    # protocols must hand over Python scalars, never numpy ones
+    reports = [run_scenario(load_bundled(name)) for name in bundled_scenario_names()]
+    reports += sweep(load_bundled("honest_combined"), "clock.t0", [0.0, 2e-5, 3.5e-5])
+    assert len(reports) == 15
+    types = {(key, type(value)) for r in reports for key, value in r.result.items()}
+    assert {t for _, t in types} <= {float, bool, str, type(None)}
+    assert {k for k, _ in types} == {"protocol", "t0_est", "tau_est", "residual", "auth_ok", "attack_flag", "detail"}
+
+
 def test_reports_share_no_dict_or_list():
     # config documents are kept on the frozen config sections and the msq
     # levels on the line; each report must still get containers of its own
@@ -431,7 +442,7 @@ def test_a_config_built_in_code_runs_and_sweeps_like_its_document():
 def test_a_written_attack_default_leaves_the_report_alone():
     written = load_bundled("substitution_attack_b").raw
     attack = written["attacks"][0]
-    spelled_out = dict(written, attacks=[dict(attack, value=None, fabricate_tag=False, drop=False)])
+    spelled_out = dict(written, attacks=[dict(attack, fabricate_tag=False, drop=False, mode="alter_sample")])
     report = run_scenario(ScenarioConfig.from_dict(spelled_out))
     assert report.canonical_json() == run_scenario(ScenarioConfig.from_dict(written)).canonical_json()
     assert report.config["attacks"] == [attack]
@@ -459,8 +470,8 @@ def test_a_stalled_protocol_a_run_is_reported_unflagged():
 
 # record attacks no bundled scenario runs, and the detail each gives
 RECORD_ATTACKS = [
-    ({"mode": "drop"}, "timeout: file exchange stalled"),
-    ({"mode": "drop", "direction": "BtoA"}, "timeout: file exchange stalled"),
+    ({"drop": True}, "timeout: file exchange stalled"),
+    ({"drop": True, "direction": "BtoA"}, "timeout: file exchange stalled"),
     ({"fabricate_tag": True}, "authentication failed"),
     ({}, "authentication failed"),  # alter_sample with delta unset
 ]

@@ -78,7 +78,7 @@ def test_sync_message_is_encoded_once():
 
 def test_protocol_a_trivial_degenerate_case():
     sc = scenario(
-        clock=ClockConfig(t0=0.0, quantization=None),
+        clock=ClockConfig(t0=0.0, quantization=0.0),
         channel=ChannelConfig(tau=0.0, processing_delay=0.0),
     )
     res = protocol_a(sc)
@@ -103,7 +103,7 @@ def test_protocol_a_exact_over_random_pairs():
     for _ in range(200):
         t0 = float(rng.uniform(-0.05, 0.05))
         tau = float(rng.uniform(1e-6, 0.02))
-        sc = scenario(seed=2, tau=tau, clock=ClockConfig(t0=t0, quantization=None))
+        sc = scenario(seed=2, tau=tau, clock=ClockConfig(t0=t0, quantization=0.0))
         res = protocol_a(sc)
         assert abs(res.t0_est - t0) < 1e-12
         assert abs(res.tau_est - tau) < 1e-12
