@@ -18,15 +18,15 @@ arrangements look identical to her, so her best move is a coin flip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 from typing import TYPE_CHECKING, Literal, Optional, Union
 
 import numpy as np
 
 from .auth import AuthTag
 from .channel import Direction, Envelope, Scheduler
-from .config import MAX_SECONDS, check_fields
-from .errors import ConfigError, ConflictingAttackError, InconsistentStateError
+from .config import MAX_SECONDS, Section
+from .errors import ConflictingAttackError, InconsistentStateError
 from .line import BepMeasurement, BitState, LineConfig, classify_bep
 from .noise import derive_seed
 from .protocols import MESSAGE_FIELDS, FileTransfer, MessageKind, SyncMessage, bep_start_time
@@ -37,23 +37,21 @@ if TYPE_CHECKING:  # harness imports this module
 
 
 @dataclass(frozen=True)
-class AsymDelay:
+class AsymDelay(Section):
     """Eve adds delta seconds to every message on one leg."""
 
     leg: Literal["AtoB", "BtoA"]
     delta: float
 
-    def __post_init__(self):
-        check_fields(self)
-        if not 0 <= self.delta <= MAX_SECONDS:
-            raise ConfigError(f"delta: must be in [0, {MAX_SECONDS:g}]")
+    def problems(self) -> list[str]:
+        return [] if 0 <= self.delta <= MAX_SECONDS else [f"delta: must be in [0, {MAX_SECONDS:g}]"]
 
     def apply(self, scenario: Scenario, n: int) -> None:
         scenario.scheduler.hooks.append(_asym_delay_hook(Direction(self.leg), self.delta))
 
 
 @dataclass(frozen=True)
-class Substitute:
+class Substitute(Section):
     """Eve rewrites or removes what crosses the channel.
 
     drop removes the payload, for any target. Otherwise a message target
@@ -63,6 +61,11 @@ class Substitute:
     mode 'alter_sample' adds delta (1 + |sample| when delta is unset or 0)
     to sample sample_index, and 'replay' swaps in the first file seen on
     that direction with its genuine old tag.
+
+    A key the chosen spelling does not read must keep its default: field
+    for a file, mode, sample_index and direction for a message; with drop
+    every key but target (and a file's direction); with replay delta,
+    sample_index and fabricate_tag.
     """
 
     target: Literal["TimeStamp", "Response", "Share", "file"]
@@ -74,23 +77,29 @@ class Substitute:
     sample_index: int = 0
     direction: Literal["AtoB", "BtoA"] = "AtoB"
 
-    def __post_init__(self):
-        check_fields(self)
-        problems = []
+    def problems(self) -> list[str]:
+        problems, unused = [], {}  # unused: key -> the first spelling found that leaves it unread
+
+        def unread(why: str, *names: str) -> None:
+            for name in names:
+                unused.setdefault(name, why)
+
+        if self.drop:
+            unread("drop", "field", "delta", "fabricate_tag", "mode", "sample_index")
         if self.target == "file":
-            unused = ("field",)
+            unread("target 'file'", "field")
+            if self.mode == "replay":
+                unread("mode 'replay'", "delta", "sample_index", "fabricate_tag")
         else:
-            unused = ("mode", "sample_index", "direction")
+            unread(f"target {self.target!r}", "mode", "sample_index", "direction")
             names = MESSAGE_FIELDS[MessageKind(self.target)]
-            if self.field is None and not self.drop:
-                problems.append("field: required unless drop is set")
-            elif self.field is not None and self.field not in names:
-                problems.append(f"field: a {self.target} message has only {', '.join(names)}")
-        for name in unused:
-            if getattr(self, name) != Substitute.__dataclass_fields__[name].default:
-                problems.append(f"{name}: not used with target {self.target!r}")
-        if problems:
-            raise ConfigError(problems)
+            if not self.drop and self.field not in names:
+                problems.append(
+                    "field: required unless drop is set" if self.field is None
+                    else f"field: a {self.target} message has only {', '.join(names)}"
+                )
+        defaults = {f.name: f.default for f in fields(self)}
+        return problems + [f"{k}: not used with {why}" for k, why in unused.items() if getattr(self, k) != defaults[k]]
 
     def apply(self, scenario: Scenario, n: int) -> None:
         # only a fabricated tag draws: from the stream of the attack's place n
@@ -100,7 +109,7 @@ class Substitute:
 
 
 @dataclass(frozen=True)
-class LineMod:
+class LineMod(Section):
     """Eve changes the line itself at a chosen instant.
 
     Exactly one of r_wire_factor (the new wire resistance, in multiples of
@@ -115,8 +124,7 @@ class LineMod:
     at_bep: Optional[int] = None
     fraction: float = 0.5
 
-    def __post_init__(self):
-        check_fields(self)
+    def problems(self) -> list[str]:
         problems = []
         if (self.r_wire_factor is None) == (self.tau is None):
             problems.append("r_wire_factor: choose exactly one of r_wire_factor, tau")
@@ -131,8 +139,7 @@ class LineMod:
             problems.append(f"at_time: must be in [-{MAX_SECONDS:g}, {MAX_SECONDS:g}]")
         if not 0.0 <= self.fraction <= 1.0:
             problems.append("fraction: must be in [0, 1]")
-        if problems:
-            raise ConfigError(problems)
+        return problems
 
     def instant(self, config: ScenarioConfig) -> float:
         """The absolute time the change starts under a scenario config."""

@@ -1,13 +1,13 @@
 """The scenario config schema: typed sections and the one validator.
 
-Every section of a scenario config document is a frozen dataclass whose
-fields are named after its JSON keys, and each default is written once, on
-its field. ``read`` turns a document into those objects and fails closed:
-it collects every unknown key, missing required key, wrongly typed value
-and out-of-bounds value into a single ConfigError. Field types are checked
-when an object is constructed (each section's ``__post_init__`` calls
-``check_fields`` before its own bounds), so objects built in code are held
-to the same rules as documents:
+Every section of a scenario config document is a frozen dataclass that
+subclasses Section, with fields named after its JSON keys, and each default
+is written once, on its field. ``read`` turns a document into those objects
+and fails closed: it collects every unknown key, missing required key,
+wrongly typed value and out-of-bounds value into a single ConfigError.
+Field types are checked when an object is constructed (Section's
+``__post_init__`` checks them before the section's own bounds), so objects
+built in code are held to the same rules as documents:
 
   float           a finite number; bools are not numbers
   int             an integer, not a bool and not 2.0
@@ -138,18 +138,6 @@ def _schema(cls) -> dict:
     }
 
 
-def check_fields(obj) -> None:
-    """Raise ConfigError naming every field of obj whose value breaks its
-    type hint. Sections call this first in ``__post_init__``."""
-    problems = [
-        f"{name}: {problem}"
-        for name, (_, _, check) in _schema(type(obj)).items()
-        if (problem := check(getattr(obj, name)))
-    ]
-    if problems:
-        raise ConfigError(problems)
-
-
 def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 
@@ -197,50 +185,65 @@ def read(cls, doc):
     return obj
 
 
-def kept_doc(obj) -> dict:
-    """The JSON document of a section: every field, defaults included, so
-    two documents that read into equal sections get equal documents.
-    Nested sections become documents and a tuple becomes a list. A section
-    in a list is an item of a union (an attack): it becomes its "kind" plus
-    the fields that differ from their defaults.
+class Section:
+    """The base of every config section, a frozen dataclass.
 
-    The document is built once per section object and kept on it by
-    _derived, which serves only these documents. It shares its nested
-    documents with those of the sections that hold obj: read or encode it,
-    never change it (copy.deepcopy gives a copy to change)."""
-    return _derived(obj, "_doc", _build_doc)
+    Building one checks every init field against its type hint, then, only
+    if all of them fit, the section's own bounds (``problems``), and raises
+    one ConfigError listing whatever broke.
+    """
 
+    def __post_init__(self):
+        problems = [
+            f"{name}: {problem}"
+            for name, (_, _, check) in _schema(type(self)).items()
+            if (problem := check(getattr(self, name)))
+        ] or self.problems()
+        if problems:
+            raise ConfigError(problems)
 
-def _derived(section, name: str, compute):
-    """compute(section), computed once per section object and kept on it
-    under name: sections are frozen, so what they derive never changes."""
-    value = section.__dict__.get(name)
-    if value is None:  # stored as functools.cached_property stores, past __setattr__
-        value = section.__dict__[name] = compute(section)
-    return value
+    def problems(self) -> list[str]:
+        """The bounds the section's well-typed fields break."""
+        return []
 
+    def doc(self) -> dict:
+        """The JSON document of the section: every field, defaults included,
+        so two documents that read into equal sections get equal documents.
+        Nested sections become documents and a tuple becomes a list. A
+        section in a list is an item of a union (an attack): it becomes its
+        tagged_doc.
 
-def _build_doc(obj) -> dict:
-    # shared by the documents of the sections that hold obj, so never handed out
-    doc = {}
-    for name, (_, read, _) in _schema(type(obj)).items():
-        value = getattr(obj, name)
-        if isinstance(value, tuple):
-            value = [_derived(x, "_tagged", _tagged_doc) if dataclasses.is_dataclass(x) else x for x in value]
-        elif read is not None:  # a nested section
-            value = kept_doc(value)
-        doc[name] = value
-    return doc
+        The document is built once per section object and kept in its
+        __dict__ (sections are frozen, so it never changes). It shares its
+        nested documents with those of the sections that hold this one:
+        read or encode it, never change it (copy.deepcopy gives a copy to
+        change)."""
+        doc = self.__dict__.get("_doc")
+        if doc is None:
+            doc = {}
+            for name in _schema(type(self)):
+                value = getattr(self, name)
+                if isinstance(value, tuple):
+                    value = [x.tagged_doc() if isinstance(x, Section) else x for x in value]
+                elif isinstance(value, Section):
+                    value = value.doc()
+                doc[name] = value
+            self.__dict__["_doc"] = doc  # as functools.cached_property stores, past __setattr__
+        return doc
 
-
-def _tagged_doc(obj) -> dict:
-    defaults = {f.name: f.default for f in dataclasses.fields(obj)}
-    doc = kept_doc(obj)
-    return {"kind": type(obj).__name__, **{k: v for k, v in doc.items() if v != defaults[k]}}
+    def tagged_doc(self) -> dict:
+        """The section's "kind", its class name, plus the fields of its
+        document that differ from their defaults; kept like doc."""
+        doc = self.__dict__.get("_tagged")
+        if doc is None:
+            defaults = {f.name: f.default for f in dataclasses.fields(self)}
+            doc = {"kind": type(self).__name__, **{k: v for k, v in self.doc().items() if v != defaults[k]}}
+            self.__dict__["_tagged"] = doc
+        return doc
 
 
 @dataclasses.dataclass(frozen=True)
-class ClockConfig:
+class ClockConfig(Section):
     """Bob's clock runs t0 seconds ahead of Alice's master clock; both read
     in steps of quantization seconds (0 disables the rounding, and a step
     is at least MIN_QUANTIZATION)."""
@@ -248,13 +251,11 @@ class ClockConfig:
     t0: float = 0.0
     quantization: float = 1e-6
 
-    def __post_init__(self):
-        check_fields(self)
+    def problems(self) -> list[str]:
         problems = [f"t0: must be in [-{MAX_SECONDS:g}, {MAX_SECONDS:g}]"] if abs(self.t0) > MAX_SECONDS else []
         if self.quantization and not self.quantization >= MIN_QUANTIZATION:
             problems.append(f"quantization: must be 0 or >= {MIN_QUANTIZATION:g}")
-        if problems:
-            raise ConfigError(problems)
+        return problems
 
     @property
     def quantum(self) -> float:
@@ -264,23 +265,20 @@ class ClockConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(Section):
     """The honest one-way propagation delay tau of each direction, and Bob's
     think time before he answers a two-way exchange, in seconds."""
 
     tau: float = 2e-3
     processing_delay: float = 1e-3
 
-    def __post_init__(self):
-        check_fields(self)
+    def problems(self) -> list[str]:
         limit = f"must be in [0, {MAX_SECONDS:g}]"
-        problems = [f"{n}: {limit}" for n in ("tau", "processing_delay") if not 0 <= getattr(self, n) <= MAX_SECONDS]
-        if problems:
-            raise ConfigError(problems)
+        return [f"{n}: {limit}" for n in ("tau", "processing_delay") if not 0 <= getattr(self, n) <= MAX_SECONDS]
 
 
 @dataclasses.dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(Section):
     """Which protocol runs, and its parameters.
 
     The alignment search of protocol C tries every shift on the sample
@@ -303,8 +301,7 @@ class ProtocolConfig:
     t0_tol_quanta: float = 2.0
     tau_tol_quanta: float = 1.5
 
-    def __post_init__(self):
-        check_fields(self)
+    def problems(self) -> list[str]:
         problems = []
         if self.dt_window < 1:
             problems.append("dt_window: must be >= 1")
@@ -318,5 +315,4 @@ class ProtocolConfig:
         for name in ("t0_tol_quanta", "tau_tol_quanta"):
             if getattr(self, name) < 0:
                 problems.append(f"{name}: must be >= 0")
-        if problems:
-            raise ConfigError(problems)
+        return problems

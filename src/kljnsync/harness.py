@@ -27,7 +27,7 @@ import numpy as np
 from .adversaries import Attack, LineMod, install
 from .auth import MAX_KEY_BITS
 from .channel import format_event_log
-from .config import MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, check_fields, kept_doc, read
+from .config import MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, Section, read
 from .errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from .line import LineConfig
 from .noise import empirical_autocorrelation
@@ -36,7 +36,7 @@ from .scenario import Scenario, make_scenario
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Section):
     """A validated scenario config document (see the config module)."""
 
     seed: int
@@ -51,8 +51,7 @@ class ScenarioConfig:
     # sweeps never read it: they work from the fields alone.
     raw: dict = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        check_fields(self)
+    def problems(self) -> list[str]:
         problems = [f"{name}: must be >= 0" for name in ("seed", "key_bits") if getattr(self, name) < 0]
         if self.key_bits > MAX_KEY_BITS:
             problems.append(f"key_bits: must be <= {MAX_KEY_BITS}")
@@ -112,8 +111,7 @@ class ScenarioConfig:
                     f"protocol.k_range: the run would reach t = {latest:.3g} s, past {MAX_SECONDS:g} s; "
                     "lower the BEP indices, line.bep_duration, channel.tau or (for Combined) clock.quantization"
                 )
-        if problems:
-            raise ConfigError(problems)
+        return problems
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
@@ -135,8 +133,8 @@ class ScenarioConfig:
         """The config with every default made explicit, attacks given by
         their kind and the fields that differ from their defaults; reading
         it back gives an equal config. It is a fresh deep copy of the kept
-        document (see config.kept_doc), so a caller may change it."""
-        return copy.deepcopy(kept_doc(self))
+        document (see Section.doc), so a caller may change it."""
+        return copy.deepcopy(self.doc())
 
     def build_scenario(self) -> Scenario:
         scenario = make_scenario(self)
@@ -189,7 +187,7 @@ class RunReport:
         plus a newline: identical runs give identical bytes. Pretty-print
         one with ``python -m json.tool``."""
         body = {
-            "config": kept_doc(self.scenario_config),
+            "config": self.scenario_config.doc(),
             "result": self.result,
             "event_log_digest": self.event_log_digest,
             "msq_levels": self.msq_levels,

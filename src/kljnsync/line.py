@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import check_fields
+from .config import Section
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -74,7 +74,7 @@ PEAK_HEADROOM = 1e6
 
 
 @dataclass(frozen=True)
-class LineConfig:
+class LineConfig(Section):
     """Channel physics for one scenario.
 
     noise_scale is the generator density per ohm: a connected resistor R
@@ -105,8 +105,7 @@ class LineConfig:
     measurement_noise_rel: float = 0.0
     msq_levels: dict[str, float] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        check_fields(self)
+    def problems(self) -> list[str]:
         problems = []
         if not 0 < self.R_L:
             problems.append("R_L: must be > 0")
@@ -118,9 +117,18 @@ class LineConfig:
             problems.append("noise_scale: must be >= 0")
         if self.measurement_noise_rel < 0:
             problems.append("measurement_noise_rel: must be >= 0")
-        if problems:
-            raise ConfigError(problems)
+        # the optional fields as given; their defaults are derived once these pass
+        if (self.R_wire or 0) < 0:
+            problems.append("R_wire: must be >= 0")
+        for name in ("tau_f", "bep_duration"):
+            if (value := getattr(self, name)) is not None and value <= 0:
+                problems.append(f"{name}: must be > 0")
+        if self.sample_rate is not None and self.sample_rate < 2.0 * self.bandwidth_B:
+            problems.append("sample_rate: must be >= 2 * bandwidth_B")
+        return problems
 
+    def __post_init__(self):
+        super().__post_init__()
         tau_f, bep = timing_defaults(self.bandwidth_B)
         if self.R_wire is None:
             object.__setattr__(self, "R_wire", self.R_L / 100.0)
@@ -131,23 +139,13 @@ class LineConfig:
         if self.sample_rate is None:
             object.__setattr__(self, "sample_rate", 20.0 * self.bandwidth_B)
 
-        if self.R_wire < 0:
-            problems.append("R_wire: must be >= 0")
-        if self.tau_f <= 0:
-            problems.append("tau_f: must be > 0")
-        if self.bep_duration <= 0:
-            problems.append("bep_duration: must be > 0")
-        if self.sample_rate < 2.0 * self.bandwidth_B:
-            problems.append("sample_rate: must be >= 2 * bandwidth_B")
         # each trace is synthesized with a guard of sample_rate / B samples at either end
         synthesized = self.bep_duration * self.sample_rate + 2.0 * self.sample_rate / self.bandwidth_B
         if synthesized > MAX_RECORD_SAMPLES:
-            problems.append(
+            raise ConfigError(
                 f"bep_duration: a record and its noise guard take {synthesized:.3g} samples, "
                 f"more than the {MAX_RECORD_SAMPLES} allowed"
             )
-        if problems:
-            raise ConfigError(problems)
         # every party's level for every arrangement, and the sum the MIXED level halves
         ns_B, resistors = self.noise_scale * self.bandwidth_B, (self.R_L, self.R_H)
         try:

@@ -48,6 +48,44 @@ def test_spec_constructors_validate():
         LineMod(r_wire_factor=2.0)  # no activation instant
 
 
+@pytest.mark.parametrize(
+    "spec,problems",
+    [
+        (
+            dict(target="file", drop=True, mode="replay", sample_index=7, delta=3.0, fabricate_tag=True),
+            [
+                "delta: not used with drop",
+                "fabricate_tag: not used with drop",
+                "mode: not used with drop",
+                "sample_index: not used with drop",
+            ],
+        ),
+        (
+            dict(target="Response", drop=True, field="t2_star", delta=1.0, fabricate_tag=True),
+            ["field: not used with drop", "delta: not used with drop", "fabricate_tag: not used with drop"],
+        ),
+        (
+            dict(target="file", mode="replay", delta=2.0, sample_index=5, fabricate_tag=True),
+            [
+                "delta: not used with mode 'replay'",
+                "sample_index: not used with mode 'replay'",
+                "fabricate_tag: not used with mode 'replay'",
+            ],
+        ),
+        (dict(target="Share", drop=True, direction="BtoA"), ["direction: not used with target 'Share'"]),
+    ],
+    ids=["file-drop", "message-drop", "replay", "message-direction"],
+)
+def test_a_substitute_key_its_spelling_ignores_fails_closed(spec, problems):
+    with pytest.raises(ConfigError) as err:
+        Substitute(**spec)
+    assert err.value.problems == problems
+
+
+def test_a_replayed_file_may_name_its_direction():
+    assert Substitute("file", mode="replay", direction="BtoA").direction == "BtoA"
+
+
 def test_conflicting_line_modifications():
     sc = scenario()
     install(LineMod(r_wire_factor=2.0, at_time=0.005), sc)

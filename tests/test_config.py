@@ -13,7 +13,7 @@ import pytest
 
 from kljnsync.adversaries import Attack, AsymDelay, LineMod, Substitute
 from kljnsync.cli import main
-from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig
+from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig, Section
 from kljnsync.errors import ConfigError
 from kljnsync.harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_scenario
 from kljnsync.line import LineConfig
@@ -58,6 +58,15 @@ NAMED = [
     ("substitution_attack_b", "attacks.0.target", "Bogus"),
     ("substitution_attack_b", "attacks.0.field", "t9"),
     ("substitution_attack_b", "attacks.0.field", "t1"),
+    # keys a Substitute's spelling would silently ignore
+    (
+        "replay_attack_c",
+        "attacks.0.fabricate_tag",
+        True,
+        {"attacks.0.drop": True, "attacks.0.sample_index": 7, "attacks.0.delta": 3.0},
+    ),
+    ("substitution_attack_b", "attacks.0.fabricate_tag", True, {"attacks.0.drop": True, "attacks.0.delta": 1.0}),
+    ("replay_attack_c", "attacks.0.fabricate_tag", True, {"attacks.0.delta": 2.0, "attacks.0.sample_index": 5}),
     ("linemod_attack_c", "attacks.0.fraction", 7.0),
     ("linemod_attack_c", "attacks.0.at_bep", 5),
     # times too large for a run's float arithmetic
@@ -346,6 +355,33 @@ def test_sections_built_in_code_are_checked_too():
     ):
         with pytest.raises(ConfigError):
             build()
+
+
+def test_every_section_of_the_schema_is_a_section():
+    # every dataclass a config document can reach, each attack kind of the
+    # union included, must get Section's type checks and kept document
+    def classes(hint):
+        yield hint
+        for arg in typing.get_args(hint):
+            yield from classes(arg)
+
+    found, todo = set(), [ScenarioConfig]
+    while todo:
+        cls = todo.pop()
+        found.add(cls)
+        hints = typing.get_type_hints(cls)
+        todo += [
+            c
+            for f in dataclasses.fields(cls)
+            if f.init
+            for c in classes(hints[f.name])
+            if dataclasses.is_dataclass(c) and c not in found
+        ]
+    assert {c.__name__ for c in found} == {
+        "ScenarioConfig", "LineConfig", "ProtocolConfig", "ClockConfig", "ChannelConfig",
+        "AsymDelay", "Substitute", "LineMod",
+    }
+    assert [c.__name__ for c in found if not issubclass(c, Section)] == []
 
 
 def _documented_keys(readme: str) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 from dataclasses import replace
 from types import SimpleNamespace
@@ -213,11 +214,11 @@ def test_protocol_b_key_exhaustion_propagates():
 # --- file exchange ----------------------------------------------------------
 
 
-def bep_files(seed=21, t0=0.0, k=0, **kw):
+def bep_files(seed=21, t0=0.0, k=0, line=LINE, **kw):
     meas_a, meas_b = simulate_bep(
-        ResistorChoice.L, ResistorChoice.H, LINE, seed=seed, bep_index=k, offset_B=t0, **kw
+        ResistorChoice.L, ResistorChoice.H, line, seed=seed, bep_index=k, offset_B=t0, **kw
     )
-    return build_bep_file(meas_a, LINE), build_bep_file(meas_b, LINE)
+    return build_bep_file(meas_a, line), build_bep_file(meas_b, line)
 
 
 def test_exchange_files_honest():
@@ -407,6 +408,56 @@ def test_residual_curve_over_received_records_is_bit_identical(offset):
         want = residual_curve(built[ref], built[other], LINE.R_wire)
         got = residual_curve(parsed[ref], parsed[other], LINE.R_wire)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# seeded record pairs, Bob's record cut to its first n_bob samples, and the
+# sha256 of each party's whole curve (shifts, then residuals, as float64
+# bytes), Alice's then Bob's, as numpy 2.4.6 gave them. A report keeps only
+# the 201 points around Alice's minimum, but every point of both curves
+# takes part in the verdict.
+CURVES = {
+    "whole-sample": (
+        dict(seed=31, t0=7.0 / FS),
+        2000,
+        "9ebb592cbcda686c382ed0667b988ba16aae4ff9e27ce28a63003640b80b21ca",
+        "5c9a0128a5ee20b77161ad33fff37d473b06659f7563c9c06d43758ef24d527b",
+    ),
+    "sub-sample": (
+        dict(seed=32, t0=-12.6 / FS),
+        2000,
+        "c161bb385c564c1db1d26794de54bb6d2f60b5e258ae18be622f3788fa049b25",
+        "807e6d2802a2ba04a949bc31a0dd39e9930df1c66c1faa6771f197c2b029e6b2",
+    ),
+    "measurement-noise": (
+        dict(seed=33, t0=7.3 / FS, line=replace(LINE, measurement_noise_rel=1e-3)),
+        2000,
+        "a70243c172b56522adf38834004188657772558bf2e6722ff85ed1864b2d1d6a",
+        "dcca5f90ac333155a4812169ec1726ab82c80f7b7cdbe1c7f7709af97352cc60",
+    ),
+    "r-wire-step": (
+        dict(seed=34, t0=3.0 / FS, r_wire_schedule=[(LINE.bep_duration / 2, 1.5 * LINE.R_wire)]),
+        2000,
+        "b7e9650bb9ada709a40739273b1fa06b476356eac065aa193ba77f0a631582c5",
+        "fee683d239f9742a8b86e9f62f5dffb089c8565c63dfbdb0f6d367d0933a5855",
+    ),
+    "unequal-lengths": (
+        dict(seed=35, t0=5.4 / FS),
+        1500,
+        "06961c58a92c37dc8e820e95b9b397755a53393aa6828f4c10ce4c7b3b637efb",
+        "ebc9bcfae1a31f6dfc7ef32c4a9b4853a8c173d97f87d870e4f8866d9ec582fa",
+    ),
+}
+
+
+@pytest.mark.parametrize("records,n_bob,alice,bob", CURVES.values(), ids=CURVES)
+def test_residual_curves_keep_their_bits(records, n_bob, alice, bob):
+    fa, fb = bep_files(**records)
+    fb = replace(fb, voltage_samples=fb.voltage_samples[:n_bob], current_samples=fb.current_samples[:n_bob])
+    got = [
+        hashlib.sha256(b"".join(x.tobytes() for x in residual_curve(ref, other, LINE.R_wire))).hexdigest()
+        for ref, other in ((fa, fb), (fb, fa))
+    ]
+    assert got == [alice, bob]
 
 
 def test_residual_curve_valley_is_at_negative_offset():
