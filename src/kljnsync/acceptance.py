@@ -26,15 +26,14 @@ from .line import (
     Party,
     ResistorChoice,
     classify_bep,
-    infer_partner_choice,
+    infer_key_bit,
     simulate_bep,
     timing_defaults,
-    true_bit_state,
 )
 from .noise import (
     autocorrelation_standard_error,
     empirical_autocorrelation,
-    generate_bandlimited_gaussian,
+    generate_with_guard,
     theoretical_autocorrelation,
 )
 from .protocols import combined_check, exchange_files, protocol_a, protocol_b, protocol_c, residual_curve
@@ -62,7 +61,7 @@ def criterion_1_autocorrelation() -> tuple[bool, str]:
     rectangular spectrum at the reference lags, and its power is S0*B."""
     started = time.perf_counter()
     B, S0, fs, duration = 1e4, 1e-6, 2e5, 10.0
-    trace = generate_bandlimited_gaussian(B, S0, 101, duration, fs)
+    trace = generate_with_guard(B, S0, 101, duration, fs)
     ac = empirical_autocorrelation(trace, fs, 20)
     se = autocorrelation_standard_error(B, S0, len(trace), fs)
 
@@ -327,12 +326,10 @@ def criterion_8_security_identity() -> tuple[bool, str]:
         except AmbiguousMeasurementError:
             continue
         if st_a is BitState.MIXED and st_b is BitState.MIXED:
-            if true_bit_state(c_a, c_b) is not BitState.MIXED:
+            if c_a is c_b:
                 continue  # a same-choice BEP misread as mixed; agreement undefined
             mixed_unambiguous += 1
-            bit_a = infer_partner_choice(c_a, st_a, Party.ALICE).key_bit
-            bit_b = infer_partner_choice(c_b, st_b, Party.BOB).key_bit
-            agreements += bit_a == bit_b
+            agreements += infer_key_bit(c_a, st_a, Party.ALICE) == infer_key_bit(c_b, st_b, Party.BOB)
 
     _, p = ks_2samp(msq[(0, 1)], msq[(1, 0)])
     if p <= 0.01:

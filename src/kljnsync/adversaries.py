@@ -1,12 +1,13 @@
 """Eve's strategies, installed as channel hooks or line mutations.
 
-Three attack kinds can be installed. A substituting Eve rewrites message
-fields or file samples in flight (she can also drop envelopes outright). A
-delaying Eve adds a constant to one channel direction, which biases two-way
-time transfer by half the added delay without touching any content. A
-line-modifying Eve changes the channel itself - the wire resistance during
-a record, or the propagation delay - which leaves authentication intact but
-breaks either the wire-model residual or the delay monitoring.
+A scenario config lists its attacks, of three kinds. A substituting Eve
+rewrites message fields or file samples in flight (she can also drop
+envelopes outright). A delaying Eve adds a constant to one channel
+direction, which biases two-way time transfer by half the added delay
+without touching any content. A line-modifying Eve changes the channel
+itself - the wire resistance during a record, or the propagation delay -
+which leaves authentication intact but breaks either the wire-model
+residual or the delay monitoring.
 
 Hooks run synchronously inside the scheduler and every action they take is
 recorded in the event log.
@@ -26,7 +27,7 @@ import numpy as np
 from .auth import AuthTag
 from .channel import Direction, Envelope, Scheduler
 from .config import MAX_SECONDS, Section
-from .errors import ConflictingAttackError, InconsistentStateError
+from .errors import InconsistentStateError
 from .line import BepMeasurement, BitState, LineConfig, classify_bep
 from .noise import derive_seed
 from .protocols import MESSAGE_FIELDS, FileTransfer, MessageKind, SyncMessage, bep_start_time
@@ -56,7 +57,9 @@ class Substitute(Section):
 
     drop removes the payload, for any target. Otherwise a message target
     ('TimeStamp', 'Response', 'Share') gets its field shifted by delta, and
-    the original tag rides along unless fabricate_tag asks for a random one.
+    the original tag rides along unless fabricate_tag asks for a random one;
+    one of the two must change the message, so delta is nonzero unless
+    fabricate_tag is set.
     The target 'file' tampers with the measurement files sent in direction:
     mode 'alter_sample' adds delta (1 + |sample| when delta is unset or 0)
     to sample sample_index, and 'replay' swaps in the first file seen on
@@ -98,6 +101,9 @@ class Substitute(Section):
                     "field: required unless drop is set" if self.field is None
                     else f"field: a {self.target} message has only {', '.join(names)}"
                 )
+            if not (self.drop or self.fabricate_tag or self.delta):
+                # the message would cross unchanged, and the run report clean
+                problems.append("delta: must be nonzero unless drop or fabricate_tag is set")
         defaults = {f.name: f.default for f in fields(self)}
         return problems + [f"{k}: not used with {why}" for k, why in unused.items() if getattr(self, k) != defaults[k]]
 
@@ -153,8 +159,6 @@ class LineMod(Section):
             scenario.scheduler.hooks.append(_tau_mod_hook(self.tau, at))
             scenario.scheduler.record(at, "attack-linemod-tau")
             return
-        if any(t == at for t, _ in scenario.r_wire_schedule):
-            raise ConflictingAttackError(f"two line modifications at t={at}")
         scenario.r_wire_schedule.append((at, scenario.config.line.R_wire * self.r_wire_factor))
         scenario.scheduler.record(at, "attack-linemod-rwire")
 
@@ -231,20 +235,24 @@ def _tau_mod_hook(new_tau: float, at_time: float):
     return hook
 
 
-def install(attacks, scenario: Scenario) -> Scenario:
-    """Install one attack spec (or a list, applied in order) into a scenario.
+def install(attacks: tuple[Attack, ...], scenario: Scenario) -> None:
+    """Install a config's attacks into the scenario built from it.
 
     Substitutions and delays become channel hooks; wire-resistance changes
-    append to the scenario's line-modification schedule. Two wire
-    modifications at the same instant conflict.
-    An attack learns its place n in the list; an attack that draws random
-    values seeds them from the scenario seed and n.
+    append to the scenario's line-modification schedule. Line changes go
+    first, in the order of their instants, so the line's delay at a send
+    is the latest tau change at or before it and an AsymDelay adds on top
+    of it, however the attacks are listed. Each attack learns its place n
+    in the list; an attack that draws random values seeds them from the
+    scenario seed and n.
     """
-    if not isinstance(attacks, (list, tuple)):
-        attacks = [attacks]
-    for n, attack in enumerate(attacks):
+
+    def rank(item: tuple[int, Attack]) -> tuple[int, float]:
+        attack = item[1]  # sorted is stable: the other attacks keep their order
+        return (0, attack.instant(scenario.config)) if isinstance(attack, LineMod) else (1, 0.0)
+
+    for n, attack in sorted(enumerate(attacks), key=rank):
         attack.apply(scenario, n)
-    return scenario
 
 
 def passive_bit_guess(meas: BepMeasurement, config: LineConfig, seed: int) -> int:

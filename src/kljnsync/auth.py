@@ -83,13 +83,8 @@ class AuthTag(NamedTuple):
 class KeyLedger:
     """Shared secret bits from the last key exchange, with a consumption
     counter. Both honest parties hold the identical ledger and advance it in
-    protocol order, so span bookkeeping never diverges.
+    protocol order, so span bookkeeping never diverges. generate builds one.
     """
-
-    def __init__(self, key_bytes: bytes):
-        self._pad: bytes | None = bytes(key_bytes)
-        self.bit_length = 8 * len(self._pad)
-        self.consumed = 0
 
     @classmethod
     def generate(cls, n_bits: int, seed: int) -> "KeyLedger":
@@ -101,8 +96,8 @@ class KeyLedger:
         (4 KiB) each."""
         if not 0 <= n_bits <= MAX_KEY_BITS:
             raise ConfigError(f"n_bits: must be in [0, {MAX_KEY_BITS}]")
-        ledger = cls(b"")
-        ledger.bit_length, ledger._pad, ledger._seed = n_bits, None, seed
+        ledger = object.__new__(cls)
+        ledger.bit_length, ledger.consumed, ledger._seed, ledger._pad = n_bits, 0, seed, None
         return ledger
 
     @property

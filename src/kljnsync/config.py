@@ -41,8 +41,11 @@ MAX_SECONDS = 1e9
 MIN_QUANTIZATION = 1e-12
 
 
-def _type_check(hint):
-    """A function value -> problem text (None when the value fits hint)."""
+def _field(hint):
+    """(read, check) for a field typed hint. read(value, path, problems)
+    turns the JSON form into the Python form; it is None where the JSON
+    form already is that. check(value) gives the problem text, or None when
+    the value fits hint."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint is float:
         def check(value):
@@ -51,88 +54,73 @@ def _type_check(hint):
             if type(value) is int:  # not a bool
                 return None if abs(value) <= sys.float_info.max else "must be finite"
             return "must be a number"
-    elif hint is int:
-        def check(value):
-            return None if type(value) is int else "must be an integer"
-    elif origin is Literal:
+
+        return None, check
+    if hint is int:
+        return None, lambda value: None if type(value) is int else "must be an integer"
+    if origin is Literal:
         text = "must be one of " + ", ".join(args)
-
-        def check(value):
-            return None if isinstance(value, str) and value in args else text
-    elif origin is tuple:
-        item = _type_check(args[0])
-
-        def check(value):
-            if not isinstance(value, tuple):
-                return "must be a list"
-            for n, x in enumerate(value):
-                problem = item(x)
-                if problem:
-                    return f"item {n} {problem}"
-            return None
-    elif origin is typing.Union and type(None) in args:
-        (inner,) = (a for a in args if a is not type(None))
-        inner_check = _type_check(inner)
-
-        def check(value):
-            return None if value is None else inner_check(value)
-    else:  # bool, str, a dataclass, a Union of dataclasses
-        classes = args if origin is typing.Union else (hint,)
-        text = "must be " + " or ".join(c.__name__ for c in classes)
-
-        def check(value):
-            return None if isinstance(value, classes) else text
-    return check
-
-
-def _reader(hint):
-    """A function (value, path, problems) -> object that turns the JSON form
-    of hint into its Python form, or None when the JSON form is already it."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if dataclasses.is_dataclass(hint):
-        return lambda value, path, problems: _read(hint, value, path, problems)
+        return None, lambda value: None if isinstance(value, str) and value in args else text
     if origin is tuple:
-        item = _reader(args[0])
+        read_item, check_item = _field(args[0])
 
         def read_list(value, path, problems):
             if not isinstance(value, list):
                 return value  # construction reports it
-            if item is None:
+            if read_item is None:
                 return tuple(value)
-            items = tuple(item(x, f"{path}.{n}", problems) for n, x in enumerate(value))
+            items = tuple(read_item(x, f"{path}.{n}", problems) for n, x in enumerate(value))
             return _FAILED if any(x is _FAILED for x in items) else items
 
-        return read_list
-    if origin is typing.Union and all(dataclasses.is_dataclass(a) for a in args):
-        kinds = {a.__name__: a for a in args}
-        text = "must be one of " + ", ".join(kinds)
+        def check_list(value):
+            if not isinstance(value, tuple):
+                return "must be a list"
+            for n, x in enumerate(value):
+                problem = check_item(x)
+                if problem:
+                    return f"item {n} {problem}"
+            return None
 
-        def read_tagged(value, path, problems):
-            if not isinstance(value, dict):
-                problems.append(f"{path}: expected an object")
-                return _FAILED
-            kind = value.get("kind")
-            cls = kinds.get(kind) if isinstance(kind, str) else None
-            if cls is None:
-                problems.append(f"{path}.kind: {text}")
-                return _FAILED
-            return _read(cls, {k: v for k, v in value.items() if k != "kind"}, path, problems)
+        return read_list, check_list
+    if origin is typing.Union and type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        check_inner = _field(inner)[1]
+        return None, lambda value: None if value is None else check_inner(value)
+    # bool, str, a dataclass, a Union of dataclasses
+    classes = args if origin is typing.Union else (hint,)
+    text = "must be " + " or ".join(c.__name__ for c in classes)
 
-        return read_tagged
-    return None
+    def check(value):
+        return None if isinstance(value, classes) else text
+
+    if dataclasses.is_dataclass(hint):
+        return (lambda value, path, problems: _read(hint, value, path, problems)), check
+    if origin is not typing.Union:
+        return None, check
+    kinds = {c.__name__: c for c in classes}
+    kind_text = "must be one of " + ", ".join(kinds)
+
+    def read_tagged(value, path, problems):
+        if not isinstance(value, dict):
+            problems.append(f"{path}: expected an object")
+            return _FAILED
+        kind = value.get("kind")
+        cls = kinds.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            problems.append(f"{path}.kind: {kind_text}")
+            return _FAILED
+        return _read(cls, {k: v for k, v in value.items() if k != "kind"}, path, problems)
+
+    return read_tagged, check
 
 
 @functools.cache
 def _schema(cls) -> dict:
-    """name -> (required, reader, type check) for every init field of cls;
-    type hints are resolved once per class."""
+    """name -> (required, read, check) for every init field of cls, read
+    and check as _field gives them; type hints are resolved once per class."""
     hints = typing.get_type_hints(cls)
     return {
-        f.name: (
-            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
-            _reader(hints[f.name]),
-            _type_check(hints[f.name]),
-        )
+        f.name: (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING, *_field(hints[f.name]))
         for f in dataclasses.fields(cls)
         if f.init
     }

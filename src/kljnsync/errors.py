@@ -47,10 +47,6 @@ class LivelockError(KljnError):
     """The event scheduler exceeded its event budget."""
 
 
-class ConflictingAttackError(KljnError):
-    """Two line modifications were scheduled for the same instant."""
-
-
 class UnknownSeriesError(KljnError):
     """A report does not contain the requested plot series."""
 

@@ -55,14 +55,22 @@ class ScenarioConfig(Section):
         problems = [f"{name}: must be >= 0" for name in ("seed", "key_bits") if getattr(self, name) < 0]
         if self.key_bits > MAX_KEY_BITS:
             problems.append(f"key_bits: must be <= {MAX_KEY_BITS}")
-        # a line change scheduled for a BEP the protocol never records would
-        # never fire, and the run would report clean
-        problems += [
-            f"attacks.{n}.at_bep: must be one of protocol.k_range {list(self.protocol.k_range)}"
-            for n, attack in enumerate(self.attacks)
-            if isinstance(attack, LineMod) and attack.at_bep is not None
-            and attack.at_bep not in self.protocol.k_range
-        ]
+        # the line changes, as (n, quantity, instant); one scheduled for a BEP
+        # the protocol never records would never fire, and the run would
+        # report clean
+        changes = []
+        for n, attack in enumerate(self.attacks):
+            if not isinstance(attack, LineMod):
+                continue
+            if attack.at_bep is None or attack.at_bep in self.protocol.k_range:
+                changes.append((n, "R_wire" if attack.tau is None else "tau", attack.instant(self)))
+            else:
+                problems.append(f"attacks.{n}.at_bep: must be one of protocol.k_range {list(self.protocol.k_range)}")
+        # two changes of one quantity at one instant leave no one value after it
+        first = {}  # (quantity, instant) -> the first change of it
+        for n, quantity, at in changes:
+            if (m := first.setdefault((quantity, at), n)) != n:
+                problems.append(f"attacks.{n}: changes {quantity} at t = {at!r} s, as attacks.{m} does")
         if self.protocol.kind in ("C", "Combined"):
             # the alignment search needs a loop current and divides by the
             # wire resistance: without either an honest run could not pass
@@ -84,10 +92,8 @@ class ScenarioConfig(Section):
             problems += [
                 f"attacks.{i}: the wire changes at t = {at!r} s, after the last recorded sample "
                 f"(t = {last!r} s), so no record would see it"
-                for i, attack in enumerate(self.attacks)
-                if isinstance(attack, LineMod) and attack.r_wire_factor is not None
-                and attack.at_bep in (None, *self.protocol.k_range)  # else reported above
-                and (at := attack.instant(self)) > last
+                for i, quantity, at in changes
+                if quantity == "R_wire" and at > last
             ]
             # the search divides the terminal voltages' difference by R_wire,
             # so their round-off leaves an honest residual of up to

@@ -323,41 +323,18 @@ def classify_bep(meas: BepMeasurement, config: LineConfig) -> BitState:
     return BitState.MIXED
 
 
-@dataclass(frozen=True)
-class PartnerInference:
-    partner: ResistorChoice
-    key_bit: Optional[int]  # None when the BEP carries no secure bit
-
-
-def infer_partner_choice(
-    own: ResistorChoice, state: BitState, party: Party = Party.ALICE
-) -> PartnerInference:
-    """Deduce the partner's resistor from one's own choice and the bit state.
+def infer_key_bit(own: ResistorChoice, state: BitState, party: Party) -> Optional[int]:
+    """The secure bit of a BEP, from one's own resistor and the bit state.
 
     In the MIXED state the partner necessarily holds the other resistor, and
-    the secure bit follows the agreed mapping: (Alice, Bob) = (L, H) is bit
-    0, (H, L) is bit 1. LL/HH force the partner's choice but carry no secure
-    bit. A state that contradicts the own choice signals an attack or a
-    misclassification.
+    the bit follows the agreed mapping: (Alice, Bob) = (L, H) is bit 0,
+    (H, L) is bit 1. LL and HH carry no secure bit (None). A state that
+    contradicts the own choice signals an attack or a misclassification,
+    and raises InconsistentStateError.
     """
-    if state is BitState.LL:
-        if own is not ResistorChoice.L:
-            raise InconsistentStateError("state LL but own resistor is H")
-        return PartnerInference(ResistorChoice.L, None)
-    if state is BitState.HH:
-        if own is not ResistorChoice.H:
-            raise InconsistentStateError("state HH but own resistor is L")
-        return PartnerInference(ResistorChoice.H, None)
-    partner = ResistorChoice.H if own is ResistorChoice.L else ResistorChoice.L
-    if party is Party.BOB:
-        alice_choice, bob_choice = partner, own
-    else:
-        alice_choice, bob_choice = own, partner
-    bit = 0 if (alice_choice, bob_choice) == (ResistorChoice.L, ResistorChoice.H) else 1
-    return PartnerInference(partner, bit)
-
-
-def true_bit_state(choice_A: ResistorChoice, choice_B: ResistorChoice) -> BitState:
-    if choice_A is choice_B:
-        return BitState.LL if choice_A is ResistorChoice.L else BitState.HH
-    return BitState.MIXED
+    if state is not BitState.MIXED:
+        if (own is ResistorChoice.L) != (state is BitState.LL):
+            raise InconsistentStateError(f"state {state.value} but own resistor is {own.value}")
+        return None
+    # Alice's own L, or Bob's own H, is the (L, H) arrangement
+    return 0 if (own is ResistorChoice.L) == (party is Party.ALICE) else 1

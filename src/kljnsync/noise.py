@@ -16,9 +16,10 @@ Synthesis works in the frequency domain. A trace of n samples draws only
 its rfft bins at or below B, each distributed as the rfft of unit white
 noise is there, and takes one inverse FFT: the same process as white noise
 brick-wall filtered at B, for about B/fs of the random draws and without a
-forward FFT. Such a trace is circular. The protocols get the interior of a
-longer trace instead, padded by at least 1/B at each end and rounded up to
-a length with no prime factor above 5, where the inverse FFT is fast.
+forward FFT. Such a trace is circular, so the generator returns the
+interior of a longer one instead, padded by at least 1/B at each end and
+rounded up to a length with no prime factor above 5, where the inverse FFT
+is fast.
 """
 
 from __future__ import annotations
@@ -41,20 +42,26 @@ def derive_seed(master: int, *path: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def generate_bandlimited_gaussian(
+def generate_with_guard(
     bandwidth_B: float, density_S0: float, seed: int, duration: float, sample_rate: float
 ) -> np.ndarray:
     """Synthesize Gaussian noise with a flat one-sided spectrum over [0, B].
 
-    The trace is drawn in the frequency domain: only the rfft bins at or
-    below B get random values, each with the distribution the rfft of unit
-    white noise has there, and one inverse FFT turns them into samples.
-    That is white noise brick-wall filtered at B, without drawing the
-    discarded bins or taking the forward FFT. The result is rescaled so the
-    expected variance is exactly S0 * B. The hard spectral edge is
-    deliberate: smoother filters would move the zeros of the sinc
-    autocorrelation that the synchronization analysis relies on. The trace
-    is circular: its end wraps smoothly onto its start.
+    The noise is white noise brick-wall filtered at B: only the rfft bins
+    at or below B get random values, each with the distribution the rfft
+    of unit white noise has there, and one inverse FFT turns them into
+    samples. It is rescaled so the expected variance is exactly S0 * B.
+    The hard spectral edge is deliberate: smoother filters would move the
+    zeros of the sinc autocorrelation that the synchronization analysis
+    relies on.
+
+    One inverse FFT gives a circular trace, whose end wraps onto its
+    start. The trace returned is the interior of a longer circular one, so
+    the wraparound never touches the samples handed to the protocols: the
+    padded trace is at least 1/B (cut = round(sample_rate / B) samples)
+    longer at each end, its length rounded up to the next 2^a * 3^b * 5^c,
+    where the inverse FFT is fast, and the trace is samples [cut, cut + n)
+    of it.
 
     Deterministic for fixed arguments; the stream is PCG64 seeded with seed.
 
@@ -66,8 +73,8 @@ def generate_bandlimited_gaussian(
         One-sided spectral density over [0, B], >= 0.
     seed : int
     duration : float
-        Record length in seconds; the trace has floor(duration*sample_rate)
-        samples.
+        Record length in seconds; the trace has n = floor(duration *
+        sample_rate) samples.
     sample_rate : float
         In Hz; must satisfy sample_rate >= 2 * bandwidth_B.
 
@@ -75,22 +82,6 @@ def generate_bandlimited_gaussian(
     -------
     np.ndarray
         The generator voltage, float64.
-    """
-    n = _sample_count(bandwidth_B, density_S0, duration, sample_rate)
-    return _synthesize(bandwidth_B, density_S0, seed, n, sample_rate)
-
-
-def generate_with_guard(
-    bandwidth_B: float, density_S0: float, seed: int, duration: float, sample_rate: float
-) -> np.ndarray:
-    """Like generate_bandlimited_gaussian, but not circular: the trace is
-    the interior of a longer circular one, so the wraparound never touches
-    the samples handed to the protocols.
-
-    The padded trace is at least 1/B (cut = round(sample_rate / B) samples)
-    longer at each end, and its length is rounded up to the next
-    2^a * 3^b * 5^c, where the inverse FFT is fast. The trace is samples
-    [cut, cut + n) of it.
     """
     n = _sample_count(bandwidth_B, density_S0, duration, sample_rate)
     cut = int(round(sample_rate / bandwidth_B))
@@ -166,10 +157,12 @@ def empirical_autocorrelation(samples: np.ndarray, sample_rate: float, max_lag: 
         value[m] = (1/N) * sum_n x[n] * x[(n + m) mod N].
 
     The 1/N normalization with circular indexing keeps the estimate positive
-    semidefinite and symmetric under time reversal, makes lag 0 equal the
-    trace mean square, and is exact (no edge bias) for the circularly
-    bandlimited traces the generator produces. For m much smaller than N it
-    agrees with the linear biased estimator to O(m/N).
+    semidefinite and symmetric under time reversal, and makes lag 0 equal
+    the trace mean square. It is exact (no edge bias) only on a circular
+    trace. The generator's traces are the interior of a circular one, not
+    circular themselves, so on them it is exact only to O(m/N), the order
+    to which it agrees with the linear biased estimator for m much smaller
+    than N.
     """
     n = len(samples)
     if n == 0:

@@ -1,21 +1,10 @@
 import numpy as np
 import pytest
 
-from kljnsync.adversaries import (
-    AsymDelay,
-    LineMod,
-    Substitute,
-    install,
-    passive_bit_guess,
-)
+from kljnsync.adversaries import AsymDelay, LineMod, Substitute, passive_bit_guess
 from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig
-from kljnsync.errors import (
-    AmbiguousMeasurementError,
-    ConfigError,
-    ConflictingAttackError,
-    InconsistentStateError,
-)
-from kljnsync.harness import ScenarioConfig
+from kljnsync.errors import AmbiguousMeasurementError, ConfigError, InconsistentStateError
+from kljnsync.harness import ScenarioConfig, load_bundled, run_scenario
 from kljnsync.line import LineConfig, ResistorChoice, simulate_bep
 from kljnsync.protocols import combined_check, protocol_a, protocol_b, protocol_c
 
@@ -23,12 +12,18 @@ LINE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 FS = LINE.sample_rate
 
 
-def scenario(seed=1, t0=7.0 / FS):
-    """A scenario on LINE built as `kljnsync run` builds one, from a
-    validated ScenarioConfig; attacks are installed by each test."""
+def config(*attacks, seed=1, t0=7.0 / FS):
+    """A validated ScenarioConfig on LINE that lists attacks."""
     return ScenarioConfig(
-        seed, LINE, ProtocolConfig("Combined"), clock=ClockConfig(t0=t0), channel=ChannelConfig(tau=0.002)
-    ).build_scenario()
+        seed, LINE, ProtocolConfig("Combined"), clock=ClockConfig(t0=t0), channel=ChannelConfig(tau=0.002),
+        attacks=attacks,
+    )
+
+
+def scenario(*attacks, seed=1, t0=7.0 / FS):
+    """A scenario on LINE with its attacks installed, built as `kljnsync
+    run` builds one."""
+    return config(*attacks, seed=seed, t0=t0).build_scenario()
 
 
 def test_spec_constructors_validate():
@@ -87,35 +82,66 @@ def test_a_replayed_file_may_name_its_direction():
 
 
 def test_conflicting_line_modifications():
-    sc = scenario()
-    install(LineMod(r_wire_factor=2.0, at_time=0.005), sc)
-    with pytest.raises(ConflictingAttackError):
-        install(LineMod(r_wire_factor=3.0, at_time=0.005), sc)
+    # two changes of one quantity at one instant fail validation; two of
+    # different quantities, or at different instants, build
+    mid_bep_0 = 0.5 * LINE.bep_duration  # where LineMod(at_bep=0) starts
+    with pytest.raises(ConfigError) as err:
+        config(
+            LineMod(r_wire_factor=2.0, at_time=mid_bep_0), AsymDelay("BtoA", 1e-3), LineMod(r_wire_factor=3.0, at_bep=0)
+        )
+    assert err.value.problems == [f"attacks.2: changes R_wire at t = {mid_bep_0!r} s, as attacks.0 does"]
+    with pytest.raises(ConfigError) as err:
+        config(LineMod(tau=1e-3, at_time=0.05), LineMod(tau=1e-3, at_time=0.05))
+    assert err.value.problems == ["attacks.1: changes tau at t = 0.05 s, as attacks.0 does"]
+    config(LineMod(r_wire_factor=2.0, at_time=0.005), LineMod(tau=1e-3, at_time=0.005))
+    config(LineMod(r_wire_factor=2.0, at_time=0.005), LineMod(r_wire_factor=3.0, at_time=0.006))
 
 
 def test_attack_composition_applies_in_order():
-    sc = scenario(t0=0.005)
-    install([AsymDelay("BtoA", 2e-3), AsymDelay("BtoA", 2e-3)], sc)
+    sc = scenario(AsymDelay("BtoA", 2e-3), AsymDelay("BtoA", 2e-3), t0=0.005)
     res = protocol_a(sc)
     # two 2 ms hooks compose to a single 4 ms asymmetric delay
     assert res.tau_est == pytest.approx(0.002 + 0.002, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, attacks, outcome",
+    [
+        # a delay of 4 ms on the way back, on top of the changed line delay,
+        # biases the estimate of t0 = 5 ms by -2 ms
+        (
+            "honest_protocol_b",
+            [{"kind": "AsymDelay", "leg": "BtoA", "delta": 4e-3}, {"kind": "LineMod", "tau": 3e-3, "at_time": 0.0}],
+            {"t0_est": 0.003, "tau_est": 0.005, "attack_flag": False},
+        ),
+        # the change at 50 ms holds after it, whichever is listed first
+        (
+            "taumod_attack_combined",
+            [{"kind": "LineMod", "tau": 3e-3, "at_time": 0.05}, {"kind": "LineMod", "tau": 2e-3, "at_time": 0.01}],
+            {"attack_flag": True, "detail": "propagation delay 3.000000e-03s deviates from nominal 2.000000e-03s"},
+        ),
+    ],
+    ids=["delay_and_tau", "two_taus"],
+)
+def test_the_order_attacks_are_listed_in_changes_no_run(name, attacks, outcome):
+    doc = load_bundled(name).raw
+    first, second = (run_scenario(ScenarioConfig.from_dict(dict(doc, attacks=a))) for a in (attacks, attacks[::-1]))
+    assert (first.result, first.event_log) == (second.result, second.event_log)
+    assert {key: first.result[key] for key in outcome} == outcome
+
+
 def test_hook_actions_are_audited_in_the_log():
-    sc = scenario()
-    install(AsymDelay("BtoA", 1e-3), sc)
+    sc = scenario(AsymDelay("BtoA", 1e-3))
     protocol_a(sc)
     kinds = {rec.kind for rec in sc.scheduler.log}
     assert "attack-delay" in kinds
 
-    sc = scenario()
-    install(Substitute("Response", "t2_star", delta=1e-3), sc)
+    sc = scenario(Substitute("Response", "t2_star", delta=1e-3))
     protocol_b(sc)
     kinds = {rec.kind for rec in sc.scheduler.log}
     assert "attack-substitute" in kinds
 
-    sc = scenario()
-    install(LineMod(r_wire_factor=1.5, at_bep=0), sc)
+    sc = scenario(LineMod(r_wire_factor=1.5, at_bep=0))
     protocol_c(sc)
     kinds = {rec.kind for rec in sc.scheduler.log}
     assert "attack-linemod-rwire" in kinds
@@ -168,39 +194,28 @@ def test_attack_matrix():
 
     # protocol A: everything sails through unflagged
     for attack in (sub, delay, lm_tau):
-        sc = scenario(seed=20)
-        install(attack, sc)
-        assert protocol_a(sc).attack_flag is False
+        assert protocol_a(scenario(attack, seed=20)).attack_flag is False
 
     # protocol B: substitution only
-    sc = scenario(seed=21)
-    install(sub, sc)
-    assert protocol_b(sc).attack_flag is True
+    assert protocol_b(scenario(sub, seed=21)).attack_flag is True
     for attack in (delay, lm_tau):
-        sc = scenario(seed=21)
-        install(attack, sc)
-        assert protocol_b(sc).attack_flag is False
+        assert protocol_b(scenario(attack, seed=21)).attack_flag is False
 
     # combined check: all three
     for attack in (filesub, delay, lm_wire):
-        sc = scenario(seed=22)
-        install(attack, sc)
-        assert combined_check(sc).attack_flag is True
+        assert combined_check(scenario(attack, seed=22)).attack_flag is True
 
 
 def test_only_a_fabricated_tag_seeds_a_generator(monkeypatch):
-    sc = scenario()
     made, default_rng = [], np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args) or default_rng(*args))
-    install(
-        [
-            AsymDelay("BtoA", 1e-3),
-            LineMod(r_wire_factor=1.5, at_bep=0),
-            Substitute("Response", "t2_star", delta=1e-3),
-            Substitute("file", mode="replay"),
-        ],
-        sc,
+    attacks = (
+        AsymDelay("BtoA", 1e-3),
+        LineMod(r_wire_factor=1.5, at_bep=0),
+        Substitute("Response", "t2_star", delta=1e-3),
+        Substitute("file", mode="replay"),
     )
+    scenario(*attacks)
     assert made == []
-    install(Substitute("Response", "t2_star", delta=1e-3, fabricate_tag=True), sc)
+    scenario(*attacks, Substitute("Response", "t2_star", delta=1e-3, fabricate_tag=True))
     assert len(made) == 1

@@ -60,13 +60,6 @@ def test_encrypt_round_trip_and_span_accounting():
     assert tag2.span.offset == tag.span.offset + tag.span.length
 
 
-def test_zero_key_makes_ciphertext_equal_digest():
-    ledger = KeyLedger(bytes(64))
-    digest = hash_message(b"x")
-    tag = encrypt_digest(digest, ledger)
-    assert tag.ciphertext == digest
-
-
 def test_key_exhaustion():
     ledger = make_ledger(n_bits=300)  # room for one 256-bit tag only
     encrypt_digest(hash_message(b"a"), ledger)

@@ -9,6 +9,7 @@ import re
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kljnsync.adversaries import Attack, AsymDelay, LineMod, Substitute
@@ -17,6 +18,15 @@ from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig, Section
 from kljnsync.errors import ConfigError
 from kljnsync.harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_scenario
 from kljnsync.line import LineConfig
+from kljnsync.protocols import (
+    MESSAGE_FIELDS,
+    MessageKind,
+    SyncResult,
+    combined_check,
+    protocol_a,
+    protocol_b,
+    protocol_c,
+)
 
 DELETE = object()
 
@@ -67,6 +77,9 @@ NAMED = [
     ),
     ("substitution_attack_b", "attacks.0.fabricate_tag", True, {"attacks.0.drop": True, "attacks.0.delta": 1.0}),
     ("replay_attack_c", "attacks.0.fabricate_tag", True, {"attacks.0.delta": 2.0, "attacks.0.sample_index": 5}),
+    # a message substitution that changes neither the field nor the tag
+    ("substitution_attack_b", "attacks.0.delta", DELETE),
+    ("substitution_attack_b", "attacks.0.delta", 0),
     ("linemod_attack_c", "attacks.0.fraction", 7.0),
     ("linemod_attack_c", "attacks.0.at_bep", 5),
     # times too large for a run's float arithmetic
@@ -310,6 +323,90 @@ def test_a_wire_change_after_the_last_sample_fails_closed(edits, at, tmp_path, c
 def test_a_wire_change_a_record_sees_runs(edits, tmp_path, capsys):
     assert _run_linemod_attack_c(tmp_path, edits) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_two_wire_changes_at_one_instant_fail_closed(tmp_path, capsys):
+    # linemod_attack_c's change starts halfway through BEP 0, at 5 ms
+    doc = load_bundled("linemod_attack_c").raw
+    doc = dict(doc, attacks=[*doc["attacks"], {"kind": "LineMod", "r_wire_factor": 2.0, "at_time": 0.005}])
+    message = "attacks.1: changes R_wire at t = 0.005 s, as attacks.0 does"
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(doc)
+    assert err.value.problems == [message]
+    config = tmp_path / "twice.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# each attack key's values, the edges of its bounds and some past them
+ATTACK_VALUES = {
+    "leg": ["AtoB", "BtoA"],
+    "delta": [0.0, 4e-6, 1e-3, -0.5, 1e9, None],
+    "target": ["TimeStamp", "Response", "Share", "file"],
+    "field": ["t1", "t1_star", "t2_star", "t2"],
+    "fabricate_tag": [False, True],
+    "mode": ["alter_sample", "replay"],
+    "sample_index": [0, 7, -3, 10**6],
+    "direction": ["AtoB", "BtoA"],
+    "r_wire_factor": [0.0, 0.5, 1.5, 3.0],
+    "tau": [0.0, 1e-3, 3e-3, 1e9],
+    "at_time": [-1.0, 0.0, 0.004, 0.01, 0.05, 1e9],
+    "at_bep": [0, 1, 2],
+    "fraction": [0.0, 0.5, 1.0],
+}
+
+
+def _draw_attack(rng) -> dict:
+    """One attack document in one of its kind's spellings ("key?" is set
+    half the time), now and then with one more key that spelling may not
+    read; each value is drawn from ATTACK_VALUES."""
+
+    def pick(key):
+        return ATTACK_VALUES[key][rng.integers(len(ATTACK_VALUES[key]))]
+
+    kind = ("AsymDelay", "Substitute", "LineMod")[rng.integers(3)]
+    attack = {"kind": kind}
+    if kind == "AsymDelay":
+        keys = ["leg", "delta"]
+    elif kind == "LineMod":
+        keys = [("r_wire_factor", "tau")[rng.integers(2)], ("at_time", "at_bep")[rng.integers(2)], "fraction?"]
+    else:
+        attack["target"] = pick("target")
+        if rng.random() < 0.2:
+            attack["drop"] = True
+            keys = ["direction?"] if attack["target"] == "file" else []
+        elif attack["target"] == "file":
+            keys = ["mode?", "delta?", "sample_index?", "fabricate_tag?", "direction?"]
+        else:
+            fields = MESSAGE_FIELDS[MessageKind(attack["target"])]
+            attack["field"] = fields[rng.integers(len(fields))]
+            keys = ["delta", "fabricate_tag?"]
+    for key in keys:
+        if not key.endswith("?") or rng.random() < 0.5:
+            attack[key.rstrip("?")] = pick(key.rstrip("?"))
+    if rng.random() < 0.1:
+        key = list(ATTACK_VALUES)[rng.integers(len(ATTACK_VALUES))]
+        attack[key] = pick(key)
+    return attack
+
+
+def test_a_config_that_validates_always_builds_and_runs():
+    # 300 lists of one to three attacks on the bundled bases: each config
+    # either fails validation or runs to a verdict without raising
+    runners = {"A": protocol_a, "B": protocol_b, "C": protocol_c, "Combined": combined_check}
+    rng, names = np.random.default_rng(2026), bundled_scenario_names()
+    ran = 0
+    for _ in range(300):
+        doc = load_bundled(names[rng.integers(len(names))]).raw
+        doc = dict(doc, attacks=[_draw_attack(rng) for _ in range(rng.integers(1, 4))])
+        try:
+            config = ScenarioConfig.from_dict(doc)
+        except ConfigError:
+            continue
+        assert isinstance(runners[config.protocol.kind](config.build_scenario()), SyncResult), doc
+        ran += 1
+    assert ran >= 75  # the draws run as well as fail
 
 
 def test_problems_are_collected_across_sections():

@@ -430,7 +430,7 @@ def test_a_config_built_in_code_runs_and_sweeps_like_its_document():
         line=LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4),
         protocol=ProtocolConfig(kind="B"),
         clock=ClockConfig(t0=2e-3),
-        attacks=(AsymDelay("BtoA", 1e-3), Substitute("Response", "t2_star", delta=0.0)),
+        attacks=(AsymDelay("BtoA", 1e-3), Substitute("Response", "t2_star", delta=0.0, fabricate_tag=True)),
     )
     assert cfg.raw is None
     expected = run_scenario(ScenarioConfig.from_dict(cfg.canonical_dict())).canonical_json()

@@ -17,10 +17,9 @@ from kljnsync.line import (
     ResistorChoice,
     _level,
     classify_bep,
-    infer_partner_choice,
+    infer_key_bit,
     simulate_bep,
     timing_defaults,
-    true_bit_state,
 )
 
 L, H = ResistorChoice.L, ResistorChoice.H
@@ -29,6 +28,11 @@ L, H = ResistorChoice.L, ResistorChoice.H
 # levels 0.5 (LL), 10/11 (MIXED), 5.0 (HH).
 CFG = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 CFG_NOWIRE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4, R_wire=0.0)
+
+
+def true_bit_state(c_a: ResistorChoice, c_b: ResistorChoice) -> BitState:
+    """The bit state the two resistor choices make on the line."""
+    return {(L, L): BitState.LL, (H, H): BitState.HH}.get((c_a, c_b), BitState.MIXED)
 
 
 def analytic_msq_voltage(
@@ -239,23 +243,23 @@ def test_honest_run_classification_accuracy():
     assert correct >= 98
 
 
-def test_infer_partner_choice_mapping():
-    res = infer_partner_choice(L, BitState.MIXED)
-    assert res.partner is H and res.key_bit == 0
-    res = infer_partner_choice(H, BitState.MIXED)
-    assert res.partner is L and res.key_bit == 1
-    # Bob's view of the same (L, H) arrangement yields the same bit
-    res = infer_partner_choice(H, BitState.MIXED, Party.BOB)
-    assert res.partner is L and res.key_bit == 0
-    res = infer_partner_choice(L, BitState.LL)
-    assert res.partner is L and res.key_bit is None
+def test_infer_key_bit_mapping():
+    assert infer_key_bit(L, BitState.MIXED, Party.ALICE) == 0
+    assert infer_key_bit(H, BitState.MIXED, Party.ALICE) == 1
+    # Bob's view of the same arrangements yields the same bits
+    assert infer_key_bit(H, BitState.MIXED, Party.BOB) == 0
+    assert infer_key_bit(L, BitState.MIXED, Party.BOB) == 1
+    for party in Party:
+        assert infer_key_bit(L, BitState.LL, party) is None
+        assert infer_key_bit(H, BitState.HH, party) is None
 
 
-def test_infer_partner_choice_contradictions():
-    with pytest.raises(InconsistentStateError):
-        infer_partner_choice(H, BitState.LL)
-    with pytest.raises(InconsistentStateError):
-        infer_partner_choice(L, BitState.HH)
+def test_infer_key_bit_contradictions():
+    for party in Party:
+        with pytest.raises(InconsistentStateError, match="state LL but own resistor is H"):
+            infer_key_bit(H, BitState.LL, party)
+        with pytest.raises(InconsistentStateError, match="state HH but own resistor is L"):
+            infer_key_bit(L, BitState.HH, party)
 
 
 def test_honest_parties_agree_on_every_unambiguous_mixed_bep():
@@ -272,9 +276,7 @@ def test_honest_parties_agree_on_every_unambiguous_mixed_bep():
             continue
         if st_a is not BitState.MIXED or st_b is not BitState.MIXED:
             continue
-        bit_a = infer_partner_choice(c_a, st_a, Party.ALICE).key_bit
-        bit_b = infer_partner_choice(c_b, st_b, Party.BOB).key_bit
-        assert bit_a == bit_b
+        assert infer_key_bit(c_a, st_a, Party.ALICE) == infer_key_bit(c_b, st_b, Party.BOB)
         agreements += 1
     assert agreements > 10  # the loop actually exercised mixed BEPs
 

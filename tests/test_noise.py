@@ -4,10 +4,10 @@ import pytest
 from kljnsync.errors import ConfigError, DegenerateInputError
 from kljnsync.noise import (
     _fast_length,
+    _synthesize,
     autocorrelation_standard_error,
     derive_seed,
     empirical_autocorrelation,
-    generate_bandlimited_gaussian,
     generate_with_guard,
     theoretical_autocorrelation,
 )
@@ -17,44 +17,43 @@ S0 = 1.0e-6
 
 
 def test_zero_duration_gives_empty_trace():
-    tr = generate_bandlimited_gaussian(B, S0, 0, 0.0, 2e5)
+    tr = generate_with_guard(B, S0, 0, 0.0, 2e5)
     assert len(tr) == 0
 
 
 def test_sample_count_is_floor_of_duration_times_rate():
-    tr = generate_bandlimited_gaussian(B, S0, 0, 0.0100049, 1e5)
+    tr = generate_with_guard(B, S0, 0, 0.0100049, 1e5)
     assert len(tr) == 1000
 
 
 def test_invalid_spec_rejected():
-    for generate in (generate_bandlimited_gaussian, generate_with_guard):
-        with pytest.raises(ConfigError):
-            generate(B, S0, 0, 1.0, 1.9 * B)
-        with pytest.raises(ConfigError):
-            generate(B, S0, 0, -1.0, 20 * B)
-        with pytest.raises(ConfigError):
-            generate(-1.0, S0, 0, 1.0, 20 * B)
-        with pytest.raises(ConfigError):
-            generate(B, -1e-9, 0, 1.0, 20 * B)
+    with pytest.raises(ConfigError):
+        generate_with_guard(B, S0, 0, 1.0, 1.9 * B)
+    with pytest.raises(ConfigError):
+        generate_with_guard(B, S0, 0, -1.0, 20 * B)
+    with pytest.raises(ConfigError):
+        generate_with_guard(-1.0, S0, 0, 1.0, 20 * B)
+    with pytest.raises(ConfigError):
+        generate_with_guard(B, -1e-9, 0, 1.0, 20 * B)
 
 
 def test_determinism_bit_identical():
-    a = generate_bandlimited_gaussian(B, S0, 42, 0.5, 2e5)
-    b = generate_bandlimited_gaussian(B, S0, 42, 0.5, 2e5)
+    a = generate_with_guard(B, S0, 42, 0.5, 2e5)
+    b = generate_with_guard(B, S0, 42, 0.5, 2e5)
     assert a.dtype == np.float64
     assert np.array_equal(a, b)
 
 
 def test_variance_matches_flat_spectrum_power():
     # Total power of a flat one-sided density S0 over [0, B] is S0*B.
-    tr = generate_bandlimited_gaussian(B, S0, 1, 10.0, 1e5)
+    tr = generate_with_guard(B, S0, 1, 10.0, 1e5)
     target = S0 * B
     assert abs(np.mean(tr**2) - target) / target < 0.03
 
 
 def test_distinct_seeds_uncorrelated():
-    a = generate_bandlimited_gaussian(B, S0, 1, 10.0, 1e5)
-    b = generate_bandlimited_gaussian(B, S0, 2, 10.0, 1e5)
+    a = generate_with_guard(B, S0, 1, 10.0, 1e5)
+    b = generate_with_guard(B, S0, 2, 10.0, 1e5)
     r = np.dot(a, b) / np.sqrt(np.dot(a, a) * np.dot(b, b))
     # A record of length T holds about 2*B*T independent values.
     n_eff = 2.0 * B * 10.0
@@ -67,7 +66,7 @@ def test_autocorrelation_of_constant_trace():
 
 
 def test_autocorrelation_lag0_is_mean_square():
-    tr = generate_bandlimited_gaussian(B, S0, 5, 0.1, 2e5)
+    tr = generate_with_guard(B, S0, 5, 0.1, 2e5)
     ac = empirical_autocorrelation(tr, 2e5, 3)
     assert ac[0, 0] == 0.0
     assert ac[1, 0] == 1 / 2e5
@@ -82,7 +81,7 @@ def test_autocorrelation_guards():
 
 
 def test_autocorrelation_time_reversal_symmetry():
-    tr = generate_bandlimited_gaussian(B, S0, 9, 0.05, 2e5)
+    tr = generate_with_guard(B, S0, 9, 0.05, 2e5)
     a = empirical_autocorrelation(tr, 2e5, 40)
     b = empirical_autocorrelation(tr[::-1].copy(), 2e5, 40)
     assert np.allclose(a[:, 1], b[:, 1], rtol=1e-9)
@@ -91,7 +90,7 @@ def test_autocorrelation_time_reversal_symmetry():
 def test_empirical_matches_sinc_at_reference_lags():
     # fs = 20B puts the lags 1/(4B), 1/(2B), 1/B at 5, 10, 20 samples.
     fs = 20 * B
-    tr = generate_bandlimited_gaussian(B, S0, 7, 4.0, fs)
+    tr = generate_with_guard(B, S0, 7, 4.0, fs)
     ac = empirical_autocorrelation(tr, fs, 20)
     se = autocorrelation_standard_error(B, S0, len(tr), fs)
     for m in (0, 5, 10, 20):
@@ -101,7 +100,7 @@ def test_empirical_matches_sinc_at_reference_lags():
 
 def test_first_sinc_zero_at_half_inverse_bandwidth():
     fs = 20 * B
-    tr = generate_bandlimited_gaussian(B, S0, 11, 10.0, fs)
+    tr = generate_with_guard(B, S0, 11, 10.0, fs)
     ac = empirical_autocorrelation(tr, fs, 10)
     n_eff = len(tr) * B / fs
     tol = 4.0 * (S0 * B) / np.sqrt(n_eff)
@@ -148,7 +147,7 @@ def averaged_periodogram(trace: np.ndarray, fs: float, n_segments: int) -> tuple
 
 
 def test_spectral_flatness():
-    tr = generate_bandlimited_gaussian(B, S0, 3, 10.0, 2e5)
+    tr = generate_with_guard(B, S0, 3, 10.0, 2e5)
     freqs, psd = averaged_periodogram(tr, 2e5, 200)
     band = (freqs >= 0.1 * B) & (freqs <= 0.9 * B)
     assert abs(np.mean(psd[band]) - S0) / S0 < 0.10
@@ -157,7 +156,7 @@ def test_spectral_flatness():
 
 
 def test_zero_density_gives_zero_trace():
-    tr = generate_bandlimited_gaussian(B, 0.0, 0, 0.01, 2e5)
+    tr = generate_with_guard(B, 0.0, 0, 0.01, 2e5)
     assert np.all(tr == 0.0)
 
 
@@ -168,8 +167,7 @@ def test_guard_generation_trims_to_requested_length():
     # samples longer at each end, at the next 5-smooth length: 2040 -> 2048
     cut, padded_n = 20, _fast_length(2000 + 2 * 20)
     assert padded_n == 2048
-    padded = generate_bandlimited_gaussian(B, S0, 4, (padded_n + 0.5) / 2e5, 2e5)
-    assert len(padded) == padded_n
+    padded = _synthesize(B, S0, 4, padded_n, 2e5)
     assert np.array_equal(tr, padded[cut : cut + 2000])
     assert padded_n - (cut + 2000) >= cut
 
@@ -188,8 +186,7 @@ def test_guard_generation_trims_to_requested_length():
 def test_synthesis_fills_exactly_the_bins_at_or_below_B(n, fs, kept):
     keep = np.fft.rfftfreq(n, d=1.0 / fs) <= B
     assert np.count_nonzero(keep) == kept
-    tr = generate_bandlimited_gaussian(B, S0, n, (n + 0.5) / fs, fs)
-    assert len(tr) == n
+    tr = _synthesize(B, S0, n, n, fs)
     spectrum = np.abs(np.fft.rfft(tr))
     top = spectrum.max()
     assert np.all(spectrum[~keep] <= 1e-12 * top)
@@ -199,7 +196,7 @@ def test_synthesis_fills_exactly_the_bins_at_or_below_B(n, fs, kept):
 @pytest.mark.parametrize("n, fs", [(200, 20 * B), (201, 20 * B), (64, 2 * B)])
 def test_mean_square_over_seeds_is_the_flat_spectrum_power(n, fs):
     msq = np.array([
-        np.mean(generate_bandlimited_gaussian(B, S0, s, (n + 0.5) / fs, fs) ** 2)
+        np.mean(_synthesize(B, S0, s, n, fs) ** 2)
         for s in range(2000)
     ])
     se = msq.std(ddof=1) / np.sqrt(msq.size)

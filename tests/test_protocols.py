@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kljnsync.adversaries import AsymDelay, LineMod, Substitute, install
+from kljnsync.adversaries import AsymDelay, LineMod, Substitute
 from kljnsync.bepfile import build_bep_file, parse_bep_file, serialize_bep_file
 from kljnsync.channel import Direction
 from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig
@@ -39,7 +39,7 @@ COMBINED = ProtocolConfig("Combined")
 
 def scenario(seed=1, t0=0.005, tau=0.002, clock=None, channel=None, protocol=COMBINED, **config):
     """A scenario on LINE built as `kljnsync run` builds one, from a
-    validated ScenarioConfig; config holds its other fields (key_bits)."""
+    validated ScenarioConfig; config holds its other fields (key_bits, attacks)."""
     return ScenarioConfig(
         seed,
         LINE,
@@ -115,8 +115,7 @@ def test_protocol_a_exact_over_random_pairs():
 def test_delay_attack_algebra(delta_ms, leg, sign):
     delta = delta_ms * 1e-3
     for proto in (protocol_a, protocol_b):
-        sc = scenario(t0=0.005, tau=0.002)
-        install(AsymDelay(leg, delta), sc)
+        sc = scenario(t0=0.005, tau=0.002, attacks=(AsymDelay(leg, delta),))
         res = proto(sc)
         assert res.t0_est == pytest.approx(0.005 + sign * delta / 2, abs=1e-12)
         assert res.tau_est == pytest.approx(0.002 + delta / 2, abs=1e-12)
@@ -124,15 +123,13 @@ def test_delay_attack_algebra(delta_ms, leg, sign):
 
 
 def test_protocol_a_dropped_message_is_reported_incomplete_and_unflagged():
-    sc = scenario()
-    install(Substitute("Response", drop=True), sc)
+    sc = scenario(attacks=(Substitute("Response", drop=True),))
     detail = "incomplete: synchronization exchange never finished"
     assert protocol_a(sc) == SyncResult("A", None, None, None, True, False, detail)
 
 
 def test_protocol_a_never_flags_substitution():
-    sc = scenario()
-    install(Substitute("Response", "t2_star", delta=1e-3), sc)
+    sc = scenario(attacks=(Substitute("Response", "t2_star", delta=1e-3),))
     res = protocol_a(sc)
     assert res.attack_flag is False
     assert res.t0_est != pytest.approx(0.005, abs=1e-6)  # silently biased
@@ -151,8 +148,7 @@ def test_protocol_b_honest_matches_a_and_spends_key():
 
 
 def test_protocol_b_flags_substitution():
-    sc = scenario(seed=3)
-    install(Substitute("Response", "t2_star", delta=1e-3), sc)
+    sc = scenario(seed=3, attacks=(Substitute("Response", "t2_star", delta=1e-3),))
     res = protocol_b(sc)
     assert res.attack_flag is True and res.auth_ok is False
     assert res.t0_est is None and res.tau_est is None
@@ -182,8 +178,7 @@ def test_protocol_b_encodes_each_message_once(monkeypatch):
 
 def test_protocol_b_encodes_a_substituted_message_again(monkeypatch):
     packed = _count_encodings(monkeypatch)
-    sc = scenario(seed=3)
-    install(Substitute("Response", "t2_star", delta=1e-3), sc)
+    sc = scenario(seed=3, attacks=(Substitute("Response", "t2_star", delta=1e-3),))
     res = protocol_b(sc)
     assert res.auth_ok is False
     # the rewritten Response carries the genuine encoding's tag, not its bytes
@@ -192,15 +187,13 @@ def test_protocol_b_encodes_a_substituted_message_again(monkeypatch):
 
 
 def test_protocol_b_flags_fabricated_tag():
-    sc = scenario(seed=3)
-    install(Substitute("Response", "t2_star", delta=1e-3, fabricate_tag=True), sc)
+    sc = scenario(seed=3, attacks=(Substitute("Response", "t2_star", delta=1e-3, fabricate_tag=True),))
     res = protocol_b(sc)
     assert res.attack_flag is True
 
 
 def test_protocol_b_reports_timeout_on_drop():
-    sc = scenario(seed=3)
-    install(Substitute("Share", drop=True), sc)
+    sc = scenario(seed=3, attacks=(Substitute("Share", drop=True),))
     res = protocol_b(sc)
     assert res.attack_flag is True and "timeout" in res.detail
 
@@ -230,8 +223,7 @@ def test_exchange_files_honest():
 
 
 def test_exchange_files_flags_altered_sample():
-    sc = scenario(seed=4)
-    install(Substitute("file", mode="alter_sample", sample_index=7, delta=0.25), sc)
+    sc = scenario(seed=4, attacks=(Substitute("file", mode="alter_sample", sample_index=7, delta=0.25),))
     fa, fb = bep_files()
     received, problem = exchange_files(sc, fa, fb, send_absolute=0.0)
     assert problem == "authentication failed"
@@ -240,8 +232,7 @@ def test_exchange_files_flags_altered_sample():
 
 
 def test_exchange_files_detects_replay():
-    sc = scenario(seed=4, key_bits=16384)
-    install(Substitute("file", mode="replay"), sc)
+    sc = scenario(seed=4, key_bits=16384, attacks=(Substitute("file", mode="replay"),))
     fa0, fb0 = bep_files(seed=21, k=0)
     received0, problem0 = exchange_files(sc, fa0, fb0, send_absolute=0.0)
     assert problem0 == "" and received0[Direction.A_TO_B] == fa0  # first pass is recorded, not altered
@@ -525,8 +516,7 @@ def test_protocol_c_honest_offsets_anywhere_in_range(samples):
 
 def test_protocol_c_flags_tampered_file_and_skips_correction():
     t0 = 7.0 / FS
-    sc = scenario(seed=5, t0=t0)
-    install(Substitute("file", mode="alter_sample", sample_index=100, delta=0.5), sc)
+    sc = scenario(seed=5, t0=t0, attacks=(Substitute("file", mode="alter_sample", sample_index=100, delta=0.5),))
     res = protocol_c(sc)
     assert res.attack_flag is True and res.auth_ok is False
     assert res.t0_est is None
@@ -534,8 +524,8 @@ def test_protocol_c_flags_tampered_file_and_skips_correction():
 
 
 def test_protocol_c_flags_replayed_file():
-    sc = scenario(seed=5, t0=7.0 / FS, protocol=replace(COMBINED, k_range=(0, 1)))
-    install(Substitute("file", mode="replay"), sc)
+    replay = Substitute("file", mode="replay")
+    sc = scenario(seed=5, t0=7.0 / FS, protocol=replace(COMBINED, k_range=(0, 1)), attacks=(replay,))
     res = protocol_c(sc)
     assert res.attack_flag is True
     assert "stale" in res.detail
@@ -560,8 +550,7 @@ def test_protocol_c_flags_disagreeing_shift_estimates(monkeypatch):
 
 
 def test_protocol_c_flags_line_modification():
-    sc = scenario(seed=7, t0=7.0 / FS)
-    install(LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5), sc)
+    sc = scenario(seed=7, t0=7.0 / FS, attacks=(LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5),))
     res = protocol_c(sc)
     assert res.attack_flag is True
     assert res.residual is None or res.residual > 1e-2
@@ -600,22 +589,19 @@ def test_combined_check_honest_passes():
 
 
 def test_combined_check_catches_asymmetric_delay():
-    sc = scenario(seed=9, t0=7.0 / FS)
-    install(AsymDelay("BtoA", 4e-6), sc)  # four clock quanta
+    sc = scenario(seed=9, t0=7.0 / FS, attacks=(AsymDelay("BtoA", 4e-6),))  # four clock quanta
     res = combined_check(sc)
     assert res.attack_flag is True
     assert "deviates" in res.detail or "not zero" in res.detail
 
 
 def test_combined_check_catches_late_line_change():
-    sc = scenario(seed=10, t0=7.0 / FS)
-    install(LineMod(tau=3e-3, at_time=0.05), sc)
+    sc = scenario(seed=10, t0=7.0 / FS, attacks=(LineMod(tau=3e-3, at_time=0.05),))
     res = combined_check(sc)
     assert res.attack_flag is True
 
 
 def test_combined_check_catches_mid_bep_wire_change():
-    sc = scenario(seed=11, t0=7.0 / FS)
-    install(LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5), sc)
+    sc = scenario(seed=11, t0=7.0 / FS, attacks=(LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5),))
     res = combined_check(sc)
     assert res.attack_flag is True

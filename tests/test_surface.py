@@ -12,7 +12,6 @@ ALLOWED = {
 # fields no code in the package reads, each kept for one reader outside it
 UNREAD_FIELDS = {
     "raw": "perfbench/workloads.py edits a copy of the document a config was read from",
-    "partner": "the tests pin the partner's resistor PartnerInference infers; the program reads only key_bit",
     "input": "every report's config shows it; the schema-2 report's byte break deletes it",
 }
 
