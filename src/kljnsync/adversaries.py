@@ -41,6 +41,8 @@ if TYPE_CHECKING:  # harness imports this module
 class AsymDelay(Section):
     """Eve adds delta seconds to every message on one leg."""
 
+    tagged = True
+
     leg: Literal["AtoB", "BtoA"]
     delta: float
 
@@ -70,6 +72,8 @@ class Substitute(Section):
     every key but target (and a file's direction); with replay delta,
     sample_index and fabricate_tag.
     """
+
+    tagged = True
 
     target: Literal["TimeStamp", "Response", "Share", "file"]
     field: Optional[str] = None
@@ -123,6 +127,8 @@ class LineMod(Section):
     what changes. The change starts at absolute time at_time, or at the
     given fraction of BEP at_bep's record window.
     """
+
+    tagged = True
 
     r_wire_factor: Optional[float] = None
     tau: Optional[float] = None

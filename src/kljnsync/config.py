@@ -18,18 +18,29 @@ built in code are held to the same rules as documents:
   a dataclass     a JSON object with that dataclass's keys
   a Union of dataclasses
                   an object whose "kind" names one of them by class name
+
+The way back is text: each section writes its document as canonical JSON
+(``Section.canonical_text``) once, from its fields, splicing in the texts
+its nested sections keep. A sweep's runs share most of their sections, so
+their reports share most of that text.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import sys
 import typing
+from json.encoder import encode_basestring_ascii
 from typing import Literal
 
 from .errors import ConfigError
+
+# the one encoder of canonical text: sorted keys, no spaces; without indent
+# json uses its C encoder. No circular check: what it encodes is a tree.
+CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 _FAILED = object()  # a read that recorded its problems and produced nothing
 
@@ -178,8 +189,14 @@ class Section:
 
     Building one checks every init field against its type hint, then, only
     if all of them fit, the section's own bounds (``problems``), and raises
-    one ConfigError listing whatever broke.
+    one ConfigError listing whatever broke. A section keeps its document as
+    canonical JSON text (``canonical_text``), never as a dict: a report
+    splices that text in, and ``json.loads`` of it gives a fresh dict.
     """
+
+    # whether the section is an item of a union of sections (an attack
+    # kind), written with its "kind" and without the fields at their defaults
+    tagged = False
 
     def __post_init__(self):
         problems = [
@@ -194,40 +211,44 @@ class Section:
         """The bounds the section's well-typed fields break."""
         return []
 
-    def doc(self) -> dict:
-        """The JSON document of the section: every field, defaults included,
-        so two documents that read into equal sections get equal documents.
-        Nested sections become documents and a tuple becomes a list. A
-        section in a list is an item of a union (an attack): it becomes its
-        tagged_doc.
+    def canonical_text(self) -> str:
+        """The section's JSON document as canonical text: keys sorted, no
+        spaces, every value written as ``CANONICAL`` writes it. A section
+        writes every field, defaults included, so two documents that read
+        into equal sections get equal texts; a tagged section (an attack
+        kind) writes its "kind", the class name, and only the fields that
+        differ from their defaults. Nested sections and tuples splice in
+        their items' own texts.
 
-        The document is built once per section object and kept in its
-        __dict__ (sections are frozen, so it never changes). It shares its
-        nested documents with those of the sections that hold this one:
-        read or encode it, never change it (copy.deepcopy gives a copy to
-        change)."""
-        doc = self.__dict__.get("_doc")
-        if doc is None:
-            doc = {}
-            for name in _schema(type(self)):
-                value = getattr(self, name)
-                if isinstance(value, tuple):
-                    value = [x.tagged_doc() if isinstance(x, Section) else x for x in value]
-                elif isinstance(value, Section):
-                    value = value.doc()
-                doc[name] = value
-            self.__dict__["_doc"] = doc  # as functools.cached_property stores, past __setattr__
-        return doc
+        The text is built once per section object and kept in its __dict__
+        (sections are frozen, so it never goes stale)."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            items = {name: getattr(self, name) for name in _schema(type(self))}
+            if self.tagged:
+                defaults = {f.name: f.default for f in dataclasses.fields(self)}
+                items = {"kind": type(self).__name__, **{k: v for k, v in items.items() if v != defaults[k]}}
+            text = "{" + ",".join(f'"{k}":{_write(items[k])}' for k in sorted(items)) + "}"
+            self.__dict__["_text"] = text  # as functools.cached_property stores, past __setattr__
+        return text
 
-    def tagged_doc(self) -> dict:
-        """The section's "kind", its class name, plus the fields of its
-        document that differ from their defaults; kept like doc."""
-        doc = self.__dict__.get("_tagged")
-        if doc is None:
-            defaults = {f.name: f.default for f in dataclasses.fields(self)}
-            doc = {"kind": type(self).__name__, **{k: v for k, v in self.doc().items() if v != defaults[k]}}
-            self.__dict__["_tagged"] = doc
-        return doc
+
+def _write(value) -> str:
+    """A field's value as CANONICAL writes it; a section or a tuple of them
+    as its canonical text."""
+    if isinstance(value, float):  # a numpy float too, written as the float it is
+        return float.__repr__(value) if math.isfinite(value) else CANONICAL.encode(value)
+    if isinstance(value, Section):
+        return value.canonical_text()
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, tuple):
+        return "[" + ",".join(map(_write, value)) + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return int.__repr__(value)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,7 +12,6 @@ config that validates.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import json
@@ -24,10 +23,10 @@ from importlib import resources
 
 import numpy as np
 
-from .adversaries import Attack, LineMod, install
+from .adversaries import Attack, LineMod, Substitute, install
 from .auth import MAX_KEY_BITS
 from .channel import format_event_log
-from .config import MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, Section, read
+from .config import CANONICAL, MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, Section, read
 from .errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from .line import LineConfig
 from .noise import empirical_autocorrelation
@@ -71,6 +70,21 @@ class ScenarioConfig(Section):
         for n, quantity, at in changes:
             if (m := first.setdefault((quantity, at), n)) != n:
                 problems.append(f"attacks.{n}: changes {quantity} at t = {at!r} s, as attacks.{m} does")
+        # a substitution the protocol never gives a chance to act would run
+        # as the honest run does, byte for byte, and report clean
+        kind = self.protocol.kind
+        for n, attack in enumerate(self.attacks):
+            if not isinstance(attack, Substitute):
+                continue
+            if attack.target == "file" and kind not in ("C", "Combined"):
+                problems.append(f"attacks.{n}: a record needs protocol C or Combined; protocol {kind} sends none")
+            elif attack.target != "file" and kind == "C":
+                problems.append(f"attacks.{n}: a message needs protocol A, B or Combined; protocol C sends none")
+            elif attack.fabricate_tag and not attack.delta and kind == "A":
+                problems.append(
+                    f"attacks.{n}: fabricate_tag with no delta needs protocol B or Combined; "
+                    "protocol A's messages carry no tag"
+                )
         if self.protocol.kind in ("C", "Combined"):
             # the alignment search needs a loop current and divides by the
             # wire resistance: without either an honest run could not pass
@@ -137,10 +151,11 @@ class ScenarioConfig(Section):
 
     def canonical_dict(self) -> dict:
         """The config with every default made explicit, attacks given by
-        their kind and the fields that differ from their defaults; reading
-        it back gives an equal config. It is a fresh deep copy of the kept
-        document (see Section.doc), so a caller may change it."""
-        return copy.deepcopy(self.doc())
+        their kind and the fields that differ from their defaults, keys in
+        sorted order; reading it back gives an equal config. It is parsed
+        afresh from the kept text (see Section.canonical_text) on every
+        call, so a caller may change it."""
+        return json.loads(self.canonical_text())
 
     def build_scenario(self) -> Scenario:
         scenario = make_scenario(self)
@@ -154,29 +169,24 @@ class ScenarioConfig(Section):
 # ---------------------------------------------------------------------------
 
 
-# one encoder for every report; without indent json uses its C encoder
-# no circular check: a report body is a tree, though the config documents
-# in it may share subtrees with other reports' bodies
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
-
-
 @dataclass
 class RunReport:
     """One run's outcome and the validated config it ran.
 
-    ``config`` is that config's document, as ``canonical_dict`` gives it.
-    It is built on first read and then kept: a run or sweep that never
-    reads it never builds it, and a caller may change the dict without
-    touching another report or the canonical form, which encodes the
-    config's own kept document. ``from_json`` validates the config a report
-    carries, so a report whose config would not read as a config file fails
+    ``config`` is that config's document, as ``canonical_dict`` gives it,
+    and ``msq_levels`` the levels of its line. Each is built on first read
+    and then kept: a run or sweep that never reads them never builds them,
+    and a caller may change either dict without touching another report or
+    the canonical form, which splices in the text the config and its line
+    keep. ``from_json`` validates the config a report carries and holds
+    the report's levels to those of the config's line, so a report that
+    would not read as a config file, or disagrees with its own line, fails
     with ConfigError (``kljnsync plot`` exits 2).
     """
 
     scenario_config: ScenarioConfig
     result: dict
     event_log_digest: str
-    msq_levels: dict
     key_bits_consumed: int
     series: dict = field(default_factory=dict)
     # informational, and not part of the canonical form: the run's time and
@@ -188,19 +198,35 @@ class RunReport:
     def config(self) -> dict:
         return self.scenario_config.canonical_dict()
 
+    @functools.cached_property
+    def msq_levels(self) -> dict:
+        return dict(self.scenario_config.line.msq_levels)
+
     def canonical_json(self) -> str:
         """The report as one line of JSON with sorted keys and no spaces,
         plus a newline: identical runs give identical bytes. Pretty-print
-        one with ``python -m json.tool``."""
-        body = {
-            "config": self.scenario_config.doc(),
-            "result": self.result,
-            "event_log_digest": self.event_log_digest,
-            "msq_levels": self.msq_levels,
-            "key_bits_consumed": self.key_bits_consumed,
-            "series": self.series,
-        }
-        return _CANONICAL.encode(body) + "\n"
+        one with ``python -m json.tool``.
+
+        The config and the levels are the texts the config keeps; only the
+        run's own values are encoded here. Their text is cut where "result"
+        starts, to put the levels in their sorted place: before it come a
+        string and an integer, in which that key cannot appear."""
+        own = CANONICAL.encode(
+            {
+                "event_log_digest": self.event_log_digest,
+                "key_bits_consumed": self.key_bits_consumed,
+                "result": self.result,
+                "series": self.series,
+            }
+        )
+        cut = own.index(',"result":')
+        config = self.scenario_config
+        return "".join(
+            (
+                '{"config":', config.canonical_text(), ",", own[1:cut],
+                ',"msq_levels":', config.line.msq_levels_text, own[cut:], "\n",
+            )
+        )
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "RunReport":
@@ -216,17 +242,22 @@ class RunReport:
             raise ConfigError(missing)
         if not isinstance(body.get("series", {}), dict):
             raise ConfigError("report: 'series' is not an object")
+        if not isinstance(body["event_log_digest"], str):
+            raise ConfigError("report: 'event_log_digest' is not a string")
+        if type(body["key_bits_consumed"]) is not int:
+            raise ConfigError("report: 'key_bits_consumed' is not an integer")
         if not isinstance(body["config"], dict):
             raise ConfigError("report: 'config' is not an object")
         try:
             config = ScenarioConfig.from_dict(body["config"])
         except ConfigError as exc:
             raise ConfigError([f"report: config.{p}" for p in exc.problems]) from None
+        if body["msq_levels"] != config.line.msq_levels:
+            raise ConfigError("report: 'msq_levels' are not the levels of its config's line")
         return cls(
             scenario_config=config,
             result=body["result"],
             event_log_digest=body["event_log_digest"],
-            msq_levels=body["msq_levels"],
             key_bits_consumed=body["key_bits_consumed"],
             series=body.get("series", {}),
         )
@@ -248,7 +279,7 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _series_from(scenario: Scenario, msq_levels: dict) -> dict:
+def _series_from(scenario: Scenario) -> dict:
     series = {}
     diag = scenario.diagnostics
     if "residual_curve" in diag:
@@ -261,7 +292,7 @@ def _series_from(scenario: Scenario, msq_levels: dict) -> dict:
         series["autocorrelation"] = ac.tolist()
     if "bep_msq" in diag and diag["bep_msq"]:
         values = np.asarray(diag["bep_msq"])
-        top = msq_levels["HH"] * 1.5
+        top = scenario.config.line.msq_levels["HH"] * 1.5
         counts, edges = np.histogram(values, bins=24, range=(0.0, top))
         centers = 0.5 * (edges[:-1] + edges[1:])
         series["msq_histogram"] = [[float(c), int(n)] for c, n in zip(centers, counts)]
@@ -275,7 +306,6 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     runners = {"A": protocol_a, "B": protocol_b, "C": protocol_c, "Combined": combined_check}
     result = runners[config.protocol.kind](scenario)
 
-    msq_levels = dict(config.line.msq_levels)
     event_log = format_event_log(scenario.scheduler.log)
     return RunReport(
         scenario_config=config,
@@ -284,9 +314,8 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         # (about 14 us a run on CPython 3.11, against 0.4 us)
         result=dict(vars(result)),
         event_log_digest=hashlib.sha256(event_log.encode()).hexdigest(),
-        msq_levels=msq_levels,
         key_bits_consumed=int(scenario.ledger.consumed),
-        series=_series_from(scenario, msq_levels),
+        series=_series_from(scenario),
         wall_seconds=time.perf_counter() - start,
         event_log=event_log,
     )

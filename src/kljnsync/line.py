@@ -18,12 +18,14 @@ import functools
 import hashlib
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
-from .config import Section
+from .config import CANONICAL, Section
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -90,8 +92,10 @@ class LineConfig(Section):
     are Alice's HL and LH. The levels are log-spaced in resistance, so
     geometric midpoints balance the error probability on both sides.
     msq_levels is derived from the fields, so it is no init field and takes
-    no part in the document or in equality. digest, the sha256 of
-    canonical_bytes, is computed on first read and kept.
+    no part in the document or in equality; it is read-only, so
+    msq_levels_text, its canonical JSON as every report shows it, cannot go
+    stale. That text and digest, the sha256 of canonical_bytes, are
+    computed on first read and kept.
     """
 
     R_L: float
@@ -103,7 +107,7 @@ class LineConfig(Section):
     bep_duration: Optional[float] = None  # default 100 / B
     sample_rate: Optional[float] = None  # default 20 * B
     measurement_noise_rel: float = 0.0
-    msq_levels: dict[str, float] = field(init=False, repr=False, compare=False)
+    msq_levels: Mapping[str, float] = field(init=False, repr=False, compare=False)
 
     def problems(self) -> list[str]:
         problems = []
@@ -174,7 +178,8 @@ class LineConfig(Section):
         # kept only now: the thresholds multiply two levels, which the bound above keeps finite
         ll, mixed, hh = levels[0], 0.5 * levels[4], levels[3]
         low, high = math.sqrt(ll * mixed), math.sqrt(mixed * hh)
-        object.__setattr__(self, "msq_levels", dict(LL=ll, MIXED=mixed, HH=hh, threshold_low=low, threshold_high=high))
+        levels = dict(LL=ll, MIXED=mixed, HH=hh, threshold_low=low, threshold_high=high)
+        object.__setattr__(self, "msq_levels", MappingProxyType(levels))
 
     def resistance(self, choice: ResistorChoice) -> float:
         return self.R_L if choice is ResistorChoice.L else self.R_H
@@ -196,6 +201,10 @@ class LineConfig(Section):
     @functools.cached_property
     def digest(self) -> bytes:
         return hashlib.sha256(self.canonical_bytes()).digest()
+
+    @functools.cached_property
+    def msq_levels_text(self) -> str:
+        return CANONICAL.encode(dict(self.msq_levels))
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,8 @@ REPORT_BODY = {
     "config": load_bundled("honest_protocol_a").canonical_dict(),
     "result": {},
     "event_log_digest": "",
-    "msq_levels": {},
+    # a report's levels must be those of its config's line
+    "msq_levels": dict(load_bundled("honest_protocol_a").line.msq_levels),
     "key_bits_consumed": 0,
 }
 CONFIG = REPORT_BODY["config"]
@@ -140,8 +141,12 @@ CONFIG = REPORT_BODY["config"]
             json.dumps({**REPORT_BODY, "config": {**CONFIG, "line": {**CONFIG["line"], "R_L": -1}}}),
             "report: config.line.R_L: must be > 0",
         ),
+        (
+            json.dumps({**REPORT_BODY, "msq_levels": {**REPORT_BODY["msq_levels"], "LL": 1.0}}),
+            "report: 'msq_levels' are not the levels of its config's line",
+        ),
     ],
-    ids=["missing", "not_json", "no_result", "config_unknown_key", "config_negative_R_L"],
+    ids=["missing", "not_json", "no_result", "config_unknown_key", "config_negative_R_L", "levels_not_the_lines"],
 )
 def test_plot_of_a_bad_report_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.report.json"

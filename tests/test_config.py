@@ -14,7 +14,7 @@ import pytest
 
 from kljnsync.adversaries import Attack, AsymDelay, LineMod, Substitute
 from kljnsync.cli import main
-from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig, Section
+from kljnsync.config import CANONICAL, ChannelConfig, ClockConfig, ProtocolConfig, Section
 from kljnsync.errors import ConfigError
 from kljnsync.harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_scenario
 from kljnsync.line import LineConfig
@@ -122,6 +122,15 @@ NAMED = [
     ("honest_protocol_c", "line.bep_duration", 2.5e-6),
     ("honest_combined", "line.bep_duration", 2.5e-6),
     ("honest_combined", "line.bep_duration", 1e-6),
+    # substitutions the protocol never lets act: the run would be the honest
+    # run, result and event log byte for byte
+    ("honest_protocol_a", "attacks", [{"kind": "Substitute", "target": "file"}]),
+    ("honest_protocol_b", "attacks", [{"kind": "Substitute", "target": "file", "mode": "replay"}]),
+    ("honest_protocol_a", "attacks", [{"kind": "Substitute", "target": "file", "drop": True}]),
+    ("honest_protocol_c", "attacks", [{"kind": "Substitute", "target": "Response", "field": "t2_star", "delta": 1e-3}]),
+    ("honest_protocol_c", "attacks", [{"kind": "Substitute", "target": "TimeStamp", "drop": True}]),
+    # protocol A's messages carry no tag to fabricate
+    ("honest_protocol_a", "attacks", [{"kind": "Substitute", "target": "Response", "field": "t2_star", "fabricate_tag": True}]),
 ]
 NAMED = [row if len(row) == 4 else (*row, {}) for row in NAMED]
 
@@ -391,6 +400,48 @@ def _draw_attack(rng) -> dict:
     return attack
 
 
+def _assert_kept_text_reads_back(config):
+    # the text a config keeps is what the one encoder writes for its
+    # document, and that document reads back into an equal config
+    text = config.canonical_text()
+    assert text == CANONICAL.encode(json.loads(text))
+    assert ScenarioConfig.from_dict(config.canonical_dict()) == config
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_a_bundled_config_keeps_its_canonical_text(name):
+    _assert_kept_text_reads_back(load_bundled(name))
+
+
+def test_a_substitution_the_protocol_never_lets_act_gives_one_problem_each(tmp_path, capsys):
+    doc = dict(
+        load_bundled("honest_protocol_a").raw,
+        attacks=[
+            {"kind": "Substitute", "target": "file", "sample_index": 3},
+            {"kind": "Substitute", "target": "Share", "field": "t2", "fabricate_tag": True},
+            {"kind": "Substitute", "target": "Response", "field": "t2_star", "fabricate_tag": True, "delta": 1e-3},
+        ],
+    )
+    problems = [
+        "attacks.0: a record needs protocol C or Combined; protocol A sends none",
+        "attacks.1: fabricate_tag with no delta needs protocol B or Combined; protocol A's messages carry no tag",
+    ]
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(doc)
+    assert err.value.problems == problems
+    config = tmp_path / "idle.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {'; '.join(problems)}\n")
+    # the same attacks where they act: B tags its messages, Combined also exchanges records
+    for kind in ("B", "Combined"):
+        ScenarioConfig.from_dict(dict(doc, protocol={"kind": kind}, attacks=doc["attacks"][1:]))
+    ScenarioConfig.from_dict(mutated(doc, "protocol", {"kind": "Combined"}))
+    message = "attacks.0: a message needs protocol A, B or Combined; protocol C sends none"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ScenarioConfig.from_dict(dict(load_bundled("honest_protocol_c").raw, attacks=doc["attacks"][1:2]))
+
+
 def test_a_config_that_validates_always_builds_and_runs():
     # 300 lists of one to three attacks on the bundled bases: each config
     # either fails validation or runs to a verdict without raising
@@ -404,6 +455,7 @@ def test_a_config_that_validates_always_builds_and_runs():
             config = ScenarioConfig.from_dict(doc)
         except ConfigError:
             continue
+        _assert_kept_text_reads_back(config)
         assert isinstance(runners[config.protocol.kind](config.build_scenario()), SyncResult), doc
         ran += 1
     assert ran >= 75  # the draws run as well as fail

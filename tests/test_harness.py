@@ -109,9 +109,9 @@ def test_canonical_json_is_the_compact_sorted_form(name):
     assert RunReport.from_json(text).canonical_json() == text
 
 
-def _report_text(config) -> str:
+def _report_text(config, **changes) -> str:
     body = {"config": config, "result": {}, "event_log_digest": "", "msq_levels": {}, "key_bits_consumed": 0}
-    return json.dumps(body)
+    return json.dumps(dict(body, **changes))
 
 
 CONFIG_A = load_bundled("honest_protocol_a").canonical_dict()
@@ -127,10 +127,13 @@ CONFIG_A = load_bundled("honest_protocol_a").canonical_dict()
         (_report_text(dict(CONFIG_A, oops=1)), r"^report: config\.oops: unknown key$"),
         (_report_text(dict(CONFIG_A, line=dict(CONFIG_A["line"], R_L=-1))), r"^report: config\.line\.R_L: must be > 0"),
         (_report_text([]), r"^report: 'config' is not an object$"),
+        (_report_text(CONFIG_A, event_log_digest=0), r"^report: 'event_log_digest' is not a string$"),
+        (_report_text(CONFIG_A, key_bits_consumed=1.0), r"^report: 'key_bits_consumed' is not an integer$"),
     ],
     ids=[
         "not_utf8", "not_an_object", "missing_keys",
         "config_unknown_key", "config_negative_R_L", "config_not_an_object",
+        "digest_not_a_string", "key_bits_not_an_integer",
     ],
 )
 def test_a_malformed_report_fails_closed(text, message):
@@ -155,6 +158,35 @@ def test_a_report_builds_its_config_document_only_when_read(monkeypatch):
     assert reports[1].config is first
     assert calls == [reports[1].scenario_config]
     assert first == canonical_dict(reports[1].scenario_config)
+
+
+def test_a_report_whose_levels_are_not_its_lines_fails_closed():
+    body = json.loads(run_scenario(load_bundled("honest_protocol_c")).canonical_json())
+    assert RunReport.from_json(json.dumps(body)).msq_levels == body["msq_levels"]
+    levels = body["msq_levels"]
+    for wrong in ({**levels, "LL": levels["LL"] * 2}, {**levels, "extra": 0.0}, dict(list(levels.items())[1:]), None):
+        with pytest.raises(ConfigError, match=r"^report: 'msq_levels' are not the levels of its config's line$"):
+            RunReport.from_json(json.dumps(dict(body, msq_levels=wrong)))
+    # the levels of another line are as wrong as made-up ones
+    other = LineConfig(**dict(body["config"]["line"], noise_scale=2e-4)).msq_levels
+    assert other.keys() == levels.keys()
+    with pytest.raises(ConfigError):
+        RunReport.from_json(json.dumps(dict(body, msq_levels=dict(other))))
+
+
+def test_changing_a_reports_dicts_leaves_its_canonical_form_alone():
+    (report,) = sweep(load_bundled("substitution_attack_b"), "clock.t0", [1e-3])
+    text = report.canonical_json()
+    report.config["line"]["R_L"] = -1.0
+    report.config["attacks"].clear()
+    report.config["seed"] = None
+    report.msq_levels["LL"] = -1.0
+    del report.msq_levels["HH"]
+    assert report.canonical_json() == text
+    assert report.scenario_config.canonical_dict() != report.config
+    # the levels the report's text is kept from cannot be changed
+    with pytest.raises(TypeError):
+        report.scenario_config.line.msq_levels["LL"] = -1.0
 
 
 def test_repeated_runs_are_byte_identical():
