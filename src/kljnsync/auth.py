@@ -101,31 +101,27 @@ class KeyLedger:
         return ledger
 
     @property
-    def _key(self) -> bytes:
-        if self._pad is None:
-            self._pad = key_pad(self._seed, (self.bit_length + 7) // 8)
-        return self._pad
-
-    @property
     def remaining_bits(self) -> int:
         return self.bit_length - self.consumed
 
     def read(self, span: KeySpan) -> bytes:
-        """The key bits of span, as a tag's sender took them; never consumes."""
-        if span.offset % 8 or span.length % 8:
+        """The key bits of span, as a tag's sender took them; never consumes.
+        The pad is drawn here, on the ledger's first read."""
+        offset, length = span
+        if offset % 8 or length % 8:
             raise UnknownSpanError("key spans must be byte aligned")
-        if span.offset + span.length > self.bit_length:
-            raise UnknownSpanError(
-                f"span [{span.offset}, {span.offset + span.length}) exceeds "
-                f"ledger of {self.bit_length} bits"
-            )
-        start = span.offset // 8
-        return self._key[start : start + span.length // 8]
+        end = offset + length
+        if end > self.bit_length:
+            raise UnknownSpanError(f"span [{offset}, {end}) exceeds ledger of {self.bit_length} bits")
+        pad = self._pad
+        if pad is None:
+            pad = self._pad = key_pad(self._seed, (self.bit_length + 7) // 8)
+        return pad[offset // 8 : end // 8]
 
     def take(self, n_bits: int) -> tuple[KeySpan, bytes]:
         """Consume the next n_bits. Raises KeyExhaustedError when the ledger
         cannot cover them (the deployment must re-key)."""
-        if n_bits > self.remaining_bits:
+        if n_bits > self.bit_length - self.consumed:
             raise KeyExhaustedError(
                 f"need {n_bits} key bits, only {self.remaining_bits} remain"
             )
@@ -139,22 +135,21 @@ def hash_message(payload: bytes) -> bytes:
     return hashlib.sha256(payload).digest()
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    """Bytewise XOR, cut to the shorter input as zip would cut it."""
-    n = min(len(a), len(b))
-    return (int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")).to_bytes(n, "big")
-
-
 def encrypt_digest(digest: bytes, ledger: KeyLedger) -> AuthTag:
-    """One-time-pad the digest with the next unconsumed key bits."""
-    span, pad = ledger.take(8 * len(digest))
-    return AuthTag(_xor(digest, pad), span)
+    """One-time-pad the digest with the next unconsumed key bits: the bytes
+    of digest XOR those of the pad, as integers, which keeps leading zero
+    bytes."""
+    n = len(digest)
+    span, pad = ledger.take(8 * n)  # n bytes of pad
+    return AuthTag((int.from_bytes(digest, "big") ^ int.from_bytes(pad, "big")).to_bytes(n, "big"), span)
 
 
 def verify(payload: bytes, tag: AuthTag, ledger_view: KeyLedger) -> bool:
     """Recompute the payload hash, decrypt the tag with the named span, and
     compare. False means the payload or the tag was altered in flight."""
-    if len(tag.ciphertext) * 8 != tag.span.length:
+    ciphertext, span = tag
+    n = len(ciphertext)
+    if n * 8 != span.length:
         return False
-    pad = ledger_view.read(tag.span)
-    return _xor(tag.ciphertext, pad) == hashlib.sha256(payload).digest()
+    plain = int.from_bytes(ciphertext, "big") ^ int.from_bytes(ledger_view.read(span), "big")
+    return plain.to_bytes(n, "big") == hashlib.sha256(payload).digest()

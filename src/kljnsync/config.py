@@ -23,6 +23,14 @@ The way back is text: each section writes its document as canonical JSON
 (``Section.canonical_text``) once, from its fields, splicing in the texts
 its nested sections keep. A sweep's runs share most of their sections, so
 their reports share most of that text.
+
+Checks and text both read tables kept per class and made on the class's
+first use: the (name, check) pair of every init field, which construction
+runs in declaration order, and the rows the text is written from, sorted
+by key, each with its '"name":' prefix and its default (an attack kind
+writes its "kind" and only the fields off their defaults). A section built
+again pays for its own checks and text only; a sweep so builds each
+section on its path from its init fields (``init_fields``).
 """
 
 from __future__ import annotations
@@ -137,6 +145,29 @@ def _schema(cls) -> dict:
     }
 
 
+@functools.cache
+def init_fields(cls) -> tuple[str, ...]:
+    """The names of cls's init fields, in declaration order."""
+    return tuple(_schema(cls))
+
+
+@functools.cache
+def _checks(cls) -> tuple:
+    """(name, check) for every init field of cls: Section's type checks."""
+    return tuple((name, check) for name, (_, _, check) in _schema(cls).items())
+
+
+@functools.cache
+def _text_table(cls) -> tuple:
+    """(name, '"name":', default) for every field cls's canonical text may
+    write, sorted by name; for a tagged class, its kind is the row (None,
+    '"kind":"ClassName"', None)."""
+    rows = [(f.name, f'"{f.name}":', f.default) for f in dataclasses.fields(cls) if f.init]
+    if cls.tagged:
+        rows.append((None, '"kind":' + encode_basestring_ascii(cls.__name__), None))
+    return tuple(sorted(rows, key=lambda row: row[0] or "kind"))
+
+
 def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 
@@ -192,6 +223,10 @@ class Section:
     one ConfigError listing whatever broke. A section keeps its document as
     canonical JSON text (``canonical_text``), never as a dict: a report
     splices that text in, and ``json.loads`` of it gives a fresh dict.
+
+    The checks and the text come from the tables the module keeps per
+    class (see its docstring), so neither resolves a type hint nor sorts a
+    key after the class's first section.
     """
 
     # whether the section is an item of a union of sections (an attack
@@ -200,9 +235,7 @@ class Section:
 
     def __post_init__(self):
         problems = [
-            f"{name}: {problem}"
-            for name, (_, _, check) in _schema(type(self)).items()
-            if (problem := check(getattr(self, name)))
+            f"{name}: {problem}" for name, check in _checks(type(self)) if (problem := check(getattr(self, name)))
         ] or self.problems()
         if problems:
             raise ConfigError(problems)
@@ -224,31 +257,36 @@ class Section:
         (sections are frozen, so it never goes stale)."""
         text = self.__dict__.get("_text")
         if text is None:
-            items = {name: getattr(self, name) for name in _schema(type(self))}
+            table = _text_table(type(self))
             if self.tagged:
-                defaults = {f.name: f.default for f in dataclasses.fields(self)}
-                items = {"kind": type(self).__name__, **{k: v for k, v in items.items() if v != defaults[k]}}
-            text = "{" + ",".join(f'"{k}":{_write(items[k])}' for k in sorted(items)) + "}"
+                parts = [
+                    key + _write(getattr(self, name)) if name else key
+                    for name, key, default in table
+                    if not name or getattr(self, name) != default
+                ]
+            else:
+                parts = [key + _write(getattr(self, name)) for name, key, _ in table]
+            text = "{" + ",".join(parts) + "}"
             self.__dict__["_text"] = text  # as functools.cached_property stores, past __setattr__
         return text
 
 
 def _write(value) -> str:
     """A field's value as CANONICAL writes it; a section or a tuple of them
-    as its canonical text."""
-    if isinstance(value, float):  # a numpy float too, written as the float it is
-        return float.__repr__(value) if math.isfinite(value) else CANONICAL.encode(value)
+    as its canonical text. The exact types come first. Every float is
+    finite, given or derived: a section's checks let no other through."""
+    kind = type(value)
+    if kind is float:
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
     if isinstance(value, Section):
         return value.canonical_text()
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
     if isinstance(value, tuple):
         return "[" + ",".join(map(_write, value)) + "]"
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return int.__repr__(value)
+    return CANONICAL.encode(value)  # None, a bool, a numpy float
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,7 +18,7 @@ import json
 import math
 import reprlib
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from .adversaries import Attack, LineMod, Substitute, install
 from .auth import MAX_KEY_BITS
 from .channel import format_event_log
-from .config import CANONICAL, MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, Section, read
+from .config import CANONICAL, MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, Section, init_fields, read
 from .errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from .line import LineConfig
 from .noise import empirical_autocorrelation
@@ -332,7 +332,7 @@ def _lookup(config: ScenarioConfig, parameter: str):
     for part in parameter.split("."):
         if isinstance(node, tuple) and part.isdecimal() and int(part) < len(node):
             node = node[int(part)]
-        elif is_dataclass(node) and part in {f.name for f in fields(node) if f.init}:
+        elif isinstance(node, Section) and part in init_fields(type(node)):
             node = getattr(node, part)
         else:
             raise UnknownParameterError(f"{parameter}: no field {part!r}")
@@ -341,9 +341,10 @@ def _lookup(config: ScenarioConfig, parameter: str):
 
 def _derive(obj, parts: list[str], value, changes: dict):
     """obj with the field at the dotted path parts set to value and its own
-    fields in changes set (they win over the path), rebuilt with
-    dataclasses.replace at every level so each section on the path is
-    validated again; a problem is reported under its full path."""
+    fields in changes set (they win over the path). Each section on the
+    path is built again from its init fields, as dataclasses.replace
+    would build it, and so validated again; a problem is reported under
+    its full path. The sections off the path are obj's own."""
     if not parts:
         return value
     head, rest = parts[0], parts[1:]
@@ -354,7 +355,10 @@ def _derive(obj, parts: list[str], value, changes: dict):
     if isinstance(obj, tuple):
         n = int(head)
         return obj[:n] + (child,) + obj[n + 1 :]
-    return replace(obj, **{head: child, **changes})
+    kwargs = {name: getattr(obj, name) for name in init_fields(type(obj))}
+    kwargs[head] = child
+    kwargs.update(changes)
+    return type(obj)(**kwargs)
 
 
 def sweep(

@@ -142,6 +142,11 @@ class LineConfig(Section):
             object.__setattr__(self, "bep_duration", bep)
         if self.sample_rate is None:
             object.__setattr__(self, "sample_rate", 20.0 * self.bandwidth_B)
+        # a derived value must be finite, as a given one must: tau_f = 0.1 / B
+        # overflows for a B below about 5.6e-310
+        derived = ("R_wire", "tau_f", "bep_duration", "sample_rate")
+        if infinite := [f"{name}: must be finite" for name in derived if not math.isfinite(getattr(self, name))]:
+            raise ConfigError(infinite)
 
         # each trace is synthesized with a guard of sample_rate / B samples at either end
         synthesized = self.bep_duration * self.sample_rate + 2.0 * self.sample_rate / self.bandwidth_B

@@ -68,6 +68,8 @@ MESSAGE_FIELDS = {
     MessageKind.RESPONSE: ("t1_star", "t2_star"),
     MessageKind.SHARE: ("t2",),
 }
+# each kind's name as its messages' encoding starts with it
+_KIND_NAMES = {kind: kind.value.encode("ascii") for kind in MessageKind}
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,11 @@ class SyncMessage:
     _encoding: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in MESSAGE_FIELDS[self.kind]:
+        kind = self.kind
+        for name in MESSAGE_FIELDS[kind]:
             if getattr(self, name) is None:
-                raise ConfigError(f"{self.kind.value} message requires {name}")
-        parts = [self.kind.value.encode("ascii")]
+                raise ConfigError(f"{kind.value} message requires {name}")
+        parts = [_KIND_NAMES[kind]]
         for i, value in enumerate((self.t1, self.t1_star, self.t2_star, self.t2)):
             if value is not None:
                 parts.append(struct.pack(">Bd", i, value))
@@ -140,7 +143,10 @@ def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult
     """One A or B exchange, driven until the channel is idle; only B tags
     its messages and checks them."""
     authenticated = kind == "B"
+    # read once per run, not once per message
+    ledger, scheduler = scenario.ledger, scenario.scheduler
     resolution = scenario.config.clock.quantization
+    processing_delay = scenario.config.channel.processing_delay
     t1 = quantize(start_absolute, resolution)
     t1_star = t2_star = t2 = None
     shared = False  # a Share is sent only once every timestamp is known
@@ -150,9 +156,9 @@ def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult
         if authenticated:
             # the tag is not part of the encoding: the sender tags the
             # message it has just built, before the channel sees it
-            tag = encrypt_digest(hash_message(msg.canonical_bytes()), scenario.ledger)
+            tag = encrypt_digest(hash_message(msg._encoding), ledger)
             object.__setattr__(msg, "tag", tag)
-        scenario.scheduler.send(msg, direction, now)
+        scheduler.send(msg, direction, now)
 
     def on_deliver(sched: Scheduler, env: Envelope) -> None:
         nonlocal t1_star, t2_star, t2, shared
@@ -160,12 +166,12 @@ def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult
         if not isinstance(msg, SyncMessage):
             return
         if authenticated:
-            verdicts.append(msg.tag is not None and verify(msg.canonical_bytes(), msg.tag, scenario.ledger))
+            verdicts.append(msg.tag is not None and verify(msg._encoding, msg.tag, ledger))
         now = env.deliver_absolute
         if msg.kind is MessageKind.TIME_STAMP:
             # at Bob: note arrival, think, respond with both of his stamps
             offset = scenario.bob_offset
-            respond_at = now + scenario.config.channel.processing_delay
+            respond_at = now + processing_delay
             reply = SyncMessage(
                 MessageKind.RESPONSE,
                 t1_star=quantize(now + offset, resolution),
@@ -181,7 +187,7 @@ def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult
             shared = True
 
     send(SyncMessage(MessageKind.TIME_STAMP, t1=t1), Direction.A_TO_B, start_absolute)
-    scenario.scheduler.run_until_idle(on_deliver)
+    scheduler.run_until_idle(on_deliver)
     if shared and all(verdicts):
         t0 = (t1_star - t1 - t2 + t2_star) / 2.0
         tau = (t1_star - t1 + t2 - t2_star) / 2.0

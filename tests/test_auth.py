@@ -10,7 +10,6 @@ from kljnsync.auth import (
     AuthTag,
     KeyLedger,
     KeySpan,
-    _xor,
     encrypt_digest,
     hash_message,
     key_pad,
@@ -111,8 +110,9 @@ def test_ledger_generation_is_deterministic():
     a = KeyLedger.generate(1024, seed=7)
     b = KeyLedger.generate(1024, seed=7)
     c = KeyLedger.generate(1024, seed=8)
-    assert a._key == b._key
-    assert a._key != c._key
+    whole = KeySpan(0, 1024)
+    assert a.read(whole) == b.read(whole)
+    assert a.read(whole) != c.read(whole)
 
 
 @pytest.mark.parametrize("n_bits", [0, 8, 300, 8192])
@@ -120,10 +120,10 @@ def test_a_generated_ledger_draws_the_seeded_stream_on_first_use(n_bits):
     expected = np.random.default_rng(derive_seed(11, 0xFEED)).bytes((n_bits + 7) // 8)
     ledger = KeyLedger.generate(n_bits, seed=11)
     assert ledger._pad is None  # nothing drawn yet
-    assert ledger._key == expected
     assert ledger.bit_length == n_bits
     whole = 8 * (n_bits // 8)
-    assert KeyLedger.generate(n_bits, seed=11).read(KeySpan(0, whole)) == expected[: whole // 8]
+    assert ledger.read(KeySpan(0, whole)) == expected[: whole // 8]
+    assert ledger._pad == expected  # the whole pad, a last partial byte included
     taken = KeyLedger.generate(n_bits, seed=11)
     assert taken.take(whole) == (KeySpan(0, whole), expected[: whole // 8])
     with pytest.raises(KeyExhaustedError):
@@ -138,21 +138,31 @@ def test_a_protocol_a_run_spends_and_draws_no_key():
     sc = ScenarioConfig(3, line, ProtocolConfig("B")).build_scenario()
     protocol_b(sc)
     assert sc.ledger.consumed == 3 * 256
-    assert sc.ledger._key == np.random.default_rng(derive_seed(3, 0xFEED)).bytes(1024)
+    assert sc.ledger._pad == np.random.default_rng(derive_seed(3, 0xFEED)).bytes(1024)
 
 
 def _xor_by_zip(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def test_xor_matches_the_bytewise_form_and_cuts_to_the_shorter_input():
+def test_tags_xor_the_pad_bytewise_and_keep_leading_zero_bytes():
     rng = np.random.default_rng(5)
-    for la, lb in [(0, 0), (1, 1), (32, 32), (5, 9), (9, 5), (0, 7), (33, 32)]:
-        a, b = rng.bytes(la), rng.bytes(lb)
-        assert _xor(a, b) == _xor_by_zip(a, b)
-        assert len(_xor(a, b)) == min(la, lb)
-    # leading zero bytes survive the integer round trip
-    assert _xor(b"\x00\x00\x01", b"\x00\x00\x01") == b"\x00\x00\x00"
+    for n in (0, 1, 5, 32, 33):
+        ledger, digest = make_ledger(), rng.bytes(n)
+        tag = encrypt_digest(digest, ledger)
+        assert tag.ciphertext == _xor_by_zip(digest, ledger.read(tag.span))
+        assert len(tag.ciphertext) == n
+    # leading zero bytes survive the integer round trip: a digest that
+    # starts as the pad does, and a tag whose XOR with the pad is the hash
+    ledger = make_ledger()
+    digest = ledger.read(KeySpan(0, 256))[:2] + bytes(30)
+    tag = encrypt_digest(digest, ledger)
+    assert tag.ciphertext[:2] == bytes(2) and len(tag.ciphertext) == 32
+    payload = b"a payload"
+    ledger = make_ledger()
+    pad = ledger.read(KeySpan(0, 256))
+    tag = AuthTag(_xor_by_zip(hash_message(payload), pad), KeySpan(0, 256))
+    assert verify(payload, tag, ledger)
 
 
 @pytest.mark.parametrize(
@@ -175,7 +185,7 @@ def test_the_key_spans_on_the_channel_tile_what_the_ledger_spent(name, runner, b
 def test_ledgers_of_one_seed_share_the_pad_but_not_the_counter():
     a, b = KeyLedger.generate(4096, seed=21), KeyLedger.generate(4096, seed=21)
     assert a.take(256) == b.take(256)
-    assert a._key is b._key  # one drawn pad, read by both
+    assert a._pad is b._pad  # one drawn pad, read by both
     a.take(512)
     assert (a.consumed, b.consumed) == (768, 256)
     assert b.remaining_bits == 4096 - 256

@@ -46,6 +46,10 @@ def mutated(doc, path: str, value):
     return doc
 
 
+TINY_BANDWIDTH_LINE = {
+    "R_L": 1.0, "R_H": 10.0, "bandwidth_B": 1e-315, "noise_scale": 1e-4, "sample_rate": 2e-315, "bep_duration": 1.0,
+}
+
 # (bundled scenario, dotted path, new value[, changes made before it]): one
 # change each
 NAMED = [
@@ -131,6 +135,9 @@ NAMED = [
     ("honest_protocol_c", "attacks", [{"kind": "Substitute", "target": "TimeStamp", "drop": True}]),
     # protocol A's messages carry no tag to fabricate
     ("honest_protocol_a", "attacks", [{"kind": "Substitute", "target": "Response", "field": "t2_star", "fabricate_tag": True}]),
+    # a line whose derived tau_f, 0.1 / bandwidth_B, overflows: its report
+    # would say "tau_f":Infinity and not read back
+    ("honest_protocol_a", "line", TINY_BANDWIDTH_LINE),
 ]
 NAMED = [row if len(row) == 4 else (*row, {}) for row in NAMED]
 
@@ -157,6 +164,21 @@ def test_named_malformed_configs_fail_closed(name, path, value, before, tmp_path
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_a_derived_line_value_must_be_finite():
+    doc = mutated(load_bundled("honest_protocol_a").raw, "line", TINY_BANDWIDTH_LINE)
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(doc)
+    assert err.value.problems == ["line.tau_f: must be finite"]
+    # the same value given fails with the same problem
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(mutated(doc, "line.tau_f", math.inf))
+    assert err.value.problems == ["line.tau_f: must be finite"]
+    # and a bandwidth whose 20 * B overflows fails on the sample rate
+    with pytest.raises(ConfigError) as err:
+        LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e308, noise_scale=1e-4)
+    assert err.value.problems == ["sample_rate: must be finite"]
 
 
 def test_a_passive_attack_kind_fails_closed(tmp_path, capsys):

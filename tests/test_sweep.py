@@ -1,6 +1,7 @@
 """Sweeps: pinned report bytes, and bad values failing like config files."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from pinned import indented_report_digest
 
 from kljnsync import auth
 from kljnsync.errors import ConfigError
-from kljnsync.harness import ScenarioConfig, load_bundled, run_scenario, sweep
+from kljnsync.config import Section, init_fields
+from kljnsync.harness import ScenarioConfig, _derive, _lookup, bundled_scenario_names, load_bundled, run_scenario, sweep
 from kljnsync.noise import derive_seed
 
 TWOWAY_T0 = [-0.0071, -0.002, 0.0, 3.5e-05, 0.0042, 0.0099]
@@ -194,3 +196,79 @@ def test_a_sweep_gives_the_same_bytes_with_cold_and_warm_memos():
     for _ in ("cold", "warm"):
         reports = sweep(load_bundled(case[0]), case[1], *CASES[case])
         assert [indented_report_digest(r.canonical_json()) for r in reports] == GOLDEN[case]
+
+
+def _numeric_paths(node, path=""):
+    """Every dotted path to a number under node, as _lookup takes them:
+    init fields of sections and items of tuples, bools aside."""
+    if isinstance(node, Section):
+        items = [(name, getattr(node, name)) for name in init_fields(type(node))]
+    elif isinstance(node, tuple):
+        items = list(enumerate(node))
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, value in items:
+        yield from _numeric_paths(value, f"{path}.{key}" if path else str(key))
+
+
+def _assert_off_the_path_is_shared(derived, base, parts):
+    """Along parts, each level of derived is a new object equal to base's,
+    with the same canonical text, and every item off the path is base's own."""
+    head, rest = parts[0], parts[1:]
+    if isinstance(base, tuple):
+        keys, pick = range(len(base)), lambda obj, key: obj[key]
+        head = int(head)
+    else:
+        keys, pick = init_fields(type(base)), getattr
+    for key in keys:
+        if key != head:
+            assert pick(derived, key) is pick(base, key), key
+    if isinstance(base, Section):
+        assert derived is not base and derived == base
+        assert derived.canonical_text() == base.canonical_text()
+    if rest:
+        _assert_off_the_path_is_shared(pick(derived, head), pick(base, head), rest)
+
+
+# every numeric path of the bundled scenarios, an item's place written N
+SWEPT_AT_THEIR_OWN_VALUE = {
+    "seed", "key_bits",
+    "clock.t0", "clock.quantization", "channel.tau", "channel.processing_delay",
+    "line.R_L", "line.R_H", "line.bandwidth_B", "line.noise_scale", "line.measurement_noise_rel",
+    "line.R_wire", "line.tau_f", "line.bep_duration", "line.sample_rate",  # derived unless given
+    "protocol.dt_window", "protocol.residual_threshold", "protocol.k_range.N",
+    "protocol.t0_tol_quanta", "protocol.tau_tol_quanta",
+    "attacks.N.delta", "attacks.N.sample_index",  # AsymDelay, Substitute
+    "attacks.N.r_wire_factor", "attacks.N.tau", "attacks.N.at_time", "attacks.N.at_bep", "attacks.N.fraction",  # LineMod
+}
+
+
+def test_a_field_swept_at_its_own_value_gives_the_base_config():
+    # the sweep rebuilds the sections on the path from their init fields:
+    # at the field's own value that is the base config, text and all, and
+    # the sections off the path are the base's, whose kept text is reused
+    covered = set()
+    for name in bundled_scenario_names():
+        config = load_bundled(name)
+        for path in _numeric_paths(config):
+            parts = path.split(".")
+            derived = _derive(config, parts, _lookup(config, path), {})
+            assert derived == config and derived.canonical_text() == config.canonical_text(), (name, path)
+            assert derived.line.msq_levels_text == config.line.msq_levels_text, (name, path)
+            _assert_off_the_path_is_shared(derived, config, parts)
+            covered.add(re.sub(r"\.\d+", ".N", path))
+    assert covered == SWEPT_AT_THEIR_OWN_VALUE
+
+
+def test_a_two_way_sweep_at_the_fields_own_values_runs_the_base_config():
+    # through sweep itself, with each value as the CLI parses it, a float
+    for name in bundled_scenario_names():
+        config = load_bundled(name)
+        if config.protocol.kind not in ("A", "B"):
+            continue
+        for path in _numeric_paths(config):
+            (report,) = sweep(config, path, [float(_lookup(config, path))])
+            assert report.scenario_config == config, (name, path)
+            assert report.canonical_json() == run_scenario(config).canonical_json(), (name, path)
