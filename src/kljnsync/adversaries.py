@@ -20,13 +20,13 @@ arrangements look identical to her, so her best move is a coin flip.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace as dc_replace
-from typing import TYPE_CHECKING, Literal, Optional, Union
+from typing import TYPE_CHECKING, Annotated, Literal, Optional, Union
 
 import numpy as np
 
 from .auth import AuthTag
 from .channel import Direction, Envelope, Scheduler
-from .config import MAX_SECONDS, Section
+from .config import MAX_SECONDS, Section, ge, within
 from .errors import InconsistentStateError
 from .line import BepMeasurement, BitState, LineConfig, classify_bep
 from .noise import derive_seed
@@ -44,10 +44,7 @@ class AsymDelay(Section):
     tagged = True
 
     leg: Literal["AtoB", "BtoA"]
-    delta: float
-
-    def problems(self) -> list[str]:
-        return [] if 0 <= self.delta <= MAX_SECONDS else [f"delta: must be in [0, {MAX_SECONDS:g}]"]
+    delta: Annotated[float, within(0, MAX_SECONDS)]
 
     def apply(self, scenario: Scenario, n: int) -> None:
         scenario.scheduler.hooks.append(_asym_delay_hook(Direction(self.leg), self.delta))
@@ -130,11 +127,11 @@ class LineMod(Section):
 
     tagged = True
 
-    r_wire_factor: Optional[float] = None
-    tau: Optional[float] = None
-    at_time: Optional[float] = None
-    at_bep: Optional[int] = None
-    fraction: float = 0.5
+    r_wire_factor: Optional[Annotated[float, ge(0)]] = None
+    tau: Optional[Annotated[float, within(0, MAX_SECONDS)]] = None
+    at_time: Optional[Annotated[float, within(-MAX_SECONDS, MAX_SECONDS)]] = None
+    at_bep: Optional[Annotated[int, ge(0)]] = None
+    fraction: Annotated[float, within(0, 1)] = 0.5
 
     def problems(self) -> list[str]:
         problems = []
@@ -142,15 +139,6 @@ class LineMod(Section):
             problems.append("r_wire_factor: choose exactly one of r_wire_factor, tau")
         if (self.at_time is None) == (self.at_bep is None):
             problems.append("at_time: choose exactly one of at_time, at_bep")
-        for name in ("r_wire_factor", "tau", "at_bep"):
-            if (getattr(self, name) or 0) < 0:
-                problems.append(f"{name}: must be >= 0")
-        if (self.tau or 0) > MAX_SECONDS:
-            problems.append(f"tau: must be <= {MAX_SECONDS:g}")
-        if abs(self.at_time or 0) > MAX_SECONDS:
-            problems.append(f"at_time: must be in [-{MAX_SECONDS:g}, {MAX_SECONDS:g}]")
-        if not 0.0 <= self.fraction <= 1.0:
-            problems.append("fraction: must be in [0, 1]")
         return problems
 
     def instant(self, config: ScenarioConfig) -> float:

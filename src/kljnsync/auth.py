@@ -120,14 +120,16 @@ class KeyLedger:
 
     def take(self, n_bits: int) -> tuple[KeySpan, bytes]:
         """Consume the next n_bits. Raises KeyExhaustedError when the ledger
-        cannot cover them (the deployment must re-key)."""
+        cannot cover them (the deployment must re-key), and UnknownSpanError
+        for a count that is not whole bytes; either leaves it unchanged."""
         if n_bits > self.bit_length - self.consumed:
             raise KeyExhaustedError(
                 f"need {n_bits} key bits, only {self.remaining_bits} remain"
             )
         span = KeySpan(self.consumed, n_bits)
+        pad = self.read(span)
         self.consumed += n_bits
-        return span, self.read(span)
+        return span, pad
 
 
 def hash_message(payload: bytes) -> bytes:

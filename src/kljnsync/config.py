@@ -6,11 +6,14 @@ is written once, on its field. ``read`` turns a document into those objects
 and fails closed: it collects every unknown key, missing required key,
 wrongly typed value and out-of-bounds value into a single ConfigError.
 Field types are checked when an object is constructed (Section's
-``__post_init__`` checks them before the section's own bounds), so objects
-built in code are held to the same rules as documents:
+``__post_init__`` checks them before the section's rules across fields),
+so objects built in code are held to the same rules as documents:
 
   float           a finite number; bools are not numbers
   int             an integer, not a bool and not 2.0
+  Annotated[X, bound, ...]
+                  an X that keeps every bound (ge, gt, le, within): a
+                  single field's range is part of its type
   bool, str       exactly that
   Literal[...]    one of the listed strings
   Optional[X]     null, or an X
@@ -42,7 +45,7 @@ import math
 import sys
 import typing
 from json.encoder import encode_basestring_ascii
-from typing import Literal
+from typing import Annotated, Literal
 
 from .errors import ConfigError
 
@@ -58,6 +61,43 @@ MAX_SECONDS = 1e9
 # the finest clock resolution, a picosecond: a few times MAX_SECONDS are then
 # about 1e21 quanta, which rounding to the clock grid takes without overflow
 MIN_QUANTIZATION = 1e-12
+# the widest gap between neighbouring floats, in clock quanta, at a clock
+# reading of a two-way exchange: an honest run's delay estimate is off by
+# about 0.2 to 0.4 of that gap, so the float timeline takes at most a
+# twentieth of a quantum from the probe's tolerances
+CLOCK_ULP_QUANTA = 1 / 8
+
+
+class Bound(typing.NamedTuple):
+    """A bound a number field declares in its type, as in
+    ``Annotated[float, ge(0)]``: a value keeps it when lo <= value <= hi,
+    and text is the problem when it does not."""
+
+    lo: float
+    hi: float
+    text: str
+
+
+def _written(x) -> str:
+    return f"{x:g}" if isinstance(x, float) else str(x)
+
+
+def ge(lo) -> Bound:
+    return Bound(lo, math.inf, f"must be >= {_written(lo)}")
+
+
+def gt(lo) -> Bound:
+    # from the next float up: the same test for every float, and for every
+    # int while |lo| < 2**53
+    return Bound(math.nextafter(lo, math.inf), math.inf, f"must be > {_written(lo)}")
+
+
+def le(hi) -> Bound:
+    return Bound(-math.inf, hi, f"must be <= {_written(hi)}")
+
+
+def within(lo, hi) -> Bound:
+    return Bound(lo, hi, f"must be in [{_written(lo)}, {_written(hi)}]")
 
 
 def _field(hint):
@@ -77,6 +117,21 @@ def _field(hint):
         return None, check
     if hint is int:
         return None, lambda value: None if type(value) is int else "must be an integer"
+    if origin is Annotated:  # a number and its bounds
+        kind, *bounds = args
+        check_kind = _field(kind)[1]
+        # a range inside every bound and of the field's own type, which no
+        # infinity passes: a value of exactly that type within it keeps the
+        # bounds, in one comparison; any other value is checked in full
+        edge = sys.maxsize if kind is int else sys.float_info.max
+        lo, hi = max(-edge, *(b.lo for b in bounds)), min(edge, *(b.hi for b in bounds))
+
+        def check_bounded(value):
+            if type(value) is kind and lo <= value <= hi:
+                return None
+            return check_kind(value) or next((b.text for b in bounds if not b.lo <= value <= b.hi), None)
+
+        return None, check_bounded
     if origin is Literal:
         text = "must be one of " + ", ".join(args)
         return None, lambda value: None if isinstance(value, str) and value in args else text
@@ -136,8 +191,9 @@ def _field(hint):
 @functools.cache
 def _schema(cls) -> dict:
     """name -> (required, read, check) for every init field of cls, read
-    and check as _field gives them; type hints are resolved once per class."""
-    hints = typing.get_type_hints(cls)
+    and check as _field gives them; type hints are resolved, with their
+    bounds, once per class."""
+    hints = typing.get_type_hints(cls, include_extras=True)
     return {
         f.name: (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING, *_field(hints[f.name]))
         for f in dataclasses.fields(cls)
@@ -218,11 +274,12 @@ def read(cls, doc):
 class Section:
     """The base of every config section, a frozen dataclass.
 
-    Building one checks every init field against its type hint, then, only
-    if all of them fit, the section's own bounds (``problems``), and raises
-    one ConfigError listing whatever broke. A section keeps its document as
-    canonical JSON text (``canonical_text``), never as a dict: a report
-    splices that text in, and ``json.loads`` of it gives a fresh dict.
+    Building one checks every init field against its type hint, bounds
+    included, then, only if all of them fit, the section's rules across
+    fields (``problems``), and raises one ConfigError listing whatever
+    broke. A section keeps its document as canonical JSON text
+    (``canonical_text``), never as a dict: a report splices that text in,
+    and ``json.loads`` of it gives a fresh dict.
 
     The checks and the text come from the tables the module keeps per
     class (see its docstring), so neither resolves a type hint nor sorts a
@@ -241,7 +298,8 @@ class Section:
             raise ConfigError(problems)
 
     def problems(self) -> list[str]:
-        """The bounds the section's well-typed fields break."""
+        """The rules across fields that the section's well-typed fields
+        break; a single field's bounds are part of its type."""
         return []
 
     def canonical_text(self) -> str:
@@ -295,14 +353,13 @@ class ClockConfig(Section):
     in steps of quantization seconds (0 disables the rounding, and a step
     is at least MIN_QUANTIZATION)."""
 
-    t0: float = 0.0
+    t0: Annotated[float, within(-MAX_SECONDS, MAX_SECONDS)] = 0.0
     quantization: float = 1e-6
 
     def problems(self) -> list[str]:
-        problems = [f"t0: must be in [-{MAX_SECONDS:g}, {MAX_SECONDS:g}]"] if abs(self.t0) > MAX_SECONDS else []
         if self.quantization and not self.quantization >= MIN_QUANTIZATION:
-            problems.append(f"quantization: must be 0 or >= {MIN_QUANTIZATION:g}")
-        return problems
+            return [f"quantization: must be 0 or >= {MIN_QUANTIZATION:g}"]
+        return []
 
     @property
     def quantum(self) -> float:
@@ -316,12 +373,8 @@ class ChannelConfig(Section):
     """The honest one-way propagation delay tau of each direction, and Bob's
     think time before he answers a two-way exchange, in seconds."""
 
-    tau: float = 2e-3
-    processing_delay: float = 1e-3
-
-    def problems(self) -> list[str]:
-        limit = f"must be in [0, {MAX_SECONDS:g}]"
-        return [f"{n}: {limit}" for n in ("tau", "processing_delay") if not 0 <= getattr(self, n) <= MAX_SECONDS]
+    tau: Annotated[float, within(0, MAX_SECONDS)] = 2e-3
+    processing_delay: Annotated[float, within(0, MAX_SECONDS)] = 1e-3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -341,25 +394,17 @@ class ProtocolConfig(Section):
     """
 
     kind: Literal["A", "B", "C", "Combined"]
-    dt_window: int = 100
-    residual_threshold: float = 0.01
+    dt_window: Annotated[int, ge(1)] = 100
+    residual_threshold: Annotated[float, ge(1e-12)] = 0.01
     k_range: tuple[int, ...] = (0,)
     input: Literal["voltage"] = "voltage"
-    t0_tol_quanta: float = 2.0
-    tau_tol_quanta: float = 1.5
+    t0_tol_quanta: Annotated[float, ge(0)] = 2.0
+    tau_tol_quanta: Annotated[float, ge(0)] = 1.5
 
     def problems(self) -> list[str]:
-        problems = []
-        if self.dt_window < 1:
-            problems.append("dt_window: must be >= 1")
-        if self.residual_threshold < 1e-12:
-            problems.append("residual_threshold: must be >= 1e-12")
         if not self.k_range or min(self.k_range) < 0 or max(self.k_range) >= 2**64:
-            problems.append("k_range: must list at least one BEP index, each in [0, 2**64)")
-        elif any(a >= b for a, b in zip(self.k_range, self.k_range[1:])):
+            return ["k_range: must list at least one BEP index, each in [0, 2**64)"]
+        if any(a >= b for a, b in zip(self.k_range, self.k_range[1:])):
             # each BEP is recorded once, and the records follow the timeline
-            problems.append("k_range: must be strictly increasing")
-        for name in ("t0_tol_quanta", "tau_tol_quanta"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name}: must be >= 0")
-        return problems
+            return ["k_range: must be strictly increasing"]
+        return []

@@ -20,13 +20,15 @@ import reprlib
 import time
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Annotated
 
 import numpy as np
 
 from .adversaries import Attack, LineMod, Substitute, install
 from .auth import MAX_KEY_BITS
 from .channel import format_event_log
-from .config import CANONICAL, MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, Section, init_fields, read
+from .config import CANONICAL, CLOCK_ULP_QUANTA, MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, Section
+from .config import ge, init_fields, le, read
 from .errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from .line import LineConfig
 from .noise import empirical_autocorrelation
@@ -38,22 +40,20 @@ from .scenario import Scenario, make_scenario
 class ScenarioConfig(Section):
     """A validated scenario config document (see the config module)."""
 
-    seed: int
+    seed: Annotated[int, ge(0)]
     line: LineConfig
     protocol: ProtocolConfig
     clock: ClockConfig = ClockConfig()
     channel: ChannelConfig = ChannelConfig()
     attacks: tuple[Attack, ...] = ()
-    key_bits: int = 8192
+    key_bits: Annotated[int, ge(0), le(MAX_KEY_BITS)] = 8192
     # the document from_dict read, kept for callers that edit a copy of it
     # and read that again; None for a config built in code. Reports and
     # sweeps never read it: they work from the fields alone.
     raw: dict = field(default=None, init=False, repr=False, compare=False)
 
     def problems(self) -> list[str]:
-        problems = [f"{name}: must be >= 0" for name in ("seed", "key_bits") if getattr(self, name) < 0]
-        if self.key_bits > MAX_KEY_BITS:
-            problems.append(f"key_bits: must be <= {MAX_KEY_BITS}")
+        problems = []
         # the line changes, as (n, quantity, instant); one scheduled for a BEP
         # the protocol never records would never fire, and the run would
         # report clean
@@ -130,6 +130,19 @@ class ScenarioConfig(Section):
                 problems.append(
                     f"protocol.k_range: the run would reach t = {latest:.3g} s, past {MAX_SECONDS:g} s; "
                     "lower the BEP indices, line.bep_duration, channel.tau or (for Combined) clock.quantization"
+                )
+        if kind != "C":
+            # the two-way exchange (for Combined, the probe after the last
+            # BEP) reads the clocks up to |t0| + 2 tau + processing_delay
+            # after it starts; where floats step by more than a fraction of
+            # the clock quantum, an honest run's estimates drift by quanta
+            reading = (latest if kind == "Combined" else 0.0) + abs(self.clock.t0)
+            reading += 2 * self.channel.tau + self.channel.processing_delay
+            if (step := math.ulp(reading)) > CLOCK_ULP_QUANTA * self.clock.quantum:
+                problems.append(
+                    f"clock.quantization: the clocks read up to t = {reading:.3g} s, where floats are {step:.3g} s "
+                    f"apart, more than {CLOCK_ULP_QUANTA:g} of the {self.clock.quantum:g} s quantum; raise it, or "
+                    "lower clock.t0, the channel's delays or (for Combined) the BEP indices"
                 )
         return problems
 

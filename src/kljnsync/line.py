@@ -21,11 +21,11 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
-from .config import CANONICAL, Section
+from .config import CANONICAL, Section, ge, gt
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -98,35 +98,19 @@ class LineConfig(Section):
     computed on first read and kept.
     """
 
-    R_L: float
+    R_L: Annotated[float, gt(0)]
     R_H: float
-    bandwidth_B: float
-    noise_scale: float
-    R_wire: Optional[float] = None  # default R_L / 100
-    tau_f: Optional[float] = None  # default 0.1 / B
-    bep_duration: Optional[float] = None  # default 100 / B
+    bandwidth_B: Annotated[float, gt(0)]
+    noise_scale: Annotated[float, ge(0)]
+    R_wire: Optional[Annotated[float, ge(0)]] = None  # default R_L / 100
+    tau_f: Optional[Annotated[float, gt(0)]] = None  # default 0.1 / B
+    bep_duration: Optional[Annotated[float, gt(0)]] = None  # default 100 / B
     sample_rate: Optional[float] = None  # default 20 * B
-    measurement_noise_rel: float = 0.0
+    measurement_noise_rel: Annotated[float, ge(0)] = 0.0
     msq_levels: Mapping[str, float] = field(init=False, repr=False, compare=False)
 
     def problems(self) -> list[str]:
-        problems = []
-        if not 0 < self.R_L:
-            problems.append("R_L: must be > 0")
-        if not self.R_L < self.R_H:
-            problems.append("R_H: must exceed R_L")
-        if self.bandwidth_B <= 0:
-            problems.append("bandwidth_B: must be > 0")
-        if self.noise_scale < 0:
-            problems.append("noise_scale: must be >= 0")
-        if self.measurement_noise_rel < 0:
-            problems.append("measurement_noise_rel: must be >= 0")
-        # the optional fields as given; their defaults are derived once these pass
-        if (self.R_wire or 0) < 0:
-            problems.append("R_wire: must be >= 0")
-        for name in ("tau_f", "bep_duration"):
-            if (value := getattr(self, name)) is not None and value <= 0:
-                problems.append(f"{name}: must be > 0")
+        problems = [] if self.R_L < self.R_H else ["R_H: must exceed R_L"]
         if self.sample_rate is not None and self.sample_rate < 2.0 * self.bandwidth_B:
             problems.append("sample_rate: must be >= 2 * bandwidth_B")
         return problems
@@ -134,19 +118,13 @@ class LineConfig(Section):
     def __post_init__(self):
         super().__post_init__()
         tau_f, bep = timing_defaults(self.bandwidth_B)
-        if self.R_wire is None:
-            object.__setattr__(self, "R_wire", self.R_L / 100.0)
-        if self.tau_f is None:
-            object.__setattr__(self, "tau_f", tau_f)
-        if self.bep_duration is None:
-            object.__setattr__(self, "bep_duration", bep)
-        if self.sample_rate is None:
-            object.__setattr__(self, "sample_rate", 20.0 * self.bandwidth_B)
-        # a derived value must be finite, as a given one must: tau_f = 0.1 / B
-        # overflows for a B below about 5.6e-310
-        derived = ("R_wire", "tau_f", "bep_duration", "sample_rate")
-        if infinite := [f"{name}: must be finite" for name in derived if not math.isfinite(getattr(self, name))]:
-            raise ConfigError(infinite)
+        defaults = dict(R_wire=self.R_L / 100.0, tau_f=tau_f, bep_duration=bep, sample_rate=20.0 * self.bandwidth_B)
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        # the derived values pass their fields' checks, as given ones do:
+        # tau_f = 0.1 / B overflows for a B below about 5.6e-310
+        super().__post_init__()
 
         # each trace is synthesized with a guard of sample_rate / B samples at either end
         synthesized = self.bep_duration * self.sample_rate + 2.0 * self.sample_rate / self.bandwidth_B

@@ -28,6 +28,7 @@ alone cannot see.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -499,7 +500,7 @@ def combined_check(scenario: Scenario) -> SyncResult:
     rng = np.random.default_rng(derive_seed(scenario.config.seed, _SEED_PROBE))
     q = scenario.config.clock.quantum
     wait = float(rng.integers(1_000, PROBE_WAIT_QUANTA)) * q
-    probe_start = (np.ceil(last / q) + 1) * q + wait
+    probe_start = (math.ceil(last / q) + 1) * q + wait
 
     b_result = protocol_b(scenario, start_absolute=probe_start)
 

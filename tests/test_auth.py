@@ -85,6 +85,14 @@ def test_verify_unknown_span():
         verify(b"p", tag, ledger)
 
 
+def test_an_unaligned_take_leaves_the_ledger_as_it_was():
+    ledger = KeyLedger.generate(64, 1)
+    with pytest.raises(UnknownSpanError):
+        ledger.take(3)
+    assert ledger.consumed == 0
+    assert ledger.take(8)[0] == KeySpan(0, 8)
+
+
 def test_forged_tags_never_verify():
     ledger = make_ledger(n_bits=512)
     payload = b"file contents"

@@ -14,7 +14,7 @@ import pytest
 
 from kljnsync.adversaries import Attack, AsymDelay, LineMod, Substitute
 from kljnsync.cli import main
-from kljnsync.config import CANONICAL, ChannelConfig, ClockConfig, ProtocolConfig, Section
+from kljnsync.config import CANONICAL, ChannelConfig, ClockConfig, ProtocolConfig, Section, init_fields
 from kljnsync.errors import ConfigError
 from kljnsync.harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_scenario
 from kljnsync.line import LineConfig
@@ -112,6 +112,11 @@ NAMED = [
     # clock steps so fine that a time divided by them overflows
     ("honest_protocol_a", "clock.quantization", 5e-324),
     ("honest_protocol_a", "clock.quantization", 1e-300, {"clock.t0": 1e9}),
+    # clock readings where neighbouring floats lie more than an eighth of a
+    # clock quantum apart: an honest run's estimates drift by quanta
+    ("honest_combined", "clock.quantization", 1e-9, {"protocol.k_range": [50_000_000_000]}),
+    ("honest_combined", "clock.quantization", 1e-9, {"protocol.k_range": [1_000_000_000]}),
+    ("honest_protocol_b", "clock.quantization", 1e-12, {"clock.t0": 1e9}),
     # a repeated BEP index records the same BEP twice, so a replayed record
     # is the fresh one; a descending list runs the event log backwards
     ("replay_attack_c", "protocol.k_range", [0, 0]),
@@ -297,6 +302,41 @@ def test_r_wire_must_keep_the_round_off_floor_under_the_threshold(name, tmp_path
     # the bound scales with the threshold, and the two-way protocols have none
     ScenarioConfig.from_dict(mutated(below, "protocol.residual_threshold", 0.0101))
     ScenarioConfig.from_dict(mutated(mutated(below, "protocol.kind", "B"), "line.R_wire", 1e-20))
+
+
+def _last_accepted(edit, lo, hi):
+    """The largest value v in [lo, hi) for which the document edit(v)
+    validates, lo being accepted and hi rejected: by bisection, so the next
+    value up is rejected."""
+    while True:
+        mid = (lo + hi) // 2 if isinstance(lo, int) else (lo + hi) / 2
+        if mid in (lo, hi):
+            return lo
+        try:
+            ScenarioConfig.from_dict(edit(mid))
+            lo = mid
+        except ConfigError:
+            hi = mid
+
+
+@pytest.mark.parametrize("q", [1e-12, 1e-9, 1e-6])
+def test_honest_two_way_runs_at_the_last_accepted_instant_run_clean(q):
+    # protocol B at the largest clock offset the clock quantum allows
+    doc = mutated(load_bundled("honest_protocol_b").raw, "clock.quantization", q)
+    t0 = _last_accepted(lambda t0: mutated(doc, "clock.t0", t0), 0.0, 2e9)
+    assert t0 > 1000.0
+    result = run_scenario(ScenarioConfig.from_dict(mutated(doc, "clock.t0", t0))).result
+    assert result["attack_flag"] is False
+    assert abs(result["t0_est"] - t0) <= q and abs(result["tau_est"] - 0.002) <= q
+    # the combined check at its last BEP
+    doc = mutated(load_bundled("honest_combined").raw, "clock.quantization", q)
+    k = _last_accepted(lambda k: mutated(doc, "protocol.k_range", [k]), 0, 2**64)
+    assert k > 50_000
+    result = run_scenario(ScenarioConfig.from_dict(mutated(doc, "protocol.k_range", [k]))).result
+    assert abs(result["tau_est"] - 0.002) <= q
+    # protocol C's sub-sample offset is off by some 5e-10 s, which a 1e-12 s
+    # clock's two quanta do not cover at any instant
+    assert result["detail"] == "" or (q == 1e-12 and result["detail"].startswith("offset after correction"))
 
 
 # each setting has one spelling; the other ones a config once took fail closed
@@ -487,13 +527,14 @@ def test_problems_are_collected_across_sections():
     doc = load_bundled("substitution_attack_b").raw
     doc = mutated(mutated(mutated(doc, "extra", 1), "line.R_H", 0.5), "attacks.0.field", "t1")
     doc = mutated(mutated(doc, "clock.bogus", 1), "protocol.kind", "D")
-    doc = mutated(doc, "seed", True)
+    doc = mutated(mutated(doc, "seed", True), "key_bits", -1)
     with pytest.raises(ConfigError) as err:
         ScenarioConfig.from_dict(doc)
     assert sorted(err.value.problems) == [
         "attacks.0.field: a Response message has only t1_star, t2_star",
         "clock.bogus: unknown key",
         "extra: unknown key",
+        "key_bits: must be >= 0",
         "line.R_H: must exceed R_L",
         "protocol.kind: must be one of A, B, C, Combined",
         "seed: must be an integer",
@@ -555,31 +596,48 @@ def test_every_section_of_the_schema_is_a_section():
     assert [c.__name__ for c in found if not issubclass(c, Section)] == []
 
 
-def _documented_keys(readme: str) -> dict:
-    """The keys each table of README's "Scenario config format" reference
-    names, by table: "" for the top level, then each section and attack
-    kind by the name its heading or bullet starts with."""
+def _documented_rules(readme: str) -> dict:
+    """The rule cell of each key the tables of README's "Scenario config
+    format" reference name, by table: "" for the top level, then each
+    section and attack kind by the name its heading or bullet starts with."""
     reference = readme.split("\n## Scenario config format\n", 1)[1].split("\n## ", 1)[0]
-    tables, name = {"": set()}, ""
+    tables, name = {"": {}}, ""
     for line in reference.split("\nTop level:\n", 1)[1].splitlines():
         heading = re.match(r"`(\w+)`.*:$|- `(\w+)` ", line)
         row = re.match(r"\s*\| `(\w+)` \|", line)
         if heading:
             name = heading.group(1) or heading.group(2)
-            tables[name] = set()
+            tables[name] = {}
         elif row:
-            tables[name].add(row.group(1))
+            tables[name][row.group(1)] = line.strip().strip("|").split(" | ", 2)[2]
     return tables
 
 
-def test_the_readme_config_reference_names_exactly_the_schema():
-    def keys(cls):
-        return {f.name for f in dataclasses.fields(cls) if f.init}
+def _declared_bounds(hint) -> list:
+    """The problem texts of the bounds a field's type hint declares."""
+    if typing.get_origin(hint) is typing.Annotated:
+        return [bound.text for bound in hint.__metadata__]
+    return [text for arg in typing.get_args(hint) for text in _declared_bounds(arg)]
 
+
+def test_the_readme_config_reference_names_exactly_the_schema():
     hints = typing.get_type_hints(ScenarioConfig)
-    schema = {"": keys(ScenarioConfig)}
-    schema.update({name: keys(hints[name]) for name in schema[""] if dataclasses.is_dataclass(hints[name])})
-    schema.update({kind.__name__: keys(kind) for kind in typing.get_args(Attack)})
-    assert set(schema) == {"", "line", "protocol", "clock", "channel", "AsymDelay", "Substitute", "LineMod"}
+    classes = {"": ScenarioConfig}
+    classes.update({name: hints[name] for name in init_fields(ScenarioConfig) if dataclasses.is_dataclass(hints[name])})
+    classes.update({kind.__name__: kind for kind in typing.get_args(Attack)})
+    assert set(classes) == {"", "line", "protocol", "clock", "channel", "AsymDelay", "Substitute", "LineMod"}
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    assert _documented_keys(readme) == schema
+    rules = _documented_rules(readme)
+    assert {name: set(cells) for name, cells in rules.items()} == {
+        name: set(init_fields(cls)) for name, cls in classes.items()
+    }
+    # each rule cell states its field's declared bounds, as README writes numbers
+    missing = [
+        f"{name}.{key}: {text}"
+        for name, cls in classes.items()
+        for key, hint in typing.get_type_hints(cls, include_extras=True).items()
+        if key in rules[name]
+        for text in _declared_bounds(hint)
+        if text.removeprefix("must be ").replace("e+09", "e9") not in rules[name][key]
+    ]
+    assert missing == []

@@ -406,7 +406,9 @@ def test_every_result_value_is_a_plain_json_scalar():
     # protocols must hand over Python scalars, never numpy ones
     reports = [run_scenario(load_bundled(name)) for name in bundled_scenario_names()]
     reports += sweep(load_bundled("honest_combined"), "clock.t0", [0.0, 2e-5, 3.5e-5])
-    assert len(reports) == 15
+    # with no clock rounding, quantize hands its input back as it is
+    reports += sweep(load_bundled("honest_combined"), "clock.quantization", [0.0])
+    assert len(reports) == 16
     types = {(key, type(value)) for r in reports for key, value in r.result.items()}
     assert {t for _, t in types} <= {float, bool, str, type(None)}
     assert {k for k, _ in types} == {"protocol", "t0_est", "tau_est", "residual", "auth_ok", "attack_flag", "detail"}
