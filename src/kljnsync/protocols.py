@@ -363,18 +363,6 @@ def _pick_minimum(shifts: np.ndarray, residuals: np.ndarray) -> int:
     return int(nearest[np.argmin(shifts[nearest])])
 
 
-def _refine_vertex(shifts: np.ndarray, residuals: np.ndarray, i: int) -> float:
-    if i == 0 or i == shifts.size - 1:
-        return float(shifts[i])
-    y0, y1, y2 = residuals[i - 1], residuals[i], residuals[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom <= 0.0 or not np.isfinite(denom):
-        return float(shifts[i])
-    step = shifts[1] - shifts[0]
-    delta = 0.5 * (y0 - y2) / denom
-    return float(shifts[i] + np.clip(delta, -0.5, 0.5) * step)
-
-
 def bep_start_time(config: ScenarioConfig, k: int) -> float:
     """Absolute start of BEP k on the shared timeline: records are taken
     back to back with enough slack after each for the file exchange."""
@@ -418,12 +406,14 @@ def protocol_c(scenario: Scenario) -> SyncResult:
     residual curve; curves from multiple BEPs are averaged before the
     minimum is taken, which sharpens the valley. Alice and Bob run the
     search symmetrically (their shifts are negatives of each other). Each
-    party's grid minimum must reach residual_threshold; it is then refined
-    to sub-sample by a three-point parabola, and Bob, as the non-master,
-    applies the correction, after which his clock offset is zero to within
-    the search resolution. The run is flagged, and no correction applied,
-    when any file fails authentication or freshness, when no shift explains
-    the data (line modified mid-record), or when the two shifts disagree.
+    party's minimum must reach residual_threshold, and its estimate is the
+    lattice shift there, which carries the fractional part of the
+    start-stamp offset. While Bob samples on Alice's instants, as the
+    simulated records do, that shift is the true offset, so Bob, as the
+    non-master, applies it and his clock offset is zero to round-off. The
+    run is flagged, and no correction applied, when any file fails
+    authentication or freshness, when no shift explains the data (line
+    modified mid-record), or when the two shifts disagree.
 
     This protocol produces no propagation-delay estimate; only the embedded
     two-way probe of the combined check measures tau.
@@ -467,8 +457,7 @@ def protocol_c(scenario: Scenario) -> SyncResult:
                 detail=f"no shift explains the data (residual {residual:.3e})",
             )
 
-    dt_alice = _refine_vertex(shifts_alice, mean_alice, i_alice)
-    dt_bob = _refine_vertex(shifts_bob, mean_bob, i_bob)
+    dt_alice, dt_bob = float(shifts_alice[i_alice]), float(shifts_bob[i_bob])
     t0_est = -dt_alice
     # symmetric searches must agree (their shifts are mutual negatives)
     if abs(dt_alice + dt_bob) > 1.0 / line.sample_rate:

@@ -27,7 +27,7 @@ DETAILS = {
     3: "worst error 6.94e-18s over 1000 pairs",
     4: "16 protocol/leg/delta combinations exact, all unflagged",
     5: "100/100 message, 100/100 file substitutions flagged; 0/10000 forgeries verified",
-    6: "100/100 within 1 sample (worst 0.001), max residual 6.61e-26; sub-sample 50/50 (worst 0.001), "
+    6: "100/100 within 1 sample (worst 0.000), max residual 6.61e-26; sub-sample 50/50 (worst 0.000), "
     "beyond 100 samples 10/10 (worst 0.000), max residual 6.48e-26",
     7: "100/100 wire changes flagged (min residual 0.096, >= 964x honest bound; detection boundary ~15% "
     "at threshold 0.01); delays of 4+ quanta all caught",

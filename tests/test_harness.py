@@ -370,7 +370,7 @@ BUNDLED_BYTES = {
         "034f4d223d44ec5bde3991e924365d0133760e4083584b894386461dce968a0b",
     ),
     "honest_protocol_c": (
-        "d2aad6c9db8424d6b7c20f554b5b28ebbab54967fbed5a684f8c4e8df220b87f",
+        "5ca765bf5a699163df8309cde3cb6ddd37625550bdba4f214ccc0aaf21a53637",
         "c38af88940d67095b508a8cfb6fb7b7eb919e62b6485fc73a43ff220c5bea768",
     ),
     "linemod_attack_c": (

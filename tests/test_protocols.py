@@ -16,14 +16,13 @@ from kljnsync.errors import (
     KeyExhaustedError,
 )
 from kljnsync import protocols
-from kljnsync.harness import ScenarioConfig
+from kljnsync.harness import ScenarioConfig, load_bundled
 from kljnsync.line import LineConfig, Party, ResistorChoice, simulate_bep
 from kljnsync.protocols import (
     MessageKind,
     SyncMessage,
     SyncResult,
     _pick_minimum,
-    _refine_vertex,
     combined_check,
     exchange_files,
     protocol_a,
@@ -246,10 +245,10 @@ def test_exchange_files_detects_replay():
 
 
 def located(shifts, residuals):
-    """What protocol_c takes from one curve: the shift at the picked grid
-    minimum, refined by the three-point parabola, and the residual there."""
+    """What protocol_c takes from one curve: the lattice shift at the
+    picked minimum, and the residual there."""
     i = _pick_minimum(shifts, residuals)
-    return _refine_vertex(shifts, residuals, i), residuals[i]
+    return float(shifts[i]), residuals[i]
 
 
 def test_estimate_offset_zero_offset_noiseless():
@@ -462,7 +461,7 @@ def test_residual_curve_valley_is_at_negative_offset():
 def test_estimate_offset_recovers_sub_sample_and_far_offsets(samples):
     fa, fb = bep_files(t0=samples / FS)
     dt, residual = located(*residual_curve(fa, fb, LINE.R_wire))
-    assert -dt == pytest.approx(samples / FS, abs=1.0 / FS)
+    assert -dt == samples / FS  # Bob samples on Alice's instants: the lattice shift is the offset
     assert residual < 1e-15
 
 
@@ -512,6 +511,42 @@ def test_protocol_c_honest_offsets_anywhere_in_range(samples):
     shifts, residuals = sc.diagnostics["residual_curve"]
     assert shifts.size == 2 * sc.config.protocol.dt_window + 1
     assert shifts[np.argmin(residuals)] == pytest.approx(-t0, abs=0.5 / FS)
+
+
+def test_protocol_c_estimate_is_the_offset_on_aligned_records():
+    # Bob samples on Alice's instants, so the lattice shift at the minimum
+    # is the offset itself, to the last bit, wherever in range it lies
+    rng = np.random.default_rng(31)
+    for seed, samples in enumerate(rng.uniform(-900.0, 900.0, 200)):
+        t0 = float(samples) / FS
+        sc = scenario(seed=seed, t0=t0, protocol=ProtocolConfig("C"))
+        res = protocol_c(sc)
+        assert res.attack_flag is False, res.detail
+        assert res.t0_est == t0 and sc.bob_offset == 0.0
+
+
+def test_protocol_c_pooled_estimate_is_the_offset_to_round_off():
+    # the averaged curve's shifts carry each BEP's start-stamp rounding
+    rng = np.random.default_rng(32)
+    for seed, samples in enumerate(rng.uniform(-900.0, 900.0, 20)):
+        t0 = float(samples) / FS
+        res = protocol_c(scenario(seed=seed, t0=t0, protocol=ProtocolConfig("C", k_range=(0, 1, 2, 3))))
+        assert res.attack_flag is False, res.detail
+        assert abs(res.t0_est - t0) <= 1e-17
+
+
+def test_protocol_c_estimate_survives_an_undetected_wire_change():
+    # an R_wire step of x over the last part of the record stays under
+    # residual_threshold for x <= 10%; it skews the residuals beside the
+    # minimum, but the estimate is the minimum's shift alone
+    t0 = 7.0 / FS
+    steps = [(x, f) for x in np.geomspace(1e-4, 1e-1, 10) for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    for seed, (x, fraction) in enumerate(steps):
+        change = LineMod(r_wire_factor=1.0 + float(x), at_bep=0, fraction=fraction)
+        sc = scenario(seed=seed, t0=t0, protocol=ProtocolConfig("C"), attacks=(change,))
+        res = protocol_c(sc)
+        assert res.attack_flag is False, res.detail
+        assert res.t0_est == t0 and sc.bob_offset == 0.0
 
 
 def test_protocol_c_flags_tampered_file_and_skips_correction():
@@ -586,6 +621,20 @@ def test_combined_check_honest_passes():
     assert abs(res.t0_est) <= 2 * sc.config.clock.quantum
     assert res.tau_est == pytest.approx(sc.config.channel.tau, abs=1.5 * sc.config.clock.quantum)
     assert res.residual < 1e-4
+
+
+@pytest.mark.parametrize("q", [1e-12, 1e-9, 1e-6])
+def test_honest_combined_runs_stay_clean_at_fine_clocks(q):
+    # C leaves Bob's clock exact, so the probe finds it within
+    # t0_tol_quanta however fine the clock quantum
+    doc = load_bundled("honest_combined").raw
+    doc = {**doc, "clock": {**doc["clock"], "quantization": q}}
+    flagged = {}
+    for seed in range(200):
+        res = combined_check(ScenarioConfig.from_dict({**doc, "seed": seed}).build_scenario())
+        if res.attack_flag:
+            flagged[seed] = res.detail
+    assert flagged == {}
 
 
 def test_combined_check_catches_asymmetric_delay():

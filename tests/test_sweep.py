@@ -59,9 +59,9 @@ GOLDEN = {
     # protocol C reports carry FFT-derived floats (noise synthesis and the
     # alignment search), so these bytes also pin numpy's FFT rounding
     ("honest_protocol_c", "protocol.dt_window"): [
-        "efe950004aaf36becb84e558ed9c3357c12a647bbe7c312868ad251095695040",
-        "babf62478d99f32c6a35abca9efc26f85251344a7bc21ab2223c6649e5504a72",
-        "1182e472f16e14f6496d4a61566e73b656cc9cbf3a2202825b8a9a084c1c2ae1",
+        "73f77806ce7ac671db85ffdb3193fbde6b1744cd16d843fafc9214bccbd6c1d3",
+        "311f7949c5b3f74973eac1df3f35c00bd22bed957113ae1b5580f60a615c5d17",
+        "64e58e74bc7e9998264be9944a54cabd95cfb3c9896a4a0fae3e0b2c15ef4987",
     ],
 }
 
