@@ -146,12 +146,18 @@ def encrypt_digest(digest: bytes, ledger: KeyLedger) -> AuthTag:
     return AuthTag((int.from_bytes(digest, "big") ^ int.from_bytes(pad, "big")).to_bytes(n, "big"), span)
 
 
-def verify(payload: bytes, tag: AuthTag, ledger_view: KeyLedger) -> bool:
-    """Recompute the payload hash, decrypt the tag with the named span, and
-    compare. False means the payload or the tag was altered in flight."""
+def verify_digest(digest: bytes, tag: AuthTag, ledger_view: KeyLedger) -> bool:
+    """Decrypt the tag with the named span and compare it with digest, the
+    hash of the payload that arrived. False means the payload or the tag
+    was altered in flight."""
     ciphertext, span = tag
     n = len(ciphertext)
     if n * 8 != span.length:
         return False
     plain = int.from_bytes(ciphertext, "big") ^ int.from_bytes(ledger_view.read(span), "big")
-    return plain.to_bytes(n, "big") == hashlib.sha256(payload).digest()
+    return plain.to_bytes(n, "big") == digest
+
+
+def verify(payload: bytes, tag: AuthTag, ledger_view: KeyLedger) -> bool:
+    """verify_digest of the payload's hash_message."""
+    return verify_digest(hash_message(payload), tag, ledger_view)

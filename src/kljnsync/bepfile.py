@@ -19,10 +19,19 @@ Built from fields, it encodes them once; parsed, it keeps the received
 bytes and copies no sample. Both run one validation: samples 1-D, of one
 length and finite, fs > 0, fs and start finite, and a party, index and
 digest the header can hold. Serialize -> parse -> serialize is byte-exact.
+
+A record also keeps the SHA-256 state of its payload, computed once from
+the read-only bytes the first time it is asked for and handed out only as
+a copy. The sender's tag, the event log's digest of the record sent with
+its tag, and the receiver's check all come from that one hash. It cannot
+go stale or be supplied from outside: the payload never changes, it is no
+init field, and a record made by dataclasses.replace or parse_bep_file
+hashes its own bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import InitVar, dataclass, field
 from typing import Optional
@@ -52,6 +61,8 @@ class BepFile:
     # the samples view; None (as dataclasses.replace passes) encodes them
     _received: InitVar[Optional[memoryview]] = None
     _payload: memoryview = field(init=False, repr=False)
+    # the payload's hashlib.sha256 state, None until sha256() is first called
+    _sha256: object = field(init=False, repr=False)
 
     def __eq__(self, other) -> bool:
         # every field feeds the serialized payload, so byte equality is
@@ -84,6 +95,7 @@ class BepFile:
         object.__setattr__(self, "voltage_samples", volts)
         object.__setattr__(self, "current_samples", amps)
         object.__setattr__(self, "_payload", payload)
+        object.__setattr__(self, "_sha256", None)
 
     def __len__(self) -> int:
         return len(self.voltage_samples)
@@ -93,8 +105,18 @@ class BepFile:
         record's one buffer, read-only, and the samples are views of it."""
         return self._payload
 
-    # the scheduler hashes payloads via this hook
+    # the name other payloads give their encoding
     canonical_bytes = payload_bytes
+
+    def sha256(self):
+        """A copy of the SHA-256 state of payload_bytes(). The payload is
+        hashed on the first call only; .digest() of the copy is its hash,
+        and a caller may extend the copy without touching the kept state."""
+        kept = self._sha256
+        if kept is None:
+            kept = hashlib.sha256(self._payload)
+            object.__setattr__(self, "_sha256", kept)
+        return kept.copy()
 
 
 def build_bep_file(meas: BepMeasurement, config: LineConfig) -> BepFile:

@@ -46,8 +46,8 @@ class Envelope:
     sent_absolute: float
     deliver_absolute: float
     direction: Direction
-    # the payload's digest, taken once when the scheduler sends it and
-    # again only when a hook substitutes the payload
+    # the payload's digest, given by its sender or taken once when the
+    # scheduler sends it, and again only when a hook substitutes the payload
     digest: str = "-"
 
     def __post_init__(self):
@@ -63,6 +63,12 @@ class EventRecord(NamedTuple):
 
 
 def payload_digest(payload: object) -> str:
+    """The hex SHA-256 of payload's canonical_bytes(), or of its repr. A
+    payload that keeps its hash offers a copy of the state as sha256(),
+    which is read instead of hashing the payload again."""
+    kept = getattr(payload, "sha256", None)
+    if kept is not None:
+        return kept().hexdigest()
     canon = getattr(payload, "canonical_bytes", None)
     blob = canon() if callable(canon) else repr(payload).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -93,16 +99,22 @@ class Scheduler:
         """Log an event; digest is its payload's payload_digest, "-" for none."""
         self.log.append(EventRecord(absolute, kind, direction, digest))
 
-    def send(self, payload: object, direction: Direction, now_absolute: float) -> Optional[Envelope]:
+    def send(
+        self, payload: object, direction: Direction, now_absolute: float, digest: Optional[str] = None
+    ) -> Optional[Envelope]:
         """Schedule a message; adversary hooks may rewrite, delay, or drop it.
 
-        Returns the scheduled envelope, or None when a hook dropped it
+        digest is payload_digest(payload) when the sender has it already, as
+        one that has just hashed the payload for its tag does; it is only
+        logged. Returns the scheduled envelope, or None when a hook dropped it
         (drops are recorded, never raised).
         """
         # _value_ is the member's value, read without the call Enum's value
         # property makes; the send and deliver records are appended here,
         # one call less each than through record
-        leg, digest = direction._value_, payload_digest(payload)
+        leg = direction._value_
+        if digest is None:
+            digest = payload_digest(payload)
         env = Envelope(payload, now_absolute, now_absolute + self.tau, direction, digest)
         self.log.append(EventRecord(now_absolute, "send", leg, digest))
 

@@ -306,7 +306,13 @@ def _series_from(scenario: Scenario) -> dict:
     if "bep_msq" in diag and diag["bep_msq"]:
         values = np.asarray(diag["bep_msq"])
         top = scenario.config.line.msq_levels["HH"] * 1.5
-        counts, edges = np.histogram(values, bins=24, range=(0.0, top))
+        # np.histogram(values, bins=24, range=(0.0, top)) bin for bin: bins
+        # open on the right but the last, values outside [0, top] dropped,
+        # without its set-up cost for a handful of values
+        edges = np.linspace(0.0, top, 25)
+        bins = np.searchsorted(edges, values, side="right") - 1
+        bins[values == top] = 23
+        counts = np.bincount(bins[(bins >= 0) & (bins < 24)], minlength=24)
         centers = 0.5 * (edges[:-1] + edges[1:])
         series["msq_histogram"] = [[float(c), int(n)] for c, n in zip(centers, counts)]
     return series

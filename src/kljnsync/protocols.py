@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .auth import AuthTag, encrypt_digest, hash_message, verify
-from .bepfile import BepFile, build_bep_file, serialize_bep_file
+from .auth import AuthTag, encrypt_digest, hash_message, verify, verify_digest
+from .bepfile import BepFile, build_bep_file
 from .channel import Direction, Envelope, Scheduler, quantize
 from .errors import ConfigError, InsufficientOverlapError
 from .line import Party, ResistorChoice, simulate_bep
@@ -131,8 +131,12 @@ class FileTransfer:
     file: BepFile
     tag: AuthTag
 
-    def canonical_bytes(self) -> bytes:
-        return serialize_bep_file(self.file, self.tag)
+    def sha256(self):
+        """The SHA-256 state of the transfer as serialize_bep_file writes
+        it: a copy of the record's kept hash, extended by the tag's bytes."""
+        state = self.file.sha256()
+        state.update(self.tag.to_bytes())
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +158,15 @@ def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult
     verdicts: list[bool] = []
 
     def send(msg: SyncMessage, direction: Direction, now: float) -> None:
-        if authenticated:
-            # the tag is not part of the encoding: the sender tags the
-            # message it has just built, before the channel sees it
-            tag = encrypt_digest(hash_message(msg._encoding), ledger)
-            object.__setattr__(msg, "tag", tag)
-        scheduler.send(msg, direction, now)
+        if not authenticated:
+            scheduler.send(msg, direction, now)
+            return
+        # the tag is not part of the encoding: the sender tags the message
+        # it has just built, before the channel sees it, and the digest it
+        # tagged is the one the event log shows
+        digest = hash_message(msg._encoding)
+        object.__setattr__(msg, "tag", encrypt_digest(digest, ledger))
+        scheduler.send(msg, direction, now, digest.hex())
 
     def on_deliver(sched: Scheduler, env: Envelope) -> None:
         nonlocal t1_star, t2_star, t2, shared
@@ -229,10 +236,14 @@ def exchange_files(
     """Swap the two measurement files through the authenticated channel.
 
     Each file crosses with a one-time-pad encrypted hash of its serialized
-    payload; the receiver re-hashes what arrived and compares. The BEP index
-    and line-config digest sit inside the hashed bytes, so a replayed or
-    re-parameterized file is caught even though its tag verifies: each
-    received file must carry file_a's BEP index and the local config digest.
+    payload. The receiver checks the tag against the received record's own
+    hash, which the record computes once from its bytes (BepFile.sha256):
+    the sender's tag, the event log's digest and this check share one
+    SHA-256 pass over each record, and a record Eve forged or replayed is
+    hashed from its own bytes. The BEP index and line-config digest sit
+    inside the hashed bytes, so a replayed or re-parameterized file is
+    caught even though its tag verifies: each received file must carry
+    file_a's BEP index and the local config digest.
 
     Returns (received, problem): received maps each direction to the file
     delivered along it, and problem is "" or the one thing wrong with the
@@ -246,8 +257,7 @@ def exchange_files(
     fresh = True
 
     def tagged(file: BepFile) -> FileTransfer:
-        tag = encrypt_digest(hash_message(file.payload_bytes()), scenario.ledger)
-        return FileTransfer(file, tag)
+        return FileTransfer(file, encrypt_digest(file.sha256().digest(), scenario.ledger))
 
     def on_deliver(sched: Scheduler, env: Envelope) -> None:
         nonlocal fresh
@@ -255,7 +265,7 @@ def exchange_files(
         if not isinstance(transfer, FileTransfer):
             return
         received[env.direction] = transfer.file
-        authentic[env.direction] = verify(transfer.file.payload_bytes(), transfer.tag, scenario.ledger)
+        authentic[env.direction] = verify_digest(transfer.file.sha256().digest(), transfer.tag, scenario.ledger)
         fresh &= transfer.file.bep_index == expected and transfer.file.config_digest == local_digest
 
     sched = scenario.scheduler
@@ -287,7 +297,10 @@ def residual_curve(file_ref: BepFile, file_other: BepFile, r_wire: float) -> tup
     2 sum(a b) + sum(b^2): the cross term of every shift comes from one FFT
     cross-correlation, the energies and the denominator from prefix sums.
     The expansion cancels badly where the residual is small, so the minimum
-    and its two neighbours are computed again directly.
+    and its two neighbours are computed again directly. The records'
+    samples are big-endian views of their payloads; each of the three
+    sample arrays is copied once into native byte order, which every pass
+    then reads without swapping, bit for bit as the views.
 
     Returns (shifts_seconds, residuals), shifts ascending. Raises
     InsufficientOverlapError when no shift leaves half the reference record
@@ -319,7 +332,9 @@ def residual_curve(file_ref: BepFile, file_other: BepFile, r_wire: float) -> tup
     hi = np.minimum(n_ref, n_other - m)
 
     sign = 1.0 if file_ref.party is Party.ALICE else -1.0
-    v_ref, v_other, i_ref = file_ref.voltage_samples, file_other.voltage_samples, file_ref.current_samples
+    v_ref, v_other, i_ref = (
+        np.asarray(x, float) for x in (file_ref.voltage_samples, file_other.voltage_samples, file_ref.current_samples)
+    )
     a = sign * v_ref / r_wire - i_ref
     b = sign * v_other / r_wire
 

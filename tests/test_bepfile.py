@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -279,6 +280,29 @@ def test_a_replaced_record_is_encoded_afresh():
         assert forged.payload_bytes() != record.payload_bytes()
         assert not verify(forged.payload_bytes(), tag, ledger)
         assert replace(forged, voltage_samples=record.voltage_samples) == record
+
+
+def test_a_record_keeps_the_hash_of_its_own_bytes():
+    f = build_bep_file(honest_measurement()[0], CFG)
+    ledger = KeyLedger.generate(4096, 1)
+    tag = encrypt_digest(f.sha256().digest(), ledger)
+    parsed, _ = parse_bep_file(serialize_bep_file(f, tag))
+    volts = f.voltage_samples.copy()
+    volts[7] += 0.25
+    for record in (f, parsed, replace(f, voltage_samples=volts), replace(parsed, bep_index=3)):
+        assert record.sha256().digest() == hashlib.sha256(record.payload_bytes()).digest()
+    assert parsed.sha256().digest() == f.sha256().digest()
+    assert replace(f, voltage_samples=volts).sha256().digest() != f.sha256().digest()
+    # the kept state is handed out as a copy: extending one changes no other
+    kept = f.sha256().digest()
+    copy = f.sha256()
+    copy.update(tag.to_bytes())
+    assert copy.digest() == hashlib.sha256(serialize_bep_file(f, tag)).digest()
+    assert f.sha256().digest() == kept
+    # and it is no init field, so no caller can hand a record a hash
+    with pytest.raises(TypeError):
+        BepFile(f.party, 0, f.sample_rate, 0.0, f.voltage_samples, f.current_samples, f.config_digest,
+                _sha256=hashlib.sha256(b""))
 
 
 def test_records_are_equal_exactly_when_their_payload_bytes_are():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from kljnsync.errors import ConfigError, UnknownParameterError, UnknownSeriesErr
 from kljnsync.harness import (
     RunReport,
     ScenarioConfig,
+    _series_from,
     bundled_scenario_names,
     emit_plot_data,
     load_bundled,
@@ -258,6 +260,27 @@ def test_msq_histogram_series_counts_beps():
     report = run_scenario(load_bundled("replay_attack_c"))
     hist = np.asarray(report.series["msq_histogram"])
     assert int(hist[:, 1].sum()) == len(report.config["protocol"]["k_range"])
+
+
+def test_msq_histogram_is_np_histogram_bit_for_bit():
+    # the series counts as np.histogram does, beyond the bundled inputs:
+    # every edge, top and just past it, and values outside [0, top]
+    rng = np.random.default_rng(2022)
+    for hh in (0.1, 1.0 / 3.0, 4.2e-3, 7.0, 5.000001248750936e-296, 1e300):
+        top = hh * 1.5
+        edges = np.linspace(0.0, top, 25)
+        special = np.concatenate((edges, [np.nextafter(top, np.inf), 2.0 * top, -top, np.nextafter(0.0, -1.0)]))
+        for _ in range(40):
+            n = int(rng.integers(1, 65))
+            values = np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.uniform(-0.1, 1.2, n) * top)
+            fake = SimpleNamespace(
+                diagnostics={"bep_msq": list(values)},
+                config=SimpleNamespace(line=SimpleNamespace(msq_levels={"HH": hh})),
+            )
+            counts, bins = np.histogram(values, bins=24, range=(0.0, top))
+            centers = 0.5 * (bins[:-1] + bins[1:])
+            got = _series_from(fake)["msq_histogram"]
+            assert [(c.hex(), k) for c, k in got] == [(float(c).hex(), int(k)) for c, k in zip(centers, counts)]
 
 
 def test_sweep_offset_across_sample_grid_recovers_everywhere():

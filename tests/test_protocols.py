@@ -15,8 +15,8 @@ from kljnsync.errors import (
     InsufficientOverlapError,
     KeyExhaustedError,
 )
-from kljnsync import protocols
-from kljnsync.harness import ScenarioConfig, load_bundled
+from kljnsync import bepfile, protocols
+from kljnsync.harness import ScenarioConfig, load_bundled, run_scenario
 from kljnsync.line import LineConfig, Party, ResistorChoice, simulate_bep
 from kljnsync.protocols import (
     MessageKind,
@@ -228,6 +228,10 @@ def test_exchange_files_flags_altered_sample():
     assert problem == "authentication failed"
     assert received[Direction.A_TO_B] != fa  # Alice's file crossed A->B tampered
     assert received[Direction.B_TO_A] == fb
+    # the forged record's hash, which the receiver checked, is of its own
+    # bytes, though Alice's record was hashed for its tag before Eve saw it
+    forged = received[Direction.A_TO_B]
+    assert forged.sha256().digest() == hashlib.sha256(forged.payload_bytes()).digest() != fa.sha256().digest()
 
 
 def test_exchange_files_detects_replay():
@@ -564,6 +568,37 @@ def test_protocol_c_flags_replayed_file():
     res = protocol_c(sc)
     assert res.attack_flag is True
     assert "stale" in res.detail
+
+
+@pytest.mark.parametrize(
+    "name, k_range, passes",
+    [("honest_protocol_c", (0,), 2), ("honest_protocol_c", (0, 1, 2, 3), 8), ("file_tamper_c", (0,), 3)],
+)
+def test_protocol_c_hashes_each_record_once(name, k_range, passes, monkeypatch):
+    # the sender's tag, the event log's digest and the receiver's check share
+    # one SHA-256 pass over each record; a forged record is hashed once more
+    cfg = load_bundled(name)
+    cfg = replace(cfg, protocol=replace(cfg.protocol, k_range=k_range))
+    meas = simulate_bep(ResistorChoice.L, ResistorChoice.H, cfg.line, seed=0)[0]
+    record_size = len(build_bep_file(meas, cfg.line).payload_bytes())
+    sha256, serialize = hashlib.sha256, serialize_bep_file
+    sizes, serialized = [], []
+
+    def counted_sha256(data=b"", **kwargs):
+        sizes.append(memoryview(data).nbytes)
+        return sha256(data, **kwargs)
+
+    def counted_serialize(*args, **kwargs):
+        serialized.append(args)
+        return serialize(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counted_sha256)
+    monkeypatch.setattr(bepfile, "serialize_bep_file", counted_serialize)
+    monkeypatch.setattr(protocols, "serialize_bep_file", counted_serialize, raising=False)
+    report = run_scenario(cfg)
+    assert report.result["attack_flag"] is (name == "file_tamper_c")
+    assert sum(size >= record_size for size in sizes) == passes
+    assert serialized == []
 
 
 def test_protocol_c_flags_disagreeing_shift_estimates(monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 ALLOWED = {
     "line_config": "perfbench/workloads.py reads a config's line through it",
     "parse_bep_file": "perfbench/workloads.py reads its records back with it",
+    "serialize_bep_file": "perfbench/workloads.py writes its records with it, and its wire count wraps it",
     "msq_current": "the planned noise-floor estimate reads a record's current level",
 }
 
@@ -18,6 +19,7 @@ UNREAD_FIELDS = {
 # defaulted parameters no call in the package sets, each kept for one caller outside it
 UNSET_DEFAULTS = {
     ("main", "argv"): "the CLI entry point: the console script passes nothing, the tests their own arguments",
+    ("serialize_bep_file", "tag"): "perfbench/workloads.py writes tagged records, and the tests untagged ones too",
 }
 
 
