@@ -1,11 +1,11 @@
-"""Clock quantization and a deterministic message channel.
+"""The parties' clocks and a deterministic message channel.
 
-Absolute time is a real-valued quantity owned by the scheduler. Alice's
-clock is the master and reads absolute time; Bob's reads it plus a
-constant offset (Scenario.bob_offset). Messages cross the channel with one
-honest propagation delay in either direction and may be intercepted by
-adversary hooks that rewrite, delay, or drop them in flight; only hooks
-make the channel asymmetric. Every hook action is recorded in the event
+Absolute time is a real-valued quantity owned by the scheduler. Each party
+reads it through its own Clock: Alice's is the master and reads absolute
+time; Bob's reads it plus a constant offset (Scenario.bob_clock). Messages
+cross the channel with one honest propagation delay in either direction
+and may be intercepted by adversary hooks that rewrite, delay, or drop
+them in flight; only hooks make the channel asymmetric. Every hook action is recorded in the event
 log, so no mutation is silent.
 
 Event processing is single-threaded and fully ordered: envelopes deliver in
@@ -28,11 +28,23 @@ from .errors import ConfigError, LivelockError
 EVENT_BUDGET = 1_000_000
 
 
-def quantize(t: float, resolution: float) -> float:
-    """Round a timestamp to the clock resolution; 0 disables."""
-    if not resolution:
-        return t
-    return round(t / resolution) * resolution
+class Clock(NamedTuple):
+    """A party's clock: absolute time plus offset, rounded to steps of
+    resolution seconds (0 disables the rounding)."""
+
+    offset: float
+    resolution: float
+
+    def read(self, t: float) -> float:
+        """The clock's reading at absolute time t."""
+        local = t + self.offset
+        if not self.resolution:
+            return local
+        return round(local / self.resolution) * self.resolution
+
+    def corrected(self, estimate: float) -> Clock:
+        """The clock with an estimate of its offset taken off."""
+        return Clock(self.offset - estimate, self.resolution)
 
 
 class Direction(enum.Enum):

@@ -202,9 +202,11 @@ class RunReport:
     event_log_digest: str
     key_bits_consumed: int
     series: dict = field(default_factory=dict)
-    # informational, and not part of the canonical form: the run's time and
-    # the scheduler log that event_log_digest is the sha256 of
+    # informational, and not part of the canonical form: the run's time,
+    # Bob's remaining clock error (None for a report read back from JSON)
+    # and the scheduler log that event_log_digest is the sha256 of
     wall_seconds: float = 0.0
+    clock_error: float | None = None
     event_log: str = field(default="", repr=False)
 
     @functools.cached_property
@@ -288,6 +290,8 @@ class RunReport:
                 lines.append(f"  {key} = {res[key]:.9g}")
         lines.append(f"  auth_ok = {res['auth_ok']}")
         lines.append(f"  key bits consumed = {self.key_bits_consumed}")
+        if self.clock_error is not None:
+            lines.append(f"  clock error = {self.clock_error!r} s")
         lines.append(f"  wall time = {self.wall_seconds:.3f} s")
         return "\n".join(lines)
 
@@ -324,6 +328,11 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     scenario = config.build_scenario()
     runners = {"A": protocol_a, "B": protocol_b, "C": protocol_c, "Combined": combined_check}
     result = runners[config.protocol.kind](scenario)
+    # C corrects Bob's clock itself; A and B leave the error he would keep
+    # if he applied their estimate
+    bob = scenario.bob_clock
+    if config.protocol.kind in ("A", "B") and result.t0_est is not None:
+        bob = bob.corrected(result.t0_est)
 
     event_log = format_event_log(scenario.scheduler.log)
     return RunReport(
@@ -336,6 +345,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         key_bits_consumed=int(scenario.ledger.consumed),
         series=_series_from(scenario),
         wall_seconds=time.perf_counter() - start,
+        clock_error=bob.offset,
         event_log=event_log,
     )
 

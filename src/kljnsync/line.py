@@ -244,7 +244,10 @@ def simulate_bep(
 
     with current positive in the Alice-to-Bob direction, and returns both
     parties' measurements stamped with their local clocks: Alice holds the
-    master clock, and Bob's runs offset_B ahead of it.
+    master clock, and Bob's runs offset_B ahead of it. offset_B is Bob's
+    clock offset (Scenario.bob_clock.offset), a float and not his Clock,
+    and his record's stamp is not rounded: perfbench/workloads.py calls
+    this function with offset_B by name.
 
     r_wire_schedule is a list of (absolute_time, new_R_wire) step changes,
     the hook line-modification attacks use; samples at or after a step time

@@ -37,7 +37,7 @@ import numpy as np
 
 from .auth import AuthTag, encrypt_digest, hash_message, verify, verify_digest
 from .bepfile import BepFile, build_bep_file
-from .channel import Direction, Envelope, Scheduler, quantize
+from .channel import Direction, Envelope, Scheduler
 from .errors import ConfigError, InsufficientOverlapError
 from .line import Party, ResistorChoice, simulate_bep
 from .noise import derive_seed
@@ -150,9 +150,9 @@ def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult
     authenticated = kind == "B"
     # read once per run, not once per message
     ledger, scheduler = scenario.ledger, scenario.scheduler
-    resolution = scenario.config.clock.quantization
+    alice, bob = scenario.alice_clock, scenario.bob_clock
     processing_delay = scenario.config.channel.processing_delay
-    t1 = quantize(start_absolute, resolution)
+    t1 = alice.read(start_absolute)
     t1_star = t2_star = t2 = None
     shared = False  # a Share is sent only once every timestamp is known
     verdicts: list[bool] = []
@@ -178,18 +178,17 @@ def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult
         now = env.deliver_absolute
         if msg.kind is MessageKind.TIME_STAMP:
             # at Bob: note arrival, think, respond with both of his stamps
-            offset = scenario.bob_offset
             respond_at = now + processing_delay
             reply = SyncMessage(
                 MessageKind.RESPONSE,
-                t1_star=quantize(now + offset, resolution),
-                t2_star=quantize(respond_at + offset, resolution),
+                t1_star=bob.read(now),
+                t2_star=bob.read(respond_at),
             )
             send(reply, Direction.B_TO_A, respond_at)
         elif msg.kind is MessageKind.RESPONSE:
             # at Alice: record her arrival time and share it
             t1_star, t2_star = msg.t1_star, msg.t2_star
-            t2 = quantize(now, resolution)
+            t2 = alice.read(now)
             send(SyncMessage(MessageKind.SHARE, t2=t2), Direction.A_TO_B, now)
         else:
             shared = True
@@ -405,7 +404,7 @@ def run_bep(scenario: Scenario, k: int):
         derive_seed(scenario.config.seed, _SEED_BEP, k),
         bep_index=k,
         start_absolute=t_k,
-        offset_B=scenario.bob_offset,
+        offset_B=scenario.bob_clock.offset,
         r_wire_schedule=scenario.r_wire_schedule or None,
     )
     scenario.scheduler.record(t_k, "bep")
@@ -482,7 +481,7 @@ def protocol_c(scenario: Scenario) -> SyncResult:
         )
 
     # Bob, the non-master, corrects his clock
-    scenario.bob_offset -= t0_est
+    scenario.bob_clock = scenario.bob_clock.corrected(t0_est)
     return SyncResult("C", t0_est, None, best, auth_ok=True, attack_flag=False)
 
 

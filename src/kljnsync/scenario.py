@@ -2,9 +2,9 @@
 
 A Scenario holds the validated config it was built from, which the
 protocols and attacks read their parameters from, and the state derived
-deterministically from it: Bob's clock offset, the scheduled channel and
-the shared key ledger. Scenarios are isolated values; any number of them
-can run concurrently as long as each is driven by one thread.
+deterministically from it: the two parties' clocks, the scheduled channel
+and the shared key ledger. Scenarios are isolated values; any number of
+them can run concurrently as long as each is driven by one thread.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .auth import KeyLedger
-from .channel import Scheduler
+from .channel import Clock, Scheduler
 
 if TYPE_CHECKING:  # harness imports this module
     from .harness import ScenarioConfig
@@ -22,9 +22,10 @@ if TYPE_CHECKING:  # harness imports this module
 @dataclass
 class Scenario:
     config: ScenarioConfig
-    # Bob's clock reads absolute time plus bob_offset; Alice's, the master,
-    # reads absolute time. Protocol C corrects it.
-    bob_offset: float
+    # Alice's clock, the master, reads absolute time; Bob's reads it plus
+    # his offset. Protocol C corrects Bob's.
+    alice_clock: Clock
+    bob_clock: Clock
     scheduler: Scheduler
     ledger: KeyLedger
     # line-modification attack state (consulted by the BEP simulation)
@@ -38,12 +39,13 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
     afterwards (ScenarioConfig.build_scenario does both).
 
     Alice holds the master clock; Bob's clock is off by the constant
-    clock.t0. Both channel directions carry the same honest delay
-    channel.tau.
+    clock.t0. Both read in steps of clock.quantization. Both channel
+    directions carry the same honest delay channel.tau.
     """
     return Scenario(
         config=config,
-        bob_offset=config.clock.t0,
+        alice_clock=Clock(0.0, config.clock.quantization),
+        bob_clock=Clock(config.clock.t0, config.clock.quantization),
         scheduler=Scheduler(config.channel.tau),
         ledger=KeyLedger.generate(config.key_bits, config.seed),
     )

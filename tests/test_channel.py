@@ -1,9 +1,10 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from kljnsync import channel
-from kljnsync.channel import Direction, Envelope, Scheduler, format_event_log, quantize
+from kljnsync.channel import Clock, Direction, Envelope, Scheduler, format_event_log
 from kljnsync.errors import ConfigError, LivelockError
 from kljnsync.harness import load_bundled
 from kljnsync.protocols import protocol_a
@@ -14,20 +15,53 @@ def test_local_time_is_offset_translation():
     config = load_bundled("honest_protocol_a")
     q, t0 = config.clock.quantization, config.clock.t0
     sc = config.build_scenario()
+    alice, bob = Clock(0.0, q), Clock(t0, q)
+    assert (sc.alice_clock, sc.bob_clock) == (alice, bob)
     seen = []  # (message, arrival) of every envelope; the hook passes each on
     sc.scheduler.hooks.append(lambda env, sched: seen.append((env.payload, env.deliver_absolute)) or env)
     protocol_a(sc)
     (stamp, at_bob), (response, at_alice), (share, _) = seen
     assert stamp.t1 == 0.0 and t0 > 1000 * q
-    assert response.t1_star == quantize(at_bob + t0, q)
-    assert response.t2_star == quantize(at_bob + config.channel.processing_delay + t0, q)
-    assert share.t2 == quantize(at_alice, q)
+    assert response.t1_star == bob.read(at_bob)
+    assert response.t2_star == bob.read(at_bob + config.channel.processing_delay)
+    assert share.t2 == alice.read(at_alice)
 
 
-def test_quantize():
-    assert quantize(1.0000004, 1e-6) == pytest.approx(1.0, abs=1e-12)
-    assert quantize(1.0000006, 1e-6) == pytest.approx(1.000001, abs=1e-12)
-    assert quantize(1.23456789, 0) == 1.23456789
+def test_a_clock_rounds_to_its_resolution():
+    assert Clock(0.0, 1e-6).read(1.0000004) == pytest.approx(1.0, abs=1e-12)
+    assert Clock(0.0, 1e-6).read(1.0000006) == pytest.approx(1.000001, abs=1e-12)
+    assert Clock(0.0, 0).read(1.23456789) == 1.23456789
+    assert Clock(0.5, 0).read(1.25) == 1.75
+
+
+def _quantize(t: float, q: float) -> float:
+    # the reference a clock's reading must match bit for bit: round to q, 0 disables
+    return round(t / q) * q if q else t
+
+
+def test_a_clock_reads_as_quantizing_offset_time_bit_for_bit():
+    rng = np.random.default_rng(33)
+    times = np.concatenate(([0.0, 1e-12, 0.5, 1.0, 1e6], rng.uniform(0.0, 1e3, 200), rng.exponential(1e-3, 200)))
+    offsets = [0.0, -0.0, 3.5e-5, -3.5e-5, 0.005, -0.002, 1e9, -1e9, *rng.uniform(-1.0, 1.0, 8)]
+    for q in (0.0, 1e-12, 1e-9, 1e-6):
+        for offset in map(float, offsets):
+            clock = Clock(offset, q)
+            for t in times.tolist():
+                assert clock.read(t).hex() == _quantize(t + offset, q).hex(), (t, offset, q)
+            # a correction is the plain subtraction
+            estimate = float(rng.uniform(-1e-3, 1e-3))
+            assert clock.corrected(estimate) == Clock(offset - estimate, q)
+
+
+def test_alices_clock_differs_from_the_bare_time_only_at_minus_zero():
+    # Alice's read adds her +0.0 offset to the time; with no rounding,
+    # -0.0 + 0.0 is +0.0, the one input on which her reading and the bare
+    # time differ. No run reads -0.0: every run starts at
+    # +0.0, and delays are never negative.
+    assert Clock(0.0, 0.0).read(-0.0).hex() == "0x0.0p+0"
+    assert _quantize(-0.0, 0.0).hex() == "-0x0.0p+0"
+    for q in (1e-12, 1e-9, 1e-6):
+        assert Clock(0.0, q).read(-0.0).hex() == _quantize(-0.0, q).hex() == "0x0.0p+0"
 
 
 def test_honest_send_is_pure_delay():

@@ -95,6 +95,25 @@ def test_run_delay_attack_b_documents_the_weakness():
     assert report.result["tau_est"] == pytest.approx(cfg["channel"]["tau"] + delta / 2, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        ("honest_protocol_c", 0.0),  # C corrected Bob's clock
+        ("honest_combined", 0.0),
+        ("file_tamper_c", 3.5e-05),  # flagged: C corrected nothing, so t0 is left
+        ("delay_attack_b", 0.002),  # unflagged: d/2 of the 4 ms delay, as criterion 4 states
+    ],
+)
+def test_a_run_states_the_clock_error_it_leaves(name, error):
+    report = run_scenario(load_bundled(name))
+    assert report.clock_error == error
+    assert f"  clock error = {error!r} s\n" in report.summary()
+    # informational: the canonical form does not carry it, and a report read
+    # back from it does not know it
+    assert "clock_error" not in report.canonical_json()
+    assert RunReport.from_json(report.canonical_json()).clock_error is None
+
+
 def test_report_is_self_describing_and_round_trips():
     report = run_scenario(load_bundled("honest_protocol_c"))
     text = report.canonical_json()
@@ -429,7 +448,7 @@ def test_every_result_value_is_a_plain_json_scalar():
     # protocols must hand over Python scalars, never numpy ones
     reports = [run_scenario(load_bundled(name)) for name in bundled_scenario_names()]
     reports += sweep(load_bundled("honest_combined"), "clock.t0", [0.0, 2e-5, 3.5e-5])
-    # with no clock rounding, quantize hands its input back as it is
+    # with no clock rounding, a clock hands back its offset time as it is
     reports += sweep(load_bundled("honest_combined"), "clock.quantization", [0.0])
     assert len(reports) == 16
     types = {(key, type(value)) for r in reports for key, value in r.result.items()}

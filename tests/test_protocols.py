@@ -481,7 +481,7 @@ def test_protocol_c_honest_recovers_and_corrects():
     assert res.t0_est == pytest.approx(t0, abs=1.0 / FS)
     assert res.tau_est is None  # this protocol cannot see tau
     assert res.residual < 1e-4
-    assert abs(sc.bob_offset) < 1.0 / FS
+    assert abs(sc.bob_clock.offset) < 1.0 / FS
 
 
 def test_protocol_c_multi_bep_pooling():
@@ -500,7 +500,7 @@ def test_protocol_c_multi_bep_pooling_with_a_sub_sample_offset():
     assert res.attack_flag is False, res.detail
     assert res.t0_est == pytest.approx(t0, abs=1.0 / FS)
     assert res.residual < 1e-4
-    assert abs(sc.bob_offset) < 1.0 / FS
+    assert abs(sc.bob_clock.offset) < 1.0 / FS
 
 
 @pytest.mark.parametrize("samples", [7.3, -0.5, 150.0, -901.7])
@@ -526,7 +526,7 @@ def test_protocol_c_estimate_is_the_offset_on_aligned_records():
         sc = scenario(seed=seed, t0=t0, protocol=ProtocolConfig("C"))
         res = protocol_c(sc)
         assert res.attack_flag is False, res.detail
-        assert res.t0_est == t0 and sc.bob_offset == 0.0
+        assert res.t0_est == t0 and sc.bob_clock.offset == 0.0
 
 
 def test_protocol_c_pooled_estimate_is_the_offset_to_round_off():
@@ -550,7 +550,7 @@ def test_protocol_c_estimate_survives_an_undetected_wire_change():
         sc = scenario(seed=seed, t0=t0, protocol=ProtocolConfig("C"), attacks=(change,))
         res = protocol_c(sc)
         assert res.attack_flag is False, res.detail
-        assert res.t0_est == t0 and sc.bob_offset == 0.0
+        assert res.t0_est == t0 and sc.bob_clock.offset == 0.0
 
 
 def test_protocol_c_flags_tampered_file_and_skips_correction():
@@ -559,7 +559,7 @@ def test_protocol_c_flags_tampered_file_and_skips_correction():
     res = protocol_c(sc)
     assert res.attack_flag is True and res.auth_ok is False
     assert res.t0_est is None
-    assert sc.bob_offset == pytest.approx(t0)  # uncorrected
+    assert sc.bob_clock.offset == pytest.approx(t0)  # uncorrected
 
 
 def test_protocol_c_flags_replayed_file():
@@ -616,7 +616,7 @@ def test_protocol_c_flags_disagreeing_shift_estimates(monkeypatch):
     res = protocol_c(sc)
     assert res.attack_flag is True and res.detail == "parties' shift estimates disagree"
     assert res.t0_est == alice_estimate
-    assert sc.bob_offset == t0  # uncorrected
+    assert sc.bob_clock.offset == t0  # uncorrected
 
 
 def test_protocol_c_flags_line_modification():
@@ -645,7 +645,7 @@ def test_protocol_c_flags_either_partys_flat_curve(monkeypatch, flat):
     assert res.t0_est is None
     assert 0.5 <= res.residual < 0.5 + 1e-4
     assert res.detail == f"no shift explains the data (residual {res.residual:.3e})"
-    assert sc.bob_offset == t0  # uncorrected
+    assert sc.bob_clock.offset == t0  # uncorrected
 
 
 def test_combined_check_honest_passes():

@@ -122,3 +122,35 @@ def test_every_module_level_import_is_used_in_its_module():
         named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - named)]
     assert unused == [], f"imported, never used: {unused}"
+
+
+def test_protocols_read_clocks_only_through_a_clock():
+    # protocols.py rounds no time and adds or takes off no offset by hand:
+    # every reading goes through the parties' Clock values, and a clock's
+    # raw offset is read only where run_bep hands it to simulate_bep
+    path = Path(__file__).resolve().parents[1] / "src" / "kljnsync" / "protocols.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def name(node: ast.AST):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "quantize" or isinstance(node, ast.alias) and node.name == "quantize":
+            found.append(f"line {node.lineno}: names quantize")
+        if isinstance(node, ast.Attribute) and node.attr in ("quantization", "bob_offset"):
+            found.append(f"line {node.lineno}: reads .{node.attr}")
+        operands = (node.left, node.right) if isinstance(node, ast.BinOp) else ()
+        operands += (node.target, node.value) if isinstance(node, ast.AugAssign) else ()
+        if any(name(operand) in ("offset", "t0") for operand in operands):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert found == [], f"clock arithmetic in protocols.py: {found}"
+
+    readers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "offset"
+    }
+    assert readers == {"run_bep"}
