@@ -57,6 +57,9 @@ def key_pad(seed: int, nbytes: int) -> bytes:
     return (_kept_pad if nbytes <= PAD_MEMO_BYTES else _draw_pad)(seed, nbytes)
 
 
+# The spans and tags a run builds are made with tuple.__new__(Type, fields):
+# the very value Type(*fields) gives, without the Python frame of the
+# NamedTuple's generated __new__.
 class KeySpan(NamedTuple):
     """Identifies consumed key bits: bit offset and bit count."""
 
@@ -77,7 +80,7 @@ class AuthTag(NamedTuple):
         if len(blob) < 17:
             raise ConfigError("auth tag: too short to contain a span")
         offset, length = struct.unpack(">QQ", blob[-16:])
-        return cls(blob[:-16], KeySpan(offset, length))
+        return tuple.__new__(cls, (blob[:-16], tuple.__new__(KeySpan, (offset, length))))
 
 
 class KeyLedger:
@@ -108,6 +111,8 @@ class KeyLedger:
         """The key bits of span, as a tag's sender took them; never consumes.
         The pad is drawn here, on the ledger's first read."""
         offset, length = span
+        if offset < 0 or length < 0:
+            raise UnknownSpanError("key spans must not have a negative offset or length")
         if offset % 8 or length % 8:
             raise UnknownSpanError("key spans must be byte aligned")
         end = offset + length
@@ -121,12 +126,13 @@ class KeyLedger:
     def take(self, n_bits: int) -> tuple[KeySpan, bytes]:
         """Consume the next n_bits. Raises KeyExhaustedError when the ledger
         cannot cover them (the deployment must re-key), and UnknownSpanError
-        for a count that is not whole bytes; either leaves it unchanged."""
+        for a count that is negative or not whole bytes; either leaves it
+        unchanged."""
         if n_bits > self.bit_length - self.consumed:
             raise KeyExhaustedError(
                 f"need {n_bits} key bits, only {self.remaining_bits} remain"
             )
-        span = KeySpan(self.consumed, n_bits)
+        span = tuple.__new__(KeySpan, (self.consumed, n_bits))
         pad = self.read(span)
         self.consumed += n_bits
         return span, pad
@@ -143,7 +149,8 @@ def encrypt_digest(digest: bytes, ledger: KeyLedger) -> AuthTag:
     bytes."""
     n = len(digest)
     span, pad = ledger.take(8 * n)  # n bytes of pad
-    return AuthTag((int.from_bytes(digest, "big") ^ int.from_bytes(pad, "big")).to_bytes(n, "big"), span)
+    ciphertext = (int.from_bytes(digest, "big") ^ int.from_bytes(pad, "big")).to_bytes(n, "big")
+    return tuple.__new__(AuthTag, (ciphertext, span))
 
 
 def verify_digest(digest: bytes, tag: AuthTag, ledger_view: KeyLedger) -> bool:

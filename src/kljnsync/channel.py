@@ -28,6 +28,9 @@ from .errors import ConfigError, LivelockError
 EVENT_BUDGET = 1_000_000
 
 
+# The clocks and event records a run builds are made with
+# tuple.__new__(Type, fields): the very value Type(*fields) gives, without
+# the Python frame of the NamedTuple's generated __new__.
 class Clock(NamedTuple):
     """A party's clock: absolute time plus offset, rounded to steps of
     resolution seconds (0 disables the rounding)."""
@@ -44,7 +47,7 @@ class Clock(NamedTuple):
 
     def corrected(self, estimate: float) -> Clock:
         """The clock with an estimate of its offset taken off."""
-        return Clock(self.offset - estimate, self.resolution)
+        return tuple.__new__(Clock, (self.offset - estimate, self.resolution))
 
 
 class Direction(enum.Enum):
@@ -88,7 +91,7 @@ def payload_digest(payload: object) -> str:
 
 def format_event_log(log: list[EventRecord]) -> str:
     """One event per line: absolute time, direction, kind, payload digest."""
-    return "".join(f"{rec.absolute:.9f} {rec.direction} {rec.kind} {rec.digest}\n" for rec in log)
+    return "".join([f"{absolute:.9f} {direction} {kind} {digest}\n" for absolute, kind, direction, digest in log])
 
 
 class Scheduler:
@@ -109,7 +112,7 @@ class Scheduler:
 
     def record(self, absolute: float, kind: str, direction: str = "-", digest: str = "-") -> None:
         """Log an event; digest is its payload's payload_digest, "-" for none."""
-        self.log.append(EventRecord(absolute, kind, direction, digest))
+        self.log.append(tuple.__new__(EventRecord, (absolute, kind, direction, digest)))
 
     def send(
         self, payload: object, direction: Direction, now_absolute: float, digest: Optional[str] = None
@@ -128,7 +131,7 @@ class Scheduler:
         if digest is None:
             digest = payload_digest(payload)
         env = Envelope(payload, now_absolute, now_absolute + self.tau, direction, digest)
-        self.log.append(EventRecord(now_absolute, "send", leg, digest))
+        self.log.append(tuple.__new__(EventRecord, (now_absolute, "send", leg, digest)))
 
         for hook in self.hooks:
             before_payload = env.payload
@@ -158,6 +161,7 @@ class Scheduler:
             if processed > EVENT_BUDGET:
                 raise LivelockError(f"event budget of {EVENT_BUDGET} exceeded")
             env = heapq.heappop(queue)[2]
-            log.append(EventRecord(env.deliver_absolute, "deliver", env.direction._value_, env.digest))
+            record = (env.deliver_absolute, "deliver", env.direction._value_, env.digest)
+            log.append(tuple.__new__(EventRecord, record))
             on_deliver(self, env)
         return self.log

@@ -93,6 +93,32 @@ def test_an_unaligned_take_leaves_the_ledger_as_it_was():
     assert ledger.take(8)[0] == KeySpan(0, 8)
 
 
+def test_a_negative_take_leaves_the_ledger_as_it_was():
+    # a negative count would hand out a span that runs backwards, and move
+    # the counter back over bits later tags would then spend again
+    ledger = KeyLedger.generate(512, 9)
+    with pytest.raises(UnknownSpanError):
+        ledger.take(-8)
+    assert ledger.consumed == 0
+    assert ledger.take(8)[0] == KeySpan(0, 8)
+
+
+@pytest.mark.parametrize("span", [KeySpan(-8, 256), KeySpan(0, -256), KeySpan(-8, -8)])
+def test_a_span_with_a_negative_offset_or_length_is_unknown(span):
+    ledger = KeyLedger.generate(512, 9)
+    with pytest.raises(UnknownSpanError):
+        ledger.read(span)
+
+
+def test_a_bare_digest_under_a_negative_span_does_not_verify():
+    # the pad of [-8, 248) would slice to nothing, and a digest XOR nothing
+    # is the digest, so an unencrypted digest would pass as its own tag
+    ledger = KeyLedger.generate(512, 9)
+    digest = hash_message(b"p")
+    with pytest.raises(UnknownSpanError):
+        auth.verify_digest(digest, AuthTag(digest, KeySpan(-8, 256)), ledger)
+
+
 def test_forged_tags_never_verify():
     ledger = make_ledger(n_bits=512)
     payload = b"file contents"

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from pinned import indented_report_digest
 
+from kljnsync import protocols
 from kljnsync.adversaries import AsymDelay, Substitute
+from kljnsync.auth import AuthTag, KeyLedger, KeySpan
+from kljnsync.channel import Clock, EventRecord
 from kljnsync.config import ClockConfig, ProtocolConfig
 from kljnsync.errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from kljnsync.harness import (
@@ -568,3 +571,52 @@ def test_sweep_takes_list_items_by_their_position_only():
     # "-1" is no position: the edited attack would run beside the base one
     with pytest.raises(UnknownParameterError):
         sweep(load_bundled("delay_attack_a"), "attacks.-1.delta", [1e-3])
+
+
+# bundled runs, and how many EventRecord, KeySpan, AuthTag and Clock values
+# each builds
+BUILT = {"honest_protocol_a": 9, "honest_protocol_b": 15, "delay_attack_b": 16, "honest_combined": 24}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_the_run_path_builds_its_named_tuples_in_one_call(name, monkeypatch):
+    # each is made with tuple.__new__(Type, fields), never through the
+    # generated __new__ that Type(*fields) calls, and is the value that gives
+    calls, built, scenarios = [], [], []
+
+    def kept(method, cls, pick=lambda value: value):
+        def spy(*args):
+            value = method(*args)
+            built.append((cls, pick(value)))
+            return value
+
+        return spy
+
+    def build_scenario(config, build=ScenarioConfig.build_scenario):
+        scenario = build(config)
+        scenarios.append(scenario)
+        built.extend([(Clock, scenario.alice_clock), (Clock, scenario.bob_clock)])
+        return scenario
+
+    with monkeypatch.context() as patch:
+        for cls in (EventRecord, KeySpan, AuthTag, Clock):
+
+            def counted(cls, *fields, generated=cls.__new__):
+                calls.append(cls.__name__)
+                return generated(cls, *fields)
+
+            patch.setattr(cls, "__new__", counted)
+        patch.setattr(ScenarioConfig, "build_scenario", build_scenario)
+        patch.setattr(Clock, "corrected", kept(Clock.corrected, Clock))
+        patch.setattr(KeyLedger, "take", kept(KeyLedger.take, KeySpan, lambda taken: taken[0]))
+        patch.setattr(protocols, "encrypt_digest", kept(protocols.encrypt_digest, AuthTag))
+        run_scenario(load_bundled(name))
+    assert calls == []
+
+    (scenario,) = scenarios
+    built += [(EventRecord, rec) for rec in scenario.scheduler.log]
+    assert len(built) == BUILT[name]
+    for cls, value in built:
+        ordinary = cls(*value)
+        assert type(value) is cls
+        assert (value, repr(value), hash(value)) == (ordinary, repr(ordinary), hash(ordinary))
