@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Annotated, Literal, Optional, Union
 import numpy as np
 
 from .auth import AuthTag
-from .channel import Direction, Envelope, Scheduler
+from .channel import Direction, Envelope
 from .config import MAX_SECONDS, Section, ge, within
 from .errors import InconsistentStateError
 from .line import BepMeasurement, BitState, LineConfig, classify_bep
@@ -166,7 +166,7 @@ Attack = Union[AsymDelay, Substitute, LineMod]
 
 
 def _asym_delay_hook(leg: Direction, delta: float):
-    def hook(env: Envelope, sched: Scheduler):
+    def hook(env: Envelope):
         if env.direction is leg:
             env.deliver_absolute += delta
         return env
@@ -175,7 +175,7 @@ def _asym_delay_hook(leg: Direction, delta: float):
 
 
 def _substitute_message_hook(spec: Substitute, rng: Optional[np.random.Generator]):
-    def hook(env: Envelope, sched: Scheduler):
+    def hook(env: Envelope):
         msg = env.payload
         if not isinstance(msg, SyncMessage) or msg.kind.value != spec.target:
             return env
@@ -194,7 +194,7 @@ def _substitute_file_hook(spec: Substitute, rng: Optional[np.random.Generator]):
     direction = Direction(spec.direction)
     memory: list[FileTransfer] = []
 
-    def hook(env: Envelope, sched: Scheduler):
+    def hook(env: Envelope):
         transfer = env.payload
         if not isinstance(transfer, FileTransfer) or env.direction is not direction:
             return env
@@ -221,7 +221,7 @@ def _substitute_file_hook(spec: Substitute, rng: Optional[np.random.Generator]):
 
 
 def _tau_mod_hook(new_tau: float, at_time: float):
-    def hook(env: Envelope, sched: Scheduler):
+    def hook(env: Envelope):
         if env.sent_absolute >= at_time:
             env.deliver_absolute = env.sent_absolute + new_tau
         return env

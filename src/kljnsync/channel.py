@@ -105,7 +105,7 @@ class Scheduler:
 
     def __init__(self, tau: float):
         self.tau = tau
-        self.hooks: list[Callable[[Envelope, Scheduler], Optional[Envelope]]] = []
+        self.hooks: list[Callable[[Envelope], Optional[Envelope]]] = []
         self.log: list[EventRecord] = []
         self._queue: list[tuple[float, int, Envelope]] = []
         self._seq = 0
@@ -136,7 +136,7 @@ class Scheduler:
         for hook in self.hooks:
             before_payload = env.payload
             before_deliver = env.deliver_absolute
-            result = hook(env, self)
+            result = hook(env)
             if result is None:
                 self.record(env.deliver_absolute, "attack-drop", leg, env.digest)
                 return None
@@ -154,7 +154,7 @@ class Scheduler:
         self._seq += 1
         return env
 
-    def run_until_idle(self, on_deliver: Callable[["Scheduler", Envelope], None]) -> list[EventRecord]:
+    def run_until_idle(self, on_deliver: Callable[[Envelope], None]) -> list[EventRecord]:
         queue, log, processed = self._queue, self.log, 0
         while queue:
             processed += 1
@@ -163,5 +163,5 @@ class Scheduler:
             env = heapq.heappop(queue)[2]
             record = (env.deliver_absolute, "deliver", env.direction._value_, env.digest)
             log.append(tuple.__new__(EventRecord, record))
-            on_deliver(self, env)
+            on_deliver(env)
         return self.log

@@ -54,13 +54,18 @@ class ScenarioConfig(Section):
 
     def problems(self) -> list[str]:
         problems = []
-        # the line changes, as (n, quantity, instant); one scheduled for a BEP
-        # the protocol never records would never fire, and the run would
-        # report clean
+        # the line changes, as (n, quantity, instant); a wire change where
+        # no BEP is recorded, or one scheduled for a BEP the protocol never
+        # records, would never fire, and the run would report clean
         changes = []
+        kind = self.protocol.kind
         for n, attack in enumerate(self.attacks):
             if not isinstance(attack, LineMod):
                 continue
+            if attack.tau is None and kind not in ("C", "Combined"):
+                problems.append(
+                    f"attacks.{n}: a wire change needs protocol C or Combined; protocol {kind} records none"
+                )
             if attack.at_bep is None or attack.at_bep in self.protocol.k_range:
                 changes.append((n, "R_wire" if attack.tau is None else "tau", attack.instant(self)))
             else:
@@ -72,7 +77,6 @@ class ScenarioConfig(Section):
                 problems.append(f"attacks.{n}: changes {quantity} at t = {at!r} s, as attacks.{m} does")
         # a substitution the protocol never gives a chance to act would run
         # as the honest run does, byte for byte, and report clean
-        kind = self.protocol.kind
         for n, attack in enumerate(self.attacks):
             if not isinstance(attack, Substitute):
                 continue
@@ -133,16 +137,18 @@ class ScenarioConfig(Section):
                 )
         if kind != "C":
             # the two-way exchange (for Combined, the probe after the last
-            # BEP) reads the clocks up to |t0| + 2 tau + processing_delay
-            # after it starts; where floats step by more than a fraction of
-            # the clock quantum, an honest run's estimates drift by quanta
-            reading = (latest if kind == "Combined" else 0.0) + abs(self.clock.t0)
+            # BEP and after every line change) reads the clocks up to
+            # |t0| + 2 tau + processing_delay after it starts; where floats
+            # step by more than a fraction of the clock quantum, an honest
+            # run's estimates drift by quanta
+            start = max([latest, *(at for _, _, at in changes)]) if kind == "Combined" else 0.0
+            reading = start + abs(self.clock.t0)
             reading += 2 * self.channel.tau + self.channel.processing_delay
             if (step := math.ulp(reading)) > CLOCK_ULP_QUANTA * self.clock.quantum:
                 problems.append(
                     f"clock.quantization: the clocks read up to t = {reading:.3g} s, where floats are {step:.3g} s "
                     f"apart, more than {CLOCK_ULP_QUANTA:g} of the {self.clock.quantum:g} s quantum; raise it, or "
-                    "lower clock.t0, the channel's delays or (for Combined) the BEP indices"
+                    "lower clock.t0, the channel's delays or (for Combined) the BEP indices or a line change's instant"
                 )
         return problems
 

@@ -25,7 +25,7 @@ from typing import Annotated, Optional
 
 import numpy as np
 
-from .config import CANONICAL, Section, ge, gt
+from .config import CANONICAL, Section, ge, gt, init_fields
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -75,7 +75,7 @@ MAX_RECORD_SAMPLES = 2**24
 PEAK_HEADROOM = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LineConfig(Section):
     """Channel physics for one scenario.
 
@@ -94,15 +94,17 @@ class LineConfig(Section):
     msq_levels is derived from the fields, so it is no init field and takes
     no part in the document or in equality; it is read-only, so
     msq_levels_text, its canonical JSON as every report shows it, cannot go
-    stale. That text and digest, the sha256 of canonical_bytes, are
-    computed on first read and kept.
+    stale. That text and digest, the sha256 of every init field written as
+    name=repr(value), joined by ';', are computed on first read and kept.
     """
 
+    # the init fields' order is the digest's byte order: a field reordered or
+    # added moves every C and Combined record's digest and event log
     R_L: Annotated[float, gt(0)]
     R_H: float
+    R_wire: Optional[Annotated[float, ge(0)]] = None  # default R_L / 100
     bandwidth_B: Annotated[float, gt(0)]
     noise_scale: Annotated[float, ge(0)]
-    R_wire: Optional[Annotated[float, ge(0)]] = None  # default R_L / 100
     tau_f: Optional[Annotated[float, gt(0)]] = None  # default 0.1 / B
     bep_duration: Optional[Annotated[float, gt(0)]] = None  # default 100 / B
     sample_rate: Optional[float] = None  # default 20 * B
@@ -167,23 +169,10 @@ class LineConfig(Section):
     def resistance(self, choice: ResistorChoice) -> float:
         return self.R_L if choice is ResistorChoice.L else self.R_H
 
-    def canonical_bytes(self) -> bytes:
-        fields = (
-            ("R_L", self.R_L),
-            ("R_H", self.R_H),
-            ("R_wire", self.R_wire),
-            ("bandwidth_B", self.bandwidth_B),
-            ("noise_scale", self.noise_scale),
-            ("tau_f", self.tau_f),
-            ("bep_duration", self.bep_duration),
-            ("sample_rate", self.sample_rate),
-            ("measurement_noise_rel", self.measurement_noise_rel),
-        )
-        return ";".join(f"{k}={v!r}" for k, v in fields).encode("ascii")
-
     @functools.cached_property
     def digest(self) -> bytes:
-        return hashlib.sha256(self.canonical_bytes()).digest()
+        text = ";".join(f"{name}={getattr(self, name)!r}" for name in init_fields(LineConfig))
+        return hashlib.sha256(text.encode("ascii")).digest()
 
     @functools.cached_property
     def msq_levels_text(self) -> str:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .auth import AuthTag, encrypt_digest, hash_message, verify, verify_digest
 from .bepfile import BepFile, build_bep_file
-from .channel import Direction, Envelope, Scheduler
+from .channel import Direction, Envelope
 from .errors import ConfigError, InsufficientOverlapError
 from .line import Party, ResistorChoice, simulate_bep
 from .noise import derive_seed
@@ -168,7 +168,7 @@ def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult
         object.__setattr__(msg, "tag", encrypt_digest(digest, ledger))
         scheduler.send(msg, direction, now, digest.hex())
 
-    def on_deliver(sched: Scheduler, env: Envelope) -> None:
+    def on_deliver(env: Envelope) -> None:
         nonlocal t1_star, t2_star, t2, shared
         msg = env.payload
         if not isinstance(msg, SyncMessage):
@@ -258,7 +258,7 @@ def exchange_files(
     def tagged(file: BepFile) -> FileTransfer:
         return FileTransfer(file, encrypt_digest(file.sha256().digest(), scenario.ledger))
 
-    def on_deliver(sched: Scheduler, env: Envelope) -> None:
+    def on_deliver(env: Envelope) -> None:
         nonlocal fresh
         transfer = env.payload
         if not isinstance(transfer, FileTransfer):

@@ -206,7 +206,7 @@ def test_the_key_spans_on_the_channel_tile_what_the_ledger_spent(name, runner, b
     config, spans = load_bundled(name), []
     sc = config.build_scenario()
     # a hook that returns the envelope unchanged leaves no line in the log
-    sc.scheduler.hooks.append(lambda env, sched: spans.append(env.payload.tag.span) or env)
+    sc.scheduler.hooks.append(lambda env: spans.append(env.payload.tag.span) or env)
     runner(sc)
     cursor = 0
     for span in sorted(spans):  # disjoint and contiguous from 0

@@ -18,7 +18,7 @@ def test_local_time_is_offset_translation():
     alice, bob = Clock(0.0, q), Clock(t0, q)
     assert (sc.alice_clock, sc.bob_clock) == (alice, bob)
     seen = []  # (message, arrival) of every envelope; the hook passes each on
-    sc.scheduler.hooks.append(lambda env, sched: seen.append((env.payload, env.deliver_absolute)) or env)
+    sc.scheduler.hooks.append(lambda env: seen.append((env.payload, env.deliver_absolute)) or env)
     protocol_a(sc)
     (stamp, at_bob), (response, at_alice), (share, _) = seen
     assert stamp.t1 == 0.0 and t0 > 1000 * q
@@ -69,7 +69,7 @@ def test_honest_send_is_pure_delay():
     env = sched.send("ping", Direction.A_TO_B, 0.0)
     assert env.deliver_absolute == 0.002
     got = []
-    sched.run_until_idle(lambda s, e: got.append(e.payload))
+    sched.run_until_idle(lambda e: got.append(e.payload))
     assert got == ["ping"]
     kinds = [rec.kind for rec in sched.log]
     assert kinds == ["send", "deliver"]
@@ -77,7 +77,7 @@ def test_honest_send_is_pure_delay():
 
 def test_empty_queue_gives_empty_log():
     sched = Scheduler(0.001)
-    assert sched.run_until_idle(lambda s, e: None) == []
+    assert sched.run_until_idle(lambda e: None) == []
     assert format_event_log(sched.log) == ""
 
 
@@ -85,7 +85,7 @@ def test_delay_hook_composes_additively():
     # Bob sends at 10 ms over a 2 ms channel; Eve adds 4 ms on that leg only
     sched = Scheduler(0.002)
 
-    def eve(env, sched):
+    def eve(env):
         if env.direction is Direction.B_TO_A:
             env.deliver_absolute += 0.004
         return env
@@ -101,7 +101,7 @@ def test_delay_hook_composes_additively():
 def test_substitution_hook_logs_original_and_replacement():
     sched = Scheduler(0.002)
 
-    def eve(env, sched):
+    def eve(env):
         env.payload = "forged"
         return env
 
@@ -116,10 +116,10 @@ def test_substitution_hook_logs_original_and_replacement():
 
 def test_drop_is_recorded_not_raised():
     sched = Scheduler(0.002)
-    sched.hooks.append(lambda env, sched: None)
+    sched.hooks.append(lambda env: None)
     assert sched.send("gone", Direction.A_TO_B, 0.0) is None
     delivered = []
-    sched.run_until_idle(lambda s, e: delivered.append(e))
+    sched.run_until_idle(lambda e: delivered.append(e))
     assert delivered == []
     assert any(rec.kind == "attack-drop" for rec in sched.log)
 
@@ -127,7 +127,7 @@ def test_drop_is_recorded_not_raised():
 def test_hooks_cannot_break_causality():
     sched = Scheduler(0.002)
 
-    def eve(env, sched):
+    def eve(env):
         env.deliver_absolute = env.sent_absolute - 1.0
         return env
 
@@ -146,7 +146,7 @@ def test_ties_break_by_insertion_order():
     sched.send("first", Direction.A_TO_B, 0.0)
     sched.send("second", Direction.B_TO_A, 0.0)
     got = []
-    sched.run_until_idle(lambda s, e: got.append(e.payload))
+    sched.run_until_idle(lambda e: got.append(e.payload))
     assert got == ["first", "second"]
 
 
@@ -154,7 +154,7 @@ def test_identical_runs_give_identical_logs():
     def run():
         sched = Scheduler(0.002)
 
-        def slow_replies(env, sched):  # Eve holds Bob's replies 1 ms longer
+        def slow_replies(env):  # Eve holds Bob's replies 1 ms longer
             if env.direction is Direction.B_TO_A:
                 env.deliver_absolute += 0.001
             return env
@@ -162,7 +162,7 @@ def test_identical_runs_give_identical_logs():
         sched.hooks.append(slow_replies)
         sched.send("a", Direction.A_TO_B, 0.0)
         sched.send("b", Direction.B_TO_A, 0.001)
-        sched.run_until_idle(lambda s, e: None)
+        sched.run_until_idle(lambda e: None)
         return format_event_log(sched.log)
 
     assert run() == run()
@@ -171,7 +171,7 @@ def test_identical_runs_give_identical_logs():
 def test_event_log_line_format():
     sched = Scheduler(0.002)
     sched.send("payload", Direction.A_TO_B, 0.25)
-    sched.run_until_idle(lambda s, e: None)
+    sched.run_until_idle(lambda e: None)
     lines = format_event_log(sched.log).splitlines()
     t, direction, kind, digest = lines[0].split()
     assert t == "0.250000000" and direction == "AtoB" and kind == "send"
@@ -182,8 +182,8 @@ def test_livelock_guard(monkeypatch):
     monkeypatch.setattr(channel, "EVENT_BUDGET", 50)
     sched = Scheduler(0.001)
 
-    def echo(s, env):
-        s.send(env.payload, env.direction, env.deliver_absolute)
+    def echo(env):
+        sched.send(env.payload, env.direction, env.deliver_absolute)
 
     sched.send("loop", Direction.A_TO_B, 0.0)
     with pytest.raises(LivelockError):
@@ -205,7 +205,7 @@ def test_a_payload_is_digested_once_from_send_to_delivery():
     sched = Scheduler(0.002)
     payload = Counted("t1")
     env = sched.send(payload, Direction.A_TO_B, 0.0)
-    sched.run_until_idle(lambda s, e: None)
+    sched.run_until_idle(lambda e: None)
     assert payload.encodes == 1
     send_rec, deliver_rec = sched.log
     assert deliver_rec.digest == send_rec.digest == env.digest
@@ -216,14 +216,14 @@ def test_a_substituted_payload_is_digested_again():
     sched = Scheduler(0.002)
     forged = Counted("forged")
 
-    def eve(env, sched):
+    def eve(env):
         env.payload = forged
         env.deliver_absolute += 0.001
         return env
 
     sched.hooks.append(eve)
     sched.send(Counted("genuine"), Direction.A_TO_B, 0.0)
-    sched.run_until_idle(lambda s, e: None)
+    sched.run_until_idle(lambda e: None)
     assert forged.encodes == 1
     kinds = {rec.kind: rec.digest for rec in sched.log}
     assert kinds["send"] == hashlib.sha256(b"genuine").hexdigest()
@@ -233,7 +233,7 @@ def test_a_substituted_payload_is_digested_again():
 
 def test_a_dropped_payload_logs_the_digest_it_was_sent_with():
     sched = Scheduler(0.002)
-    sched.hooks.append(lambda env, sched: None)
+    sched.hooks.append(lambda env: None)
     payload = Counted("gone")
     sched.send(payload, Direction.A_TO_B, 0.0)
     assert [rec.digest for rec in sched.log] == [hashlib.sha256(b"gone").hexdigest()] * 2

@@ -502,6 +502,37 @@ def test_a_substitution_the_protocol_never_lets_act_gives_one_problem_each(tmp_p
         ScenarioConfig.from_dict(dict(load_bundled("honest_protocol_c").raw, attacks=doc["attacks"][1:2]))
 
 
+def test_a_wire_change_needs_a_protocol_that_records(tmp_path, capsys):
+    # protocols A and B simulate no BEP, so a new wire resistance would act on nothing
+    wire_change = {"kind": "LineMod", "r_wire_factor": 2.0, "at_time": 0.0}
+    for kind in ("A", "B"):
+        doc = dict(load_bundled(f"honest_protocol_{kind.lower()}").raw, attacks=[wire_change])
+        message = f"attacks.0: a wire change needs protocol C or Combined; protocol {kind} records none"
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.problems == [message]
+        config = tmp_path / "idle.json"
+        config.write_text(json.dumps(doc))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        # a delay change acts on their two-way exchange
+        ScenarioConfig.from_dict(dict(doc, attacks=[{"kind": "LineMod", "tau": 0.003, "at_time": 0.0}]))
+    ScenarioConfig.from_dict(dict(load_bundled("honest_combined").raw, attacks=[wire_change]))
+
+
+def test_the_combined_clock_rule_reads_the_clocks_after_a_line_change(tmp_path, capsys):
+    # the probe starts after the latest logged event, and a line change is
+    # logged at its instant: at 5e8 s floats are 5.96e-8 s apart
+    doc = dict(load_bundled("honest_combined").raw, attacks=[{"kind": "LineMod", "tau": 0.002, "at_time": 5e8}])
+    config = tmp_path / "late.json"
+    config.write_text(json.dumps(mutated(doc, "clock.quantization", 1e-9)))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: clock.quantization: the clocks read up to t = 5e+08 s, ") and err.count("\n") == 1
+    result = run_scenario(ScenarioConfig.from_dict(doc)).result
+    assert result["attack_flag"] is False and result["detail"] == ""
+
+
 def test_a_config_that_validates_always_builds_and_runs():
     # 300 lists of one to three attacks on the bundled bases: each config
     # either fails validation or runs to a verdict without raising

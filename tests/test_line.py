@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from kljnsync.acceptance import ks_2samp
+from kljnsync.config import init_fields
 from kljnsync.errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -313,3 +317,12 @@ def test_config_digest_is_stable_and_field_sensitive():
     assert CFG.digest is CFG.digest  # computed on first read, then kept
     cfg3 = LineConfig(R_L=1.0, R_H=11.0, bandwidth_B=1e4, noise_scale=1e-4)
     assert CFG.digest != cfg3.digest
+    # every field enters the digest, in declaration order, as name=repr(value)
+    for name in init_fields(LineConfig):
+        moved = dataclasses.replace(CFG, **{name: getattr(CFG, name) * 1.5 or 0.01})
+        assert moved.digest != CFG.digest, name
+    # hex 4d51f423...84cf, the digest in every bundled C and Combined record
+    assert CFG.digest == hashlib.sha256(
+        b"R_L=1.0;R_H=10.0;R_wire=0.01;bandwidth_B=10000.0;noise_scale=0.0001;tau_f=1e-05;"
+        b"bep_duration=0.01;sample_rate=200000.0;measurement_noise_rel=0.0"
+    ).digest()

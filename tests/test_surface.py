@@ -14,6 +14,7 @@ ALLOWED = {
 UNREAD_FIELDS = {
     "raw": "perfbench/workloads.py edits a copy of the document a config was read from",
     "input": "every report's config shows it; the schema-2 report's byte break deletes it",
+    "tau_f": "the record digest hashes it; no physics reads the flying time yet",
 }
 
 # defaulted parameters no call in the package sets, each kept for one caller outside it
