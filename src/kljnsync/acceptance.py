@@ -2,7 +2,10 @@
 
 Each criterion is a function returning (passed, detail); the CLI `verify`
 verb and the pytest acceptance module both run this list, so there is one
-source of truth for the gate.
+source of truth for the gate. The protocol runs of criteria 3, 4, 6 and 9,
+5's message substitutions and 7's delays are tables of Rows: each row is
+built through ScenarioConfig and run through harness.run_protocol, the
+dispatch `kljnsync run` uses, so a new check on a scenario is one row.
 """
 
 from __future__ import annotations
@@ -10,16 +13,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .adversaries import AsymDelay, LineMod, Substitute, passive_bit_guess
+from .adversaries import Attack, AsymDelay, LineMod, Substitute, passive_bit_guess
 from .auth import AuthTag, KeyLedger, KeySpan, encrypt_digest, hash_message, verify
 from .bepfile import build_bep_file
 from .config import ChannelConfig, ClockConfig, ProtocolConfig
 from .errors import AmbiguousMeasurementError, ConfigError, InconsistentStateError
-from .harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_scenario
+from .harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_protocol, run_scenario
 from .line import (
     BitState,
     LineConfig,
@@ -36,24 +39,54 @@ from .noise import (
     generate_with_guard,
     theoretical_autocorrelation,
 )
-from .protocols import combined_check, exchange_files, protocol_a, protocol_b, protocol_c, residual_curve
+from .protocols import SyncResult, exchange_files, residual_curve
 
 LINE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 FS = LINE.sample_rate
 
 
-def _scenario(kind: str, seed: int, t0: float, tau: float, *attacks, **clock):
-    """A scenario on LINE with its attacks installed, built as `kljnsync
-    run` builds one: from a validated ScenarioConfig. clock holds the
-    ClockConfig fields other than t0."""
-    return ScenarioConfig(
-        seed,
-        LINE,
-        ProtocolConfig(kind),
-        clock=ClockConfig(t0=t0, **clock),
-        channel=ChannelConfig(tau=tau),
-        attacks=attacks,
-    ).build_scenario()
+class Row(NamedTuple):
+    """One run a criterion makes on LINE: its label, the scenario's fields,
+    and what the result must show. The run must raise the attack flag
+    exactly when flag is set, and, where estimates is given, return that
+    (t0, tau) to within 1e-12 s."""
+
+    label: str
+    kind: str
+    seed: int
+    t0: float
+    tau: float
+    attacks: tuple[Attack, ...] = ()
+    quantization: float = ClockConfig.quantization
+    flag: bool = False
+    estimates: tuple[float, float] | None = None
+
+    def scenario(self):
+        """The row's scenario, with its attacks installed, built as `kljnsync
+        run` builds one: from a validated ScenarioConfig."""
+        return ScenarioConfig(
+            self.seed, LINE, ProtocolConfig(self.kind), clock=ClockConfig(t0=self.t0, quantization=self.quantization),
+            channel=ChannelConfig(tau=self.tau), attacks=self.attacks,
+        ).build_scenario()
+
+
+def _run(row: Row) -> SyncResult:
+    """The row's verdict, through the dispatch `kljnsync run` uses."""
+    return run_protocol(row.scenario())
+
+
+def _run_rows(rows: list[Row]) -> tuple[list[SyncResult], str]:
+    """Every row's result, and "" or the rows that missed, each named by
+    its label: a wrong attack flag, or estimates off by 1e-12 s or more."""
+    results = [_run(row) for row in rows]
+    missed = []
+    for row, res in zip(rows, results):
+        got = (res.t0_est, res.tau_est)
+        if res.attack_flag != row.flag:
+            missed.append(f"{row.label}: attack_flag {res.attack_flag}, expected {row.flag}")
+        elif row.estimates and not all(e is not None and abs(e - want) < 1e-12 for e, want in zip(got, row.estimates)):
+            missed.append(f"{row.label}: (t0_est, tau_est) = {got!r}, expected {row.estimates!r}")
+    return results, "; ".join(missed)
 
 
 def criterion_1_autocorrelation() -> tuple[bool, str]:
@@ -95,36 +128,27 @@ def criterion_3_exactness() -> tuple[bool, str]:
     exchange recovers both to 1e-12 s."""
     started = time.perf_counter()
     rng = np.random.default_rng(303)
-    worst = 0.0
-    for _ in range(1000):
-        t0 = float(rng.uniform(-0.05, 0.05))
-        tau = float(rng.uniform(1e-7, 0.02))
-        sc = _scenario("A", seed=1, t0=t0, tau=tau, quantization=0.0)
-        res = protocol_a(sc)
-        worst = max(worst, abs(res.t0_est - t0), abs(res.tau_est - tau))
+    pairs = [(float(rng.uniform(-0.05, 0.05)), float(rng.uniform(1e-7, 0.02))) for _ in range(1000)]
+    rows = [Row(f"pair {i}", "A", 1, *pair, quantization=0.0, estimates=pair) for i, pair in enumerate(pairs)]
+    results, missed = _run_rows(rows)
+    worst = max(max(abs(res.t0_est - t0), abs(res.tau_est - tau)) for (t0, tau), res in zip(pairs, results))
     elapsed = time.perf_counter() - started
-    ok = worst < 1e-12 and elapsed < 5.0
-    return ok, f"worst error {worst:.2e}s over 1000 pairs, {elapsed:.1f}s"
+    return not missed and elapsed < 5.0, missed or f"worst error {worst:.2e}s over 1000 pairs, {elapsed:.1f}s"
 
 
 def criterion_4_delay_algebra() -> tuple[bool, str]:
     """An added one-way delay d biases the estimates by exactly d/2 (sign
     set by the attacked leg) and raises no flag on protocols A or B."""
     t0, tau = 0.005, 0.002
-    checks = 0
-    for delta in (1e-3, 2e-3, 4e-3, 8e-3):
-        for leg, sign in (("AtoB", +1.0), ("BtoA", -1.0)):
-            for kind, runner in (("A", protocol_a), ("B", protocol_b)):
-                sc = _scenario(kind, 7, t0, tau, AsymDelay(leg, delta))
-                res = runner(sc)
-                if res.attack_flag:
-                    return False, f"{runner.__name__} flagged a pure delay"
-                if abs(res.t0_est - (t0 + sign * delta / 2)) > 1e-12:
-                    return False, f"t0_est wrong for delta={delta}, leg={leg}"
-                if abs(res.tau_est - (tau + delta / 2)) > 1e-12:
-                    return False, f"tau_est wrong for delta={delta}, leg={leg}"
-                checks += 1
-    return True, f"{checks} protocol/leg/delta combinations exact, all unflagged"
+    rows = [
+        Row(f"{kind}/{leg}/{delta:g}", kind, 7, t0, tau, (AsymDelay(leg, delta),),
+            estimates=(t0 + sign * delta / 2, tau + delta / 2))
+        for delta in (1e-3, 2e-3, 4e-3, 8e-3)
+        for leg, sign in (("AtoB", +1.0), ("BtoA", -1.0))
+        for kind in ("A", "B")
+    ]
+    _, missed = _run_rows(rows)
+    return not missed, missed or f"{len(rows)} protocol/leg/delta combinations exact, all unflagged"
 
 
 def criterion_5_substitution_detection() -> tuple[bool, str]:
@@ -137,15 +161,14 @@ def criterion_5_substitution_detection() -> tuple[bool, str]:
         ("Response", "t2_star"),
         ("Share", "t2"),
     ]
-    caught = 0
+    rows = []
     for i in range(100):
         target, field_name = targets[i % len(targets)]
-        delta = float(rng.uniform(1e-5, 1e-2))
-        attack = Substitute(target, field_name, delta=delta, fabricate_tag=bool(i % 3 == 0))
-        sc = _scenario("B", 1000 + i, 0.005, 0.002, attack)
-        caught += protocol_b(sc).attack_flag
-    if caught != 100:
-        return False, f"only {caught}/100 message substitutions flagged"
+        attack = Substitute(target, field_name, delta=float(rng.uniform(1e-5, 1e-2)), fabricate_tag=i % 3 == 0)
+        rows.append(Row(f"{target}.{field_name} #{i}", "B", 1000 + i, 0.005, 0.002, (attack,), flag=True))
+    _, missed = _run_rows(rows)
+    if missed:
+        return False, missed
 
     meas_a, meas_b = simulate_bep(ResistorChoice.L, ResistorChoice.H, LINE, seed=42)
     file_a, file_b = build_bep_file(meas_a, LINE), build_bep_file(meas_b, LINE)
@@ -158,7 +181,7 @@ def criterion_5_substitution_detection() -> tuple[bool, str]:
             delta=float(rng.uniform(1e-4, 1.0)),
             direction="AtoB" if i % 2 else "BtoA",
         )
-        sc = _scenario("C", 2000 + i, 0.0, 0.002, attack)
+        sc = Row(f"record #{i}", "C", 2000 + i, 0.0, 0.002, (attack,)).scenario()
         _, problem = exchange_files(sc, file_a, file_b, 0.0)
         caught_files += bool(problem)
     if caught_files != 100:
@@ -182,30 +205,26 @@ def criterion_6_offset_recovery() -> tuple[bool, str]:
     fraction of a sample off that grid and 10 runs with offsets beyond
     100 samples, up to 900, each of which must pass unflagged."""
     started = time.perf_counter()
-
-    def recover(i: int, samples: float):
-        """The run's error in samples and its residual; None if flagged."""
-        t0 = samples / FS
-        res = protocol_c(_scenario("C", seed=3000 + i, t0=t0, tau=0.002))
-        if res.attack_flag:
-            return None
-        return abs(res.t0_est - t0) * FS, res.residual
-
     rng = np.random.default_rng(606)
-    whole = [recover(i, int(rng.integers(-25, 26))) for i in range(100)]
-    rng = np.random.default_rng(616)
-    sub_sample = [recover(100 + i, int(rng.integers(-25, 26)) + rng.uniform(0.0, 1.0)) for i in range(50)]
-    far = [recover(150 + i, rng.choice([-1.0, 1.0]) * (900.0 - rng.uniform(0.0, 800.0))) for i in range(10)]
+    offsets = [int(rng.integers(-25, 26)) for _ in range(100)]
+    rng = np.random.default_rng(616)  # the sub-sample and far offsets share this stream
+    offsets += [int(rng.integers(-25, 26)) + rng.uniform(0.0, 1.0) for _ in range(50)]
+    offsets += [rng.choice([-1.0, 1.0]) * (900.0 - rng.uniform(0.0, 800.0)) for _ in range(10)]
+    rows = [Row(f"{samples:.6g} samples", "C", 3000 + i, samples / FS, 0.002) for i, samples in enumerate(offsets)]
+    results, _ = _run_rows(rows)
 
-    def tally(runs):
-        done = [run for run in runs if run is not None]
+    def tally(lo: int, hi: int):
+        """Over rows lo to hi that ran unflagged: how many recovered the
+        offset to within one sample, the worst error and the largest residual."""
+        runs = zip(rows[lo:hi], results[lo:hi])
+        done = [(abs(res.t0_est - row.t0) * FS, res.residual) for row, res in runs if not res.attack_flag]
         good = sum(err <= 1.0 for err, _ in done)
         worst = max((err for err, _ in done), default=0.0)
         return good, worst, max((residual for _, residual in done), default=0.0)
 
-    good, worst_err, max_residual = tally(whole)
-    good_sub, worst_sub, residual_sub = tally(sub_sample)
-    good_far, worst_far, residual_far = tally(far)
+    good, worst_err, max_residual = tally(0, 100)
+    good_sub, worst_sub, residual_sub = tally(100, 150)
+    good_far, worst_far, residual_far = tally(150, 160)
     elapsed = time.perf_counter() - started
     ok = (
         good >= 99
@@ -253,10 +272,13 @@ def criterion_7_integrity_detection() -> tuple[bool, str]:
             boundary = f"~{pct}%"
             break
 
-    for quanta in (4, 8, 4000):
-        sc = _scenario("Combined", 42, 7.0 / FS, 0.002, AsymDelay("BtoA", quanta * 1e-6))
-        if not combined_check(sc).attack_flag:
-            return False, f"combined check missed a {quanta}-quantum delay"
+    delays = [
+        Row(f"{quanta}-quantum delay", "Combined", 42, 7.0 / FS, 0.002, (AsymDelay("BtoA", quanta * 1e-6),), flag=True)
+        for quanta in (4, 8, 4000)
+    ]
+    _, missed = _run_rows(delays)
+    if missed:
+        return False, missed
     return True, (
         f"100/100 wire changes flagged (min residual {min_residual:.3f}, "
         f">= {min_residual / 1e-4:.0f}x honest bound; detection boundary {boundary} "
@@ -349,47 +371,25 @@ def criterion_8_security_identity() -> tuple[bool, str]:
 def criterion_9_attack_matrix() -> tuple[bool, str]:
     """The detection table: A catches nothing, B exactly substitution, the
     combined integrity check all three active attacks."""
-    flips = []
-
-    def expect(name, got, want):
-        if got != want:
-            flips.append(f"{name}: detected={got}, expected {want}")
-
-    sub_msg = Substitute("Response", "t2_star", delta=1e-3)
-    sub_file = Substitute("file", mode="alter_sample", sample_index=3, delta=0.5)
     delay = AsymDelay("BtoA", 4e-3)
-    lm_tau = LineMod(tau=3e-3, at_time=0.004)
-    lm_wire = LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5)
-    lm_tau_late = LineMod(tau=3e-3, at_time=0.05)
-
-    for label, attack, want in (
-        ("A/Substitute", sub_msg, False),
-        ("A/AsymDelay", delay, False),
-        ("A/LineMod", lm_tau, False),
-    ):
-        sc = _scenario("A", 91, 0.005, 0.002, attack)
-        expect(label, protocol_a(sc).attack_flag, want)
-
-    for label, attack, want in (
-        ("B/Substitute", sub_msg, True),
-        ("B/AsymDelay", delay, False),
-        ("B/LineMod", lm_tau, False),
-    ):
-        sc = _scenario("B", 92, 0.005, 0.002, attack)
-        expect(label, protocol_b(sc).attack_flag, want)
-
-    for label, attack, want in (
-        ("C+Combined/Substitute", sub_file, True),
-        ("C+Combined/AsymDelay", delay, True),
-        ("C+Combined/LineMod(wire)", lm_wire, True),
-        ("C+Combined/LineMod(tau)", lm_tau_late, True),
-    ):
-        sc = _scenario("Combined", 93, 7.0 / FS, 0.002, attack)
-        expect(label, combined_check(sc).attack_flag, want)
-
-    if flips:
-        return False, "; ".join(flips)
-    return True, "A detects {}; B detects {Substitute}; C+Combined detects all three"
+    two_way = [
+        ("Substitute", Substitute("Response", "t2_star", delta=1e-3)),
+        ("AsymDelay", delay),
+        ("LineMod", LineMod(tau=3e-3, at_time=0.004)),
+    ]
+    combined = [
+        ("Substitute", Substitute("file", mode="alter_sample", sample_index=3, delta=0.5)),
+        ("AsymDelay", delay),
+        ("LineMod(wire)", LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5)),
+        ("LineMod(tau)", LineMod(tau=3e-3, at_time=0.05)),
+    ]
+    rows = [Row(f"A/{name}", "A", 91, 0.005, 0.002, (attack,)) for name, attack in two_way]
+    rows += [Row(f"B/{name}", "B", 92, 0.005, 0.002, (attack,), flag=name == "Substitute") for name, attack in two_way]
+    rows += [
+        Row(f"C+Combined/{name}", "Combined", 93, 7.0 / FS, 0.002, (attack,), flag=True) for name, attack in combined
+    ]
+    _, missed = _run_rows(rows)
+    return not missed, missed or "A detects {}; B detects {Substitute}; C+Combined detects all three"
 
 
 def criterion_10_determinism() -> tuple[bool, str]:

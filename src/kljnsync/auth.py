@@ -26,6 +26,9 @@ from .noise import derive_seed
 # the largest key a ledger holds: a 128 MiB pad
 MAX_KEY_BITS = 2**30
 
+# the key bits one tag spends: a pad over one SHA-256 digest
+TAG_BITS = 8 * hashlib.sha256().digest_size
+
 # key_pad keeps the 16 pads it last drew, of up to PAD_MEMO_BYTES each: 64 KiB
 # at most. A longer pad is drawn on every call. Where no seed repeats the
 # memo only churns: there a 1 MiB budget cost 1.3 MB of peak RSS, and a

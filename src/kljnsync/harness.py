@@ -25,14 +25,14 @@ from typing import Annotated
 import numpy as np
 
 from .adversaries import Attack, LineMod, Substitute, install
-from .auth import MAX_KEY_BITS
+from .auth import MAX_KEY_BITS, TAG_BITS
 from .channel import format_event_log
 from .config import CANONICAL, CLOCK_ULP_QUANTA, MAX_SECONDS, ChannelConfig, ClockConfig, ProtocolConfig, Section
 from .config import ge, init_fields, le, read
 from .errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from .line import LineConfig
 from .noise import empirical_autocorrelation
-from .protocols import PROBE_WAIT_QUANTA, bep_start_time, combined_check, protocol_a, protocol_b, protocol_c
+from .protocols import PROBE_WAIT_QUANTA, SyncResult, bep_start_time, combined_check, protocol_a, protocol_b, protocol_c
 from .scenario import Scenario, make_scenario
 
 
@@ -150,6 +150,18 @@ class ScenarioConfig(Section):
                     f"apart, more than {CLOCK_ULP_QUANTA:g} of the {self.clock.quantum:g} s quantum; raise it, or "
                     "lower clock.t0, the channel's delays or (for Combined) the BEP indices or a line change's instant"
                 )
+        # each tag spends TAG_BITS of key: B tags its three messages, C the
+        # two records of each BEP, Combined both (an attack adds no tag, as
+        # Eve holds no key); a ledger they would overrun would end the run
+        # part way with KeyExhaustedError
+        records = kind in ("C", "Combined")
+        tags = (3 if kind in ("B", "Combined") else 0) + (2 * len(self.protocol.k_range) if records else 0)
+        if (spend := tags * TAG_BITS) > self.key_bits:
+            fewer = " or list fewer BEPs in protocol.k_range" if records else ""
+            problems.append(
+                f"key_bits: protocol {kind} spends up to {spend} bits ({TAG_BITS} per tag), "
+                f"{self.key_bits} given; raise key_bits{fewer}"
+            )
         return problems
 
     @classmethod
@@ -328,12 +340,21 @@ def _series_from(scenario: Scenario) -> dict:
     return series
 
 
+def run_protocol(scenario: Scenario) -> SyncResult:
+    """The scenario's configured protocol, run to its verdict. `kljnsync
+    run` and the acceptance suite both dispatch a protocol kind here."""
+    # looked up on each call: a module-level dict would keep the runners it
+    # was built with, and perfbench's tracer, which replaces them in this
+    # module by name, would time no protocols.twoway or protocols.verdict
+    runners = {"A": protocol_a, "B": protocol_b, "C": protocol_c, "Combined": combined_check}
+    return runners[scenario.config.protocol.kind](scenario)
+
+
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute one configured run and package the deterministic report."""
     start = time.perf_counter()
     scenario = config.build_scenario()
-    runners = {"A": protocol_a, "B": protocol_b, "C": protocol_c, "Combined": combined_check}
-    result = runners[config.protocol.kind](scenario)
+    result = run_protocol(scenario)
     # C corrects Bob's clock itself; A and B leave the error he would keep
     # if he applied their estimate
     bob = scenario.bob_clock

@@ -4,6 +4,7 @@ Each test prints its own pass/fail line so a plain pytest run doubles as
 the acceptance report; `kljnsync verify` executes the same list.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import kljnsync
+from kljnsync import acceptance
 from kljnsync.acceptance import CRITERIA, ks_2samp
 
 
@@ -44,6 +46,40 @@ def test_acceptance_criterion(criterion):
     print(f"[{status}] criterion {criterion.number}: {criterion.name} - {detail}")
     assert passed, f"criterion {criterion.number} ({criterion.name}): {detail}"
     assert re.sub(r"[,;] \d+\.\ds$", "", detail) == DETAILS[criterion.number]
+
+
+def _flip(result):
+    return dataclasses.replace(result, attack_flag=not result.attack_flag)
+
+
+def _late(result):
+    return dataclasses.replace(result, t0_est=result.t0_est + 2e-12)
+
+
+@pytest.mark.parametrize(
+    "criterion, label, change, says",
+    [
+        (acceptance.criterion_9_attack_matrix, "B/AsymDelay", _flip, "attack_flag True, expected False"),
+        (acceptance.criterion_9_attack_matrix, "C+Combined/LineMod(wire)", _flip, "attack_flag False, expected True"),
+        (acceptance.criterion_4_delay_algebra, "B/BtoA/0.004", _flip, "attack_flag True, expected False"),
+        (acceptance.criterion_4_delay_algebra, "A/AtoB/0.001", _late, "(t0_est, tau_est) = "),
+    ],
+    ids=["c9_flag_raised", "c9_flag_missed", "c4_flag_raised", "c4_estimate_off"],
+)
+def test_a_row_that_misses_fails_its_criterion_and_is_named(monkeypatch, criterion, label, change, says):
+    # every other row still passes, so the detail names this one row alone
+    run = acceptance._run
+    labels = []
+
+    def changed(row):
+        labels.append(row.label)
+        return change(run(row)) if row.label == label else run(row)
+
+    monkeypatch.setattr(acceptance, "_run", changed)
+    passed, detail = criterion()
+    assert labels.count(label) == 1
+    assert not passed
+    assert detail.startswith(f"{label}: {says}") and "; " not in detail
 
 
 # (x, y, statistic, p) with the statistic and p-value that scipy 1.17.1's

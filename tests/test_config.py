@@ -16,17 +16,9 @@ from kljnsync.adversaries import Attack, AsymDelay, LineMod, Substitute
 from kljnsync.cli import main
 from kljnsync.config import CANONICAL, ChannelConfig, ClockConfig, ProtocolConfig, Section, init_fields
 from kljnsync.errors import ConfigError
-from kljnsync.harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_scenario
+from kljnsync.harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_protocol, run_scenario
 from kljnsync.line import LineConfig
-from kljnsync.protocols import (
-    MESSAGE_FIELDS,
-    MessageKind,
-    SyncResult,
-    combined_check,
-    protocol_a,
-    protocol_b,
-    protocol_c,
-)
+from kljnsync.protocols import MESSAGE_FIELDS, MessageKind, SyncResult
 
 DELETE = object()
 
@@ -534,22 +526,69 @@ def test_the_combined_clock_rule_reads_the_clocks_after_a_line_change(tmp_path, 
 
 
 def test_a_config_that_validates_always_builds_and_runs():
-    # 300 lists of one to three attacks on the bundled bases: each config
-    # either fails validation or runs to a verdict without raising
-    runners = {"A": protocol_a, "B": protocol_b, "C": protocol_c, "Combined": combined_check}
+    # 300 lists of one to three attacks on the bundled bases, two in five
+    # of them on a drawn key budget of 0 to 1280 bits (the bundled runs
+    # spend 0 to 1280): each config either fails validation or runs to a
+    # verdict without raising, so a budget too small for the run must fail
+    # validation rather than end it with KeyExhaustedError
     rng, names = np.random.default_rng(2026), bundled_scenario_names()
-    ran = 0
+    ran, ran_on_budget = 0, 0
     for _ in range(300):
         doc = load_bundled(names[rng.integers(len(names))]).raw
         doc = dict(doc, attacks=[_draw_attack(rng) for _ in range(rng.integers(1, 4))])
+        if budget := rng.random() < 0.4:
+            doc["key_bits"] = 256 * int(rng.integers(0, 6))
         try:
             config = ScenarioConfig.from_dict(doc)
         except ConfigError:
             continue
         _assert_kept_text_reads_back(config)
-        assert isinstance(runners[config.protocol.kind](config.build_scenario()), SyncResult), doc
+        assert isinstance(run_protocol(config.build_scenario()), SyncResult), doc
         ran += 1
-    assert ran >= 75  # the draws run as well as fail
+        ran_on_budget += budget
+    # the draws run as well as fail, on a drawn budget too
+    assert ran >= 75 and ran_on_budget >= 20
+
+
+@pytest.mark.parametrize(
+    "name, path, value, spend",
+    [
+        ("honest_combined", "protocol.k_range", list(range(15)), 8448),
+        ("honest_protocol_c", "protocol.k_range", list(range(17)), 8704),
+        ("honest_protocol_b", "key_bits", 512, 768),
+    ],
+    ids=["combined_15_beps", "c_17_beps", "b_512_bits"],
+)
+def test_a_key_budget_the_run_would_overrun_fails_closed(tmp_path, capsys, name, path, value, spend):
+    # each tag spends 256 bits: B tags three messages, C two records per
+    # BEP, Combined both
+    doc = mutated(load_bundled(name).canonical_dict(), path, value)
+    kind, fewer = doc["protocol"]["kind"], " or list fewer BEPs in protocol.k_range"
+    message = (
+        f"key_bits: protocol {kind} spends up to {spend} bits (256 per tag), {doc['key_bits']} given; "
+        f"raise key_bits{fewer if kind != 'B' else ''}"
+    )
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(doc)
+    assert err.value.problems == [message]
+    config = tmp_path / "overrun.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # a sweep that reaches such a value fails before it writes a report
+    if path == "key_bits":
+        args = ["sweep", name, "--param", path, "--values", f"8192,{value}", "--out", str(tmp_path / "sweep")]
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list((tmp_path / "sweep").iterdir()) == []
+
+
+def test_the_key_budget_admits_a_run_that_spends_up_to_the_whole_ledger():
+    for name, beps, spent in (("honest_combined", 14, 7936), ("honest_protocol_c", 16, 8192)):
+        doc = mutated(load_bundled(name).canonical_dict(), "protocol.k_range", list(range(beps)))
+        report = run_scenario(ScenarioConfig.from_dict(doc))
+        assert report.result["attack_flag"] is False
+        assert report.key_bits_consumed == spent
 
 
 def test_problems_are_collected_across_sections():
