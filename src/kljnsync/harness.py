@@ -273,6 +273,8 @@ class RunReport:
         missing = [f"report: missing key {key!r}" for key in required if key not in body]
         if missing:
             raise ConfigError(missing)
+        if not isinstance(body["result"], dict):
+            raise ConfigError("report: 'result' is not an object")
         if not isinstance(body.get("series", {}), dict):
             raise ConfigError("report: 'series' is not an object")
         if not isinstance(body["event_log_digest"], str):

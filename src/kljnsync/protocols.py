@@ -144,66 +144,60 @@ class FileTransfer:
 # ---------------------------------------------------------------------------
 
 
+def _stalled(kind: str) -> SyncResult:
+    if kind == "A":  # A has nothing to detect with: a stall is a failure, not a flag
+        detail = "incomplete: synchronization exchange never finished"
+        return SyncResult(kind, None, None, None, auth_ok=True, attack_flag=False, detail=detail)
+    return SyncResult(kind, None, None, None, auth_ok=False, attack_flag=True, detail="timeout: exchange stalled")
+
+
 def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult:
-    """One A or B exchange, driven until the channel is idle; only B tags
-    its messages and checks them."""
+    """One A or B exchange, three messages sent in turn; a message Eve
+    drops ends it. Only B tags its messages, and it checks the tags of all
+    three once they have arrived."""
     authenticated = kind == "B"
     # read once per run, not once per message
     ledger, scheduler = scenario.ledger, scenario.scheduler
     alice, bob = scenario.alice_clock, scenario.bob_clock
-    processing_delay = scenario.config.channel.processing_delay
-    t1 = alice.read(start_absolute)
-    t1_star = t2_star = t2 = None
-    shared = False  # a Share is sent only once every timestamp is known
-    verdicts: list[bool] = []
 
-    def send(msg: SyncMessage, direction: Direction, now: float) -> None:
-        if not authenticated:
-            scheduler.send(msg, direction, now)
-            return
-        # the tag is not part of the encoding: the sender tags the message
-        # it has just built, before the channel sees it, and the digest it
-        # tagged is the one the event log shows
-        digest = hash_message(msg._encoding)
-        object.__setattr__(msg, "tag", encrypt_digest(digest, ledger))
-        scheduler.send(msg, direction, now, digest.hex())
-
-    def on_deliver(env: Envelope) -> None:
-        nonlocal t1_star, t2_star, t2, shared
-        msg = env.payload
-        if not isinstance(msg, SyncMessage):
-            return
+    def leg(msg: SyncMessage, direction: Direction, now: float) -> Optional[Envelope]:
+        """Send msg and run the channel until idle: the envelope delivered,
+        or None when Eve dropped it."""
+        digest = None
         if authenticated:
-            verdicts.append(msg.tag is not None and verify(msg._encoding, msg.tag, ledger))
-        now = env.deliver_absolute
-        if msg.kind is MessageKind.TIME_STAMP:
-            # at Bob: note arrival, think, respond with both of his stamps
-            respond_at = now + processing_delay
-            reply = SyncMessage(
-                MessageKind.RESPONSE,
-                t1_star=bob.read(now),
-                t2_star=bob.read(respond_at),
-            )
-            send(reply, Direction.B_TO_A, respond_at)
-        elif msg.kind is MessageKind.RESPONSE:
-            # at Alice: record her arrival time and share it
-            t1_star, t2_star = msg.t1_star, msg.t2_star
-            t2 = alice.read(now)
-            send(SyncMessage(MessageKind.SHARE, t2=t2), Direction.A_TO_B, now)
-        else:
-            shared = True
+            # the tag is not part of the encoding: the sender tags the
+            # message it has just built, before the channel sees it, and
+            # the digest it tagged is the one the event log shows
+            digest = hash_message(msg._encoding)
+            object.__setattr__(msg, "tag", encrypt_digest(digest, ledger))
+            digest = digest.hex()
+        scheduler.send(msg, direction, now, digest)
+        delivered: list[Envelope] = []
+        scheduler.run_until_idle(delivered.append)
+        return delivered[-1] if delivered else None
 
-    send(SyncMessage(MessageKind.TIME_STAMP, t1=t1), Direction.A_TO_B, start_absolute)
-    scheduler.run_until_idle(on_deliver)
-    if shared and all(verdicts):
-        t0 = (t1_star - t1 - t2 + t2_star) / 2.0
-        tau = (t1_star - t1 + t2 - t2_star) / 2.0
-        return SyncResult(kind, t0, tau, None, auth_ok=True, attack_flag=False)
-    if kind == "A":  # A has nothing to detect with: a stall is a failure, not a flag
-        detail = "incomplete: synchronization exchange never finished"
-        return SyncResult(kind, None, None, None, auth_ok=True, attack_flag=False, detail=detail)
-    detail = "authentication failed" if shared else "timeout: exchange stalled"
-    return SyncResult(kind, None, None, None, auth_ok=False, attack_flag=True, detail=detail)
+    t1 = alice.read(start_absolute)
+    stamp = leg(SyncMessage(MessageKind.TIME_STAMP, t1=t1), Direction.A_TO_B, start_absolute)
+    if stamp is None:
+        return _stalled(kind)
+    # at Bob: note arrival, think, respond with both of his stamps
+    respond_at = stamp.deliver_absolute + scenario.config.channel.processing_delay
+    reply = SyncMessage(MessageKind.RESPONSE, t1_star=bob.read(stamp.deliver_absolute), t2_star=bob.read(respond_at))
+    response = leg(reply, Direction.B_TO_A, respond_at)
+    if response is None:
+        return _stalled(kind)
+    # at Alice: record her arrival time and share it
+    t2 = alice.read(response.deliver_absolute)
+    share = leg(SyncMessage(MessageKind.SHARE, t2=t2), Direction.A_TO_B, response.deliver_absolute)
+    if share is None:
+        return _stalled(kind)
+    arrived = (stamp.payload, response.payload, share.payload)
+    if authenticated and not all(verify(msg._encoding, msg.tag, ledger) for msg in arrived):
+        return SyncResult(kind, None, None, None, auth_ok=False, attack_flag=True, detail="authentication failed")
+    t1_star, t2_star = response.payload.t1_star, response.payload.t2_star
+    t0 = (t1_star - t1 - t2 + t2_star) / 2.0
+    tau = (t1_star - t1 + t2 - t2_star) / 2.0
+    return SyncResult(kind, t0, tau, None, auth_ok=True, attack_flag=False)
 
 
 def protocol_a(scenario: Scenario) -> SyncResult:
@@ -249,32 +243,19 @@ def exchange_files(
     exchange. A stall outranks a failed tag, which outranks a stale or
     mismatched file.
     """
-    expected = file_a.bep_index
-    local_digest = scenario.config.line.digest
-    received: dict[Direction, BepFile] = {}
-    authentic: dict[Direction, bool] = {}  # the last verdict in each direction
-    fresh = True
-
-    def tagged(file: BepFile) -> FileTransfer:
-        return FileTransfer(file, encrypt_digest(file.sha256().digest(), scenario.ledger))
-
-    def on_deliver(env: Envelope) -> None:
-        nonlocal fresh
-        transfer = env.payload
-        if not isinstance(transfer, FileTransfer):
-            return
-        received[env.direction] = transfer.file
-        authentic[env.direction] = verify_digest(transfer.file.sha256().digest(), transfer.tag, scenario.ledger)
-        fresh &= transfer.file.bep_index == expected and transfer.file.config_digest == local_digest
-
-    sched = scenario.scheduler
-    sched.send(tagged(file_a), Direction.A_TO_B, send_absolute)
-    sched.send(tagged(file_b), Direction.B_TO_A, send_absolute)
-    sched.run_until_idle(on_deliver)
+    ledger, sched = scenario.ledger, scenario.scheduler
+    for file, direction in ((file_a, Direction.A_TO_B), (file_b, Direction.B_TO_A)):
+        sched.send(FileTransfer(file, encrypt_digest(file.sha256().digest(), ledger)), direction, send_absolute)
+    delivered: list[Envelope] = []
+    sched.run_until_idle(delivered.append)
+    transfers = {env.direction: env.payload for env in delivered}  # the last in each direction
+    received = {direction: transfer.file for direction, transfer in transfers.items()}
     if len(received) < 2:
         return received, "timeout: file exchange stalled"
-    if not all(authentic.values()):
+    if not all(verify_digest(t.file.sha256().digest(), t.tag, ledger) for t in transfers.values()):
         return received, "authentication failed"
+    local_digest = scenario.config.line.digest
+    fresh = all(f.bep_index == file_a.bep_index and f.config_digest == local_digest for f in received.values())
     return received, "" if fresh else "stale or mismatched file"
 
 

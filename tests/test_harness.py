@@ -151,13 +151,14 @@ CONFIG_A = load_bundled("honest_protocol_a").canonical_dict()
         (_report_text(dict(CONFIG_A, oops=1)), r"^report: config\.oops: unknown key$"),
         (_report_text(dict(CONFIG_A, line=dict(CONFIG_A["line"], R_L=-1))), r"^report: config\.line\.R_L: must be > 0"),
         (_report_text([]), r"^report: 'config' is not an object$"),
+        (_report_text(CONFIG_A, result=[]), r"^report: 'result' is not an object$"),
         (_report_text(CONFIG_A, event_log_digest=0), r"^report: 'event_log_digest' is not a string$"),
         (_report_text(CONFIG_A, key_bits_consumed=1.0), r"^report: 'key_bits_consumed' is not an integer$"),
     ],
     ids=[
         "not_utf8", "not_an_object", "missing_keys",
         "config_unknown_key", "config_negative_R_L", "config_not_an_object",
-        "digest_not_a_string", "key_bits_not_an_integer",
+        "result_not_an_object", "digest_not_a_string", "key_bits_not_an_integer",
     ],
 )
 def test_a_malformed_report_fails_closed(text, message):

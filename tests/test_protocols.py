@@ -121,10 +121,25 @@ def test_delay_attack_algebra(delta_ms, leg, sign):
         assert res.attack_flag is False
 
 
-def test_protocol_a_dropped_message_is_reported_incomplete_and_unflagged():
-    sc = scenario(attacks=(Substitute("Response", drop=True),))
+# each message of the two-way exchange, and the lines the log holds once
+# Eve drops it: every earlier message's send and deliver, its send and the drop
+DROPS = {"TimeStamp": 2, "Response": 4, "Share": 6}
+
+
+def assert_dropped_last(sc, lines=None):
+    """The exchange ended at the drop: nothing was sent after it."""
+    log = sc.scheduler.log
+    assert log[-1].kind == "attack-drop"
+    if lines is not None:
+        assert len(log) == lines
+
+
+@pytest.mark.parametrize("target", DROPS)
+def test_protocol_a_dropped_message_is_reported_incomplete_and_unflagged(target):
+    sc = scenario(attacks=(Substitute(target, drop=True),))
     detail = "incomplete: synchronization exchange never finished"
     assert protocol_a(sc) == SyncResult("A", None, None, None, True, False, detail)
+    assert_dropped_last(sc, DROPS[target])
 
 
 def test_protocol_a_never_flags_substitution():
@@ -191,10 +206,11 @@ def test_protocol_b_flags_fabricated_tag():
     assert res.attack_flag is True
 
 
-def test_protocol_b_reports_timeout_on_drop():
-    sc = scenario(seed=3, attacks=(Substitute("Share", drop=True),))
-    res = protocol_b(sc)
-    assert res.attack_flag is True and "timeout" in res.detail
+@pytest.mark.parametrize("target", DROPS)
+def test_protocol_b_reports_timeout_on_drop(target):
+    sc = scenario(seed=3, attacks=(Substitute(target, drop=True),))
+    assert protocol_b(sc) == SyncResult("B", None, None, None, False, True, "timeout: exchange stalled")
+    assert_dropped_last(sc, DROPS[target])
 
 
 def test_protocol_b_key_exhaustion_propagates():
@@ -235,6 +251,30 @@ def test_exchange_files_flags_altered_sample():
     # bytes, though Alice's record was hashed for its tag before Eve saw it
     forged = received[Direction.A_TO_B]
     assert forged.sha256().digest() == hashlib.sha256(forged.payload_bytes()).digest() != fa.sha256().digest()
+
+
+@pytest.mark.parametrize(
+    "dropped, arrived", [("AtoB", Direction.B_TO_A), ("BtoA", Direction.A_TO_B)], ids=["AtoB", "BtoA"]
+)
+def test_exchange_files_reports_a_dropped_record_as_a_stall(dropped, arrived):
+    sc = scenario(seed=4, attacks=(Substitute("file", drop=True, direction=dropped),))
+    fa, fb = bep_files()
+    received, problem = exchange_files(sc, fa, fb, send_absolute=0.0)
+    assert problem == "timeout: file exchange stalled"
+    sent = {Direction.A_TO_B: fa, Direction.B_TO_A: fb}
+    assert received == {arrived: sent[arrived]}
+
+
+def test_exchange_files_ranks_a_drop_above_an_altered_record():
+    attacks = (
+        Substitute("file", drop=True, direction="AtoB"),
+        Substitute("file", mode="alter_sample", sample_index=7, delta=0.25, direction="BtoA"),
+    )
+    sc = scenario(seed=4, attacks=attacks)
+    fa, fb = bep_files()
+    received, problem = exchange_files(sc, fa, fb, send_absolute=0.0)
+    assert problem == "timeout: file exchange stalled"
+    assert list(received) == [Direction.B_TO_A] and received[Direction.B_TO_A] != fb  # the altered record arrived
 
 
 def test_exchange_files_detects_replay():
@@ -673,6 +713,15 @@ def test_honest_combined_runs_stay_clean_at_fine_clocks(q):
         if res.attack_flag:
             flagged[seed] = res.detail
     assert flagged == {}
+
+
+@pytest.mark.parametrize("target", DROPS)
+def test_combined_check_reports_a_dropped_probe_message_as_a_stall(target):
+    sc = scenario(seed=8, t0=7.0 / FS, attacks=(Substitute(target, drop=True),))
+    res = combined_check(sc)
+    assert res.attack_flag is True and res.auth_ok is False
+    assert res.detail == "probe: timeout: exchange stalled"
+    assert_dropped_last(sc)
 
 
 def test_combined_check_catches_asymmetric_delay():
