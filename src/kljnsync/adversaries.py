@@ -30,7 +30,7 @@ from .config import MAX_SECONDS, Section, ge, within
 from .errors import InconsistentStateError
 from .line import BepMeasurement, BitState, LineConfig, classify_bep
 from .noise import derive_seed
-from .protocols import MESSAGE_FIELDS, FileTransfer, MessageKind, SyncMessage, bep_start_time
+from .protocols import FileTransfer, MessageKind, SyncMessage, bep_start_time
 from .scenario import Scenario
 
 if TYPE_CHECKING:  # harness imports this module
@@ -96,7 +96,7 @@ class Substitute(Section):
                 unread("mode 'replay'", "delta", "sample_index", "fabricate_tag")
         else:
             unread(f"target {self.target!r}", "mode", "sample_index", "direction")
-            names = MESSAGE_FIELDS[MessageKind(self.target)]
+            names = MessageKind(self.target).fields
             if not self.drop and self.field not in names:
                 problems.append(
                     "field: required unless drop is set" if self.field is None
@@ -177,14 +177,17 @@ def _asym_delay_hook(leg: Direction, delta: float):
 def _substitute_message_hook(spec: Substitute, rng: Optional[np.random.Generator]):
     def hook(env: Envelope):
         msg = env.payload
-        if not isinstance(msg, SyncMessage) or msg.kind.value != spec.target:
+        # _value_ is the kind's value, read without the call Enum's value
+        # property makes
+        if not isinstance(msg, SyncMessage) or msg.kind._value_ != spec.target:
             return env
         if spec.drop:
             return None
         changes = {spec.field: getattr(msg, spec.field) + (spec.delta or 0.0)}
         if spec.fabricate_tag and msg.tag is not None:
             changes["tag"] = AuthTag(rng.bytes(32), msg.tag.span)
-        env.payload = dc_replace(msg, **changes)
+        # the message's own copy: checked and encoded afresh
+        env.payload = msg._replace(**changes)
         return env
 
     return hook

@@ -27,17 +27,20 @@ alone cannot see.
 
 from __future__ import annotations
 
+import copyreg
 import enum
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+import typing
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
 from .auth import AuthTag, encrypt_digest, hash_message, verify, verify_digest
 from .bepfile import BepFile, build_bep_file
 from .channel import Direction, Envelope
+from .config import ProtocolConfig
 from .errors import ConfigError, InsufficientOverlapError
 from .line import Party, ResistorChoice, simulate_bep
 from .noise import derive_seed
@@ -57,71 +60,150 @@ _SEED_PROBE = 5
 # the next tick past the last event
 PROBE_WAIT_QUANTA = 1_000_000
 
+# the protocols a result may name: the kinds a config runs
+PROTOCOL_KINDS = typing.get_args(typing.get_type_hints(ProtocolConfig)["kind"])
+
+
+# the values a two-way message may carry, in the order of their field
+# numbers: a message's encoding writes each one it carries under its number
+MESSAGE_VALUES = ("t1", "t1_star", "t2_star", "t2")
+
 
 class MessageKind(enum.Enum):
-    TIME_STAMP = "TimeStamp"
-    RESPONSE = "Response"
-    SHARE = "Share"
+    """A two-way message's kind, which keeps its encoding plan: fields, the
+    values its messages carry; plan, each of them as (field number, name);
+    and prefix, the kind's name in ASCII, which starts the encoding. The
+    plan is read off the member: a dict keyed by the kind would run Enum's
+    Python-level __hash__ on every lookup."""
+
+    TIME_STAMP = "TimeStamp", ("t1",)
+    RESPONSE = "Response", ("t1_star", "t2_star")
+    SHARE = "Share", ("t2",)
+
+    def __new__(cls, value: str, fields: tuple[str, ...]):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.fields = fields
+        kind.plan = tuple((MESSAGE_VALUES.index(name), name) for name in fields)
+        kind.prefix = value.encode("ascii")
+        return kind
 
 
-MESSAGE_FIELDS = {
-    MessageKind.TIME_STAMP: ("t1",),
-    MessageKind.RESPONSE: ("t1_star", "t2_star"),
-    MessageKind.SHARE: ("t2",),
-}
-# each kind's name as its messages' encoding starts with it
-_KIND_NAMES = {kind: kind.value.encode("ascii") for kind in MessageKind}
-
-
-@dataclass(frozen=True)
-class SyncMessage:
+class _MessageFields(NamedTuple):
     kind: MessageKind
-    t1: Optional[float] = None
-    t1_star: Optional[float] = None
-    t2_star: Optional[float] = None
-    t2: Optional[float] = None
-    tag: Optional[AuthTag] = None
-    # made when the message is built, so a message rewritten with
-    # dataclasses.replace is encoded afresh
-    _encoding: bytes = field(init=False, repr=False, compare=False)
+    t1: Optional[float]
+    t1_star: Optional[float]
+    t2_star: Optional[float]
+    t2: Optional[float]
+    tag: Optional[AuthTag]
+    # made by the constructor from the fields above, tag excluded
+    encoding: bytes
 
-    def __post_init__(self):
-        kind = self.kind
-        for name in MESSAGE_FIELDS[kind]:
-            if getattr(self, name) is None:
-                raise ConfigError(f"{kind.value} message requires {name}")
-        parts = [_KIND_NAMES[kind]]
-        for i, value in enumerate((self.t1, self.t1_star, self.t2_star, self.t2)):
-            if value is not None:
-                parts.append(struct.pack(">Bd", i, value))
-        object.__setattr__(self, "_encoding", b"|".join(parts))
+
+class SyncMessage(_MessageFields):
+    """One message of the two-way exchange: an immutable tuple whose
+    encoding is made once, when it is built.
+
+    SyncMessage(kind, **fields) is its one constructor. fields holds each
+    value kind carries (kind.fields), all required, and optionally tag; a
+    value another kind carries may be given only as None. It checks them,
+    encodes the message and builds the tuple in one call. Every other way
+    to a message goes through it or is refused: _replace (Eve's rewrite),
+    copy, deepcopy and pickle build the changed or copied message afresh,
+    and _make, which would take an encoding as given, raises TypeError.
+    Only tagged keeps an encoding: it adds the tag the sender made from
+    it, and the tag is not part of it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: MessageKind, **fields) -> SyncMessage:
+        # the tuple's items: kind, the four values, tag, encoding
+        items = [kind, None, None, None, None, fields.pop("tag", None), None]
+        parts = [kind.prefix]
+        for i, name in kind.plan:
+            value = fields.pop(name, None)
+            if value is None:
+                raise ConfigError(f"{kind._value_} message requires {name}")
+            items[i + 1] = value
+            parts.append(struct.pack(">Bd", i, value))
+        for name, value in fields.items():  # what no field of kind took
+            if value is not None or name not in MESSAGE_VALUES:
+                raise ConfigError(f"{name}: a {kind._value_} message carries only {', '.join(kind.fields)} and tag")
+        items[6] = b"|".join(parts)
+        return tuple.__new__(cls, items)
 
     def canonical_bytes(self) -> bytes:
         """Deterministic encoding of the content (tag excluded): the kind
-        name plus each populated field as a tagged big-endian double."""
-        return self._encoding
+        name plus each field the kind carries as a tagged big-endian
+        double."""
+        return self.encoding
+
+    def tagged(self, tag: AuthTag) -> SyncMessage:
+        """The message with tag, the one its sender made from its encoding,
+        built in one call: the fields and encoding are this message's."""
+        kind, t1, t1_star, t2_star, t2, _, encoding = self
+        return tuple.__new__(SyncMessage, (kind, t1, t1_star, t2_star, t2, tag, encoding))
+
+    def _content(self) -> dict:
+        """The fields the constructor builds this message from, by name."""
+        return {"kind": self.kind, "t1": self.t1, "t1_star": self.t1_star, "t2_star": self.t2_star,
+                "t2": self.t2, "tag": self.tag}
+
+    def _replace(self, **changes) -> SyncMessage:
+        """The message with changes made, built by the constructor, so
+        checked and encoded afresh. Changing the encoding is refused."""
+        return SyncMessage(**{**self._content(), **changes})
+
+    @classmethod
+    def _make(cls, iterable) -> SyncMessage:
+        raise TypeError("SyncMessage._make: a message is built by SyncMessage(kind, **fields), which encodes it")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle, at any protocol, call the constructor
+        # with the content fields, which encodes the copy afresh
+        return copyreg.__newobj_ex__, (SyncMessage, (), self._content())
 
 
-@dataclass(frozen=True)
-class SyncResult:
-    """Outcome of one synchronization run.
-
-    attack_flag is true whenever authentication failed, the integrity
-    residual exceeded its threshold, or the measured propagation delay
-    strayed from nominal; estimates from a flagged run are discarded.
-    """
-
+class _ResultFields(NamedTuple):
     protocol: str  # the config's kind: "A", "B", "C" or "Combined"
     t0_est: Optional[float]
     tau_est: Optional[float]
     residual: Optional[float]
     auth_ok: bool
     attack_flag: bool
-    detail: str = ""
+    detail: str
 
-    def __post_init__(self):
-        if not self.auth_ok and not self.attack_flag:
+
+class SyncResult(_ResultFields):
+    """Outcome of one synchronization run: an immutable tuple.
+
+    attack_flag is true whenever authentication failed, the integrity
+    residual exceeded its threshold, or the measured propagation delay
+    strayed from nominal; estimates from a flagged run are discarded.
+
+    SyncResult(protocol, t0_est, tau_est, residual, auth_ok, attack_flag,
+    detail) is its one constructor: it raises ConfigError for a protocol
+    no config runs, or a failed authentication without the flag. _make
+    (and so _replace), copy, deepcopy and pickle go through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, protocol, t0_est, tau_est, residual, auth_ok, attack_flag, detail) -> SyncResult:
+        if protocol not in PROTOCOL_KINDS:
+            raise ConfigError(f"result.protocol: {protocol!r} is not one of {', '.join(PROTOCOL_KINDS)}")
+        if not auth_ok and not attack_flag:
             raise ConfigError("result: failed authentication must raise the attack flag")
+        return tuple.__new__(cls, (protocol, t0_est, tau_est, residual, auth_ok, attack_flag, detail))
+
+    @classmethod
+    def _make(cls, iterable) -> SyncResult:
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle, at any protocol, call the constructor
+        return SyncResult, tuple(self)
 
 
 @dataclass(frozen=True)
@@ -165,11 +247,12 @@ def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult
         or None when Eve dropped it."""
         digest = None
         if authenticated:
-            # the tag is not part of the encoding: the sender tags the
-            # message it has just built, before the channel sees it, and
-            # the digest it tagged is the one the event log shows
-            digest = hash_message(msg._encoding)
-            object.__setattr__(msg, "tag", encrypt_digest(digest, ledger))
+            # the tag is not part of the encoding: the sender hashes the
+            # message it has just built and sends it tagged, before the
+            # channel sees it, and the digest it tagged is the one the
+            # event log shows
+            digest = hash_message(msg.encoding)
+            msg = msg.tagged(encrypt_digest(digest, ledger))
             digest = digest.hex()
         scheduler.send(msg, direction, now, digest)
         delivered: list[Envelope] = []
@@ -191,13 +274,15 @@ def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult
     share = leg(SyncMessage(MessageKind.SHARE, t2=t2), Direction.A_TO_B, response.deliver_absolute)
     if share is None:
         return _stalled(kind)
-    arrived = (stamp.payload, response.payload, share.payload)
-    if authenticated and not all(verify(msg._encoding, msg.tag, ledger) for msg in arrived):
-        return SyncResult(kind, None, None, None, auth_ok=False, attack_flag=True, detail="authentication failed")
+    if authenticated:
+        for msg in (stamp.payload, response.payload, share.payload):
+            if not verify(msg.encoding, msg.tag, ledger):
+                detail = "authentication failed"
+                return SyncResult(kind, None, None, None, auth_ok=False, attack_flag=True, detail=detail)
     t1_star, t2_star = response.payload.t1_star, response.payload.t2_star
     t0 = (t1_star - t1 - t2 + t2_star) / 2.0
     tau = (t1_star - t1 + t2 - t2_star) / 2.0
-    return SyncResult(kind, t0, tau, None, auth_ok=True, attack_flag=False)
+    return SyncResult(kind, t0, tau, None, auth_ok=True, attack_flag=False, detail="")
 
 
 def protocol_a(scenario: Scenario) -> SyncResult:
@@ -463,7 +548,7 @@ def protocol_c(scenario: Scenario) -> SyncResult:
 
     # Bob, the non-master, corrects his clock
     scenario.bob_clock = scenario.bob_clock.corrected(t0_est)
-    return SyncResult("C", t0_est, None, best, auth_ok=True, attack_flag=False)
+    return SyncResult("C", t0_est, None, best, auth_ok=True, attack_flag=False, detail="")
 
 
 def combined_check(scenario: Scenario) -> SyncResult:

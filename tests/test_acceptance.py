@@ -4,7 +4,6 @@ Each test prints its own pass/fail line so a plain pytest run doubles as
 the acceptance report; `kljnsync verify` executes the same list.
 """
 
-import dataclasses
 import json
 import os
 import re
@@ -49,11 +48,11 @@ def test_acceptance_criterion(criterion):
 
 
 def _flip(result):
-    return dataclasses.replace(result, attack_flag=not result.attack_flag)
+    return result._replace(attack_flag=not result.attack_flag)
 
 
 def _late(result):
-    return dataclasses.replace(result, t0_est=result.t0_est + 2e-12)
+    return result._replace(t0_est=result.t0_est + 2e-12)
 
 
 @pytest.mark.parametrize(

@@ -121,7 +121,10 @@ def _one_error_line(capsys) -> str:
 
 REPORT_BODY = {
     "config": load_bundled("honest_protocol_a").canonical_dict(),
-    "result": {},
+    "result": {
+        "protocol": "A", "t0_est": 0.005, "tau_est": 0.002, "residual": None,
+        "auth_ok": True, "attack_flag": False, "detail": "",
+    },
     "event_log_digest": "",
     # a report's levels must be those of its config's line
     "msq_levels": dict(load_bundled("honest_protocol_a").line.msq_levels),
@@ -136,6 +139,7 @@ CONFIG = REPORT_BODY["config"]
         (None, "report: cannot read"),
         ("residual_curve 1 2\n", "report: invalid JSON"),
         ('{"config": {}}', "report: missing key 'result'"),
+        (json.dumps({**REPORT_BODY, "result": {}}), "report: result.protocol: required"),
         (json.dumps({**REPORT_BODY, "config": {**CONFIG, "oops": 1}}), "report: config.oops: unknown key"),
         (
             json.dumps({**REPORT_BODY, "config": {**CONFIG, "line": {**CONFIG["line"], "R_L": -1}}}),
@@ -146,7 +150,10 @@ CONFIG = REPORT_BODY["config"]
             "report: 'msq_levels' are not the levels of its config's line",
         ),
     ],
-    ids=["missing", "not_json", "no_result", "config_unknown_key", "config_negative_R_L", "levels_not_the_lines"],
+    ids=[
+        "missing", "not_json", "no_result", "empty_result", "config_unknown_key", "config_negative_R_L",
+        "levels_not_the_lines",
+    ],
 )
 def test_plot_of_a_bad_report_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.report.json"

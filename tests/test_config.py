@@ -18,7 +18,7 @@ from kljnsync.config import CANONICAL, ChannelConfig, ClockConfig, ProtocolConfi
 from kljnsync.errors import ConfigError
 from kljnsync.harness import ScenarioConfig, bundled_scenario_names, load_bundled, run_protocol, run_scenario
 from kljnsync.line import LineConfig
-from kljnsync.protocols import MESSAGE_FIELDS, MessageKind, SyncResult
+from kljnsync.protocols import MessageKind, SyncResult
 
 DELETE = object()
 
@@ -440,7 +440,7 @@ def _draw_attack(rng) -> dict:
         elif attack["target"] == "file":
             keys = ["mode?", "delta?", "sample_index?", "fabricate_tag?", "direction?"]
         else:
-            fields = MESSAGE_FIELDS[MessageKind(attack["target"])]
+            fields = MessageKind(attack["target"]).fields
             attack["field"] = fields[rng.integers(len(fields))]
             keys = ["delta", "fabricate_tag?"]
     for key in keys:

@@ -24,6 +24,7 @@ from kljnsync.harness import (
 )
 from kljnsync.line import LineConfig
 from kljnsync.noise import theoretical_autocorrelation
+from kljnsync.protocols import SyncMessage, SyncResult
 
 MINIMAL = {
     "seed": 5,
@@ -197,6 +198,46 @@ def test_a_report_whose_levels_are_not_its_lines_fails_closed():
     assert other.keys() == levels.keys()
     with pytest.raises(ConfigError):
         RunReport.from_json(json.dumps(dict(body, msq_levels=dict(other))))
+
+
+REPORT_A = json.loads(run_scenario(load_bundled("honest_protocol_a")).canonical_json())
+RESULT_A = REPORT_A["result"]
+
+
+@pytest.mark.parametrize(
+    "result, message",
+    [
+        ({}, r"^report: result\.protocol: required; (report: result\.\w+: required; ){5}"
+             r"report: result\.detail: required$"),
+        ({k: v for k, v in RESULT_A.items() if k != "tau_est"}, r"^report: result\.tau_est: required$"),
+        (dict(RESULT_A, extra=0), r"^report: result\.extra: unknown key$"),
+        (dict(RESULT_A, t0_est="x"), r"^report: result\.t0_est: 'x' is not a number or null$"),
+        (dict(RESULT_A, residual=True), r"^report: result\.residual: True is not a number or null$"),
+        (dict(RESULT_A, attack_flag=0), r"^report: result\.attack_flag: 0 is not true or false$"),
+        (dict(RESULT_A, protocol=None), r"^report: result\.protocol: None is not a string$"),
+        (dict(RESULT_A, detail=[]), r"^report: result\.detail: \[\] is not a string$"),
+        (dict(RESULT_A, protocol="D"), r"^report: result\.protocol: 'D' is not one of A, B, C, Combined$"),
+        (dict(RESULT_A, auth_ok=False), r"^report: result: failed authentication must raise the attack flag$"),
+    ],
+    ids=[
+        "empty", "missing_key", "unknown_key", "estimate_not_a_number", "residual_a_bool",
+        "flag_not_a_bool", "protocol_not_a_string", "detail_not_a_string", "unknown_protocol",
+        "failed_auth_unflagged",
+    ],
+)
+def test_a_malformed_result_fails_closed(result, message):
+    # a report's result reads back only as a SyncResult's fields: each of
+    # these would otherwise read, and summary() raise or report a clean run
+    with pytest.raises(ConfigError, match=message):
+        RunReport.from_json(json.dumps(dict(REPORT_A, result=result)))
+
+
+def test_a_result_reads_back_as_the_run_wrote_it():
+    report = RunReport.from_json(json.dumps(REPORT_A))
+    assert report.result == RESULT_A and report.result is not RESULT_A
+    assert "protocol A: clean" in report.summary()
+    # a whole number of seconds reads as JSON gives it
+    assert RunReport.from_json(json.dumps(dict(REPORT_A, result=dict(RESULT_A, t0_est=0)))).result["t0_est"] == 0
 
 
 def test_changing_a_reports_dicts_leaves_its_canonical_form_alone():
@@ -574,20 +615,37 @@ def test_sweep_takes_list_items_by_their_position_only():
         sweep(load_bundled("delay_attack_a"), "attacks.-1.delta", [1e-3])
 
 
-# bundled runs, and how many EventRecord, KeySpan, AuthTag and Clock values
-# each builds
-BUILT = {"honest_protocol_a": 9, "honest_protocol_b": 15, "delay_attack_b": 16, "honest_combined": 24}
+# bundled runs, and how many EventRecord, KeySpan, AuthTag, Clock,
+# SyncMessage and SyncResult values each builds
+BUILT = {
+    "honest_protocol_a": 13,
+    "honest_protocol_b": 22,
+    "delay_attack_b": 23,
+    "substitution_attack_b": 23,
+    "honest_combined": 33,
+}
+
+
+def _ordinary(cls, value):
+    """value built again by cls's ordinary constructor: a message from its
+    fields but the encoding, any other named tuple from all its fields."""
+    if cls is SyncMessage:
+        kind, t1, t1_star, t2_star, t2, tag, _ = value
+        return SyncMessage(kind, t1=t1, t1_star=t1_star, t2_star=t2_star, t2=t2, tag=tag)
+    return cls(*value)
 
 
 @pytest.mark.parametrize("name", sorted(BUILT))
 def test_the_run_path_builds_its_named_tuples_in_one_call(name, monkeypatch):
     # each is made with tuple.__new__(Type, fields), never through the
-    # generated __new__ that Type(*fields) calls, and is the value that gives
+    # generated __new__ that Type(*fields) calls, and is the value that
+    # gives; a message or result is made by its own constructor, or, for a
+    # tagged message, by tagged, and never by its fields' generated __new__
     calls, built, scenarios = [], [], []
 
     def kept(method, cls, pick=lambda value: value):
-        def spy(*args):
-            value = method(*args)
+        def spy(*args, **kwargs):
+            value = method(*args, **kwargs)
             built.append((cls, pick(value)))
             return value
 
@@ -600,13 +658,18 @@ def test_the_run_path_builds_its_named_tuples_in_one_call(name, monkeypatch):
         return scenario
 
     with monkeypatch.context() as patch:
-        for cls in (EventRecord, KeySpan, AuthTag, Clock):
+        generated = {cls: cls for cls in (EventRecord, KeySpan, AuthTag, Clock)}
+        generated.update({SyncMessage: SyncMessage.__base__, SyncResult: SyncResult.__base__})
+        for cls, fields in generated.items():
 
-            def counted(cls, *fields, generated=cls.__new__):
+            def counted(cls, *args, generated=fields.__new__, **kwargs):
                 calls.append(cls.__name__)
-                return generated(cls, *fields)
+                return generated(cls, *args, **kwargs)
 
-            patch.setattr(cls, "__new__", counted)
+            patch.setattr(fields, "__new__", counted)
+        for cls in (SyncMessage, SyncResult):
+            patch.setattr(cls, "__new__", kept(cls.__new__, cls))
+        patch.setattr(SyncMessage, "tagged", kept(SyncMessage.tagged, SyncMessage))
         patch.setattr(ScenarioConfig, "build_scenario", build_scenario)
         patch.setattr(Clock, "corrected", kept(Clock.corrected, Clock))
         patch.setattr(KeyLedger, "take", kept(KeyLedger.take, KeySpan, lambda taken: taken[0]))
@@ -618,6 +681,6 @@ def test_the_run_path_builds_its_named_tuples_in_one_call(name, monkeypatch):
     built += [(EventRecord, rec) for rec in scenario.scheduler.log]
     assert len(built) == BUILT[name]
     for cls, value in built:
-        ordinary = cls(*value)
+        ordinary = _ordinary(cls, value)
         assert type(value) is cls
         assert (value, repr(value), hash(value)) == (ordinary, repr(ordinary), hash(ordinary))

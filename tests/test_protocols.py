@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import struct
 from dataclasses import replace
 from types import SimpleNamespace
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from kljnsync.adversaries import AsymDelay, LineMod, Substitute
+from kljnsync.auth import AuthTag, KeySpan
 from kljnsync.bepfile import build_bep_file, parse_bep_file, serialize_bep_file
 from kljnsync.channel import Direction
 from kljnsync.config import ChannelConfig, ClockConfig, ProtocolConfig
@@ -68,9 +71,77 @@ def test_sync_message_is_encoded_once():
     assert msg.canonical_bytes() is msg.canonical_bytes()
     assert msg.canonical_bytes() == b"Response|" + struct.pack(">Bd", 1, 1.0) + b"|" + struct.pack(">Bd", 2, 2.0)
     # a changed copy is a new message with its own encoding
-    other = replace(msg, t2_star=2.5)
+    other = msg._replace(t2_star=2.5)
     assert other.canonical_bytes() != msg.canonical_bytes()
     assert other.canonical_bytes() == SyncMessage(MessageKind.RESPONSE, t1_star=1.0, t2_star=2.5).canonical_bytes()
+
+
+MESSAGES = {
+    MessageKind.TIME_STAMP: {"t1": 1.25},
+    MessageKind.RESPONSE: {"t1_star": 1.0, "t2_star": 2.0},
+    MessageKind.SHARE: {"t2": -0.5},
+}
+TAG = AuthTag(bytes(range(32)), KeySpan(256, 256))
+
+
+def _copies(value) -> list:
+    """Every way a tuple subclass can be copied: copy, deepcopy, pickle at
+    each protocol and _replace with no change."""
+    pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return [copy.copy(value), copy.deepcopy(value), *pickled, value._replace()]
+
+
+def test_sync_message_refuses_what_its_kind_does_not_carry():
+    with pytest.raises(ConfigError, match=r"^t2: a TimeStamp message carries only t1 and tag$"):
+        SyncMessage(MessageKind.TIME_STAMP, t1=1.0, t2=2.0)
+    with pytest.raises(ConfigError, match=r"^encoding: a Share message carries only t2 and tag$"):
+        SyncMessage(MessageKind.SHARE, t2=2.0, encoding=b"Share")
+    # a value another kind carries may be given as None, as _replace gives it
+    assert SyncMessage(MessageKind.SHARE, t1=None, t2=2.0) == SyncMessage(MessageKind.SHARE, t2=2.0)
+
+
+@pytest.mark.parametrize("kind", MESSAGES, ids=[kind.value for kind in MESSAGES])
+def test_every_way_to_a_message_encodes_it_afresh_or_is_refused(kind, monkeypatch):
+    fields = MESSAGES[kind]
+    fresh = SyncMessage(kind, **fields, tag=TAG)
+    assert SyncMessage(kind, **fields).tagged(TAG) == fresh
+    # a message whose encoding is not its fields': no copy keeps it
+    forged = tuple.__new__(SyncMessage, (*fresh[:6], b"forged"))
+    packed = _count_encodings(monkeypatch)
+    copies = [*_copies(fresh), *_copies(forged)]
+    for other in copies:
+        assert type(other) is SyncMessage
+        assert other == fresh and other.canonical_bytes() == fresh.canonical_bytes()
+    # each copy went through the constructor, which packed every field again
+    assert len(packed) == len(copies) * len(fields)
+    changed = {name: value + 1.0 for name, value in fields.items()}
+    assert fresh._replace(**changed) == SyncMessage(kind, **changed, tag=TAG)
+    with pytest.raises(ConfigError, match="^encoding: "):
+        fresh._replace(encoding=b"forged")
+    with pytest.raises(ConfigError, match=" requires "):
+        fresh._replace(**dict.fromkeys(fields))
+    with pytest.raises(TypeError, match="SyncMessage._make"):
+        SyncMessage._make(fresh)
+
+
+def test_every_way_to_a_result_keeps_its_rules():
+    result = SyncResult("B", 1e-3, 2e-3, None, True, False, "")
+    for other in [*_copies(result), SyncResult._make(result)]:
+        assert type(other) is SyncResult and other == result
+    flag_dropped = ("B", None, None, None, False, False, "authentication failed")
+    no_kind = ("D", None, None, None, True, False, "")
+    forged = [tuple.__new__(SyncResult, fields) for fields in (flag_dropped, no_kind)]
+    builds = [
+        lambda: result._replace(auth_ok=False),
+        lambda: result._replace(protocol="D"),
+        lambda: SyncResult._make(flag_dropped),
+        *(lambda path=path, value=value: path(value) for value in forged for path in (copy.copy, copy.deepcopy)),
+        *(lambda value=value: pickle.loads(pickle.dumps(value)) for value in forged),
+        *(lambda value=value: value._replace() for value in forged),
+    ]
+    for build in builds:
+        with pytest.raises(ConfigError, match=r"^result(\.protocol: 'D' is not one of A, B, C, Combined|: failed)"):
+            build()
 
 
 # --- protocol A -------------------------------------------------------------
