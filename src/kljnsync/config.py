@@ -19,6 +19,8 @@ so objects built in code are held to the same rules as documents:
   Optional[X]     null, or an X
   tuple[X, ...]   a JSON list of X
   a dataclass     a JSON object with that dataclass's keys
+  a NamedTuple    a JSON object with its fields' keys; read checks each
+                  field's type before it calls the class's own constructor
   a Union of dataclasses
                   an object whose "kind" names one of them by class name
 
@@ -61,6 +63,9 @@ MAX_SECONDS = 1e9
 # the finest clock resolution, a picosecond: a few times MAX_SECONDS are then
 # about 1e21 quanta, which rounding to the clock grid takes without overflow
 MIN_QUANTIZATION = 1e-12
+# the protocols a config runs, and so the ones a run's result may name
+ProtocolKind = Literal["A", "B", "C", "Combined"]
+PROTOCOL_KINDS = typing.get_args(ProtocolKind)
 # the widest gap between neighbouring floats, in clock quanta, at a clock
 # reading of a two-way exchange: an honest run's delay estimate is off by
 # about 0.2 to 0.4 of that gap, so the float timeline takes at most a
@@ -160,14 +165,14 @@ def _field(hint):
         (inner,) = (a for a in args if a is not type(None))
         check_inner = _field(inner)[1]
         return None, lambda value: None if value is None else check_inner(value)
-    # bool, str, a dataclass, a Union of dataclasses
+    # bool, str, dict, a dataclass, a NamedTuple, a Union of dataclasses
     classes = args if origin is typing.Union else (hint,)
     text = "must be " + " or ".join(c.__name__ for c in classes)
 
     def check(value):
         return None if isinstance(value, classes) else text
 
-    if dataclasses.is_dataclass(hint):
+    if dataclasses.is_dataclass(hint) or _is_named_tuple(hint):
         return (lambda value, path, problems: _read(hint, value, path, problems)), check
     if origin is not typing.Union:
         return None, check
@@ -188,12 +193,18 @@ def _field(hint):
     return read_tagged, check
 
 
+def _is_named_tuple(hint) -> bool:
+    return isinstance(hint, type) and issubclass(hint, tuple) and hasattr(hint, "_fields")
+
+
 @functools.cache
 def _schema(cls) -> dict:
-    """name -> (required, read, check) for every init field of cls, read
-    and check as _field gives them; type hints are resolved, with their
-    bounds, once per class."""
+    """name -> (required, read, check) for every init field of cls (a
+    dataclass, or a NamedTuple's fields), read and check as _field gives
+    them; type hints are resolved, with their bounds, once per class."""
     hints = typing.get_type_hints(cls, include_extras=True)
+    if _is_named_tuple(cls):
+        return {name: (name not in cls._field_defaults, *_field(hints[name])) for name in cls._fields}
     return {
         f.name: (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING, *_field(hints[f.name]))
         for f in dataclasses.fields(cls)
@@ -247,13 +258,18 @@ def _read(cls, doc, path: str, problems: list):
         elif required:
             problems.append(f"{_join(path, name)}: required")
             failed = True
-    if failed:  # cls cannot be built; still report its mistyped fields
-        problems.extend(
+    if failed or not issubclass(cls, Section):
+        # report the mistyped fields: cls cannot be built, or it is a
+        # NamedTuple, whose constructor checks no types; a Section checks
+        # its own when it is built
+        mistyped = [
             f"{_join(path, name)}: {problem}"
             for name, value in kwargs.items()
             if value is not _FAILED and (problem := schema[name][2](value))
-        )
-        return _FAILED
+        ]
+        problems += mistyped
+        if failed or mistyped:
+            return _FAILED
     try:
         return cls(**kwargs)
     except ConfigError as exc:
@@ -393,7 +409,7 @@ class ProtocolConfig(Section):
     channel's tau.
     """
 
-    kind: Literal["A", "B", "C", "Combined"]
+    kind: ProtocolKind
     dt_window: Annotated[int, ge(1)] = 100
     residual_threshold: Annotated[float, ge(1e-12)] = 0.01
     k_range: tuple[int, ...] = (0,)

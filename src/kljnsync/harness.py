@@ -6,8 +6,8 @@ errors, because a silently ignored key in an attack scenario would test
 the wrong thing. Reports keep the validated config that produced them and
 embed its document, carry the plot-ready series, and serialize canonically
 so identical runs produce byte-identical files. A report's ``config`` dict
-is built on first read, and a report read back from JSON must carry a
-config that validates.
+is built on first read, and a report read back from JSON is read as a
+config file is, its result included (``ReportDocument``).
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ class ScenarioConfig(Section):
                 continue
             if attack.target == "file" and kind not in ("C", "Combined"):
                 problems.append(f"attacks.{n}: a record needs protocol C or Combined; protocol {kind} sends none")
+            elif attack.mode == "replay" and len(self.protocol.k_range) < 2:
+                # the first record is only remembered: a later one is replaced by it
+                problems.append(f"attacks.{n}: a replay needs at least two BEPs in protocol.k_range")
             elif attack.target != "file" and kind == "C":
                 problems.append(f"attacks.{n}: a message needs protocol A, B or Combined; protocol C sends none")
             elif attack.fabricate_tag and not attack.delta and kind == "A":
@@ -200,6 +203,31 @@ class ScenarioConfig(Section):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ReportDocument(Section):
+    """A report file's document, read as a config file is (see the config
+    module): its config as a ScenarioConfig, its result as SyncResult's
+    declared fields, each key checked against its field's type. Its rules
+    across fields hold the report to its own config."""
+
+    config: ScenarioConfig
+    result: SyncResult
+    event_log_digest: str
+    key_bits_consumed: Annotated[int, ge(0)]
+    msq_levels: dict
+    series: dict = field(default_factory=dict)
+
+    def problems(self) -> list[str]:
+        config, problems = self.config, []
+        if self.msq_levels != config.line.msq_levels:
+            problems.append("msq_levels: must be the levels of config.line")
+        if self.result.protocol != config.protocol.kind:
+            problems.append(f"result.protocol: must be config.protocol.kind ({config.protocol.kind})")
+        if self.key_bits_consumed > config.key_bits:
+            problems.append(f"key_bits_consumed: must be <= config.key_bits ({config.key_bits})")
+        return problems
+
+
 @dataclass
 class RunReport:
     """One run's outcome and the validated config it ran.
@@ -209,10 +237,9 @@ class RunReport:
     and then kept: a run or sweep that never reads them never builds them,
     and a caller may change either dict without touching another report or
     the canonical form, which splices in the text the config and its line
-    keep. ``from_json`` validates the config a report carries and holds
-    the report's levels to those of the config's line, so a report that
-    would not read as a config file, or disagrees with its own line, fails
-    with ConfigError (``kljnsync plot`` exits 2).
+    keep. ``from_json`` reads a report file as a ReportDocument, so a
+    report that would not read as one, or disagrees with its own config,
+    fails with ConfigError (``kljnsync plot`` exits 2).
     """
 
     scenario_config: ScenarioConfig
@@ -269,32 +296,16 @@ class RunReport:
             raise ConfigError(f"report: invalid JSON ({exc})") from None
         if not isinstance(body, dict):
             raise ConfigError("report: not a JSON object")
-        required = ("config", "result", "event_log_digest", "msq_levels", "key_bits_consumed")
-        missing = [f"report: missing key {key!r}" for key in required if key not in body]
-        if missing:
-            raise ConfigError(missing)
-        if not isinstance(body["result"], dict):
-            raise ConfigError("report: 'result' is not an object")
-        if not isinstance(body.get("series", {}), dict):
-            raise ConfigError("report: 'series' is not an object")
-        if not isinstance(body["event_log_digest"], str):
-            raise ConfigError("report: 'event_log_digest' is not a string")
-        if type(body["key_bits_consumed"]) is not int:
-            raise ConfigError("report: 'key_bits_consumed' is not an integer")
-        if not isinstance(body["config"], dict):
-            raise ConfigError("report: 'config' is not an object")
         try:
-            config = ScenarioConfig.from_dict(body["config"])
+            doc = read(ReportDocument, body)
         except ConfigError as exc:
-            raise ConfigError([f"report: config.{p}" for p in exc.problems]) from None
-        if body["msq_levels"] != config.line.msq_levels:
-            raise ConfigError("report: 'msq_levels' are not the levels of its config's line")
+            raise ConfigError([f"report: {p}" for p in exc.problems]) from None
         return cls(
-            scenario_config=config,
-            result=_read_result(body["result"]),
-            event_log_digest=body["event_log_digest"],
-            key_bits_consumed=body["key_bits_consumed"],
-            series=body.get("series", {}),
+            scenario_config=doc.config,
+            result=doc.result._asdict(),
+            event_log_digest=doc.event_log_digest,
+            key_bits_consumed=doc.key_bits_consumed,
+            series=doc.series,
         )
 
     def summary(self) -> str:
@@ -314,38 +325,6 @@ class RunReport:
             lines.append(f"  clock error = {self.clock_error!r} s")
         lines.append(f"  wall time = {self.wall_seconds:.3f} s")
         return "\n".join(lines)
-
-
-# what JSON must give for each field of a report's result
-_RESULT_VALUES = {
-    "protocol": ("a string", (str,)),
-    "t0_est": ("a number or null", (float, int, type(None))),
-    "tau_est": ("a number or null", (float, int, type(None))),
-    "residual": ("a number or null", (float, int, type(None))),
-    "auth_ok": ("true or false", (bool,)),
-    "attack_flag": ("true or false", (bool,)),
-    "detail": ("a string", (str,)),
-}
-
-
-def _read_result(doc: dict) -> dict:
-    """A report's result, rebuilt through SyncResult. Raises ConfigError
-    unless doc has SyncResult's keys and no other, each with a value of its
-    type, and SyncResult takes them: a protocol a config runs, and the
-    attack flag raised wherever authentication failed."""
-    problems = [f"report: result.{key}: unknown key" for key in doc if key not in _RESULT_VALUES]
-    for key in SyncResult._fields:
-        what, types = _RESULT_VALUES[key]
-        if key not in doc:
-            problems.append(f"report: result.{key}: required")
-        elif type(doc[key]) not in types:
-            problems.append(f"report: result.{key}: {reprlib.repr(doc[key])} is not {what}")
-    if problems:
-        raise ConfigError(problems)
-    try:
-        return SyncResult._make(doc[key] for key in SyncResult._fields)._asdict()
-    except ConfigError as exc:
-        raise ConfigError([f"report: {p}" for p in exc.problems]) from None
 
 
 def _series_from(scenario: Scenario) -> dict:

@@ -31,7 +31,6 @@ import copyreg
 import enum
 import math
 import struct
-import typing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -40,7 +39,7 @@ import numpy as np
 from .auth import AuthTag, encrypt_digest, hash_message, verify, verify_digest
 from .bepfile import BepFile, build_bep_file
 from .channel import Direction, Envelope
-from .config import ProtocolConfig
+from .config import PROTOCOL_KINDS, ProtocolKind
 from .errors import ConfigError, InsufficientOverlapError
 from .line import Party, ResistorChoice, simulate_bep
 from .noise import derive_seed
@@ -59,9 +58,6 @@ _SEED_PROBE = 5
 # the combined check's probe starts fewer than this many clock quanta after
 # the next tick past the last event
 PROBE_WAIT_QUANTA = 1_000_000
-
-# the protocols a result may name: the kinds a config runs
-PROTOCOL_KINDS = typing.get_args(typing.get_type_hints(ProtocolConfig)["kind"])
 
 
 # the values a two-way message may carry, in the order of their field
@@ -166,7 +162,7 @@ class SyncMessage(_MessageFields):
 
 
 class _ResultFields(NamedTuple):
-    protocol: str  # the config's kind: "A", "B", "C" or "Combined"
+    protocol: ProtocolKind  # the kind of the config that ran
     t0_est: Optional[float]
     tau_est: Optional[float]
     residual: Optional[float]
@@ -185,16 +181,18 @@ class SyncResult(_ResultFields):
     SyncResult(protocol, t0_est, tau_est, residual, auth_ok, attack_flag,
     detail) is its one constructor: it raises ConfigError for a protocol
     no config runs, or a failed authentication without the flag. _make
-    (and so _replace), copy, deepcopy and pickle go through it.
+    goes through it, and _replace, copy, deepcopy and pickle through _make.
+    config.read checks the fields' types (a report's result) before it
+    calls the constructor.
     """
 
     __slots__ = ()
 
     def __new__(cls, protocol, t0_est, tau_est, residual, auth_ok, attack_flag, detail) -> SyncResult:
         if protocol not in PROTOCOL_KINDS:
-            raise ConfigError(f"result.protocol: {protocol!r} is not one of {', '.join(PROTOCOL_KINDS)}")
+            raise ConfigError(f"protocol: must be one of {', '.join(PROTOCOL_KINDS)}")
         if not auth_ok and not attack_flag:
-            raise ConfigError("result: failed authentication must raise the attack flag")
+            raise ConfigError("attack_flag: must be true when auth_ok is false")
         return tuple.__new__(cls, (protocol, t0_est, tau_est, residual, auth_ok, attack_flag, detail))
 
     @classmethod
@@ -202,8 +200,8 @@ class SyncResult(_ResultFields):
         return cls(*iterable)
 
     def __reduce__(self):
-        # copy, deepcopy and pickle, at any protocol, call the constructor
-        return SyncResult, tuple(self)
+        # copy, deepcopy and pickle, at any protocol, rebuild through _make
+        return SyncResult._make, (tuple(self),)
 
 
 @dataclass(frozen=True)

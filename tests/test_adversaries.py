@@ -12,18 +12,18 @@ LINE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 FS = LINE.sample_rate
 
 
-def config(*attacks, seed=1, t0=7.0 / FS):
+def config(*attacks, seed=1, t0=7.0 / FS, k_range=(0,)):
     """A validated ScenarioConfig on LINE that lists attacks."""
     return ScenarioConfig(
-        seed, LINE, ProtocolConfig("Combined"), clock=ClockConfig(t0=t0), channel=ChannelConfig(tau=0.002),
+        seed, LINE, ProtocolConfig("Combined", k_range=k_range), clock=ClockConfig(t0=t0), channel=ChannelConfig(tau=0.002),
         attacks=attacks,
     )
 
 
-def scenario(*attacks, seed=1, t0=7.0 / FS):
+def scenario(*attacks, seed=1, t0=7.0 / FS, k_range=(0,)):
     """A scenario on LINE with its attacks installed, built as `kljnsync
     run` builds one."""
-    return config(*attacks, seed=seed, t0=t0).build_scenario()
+    return config(*attacks, seed=seed, t0=t0, k_range=k_range).build_scenario()
 
 
 def test_spec_constructors_validate():
@@ -215,7 +215,8 @@ def test_only_a_fabricated_tag_seeds_a_generator(monkeypatch):
         Substitute("Response", "t2_star", delta=1e-3),
         Substitute("file", mode="replay"),
     )
-    scenario(*attacks)
+    # two BEPs: a replay needs a record before the one it replaces
+    scenario(*attacks, k_range=(0, 1))
     assert made == []
-    scenario(*attacks, Substitute("Response", "t2_star", delta=1e-3, fabricate_tag=True))
+    scenario(*attacks, Substitute("Response", "t2_star", delta=1e-3, fabricate_tag=True), k_range=(0, 1))
     assert len(made) == 1

@@ -138,7 +138,7 @@ CONFIG = REPORT_BODY["config"]
     [
         (None, "report: cannot read"),
         ("residual_curve 1 2\n", "report: invalid JSON"),
-        ('{"config": {}}', "report: missing key 'result'"),
+        ('{"config": {}}', "report: result: required"),
         (json.dumps({**REPORT_BODY, "result": {}}), "report: result.protocol: required"),
         (json.dumps({**REPORT_BODY, "config": {**CONFIG, "oops": 1}}), "report: config.oops: unknown key"),
         (
@@ -147,12 +147,16 @@ CONFIG = REPORT_BODY["config"]
         ),
         (
             json.dumps({**REPORT_BODY, "msq_levels": {**REPORT_BODY["msq_levels"], "LL": 1.0}}),
-            "report: 'msq_levels' are not the levels of its config's line",
+            "report: msq_levels: must be the levels of config.line",
+        ),
+        (
+            json.dumps({**REPORT_BODY, "result": {**REPORT_BODY["result"], "protocol": "B"}}),
+            "report: result.protocol: must be config.protocol.kind (A)",
         ),
     ],
     ids=[
         "missing", "not_json", "no_result", "empty_result", "config_unknown_key", "config_negative_R_L",
-        "levels_not_the_lines",
+        "levels_not_the_lines", "other_protocol",
     ],
 )
 def test_plot_of_a_bad_report_exits_2(tmp_path, capsys, content, message):
@@ -230,7 +234,7 @@ def test_run_of_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
         ({"x": [[None, 2]]}, "series 'x': row 0 is [None, 2], not an [x, y] pair"),
         ({"x": [[True, 2]]}, "series 'x': row 0 is [True, 2], not an [x, y] pair"),
         ({"x": 5}, "series 'x': not a list of [x, y] rows"),
-        ([["x", 1]], "report: 'series' is not an object"),
+        ([["x", 1]], "report: series: must be dict"),
     ],
     ids=["not_a_list", "short", "long", "string", "null", "bool", "rows_not_a_list", "series_not_a_dict"],
 )

@@ -494,6 +494,24 @@ def test_a_substitution_the_protocol_never_lets_act_gives_one_problem_each(tmp_p
         ScenarioConfig.from_dict(dict(load_bundled("honest_protocol_c").raw, attacks=doc["attacks"][1:2]))
 
 
+@pytest.mark.parametrize("kind", ["C", "Combined"])
+def test_a_replay_needs_two_beps(kind, tmp_path, capsys):
+    # the first record each way is only remembered, and a later one replaced
+    # by it: over one BEP nothing would be replayed, and the run report clean
+    doc = mutated(mutated(load_bundled("replay_attack_c").raw, "protocol.kind", kind), "protocol.k_range", [0])
+    message = "attacks.0: a replay needs at least two BEPs in protocol.k_range"
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(doc)
+    assert err.value.problems == [message]
+    config = tmp_path / "idle.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # over two BEPs the second record is the first one again, and flagged
+    report = run_scenario(ScenarioConfig.from_dict(mutated(doc, "protocol.k_range", [0, 1])))
+    assert report.result["attack_flag"] is True and " attack-substitute " in report.event_log
+
+
 def test_a_wire_change_needs_a_protocol_that_records(tmp_path, capsys):
     # protocols A and B simulate no BEP, so a new wire resistance would act on nothing
     wire_change = {"kind": "LineMod", "r_wire_factor": 2.0, "at_time": 0.0}

@@ -10,9 +10,10 @@ from kljnsync import protocols
 from kljnsync.adversaries import AsymDelay, Substitute
 from kljnsync.auth import AuthTag, KeyLedger, KeySpan
 from kljnsync.channel import Clock, EventRecord
-from kljnsync.config import ClockConfig, ProtocolConfig
+from kljnsync.config import ClockConfig, ProtocolConfig, init_fields
 from kljnsync.errors import ConfigError, UnknownParameterError, UnknownSeriesError
 from kljnsync.harness import (
+    ReportDocument,
     RunReport,
     ScenarioConfig,
     _series_from,
@@ -134,12 +135,13 @@ def test_canonical_json_is_the_compact_sorted_form(name):
     assert RunReport.from_json(text).canonical_json() == text
 
 
-def _report_text(config, **changes) -> str:
-    body = {"config": config, "result": {}, "event_log_digest": "", "msq_levels": {}, "key_bits_consumed": 0}
-    return json.dumps(dict(body, **changes))
+REPORT_A = json.loads(run_scenario(load_bundled("honest_protocol_a")).canonical_json())
+CONFIG_A, RESULT_A = REPORT_A["config"], REPORT_A["result"]
 
 
-CONFIG_A = load_bundled("honest_protocol_a").canonical_dict()
+def _report_text(**changes) -> str:
+    """honest_protocol_a's report with the given keys changed."""
+    return json.dumps(dict(REPORT_A, **changes))
 
 
 @pytest.mark.parametrize(
@@ -147,19 +149,32 @@ CONFIG_A = load_bundled("honest_protocol_a").canonical_dict()
     [
         (b"\xff\xfe{", r"^report: invalid JSON \("),
         ("[1, 2]", r"^report: not a JSON object$"),
-        ('{"config": {}}', "^report: missing key 'result'; report: missing key 'event_log_digest'; "
-                           "report: missing key 'msq_levels'; report: missing key 'key_bits_consumed'$"),
-        (_report_text(dict(CONFIG_A, oops=1)), r"^report: config\.oops: unknown key$"),
-        (_report_text(dict(CONFIG_A, line=dict(CONFIG_A["line"], R_L=-1))), r"^report: config\.line\.R_L: must be > 0"),
-        (_report_text([]), r"^report: 'config' is not an object$"),
-        (_report_text(CONFIG_A, result=[]), r"^report: 'result' is not an object$"),
-        (_report_text(CONFIG_A, event_log_digest=0), r"^report: 'event_log_digest' is not a string$"),
-        (_report_text(CONFIG_A, key_bits_consumed=1.0), r"^report: 'key_bits_consumed' is not an integer$"),
+        ('{"config": {}}', r"^report: config\.seed: required; report: config\.line: required; "
+                           r"report: config\.protocol: required; report: result: required; "
+                           r"report: event_log_digest: required; report: key_bits_consumed: required; "
+                           r"report: msq_levels: required$"),
+        (_report_text(oops=1), r"^report: oops: unknown key$"),
+        (_report_text(config=dict(CONFIG_A, oops=1)), r"^report: config\.oops: unknown key$"),
+        (_report_text(config=dict(CONFIG_A, line=dict(CONFIG_A["line"], R_L=-1))),
+         r"^report: config\.line\.R_L: must be > 0"),
+        (_report_text(config=[]), r"^report: config: expected an object$"),
+        (_report_text(result=[]), r"^report: result: expected an object$"),
+        (_report_text(event_log_digest=0), r"^report: event_log_digest: must be str$"),
+        (_report_text(key_bits_consumed=1.0), r"^report: key_bits_consumed: must be an integer$"),
+        (_report_text(key_bits_consumed=-5), r"^report: key_bits_consumed: must be >= 0$"),
+        (_report_text(series=[]), r"^report: series: must be dict$"),
+        # its config runs protocol A and grants 8192 bits of key
+        (_report_text(result=dict(RESULT_A, protocol="Combined", residual=5.0), key_bits_consumed=10**9),
+         r"^report: result\.protocol: must be config\.protocol\.kind \(A\); "
+         r"report: key_bits_consumed: must be <= config\.key_bits \(8192\)$"),
+        (_report_text(result=dict(RESULT_A, protocol="B")), r"^report: result\.protocol: must be config\.protocol\.kind \(A\)$"),
+        (_report_text(key_bits_consumed=8193), r"^report: key_bits_consumed: must be <= config\.key_bits \(8192\)$"),
     ],
     ids=[
-        "not_utf8", "not_an_object", "missing_keys",
+        "not_utf8", "not_an_object", "missing_keys", "unknown_key",
         "config_unknown_key", "config_negative_R_L", "config_not_an_object",
-        "result_not_an_object", "digest_not_a_string", "key_bits_not_an_integer",
+        "result_not_an_object", "digest_not_a_string", "key_bits_not_an_integer", "key_bits_negative",
+        "series_not_an_object", "other_protocol_and_overspent", "other_protocol", "overspent",
     ],
 )
 def test_a_malformed_report_fails_closed(text, message):
@@ -190,18 +205,17 @@ def test_a_report_whose_levels_are_not_its_lines_fails_closed():
     body = json.loads(run_scenario(load_bundled("honest_protocol_c")).canonical_json())
     assert RunReport.from_json(json.dumps(body)).msq_levels == body["msq_levels"]
     levels = body["msq_levels"]
-    for wrong in ({**levels, "LL": levels["LL"] * 2}, {**levels, "extra": 0.0}, dict(list(levels.items())[1:]), None):
-        with pytest.raises(ConfigError, match=r"^report: 'msq_levels' are not the levels of its config's line$"):
+    not_the_lines = r"^report: msq_levels: must be the levels of config\.line$"
+    for wrong in ({**levels, "LL": levels["LL"] * 2}, {**levels, "extra": 0.0}, dict(list(levels.items())[1:])):
+        with pytest.raises(ConfigError, match=not_the_lines):
             RunReport.from_json(json.dumps(dict(body, msq_levels=wrong)))
+    with pytest.raises(ConfigError, match=r"^report: msq_levels: must be dict$"):
+        RunReport.from_json(json.dumps(dict(body, msq_levels=None)))
     # the levels of another line are as wrong as made-up ones
     other = LineConfig(**dict(body["config"]["line"], noise_scale=2e-4)).msq_levels
     assert other.keys() == levels.keys()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=not_the_lines):
         RunReport.from_json(json.dumps(dict(body, msq_levels=dict(other))))
-
-
-REPORT_A = json.loads(run_scenario(load_bundled("honest_protocol_a")).canonical_json())
-RESULT_A = REPORT_A["result"]
 
 
 @pytest.mark.parametrize(
@@ -211,13 +225,13 @@ RESULT_A = REPORT_A["result"]
              r"report: result\.detail: required$"),
         ({k: v for k, v in RESULT_A.items() if k != "tau_est"}, r"^report: result\.tau_est: required$"),
         (dict(RESULT_A, extra=0), r"^report: result\.extra: unknown key$"),
-        (dict(RESULT_A, t0_est="x"), r"^report: result\.t0_est: 'x' is not a number or null$"),
-        (dict(RESULT_A, residual=True), r"^report: result\.residual: True is not a number or null$"),
-        (dict(RESULT_A, attack_flag=0), r"^report: result\.attack_flag: 0 is not true or false$"),
-        (dict(RESULT_A, protocol=None), r"^report: result\.protocol: None is not a string$"),
-        (dict(RESULT_A, detail=[]), r"^report: result\.detail: \[\] is not a string$"),
-        (dict(RESULT_A, protocol="D"), r"^report: result\.protocol: 'D' is not one of A, B, C, Combined$"),
-        (dict(RESULT_A, auth_ok=False), r"^report: result: failed authentication must raise the attack flag$"),
+        (dict(RESULT_A, t0_est="x"), r"^report: result\.t0_est: must be a number$"),
+        (dict(RESULT_A, residual=True), r"^report: result\.residual: must be a number$"),
+        (dict(RESULT_A, attack_flag=0), r"^report: result\.attack_flag: must be bool$"),
+        (dict(RESULT_A, protocol=None), r"^report: result\.protocol: must be one of A, B, C, Combined$"),
+        (dict(RESULT_A, detail=[]), r"^report: result\.detail: must be str$"),
+        (dict(RESULT_A, protocol="D"), r"^report: result\.protocol: must be one of A, B, C, Combined$"),
+        (dict(RESULT_A, auth_ok=False), r"^report: result\.attack_flag: must be true when auth_ok is false$"),
     ],
     ids=[
         "empty", "missing_key", "unknown_key", "estimate_not_a_number", "residual_a_bool",
@@ -230,6 +244,13 @@ def test_a_malformed_result_fails_closed(result, message):
     # these would otherwise read, and summary() raise or report a clean run
     with pytest.raises(ConfigError, match=message):
         RunReport.from_json(json.dumps(dict(REPORT_A, result=result)))
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_a_report_writes_the_keys_its_reader_reads(name):
+    body = json.loads(run_scenario(load_bundled(name)).canonical_json())
+    assert sorted(body) == sorted(init_fields(ReportDocument))
+    assert sorted(body["result"]) == sorted(SyncResult._fields)
 
 
 def test_a_result_reads_back_as_the_run_wrote_it():

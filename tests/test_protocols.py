@@ -140,7 +140,9 @@ def test_every_way_to_a_result_keeps_its_rules():
         *(lambda value=value: value._replace() for value in forged),
     ]
     for build in builds:
-        with pytest.raises(ConfigError, match=r"^result(\.protocol: 'D' is not one of A, B, C, Combined|: failed)"):
+        with pytest.raises(
+            ConfigError, match=r"^(protocol: must be one of A, B, C, Combined|attack_flag: must be true when auth_ok is false)$"
+        ):
             build()
 
 
@@ -349,7 +351,8 @@ def test_exchange_files_ranks_a_drop_above_an_altered_record():
 
 
 def test_exchange_files_detects_replay():
-    sc = scenario(seed=4, key_bits=16384, attacks=(Substitute("file", mode="replay"),))
+    protocol = ProtocolConfig("Combined", k_range=(0, 1))  # a replay needs a record before the one it replaces
+    sc = scenario(seed=4, key_bits=16384, protocol=protocol, attacks=(Substitute("file", mode="replay"),))
     fa0, fb0 = bep_files(seed=21, k=0)
     received0, problem0 = exchange_files(sc, fa0, fb0, send_absolute=0.0)
     assert problem0 == "" and received0[Direction.A_TO_B] == fa0  # first pass is recorded, not altered
