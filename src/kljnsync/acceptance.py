@@ -40,7 +40,7 @@ from .noise import (
     generate_with_guard,
     theoretical_autocorrelation,
 )
-from .protocols import SyncResult, residual_curve
+from .protocols import MessageKind, SyncResult, residual_curve
 
 LINE = LineConfig(R_L=1.0, R_H=10.0, bandwidth_B=1e4, noise_scale=1e-4)
 FS = LINE.sample_rate
@@ -156,12 +156,7 @@ def criterion_5_substitution_detection() -> tuple[bool, str]:
     """100/100 message substitutions and 100/100 file substitutions are
     flagged; 0/10^4 forged tags verify."""
     rng = np.random.default_rng(505)
-    targets = [
-        ("TimeStamp", "t1"),
-        ("Response", "t1_star"),
-        ("Response", "t2_star"),
-        ("Share", "t2"),
-    ]
+    targets = [(kind.value, name) for kind in MessageKind for name in kind.fields]
     rows = []
     for i in range(100):
         target, field_name = targets[i % len(targets)]

@@ -20,6 +20,7 @@ import reprlib
 import time
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Annotated
 
 import numpy as np
@@ -53,98 +54,95 @@ class ScenarioConfig(Section):
     raw: dict = field(default=None, init=False, repr=False, compare=False)
 
     def problems(self) -> list[str]:
+        kind, k_range, line = self.protocol.kind, self.protocol.k_range, self.line
+        # what the run puts on the channel: BEP records (C, Combined), a
+        # two-way exchange (A, B, Combined), and tags on its messages (B,
+        # Combined); an attack on traffic the run never sends would never
+        # act, and the run would report clean
+        records = kind in ("C", "Combined")
+        two_way = kind != "C"
+        tagged = kind in ("B", "Combined")
+        if records:
+            # each record holds floor(bep_duration * sample_rate) samples, and
+            # a wire change lands on the samples at or after its instant
+            samples = math.floor(line.bep_duration * line.sample_rate)
+            last_sample = bep_start_time(self, max(k_range)) + (samples - 1) / line.sample_rate
         problems = []
-        # the line changes, as (n, quantity, instant); a wire change where
-        # no BEP is recorded, or one scheduled for a BEP the protocol never
-        # records, would never fire, and the run would report clean
-        changes = []
-        kind = self.protocol.kind
-        for n, attack in enumerate(self.attacks):
-            if not isinstance(attack, LineMod):
-                continue
-            if attack.tau is None and kind not in ("C", "Combined"):
-                problems.append(
-                    f"attacks.{n}: a wire change needs protocol C or Combined; protocol {kind} records none"
-                )
-            if attack.at_bep is None or attack.at_bep in self.protocol.k_range:
-                changes.append((n, "R_wire" if attack.tau is None else "tau", attack.instant(self)))
-            else:
-                problems.append(f"attacks.{n}.at_bep: must be one of protocol.k_range {list(self.protocol.k_range)}")
-        # two changes of one quantity at one instant leave no one value after it
         first = {}  # (quantity, instant) -> the first change of it
-        for n, quantity, at in changes:
-            if (m := first.setdefault((quantity, at), n)) != n:
-                problems.append(f"attacks.{n}: changes {quantity} at t = {at!r} s, as attacks.{m} does")
-        # a substitution the protocol never gives a chance to act would run
-        # as the honest run does, byte for byte, and report clean
         for n, attack in enumerate(self.attacks):
-            if not isinstance(attack, Substitute):
-                continue
-            if attack.target == "file" and kind not in ("C", "Combined"):
-                problems.append(f"attacks.{n}: a record needs protocol C or Combined; protocol {kind} sends none")
-            elif attack.mode == "replay" and len(self.protocol.k_range) < 2:
-                # the first record is only remembered: a later one is replaced by it
-                problems.append(f"attacks.{n}: a replay needs at least two BEPs in protocol.k_range")
-            elif attack.target != "file" and kind == "C":
-                problems.append(f"attacks.{n}: a message needs protocol A, B or Combined; protocol C sends none")
-            elif attack.fabricate_tag and not attack.delta and kind == "A":
-                problems.append(
-                    f"attacks.{n}: fabricate_tag with no delta needs protocol B or Combined; "
-                    "protocol A's messages carry no tag"
-                )
-        if self.protocol.kind in ("C", "Combined"):
+            if isinstance(attack, LineMod):
+                wire = attack.tau is None
+                if wire and not records:
+                    problems.append(
+                        f"attacks.{n}: a wire change needs protocol C or Combined; protocol {kind} records none"
+                    )
+                if attack.at_bep is not None and attack.at_bep not in k_range:
+                    problems.append(f"attacks.{n}.at_bep: must be one of protocol.k_range {list(k_range)}")
+                    continue
+                quantity, at = "R_wire" if wire else "tau", attack.instant(self)
+                # two changes of one quantity at one instant leave no one value after it
+                if (m := first.setdefault((quantity, at), n)) != n:
+                    problems.append(f"attacks.{n}: changes {quantity} at t = {at!r} s, as attacks.{m} does")
+                if wire and records and at > last_sample:
+                    problems.append(
+                        f"attacks.{n}: the wire changes at t = {at!r} s, after the last recorded sample "
+                        f"(t = {last_sample!r} s), so no record would see it"
+                    )
+            elif isinstance(attack, Substitute):
+                if attack.target == "file" and not records:
+                    problems.append(f"attacks.{n}: a record needs protocol C or Combined; protocol {kind} sends none")
+                elif attack.mode == "replay" and len(k_range) < 2:
+                    # the first record is only remembered: a later one is replaced by it
+                    problems.append(f"attacks.{n}: a replay needs at least two BEPs in protocol.k_range")
+                elif attack.target != "file" and not two_way:
+                    problems.append(f"attacks.{n}: a message needs protocol A, B or Combined; protocol C sends none")
+                elif attack.fabricate_tag and not attack.delta and two_way and not tagged:
+                    problems.append(
+                        f"attacks.{n}: fabricate_tag with no delta needs protocol B or Combined; "
+                        "protocol A's messages carry no tag"
+                    )
+        if records:
             # the alignment search needs a loop current and divides by the
             # wire resistance: without either an honest run could not pass
             problems += [
-                f"line.{name}: must be > 0 for protocol {self.protocol.kind}"
+                f"line.{name}: must be > 0 for protocol {kind}"
                 for name in ("noise_scale", "R_wire")
-                if getattr(self.line, name) == 0
+                if getattr(line, name) == 0
             ]
-            # each record holds floor(bep_duration * sample_rate) samples
-            if self.line.bep_duration * self.line.sample_rate < 1:
+            if samples < 1:
                 problems.append(
                     f"line.bep_duration: must span at least one sample (1 / line.sample_rate = "
-                    f"{1 / self.line.sample_rate!r} s) for protocol {self.protocol.kind}"
+                    f"{1 / line.sample_rate!r} s) for protocol {kind}"
                 )
-            # a wire change lands on the samples at or after its instant, so
-            # one after the last sample of the last record would never be seen
-            n = math.floor(self.line.bep_duration * self.line.sample_rate)
-            last = bep_start_time(self, max(self.protocol.k_range)) + (n - 1) / self.line.sample_rate
-            problems += [
-                f"attacks.{i}: the wire changes at t = {at!r} s, after the last recorded sample "
-                f"(t = {last!r} s), so no record would see it"
-                for i, quantity, at in changes
-                if quantity == "R_wire" and at > last
-            ]
             # the search divides the terminal voltages' difference by R_wire,
             # so their round-off leaves an honest residual of up to
             # (eps * R_H / R_wire)^2, R_H being the larger terminal
             # resistance; keep it 100x under the threshold
-            r_wire_min = math.ulp(1.0) * self.line.R_H / math.sqrt(self.protocol.residual_threshold / 100)
-            if 0 < self.line.R_wire < r_wire_min:
+            r_wire_min = math.ulp(1.0) * line.R_H / math.sqrt(self.protocol.residual_threshold / 100)
+            if 0 < line.R_wire < r_wire_min:
                 problems.append(
-                    f"line.R_wire: must be >= {r_wire_min!r} for protocol {self.protocol.kind}, "
+                    f"line.R_wire: must be >= {r_wire_min!r} for protocol {kind}, "
                     "where round-off in the terminal voltages stays under protocol.residual_threshold / 100"
                 )
             # a run's float timeline must resolve its clock quanta: its last
             # BEP ends, file exchange included, where the next one would
             # start, and the combined check's probe starts up to
             # PROBE_WAIT_QUANTA + 2 quanta later
-            latest = bep_start_time(self, max(self.protocol.k_range) + 1)
-            if self.protocol.kind == "Combined":
+            latest = bep_start_time(self, max(k_range) + 1)
+            if two_way:
                 latest += (PROBE_WAIT_QUANTA + 2) * self.clock.quantum
             if not latest <= MAX_SECONDS:
                 problems.append(
                     f"protocol.k_range: the run would reach t = {latest:.3g} s, past {MAX_SECONDS:g} s; "
                     "lower the BEP indices, line.bep_duration, channel.tau or (for Combined) clock.quantization"
                 )
-        if kind != "C":
+        if two_way:
             # the two-way exchange (for Combined, the probe after the last
             # BEP and after every line change) reads the clocks up to
             # |t0| + 2 tau + processing_delay after it starts; where floats
             # step by more than a fraction of the clock quantum, an honest
             # run's estimates drift by quanta
-            start = max([latest, *(at for _, _, at in changes)]) if kind == "Combined" else 0.0
+            start = max([latest, *(at for _, at in first)]) if records else 0.0
             reading = start + abs(self.clock.t0)
             reading += 2 * self.channel.tau + self.channel.processing_delay
             if (step := math.ulp(reading)) > CLOCK_ULP_QUANTA * self.clock.quantum:
@@ -157,8 +155,7 @@ class ScenarioConfig(Section):
         # two records of each BEP, Combined both (an attack adds no tag, as
         # Eve holds no key); a ledger they would overrun would end the run
         # part way with KeyExhaustedError
-        records = kind in ("C", "Combined")
-        tags = (3 if kind in ("B", "Combined") else 0) + (2 * len(self.protocol.k_range) if records else 0)
+        tags = (3 if tagged else 0) + (2 * len(k_range) if records else 0)
         if (spend := tags * TAG_BITS) > self.key_bits:
             fewer = " or list fewer BEPs in protocol.k_range" if records else ""
             problems.append(
@@ -233,13 +230,13 @@ class RunReport:
     """One run's outcome and the validated config it ran.
 
     ``config`` is that config's document, as ``canonical_dict`` gives it,
-    and ``msq_levels`` the levels of its line. Each is built on first read
-    and then kept: a run or sweep that never reads them never builds them,
-    and a caller may change either dict without touching another report or
-    the canonical form, which splices in the text the config and its line
-    keep. ``from_json`` reads a report file as a ReportDocument, so a
-    report that would not read as one, or disagrees with its own config,
-    fails with ConfigError (``kljnsync plot`` exits 2).
+    built on first read and then kept: a run or sweep that never reads it
+    never builds it, and a caller may change it without touching another
+    report or the canonical form, which writes the text the config keeps.
+    A report shows its line's levels, ``scenario_config.line.msq_levels``,
+    which the line keeps read-only. ``from_json`` reads a report file as a
+    ReportDocument, so a report that would not read as one, or disagrees
+    with its own config, fails with ConfigError (``kljnsync plot`` exits 2).
     """
 
     scenario_config: ScenarioConfig
@@ -258,33 +255,23 @@ class RunReport:
     def config(self) -> dict:
         return self.scenario_config.canonical_dict()
 
-    @functools.cached_property
-    def msq_levels(self) -> dict:
-        return dict(self.scenario_config.line.msq_levels)
-
     def canonical_json(self) -> str:
         """The report as one line of JSON with sorted keys and no spaces,
         plus a newline: identical runs give identical bytes. Pretty-print
         one with ``python -m json.tool``.
 
-        The config and the levels are the texts the config keeps; only the
-        run's own values are encoded here. Their text is cut where "result"
-        starts, to put the levels in their sorted place: before it come a
-        string and an integer, in which that key cannot appear."""
-        own = CANONICAL.encode(
-            {
-                "event_log_digest": self.event_log_digest,
-                "key_bits_consumed": self.key_bits_consumed,
-                "result": self.result,
-                "series": self.series,
-            }
-        )
-        cut = own.index(',"result":')
+        Its six keys are written in their sorted order. The config and the
+        levels are the texts the config and its line keep; only the run's
+        own values are encoded here."""
         config = self.scenario_config
         return "".join(
             (
-                '{"config":', config.canonical_text(), ",", own[1:cut],
-                ',"msq_levels":', config.line.msq_levels_text, own[cut:], "\n",
+                '{"config":', config.canonical_text(),
+                ',"event_log_digest":', encode_basestring_ascii(self.event_log_digest),
+                ',"key_bits_consumed":', str(self.key_bits_consumed),
+                ',"msq_levels":', config.line.msq_levels_text,
+                ',"result":', CANONICAL.encode(self.result),
+                ',"series":', CANONICAL.encode(self.series), "}\n",
             )
         )
 

@@ -543,6 +543,43 @@ def test_the_combined_clock_rule_reads_the_clocks_after_a_line_change(tmp_path, 
     assert result["attack_flag"] is False and result["detail"] == ""
 
 
+def test_the_two_way_clock_rule_reads_the_clocks_from_0_for_a_and_b():
+    # A and B read no line-change instant: their exchange starts at 0, and
+    # a delay change after it never acts, so the change at 5e8 s that fails
+    # Combined's clock rule leaves their runs clean
+    late = [{"kind": "LineMod", "tau": 0.002, "at_time": 5e8}]
+    for kind in ("a", "b"):
+        doc = dict(load_bundled(f"honest_protocol_{kind}").raw, attacks=late)
+        result = run_scenario(ScenarioConfig.from_dict(mutated(doc, "clock.quantization", 1e-9))).result
+        assert result["attack_flag"] is False and result["detail"] == "", kind
+
+
+def test_problems_come_attack_by_attack_then_the_line_and_timeline():
+    # each attack's problems in list order, then the line's and the
+    # timeline's rules, then the key budget
+    doc = dict(
+        load_bundled("honest_protocol_a").raw,
+        attacks=[
+            {"kind": "Substitute", "target": "file", "sample_index": 3},
+            {"kind": "LineMod", "r_wire_factor": 2.0, "at_time": 0.0},
+        ],
+    )
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(doc)
+    assert err.value.problems == [
+        "attacks.0: a record needs protocol C or Combined; protocol A sends none",
+        "attacks.1: a wire change needs protocol C or Combined; protocol A records none",
+    ]
+    doc = mutated(mutated(load_bundled("linemod_attack_c").raw, "line.noise_scale", 0), "attacks.0.fraction", 1.0)
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(doc)
+    assert err.value.problems == [
+        "attacks.0: the wire changes at t = 0.01 s, after the last recorded sample (t = 0.009995 s), "
+        "so no record would see it",
+        "line.noise_scale: must be > 0 for protocol C",
+    ]
+
+
 def test_a_config_that_validates_always_builds_and_runs():
     # 300 lists of one to three attacks on the bundled bases, two in five
     # of them on a drawn key budget of 0 to 1280 bits (the bundled runs

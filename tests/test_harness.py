@@ -203,7 +203,7 @@ def test_a_report_builds_its_config_document_only_when_read(monkeypatch):
 
 def test_a_report_whose_levels_are_not_its_lines_fails_closed():
     body = json.loads(run_scenario(load_bundled("honest_protocol_c")).canonical_json())
-    assert RunReport.from_json(json.dumps(body)).msq_levels == body["msq_levels"]
+    assert RunReport.from_json(json.dumps(body)).scenario_config.line.msq_levels == body["msq_levels"]
     levels = body["msq_levels"]
     not_the_lines = r"^report: msq_levels: must be the levels of config\.line$"
     for wrong in ({**levels, "LL": levels["LL"] * 2}, {**levels, "extra": 0.0}, dict(list(levels.items())[1:])):
@@ -267,8 +267,6 @@ def test_changing_a_reports_dicts_leaves_its_canonical_form_alone():
     report.config["line"]["R_L"] = -1.0
     report.config["attacks"].clear()
     report.config["seed"] = None
-    report.msq_levels["LL"] = -1.0
-    del report.msq_levels["HH"]
     assert report.canonical_json() == text
     assert report.scenario_config.canonical_dict() != report.config
     # the levels the report's text is kept from cannot be changed
@@ -397,7 +395,7 @@ def test_sweep_of_an_integer_field_takes_whole_floats_only():
 
 
 def test_a_report_computes_the_msq_levels_once(monkeypatch):
-    # the line computes its levels when it is built; a run only copies them
+    # the line computes its levels when it is built; a report only shows them
     from kljnsync import line
 
     calls, level = [], line._level
@@ -408,9 +406,7 @@ def test_a_report_computes_the_msq_levels_once(monkeypatch):
     for cfg in configs:
         reports = [run_scenario(cfg), run_scenario(cfg)]
         for report in reports:
-            assert report.msq_levels == cfg.line.msq_levels
-            assert report.msq_levels is not cfg.line.msq_levels
-        assert reports[0].msq_levels is not reports[1].msq_levels
+            assert json.loads(report.canonical_json())["msq_levels"] == cfg.line.msq_levels
     assert len(calls) == built
 
 
@@ -523,8 +519,8 @@ def test_every_result_value_is_a_plain_json_scalar():
 
 
 def test_reports_share_no_dict_or_list():
-    # config documents are kept on the frozen config sections and the msq
-    # levels on the line; each report must still get containers of its own
+    # config documents are kept on the frozen config sections; each report
+    # must still get containers of its own
     cfg = load_bundled("substitution_attack_b")
     reports = sweep(cfg, "clock.t0", [0.0, 1e-3]) + [run_scenario(cfg), run_scenario(cfg)]
 
@@ -534,13 +530,12 @@ def test_reports_share_no_dict_or_list():
             for child in node.values() if isinstance(node, dict) else node:
                 yield from containers(child)
 
-    ids = [{i for part in (r.config, r.msq_levels) for i in containers(part)} for r in reports]
+    ids = [set(containers(r.config)) for r in reports]
     assert sum(map(len, ids)) == len(set().union(*ids))
     expected = reports[3].canonical_json()
     reports[2].config["line"]["R_L"] = -1.0
     reports[2].config["protocol"]["k_range"].append(7)
     reports[2].config["attacks"][0]["delta"] = -1.0
-    reports[2].msq_levels["LL"] = -1.0
     assert cfg.canonical_dict() == reports[3].config
     assert run_scenario(cfg).canonical_json() == expected
 
