@@ -2,11 +2,14 @@
 
 Messages and measurement files are authenticated by hashing them and
 XOR-encrypting the digest with bits of a previously exchanged secret key.
-Hashes are short, so each transfer spends only a small slice of the key,
-and the pad makes the tag information-theoretically unforgeable: without
-the key bits, a substituted payload cannot be given a matching tag except
-by blind 2^-256 luck. A ledger tracks consumption so no key bit is ever
-used twice.
+Hashes are short, so each transfer spends only a small slice of the key.
+Against an Eve who has never seen a genuine tag, a substituted payload
+gets a matching one only by blind 2^-256 luck. The tag is not unforgeable
+against an Eve who reads the channel: SHA-256 is public and every payload
+crosses in the clear, so one genuine (payload, tag) pair gives her the
+pad of its span (tag XOR SHA-256(payload)), and she can re-tag a rewrite
+that verifies with certainty (ROADMAP item 26). A ledger tracks
+consumption so no key bit is ever used twice.
 """
 
 from __future__ import annotations

@@ -289,7 +289,7 @@ class RunReport:
             raise ConfigError([f"report: {p}" for p in exc.problems]) from None
         return cls(
             scenario_config=doc.config,
-            result=doc.result._asdict(),
+            result=dict(zip(SyncResult._fields, doc.result)),
             event_log_digest=doc.event_log_digest,
             key_bits_consumed=doc.key_bits_consumed,
             series=doc.series,
@@ -365,7 +365,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     return RunReport(
         scenario_config=config,
         # the result's fields as they are, each a float, bool, str or None
-        result=result._asdict(),
+        result=dict(zip(SyncResult._fields, result)),
         event_log_digest=hashlib.sha256(event_log.encode()).hexdigest(),
         key_bits_consumed=int(scenario.ledger.consumed),
         series=_series_from(scenario),

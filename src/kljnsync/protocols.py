@@ -23,6 +23,9 @@ remove. A combined check follows Protocol C with a random-time Protocol B
 probe: the probe's offset should now be zero and its delay estimate should
 match the nominal propagation time, which catches the delay games that C
 alone cannot see.
+
+Each protocol runs its exchange and hands what the parties saw to decide,
+the one function that builds a verdict.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ _SEED_PROBE = 5
 # the combined check's probe starts fewer than this many clock quanta after
 # the next tick past the last event
 PROBE_WAIT_QUANTA = 1_000_000
+
+# the problem of a two-way exchange that never finished
+STALLED = "timeout: exchange stalled"
 
 
 # the values a two-way message may carry, in the order of their field
@@ -224,20 +230,13 @@ class FileTransfer:
 # ---------------------------------------------------------------------------
 
 
-def _stalled(kind: str) -> SyncResult:
-    if kind == "A":  # A has nothing to detect with: a stall is a failure, not a flag
-        detail = "incomplete: synchronization exchange never finished"
-        return SyncResult(kind, None, None, None, auth_ok=True, attack_flag=False, detail=detail)
-    return SyncResult(kind, None, None, None, auth_ok=False, attack_flag=True, detail="timeout: exchange stalled")
-
-
 def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult:
     """One A or B exchange, three messages sent in turn; a message Eve
     drops ends it. Only B tags its messages, and it checks the tags of all
-    three once they have arrived."""
+    three once they have arrived. decide reads the four stamps."""
     authenticated = kind == "B"
     # read once per run, not once per message
-    ledger, scheduler = scenario.ledger, scenario.scheduler
+    ledger, scheduler, config = scenario.ledger, scenario.scheduler, scenario.config
     alice, bob = scenario.alice_clock, scenario.bob_clock
 
     def leg(msg: SyncMessage, direction: Direction, now: float) -> Optional[Envelope]:
@@ -260,27 +259,23 @@ def _two_way(scenario: Scenario, kind: str, start_absolute: float) -> SyncResult
     t1 = alice.read(start_absolute)
     stamp = leg(SyncMessage(MessageKind.TIME_STAMP, t1=t1), Direction.A_TO_B, start_absolute)
     if stamp is None:
-        return _stalled(kind)
+        return decide(kind, STALLED, (), config)
     # at Bob: note arrival, think, respond with both of his stamps
-    respond_at = stamp.deliver_absolute + scenario.config.channel.processing_delay
+    respond_at = stamp.deliver_absolute + config.channel.processing_delay
     reply = SyncMessage(MessageKind.RESPONSE, t1_star=bob.read(stamp.deliver_absolute), t2_star=bob.read(respond_at))
     response = leg(reply, Direction.B_TO_A, respond_at)
     if response is None:
-        return _stalled(kind)
+        return decide(kind, STALLED, (), config)
     # at Alice: record her arrival time and share it
     t2 = alice.read(response.deliver_absolute)
     share = leg(SyncMessage(MessageKind.SHARE, t2=t2), Direction.A_TO_B, response.deliver_absolute)
     if share is None:
-        return _stalled(kind)
+        return decide(kind, STALLED, (), config)
     if authenticated:
         for msg in (stamp.payload, response.payload, share.payload):
             if not verify(msg.encoding, msg.tag, ledger):
-                detail = "authentication failed"
-                return SyncResult(kind, None, None, None, auth_ok=False, attack_flag=True, detail=detail)
-    t1_star, t2_star = response.payload.t1_star, response.payload.t2_star
-    t0 = (t1_star - t1 - t2 + t2_star) / 2.0
-    tau = (t1_star - t1 + t2 - t2_star) / 2.0
-    return SyncResult(kind, t0, tau, None, auth_ok=True, attack_flag=False, detail="")
+                return decide(kind, "authentication failed", (), config)
+    return decide(kind, "", (t1, response.payload.t1_star, response.payload.t2_star, t2), config)
 
 
 def protocol_a(scenario: Scenario) -> SyncResult:
@@ -483,20 +478,19 @@ def protocol_c(scenario: Scenario) -> SyncResult:
     Per BEP: record, exchange files with authentication, and accumulate the
     residual curve; curves from multiple BEPs are averaged before the
     minimum is taken, which sharpens the valley. Alice and Bob run the
-    search symmetrically (their shifts are negatives of each other). Each
-    party's minimum must reach residual_threshold, and its estimate is the
-    lattice shift there, which carries the fractional part of the
-    start-stamp offset. While Bob samples on Alice's instants, as the
-    simulated records do, that shift is the true offset, so Bob, as the
-    non-master, applies it and his clock offset is zero to round-off. The
-    run is flagged, and no correction applied, when any file fails
-    authentication or freshness, when no shift explains the data (line
-    modified mid-record), or when the two shifts disagree.
+    search symmetrically (their shifts are negatives of each other), and
+    decide judges the two minima. The exchange of the first BEP with a
+    problem ends the run. Bob, as the non-master, applies the estimate of a
+    clean verdict: the lattice shift at Alice's minimum carries the
+    fractional part of the start-stamp offset, so while Bob samples on
+    Alice's instants, as the simulated records do, his clock offset is then
+    zero to round-off.
 
     This protocol produces no propagation-delay estimate; only the embedded
     two-way probe of the combined check measures tau.
     """
-    line, search = scenario.config.line, scenario.config.protocol
+    config = scenario.config
+    line, search = config.line, config.protocol
 
     curves_alice: list[tuple[np.ndarray, np.ndarray]] = []
     curves_bob: list[tuple[np.ndarray, np.ndarray]] = []
@@ -505,10 +499,10 @@ def protocol_c(scenario: Scenario) -> SyncResult:
         meas_a, meas_b = run_bep(scenario, k)
         file_a = build_bep_file(meas_a, line)
         file_b = build_bep_file(meas_b, line)
-        send_at = bep_start_time(scenario.config, k) + line.bep_duration
+        send_at = bep_start_time(config, k) + line.bep_duration
         received, problem = exchange_files(scenario, file_a, file_b, send_at)
         if problem:
-            return SyncResult("C", None, None, None, auth_ok=False, attack_flag=True, detail=problem)
+            return decide("C", problem, (), config)
         # Alice searches her own record against Bob's received copy; Bob
         # does the mirror image with Alice's received copy, on his own grid.
         curves_alice.append(residual_curve(file_a, received[Direction.B_TO_A], line.R_wire))
@@ -524,41 +518,18 @@ def protocol_c(scenario: Scenario) -> SyncResult:
     lo = max(min(i_alice - search.dt_window, mean_alice.size - width), 0)
     scenario.diagnostics["residual_curve"] = (shifts_alice[lo : lo + width], mean_alice[lo : lo + width])
 
-    # either party's grid minimum left above threshold: the line was
-    # modified mid-record, or the model is wrong
-    best = float(mean_alice[i_alice])
-    for residual in (best, float(mean_bob[i_bob])):
-        if not residual <= search.residual_threshold:
-            return SyncResult(
-                "C", None, None, residual,
-                auth_ok=True, attack_flag=True,
-                detail=f"no shift explains the data (residual {residual:.3e})",
-            )
-
-    dt_alice, dt_bob = float(shifts_alice[i_alice]), float(shifts_bob[i_bob])
-    t0_est = -dt_alice
-    # symmetric searches must agree (their shifts are mutual negatives)
-    if abs(dt_alice + dt_bob) > 1.0 / line.sample_rate:
-        return SyncResult(
-            "C", t0_est, None, best,
-            auth_ok=True, attack_flag=True, detail="parties' shift estimates disagree",
-        )
-
-    # Bob, the non-master, corrects his clock
-    scenario.bob_clock = scenario.bob_clock.corrected(t0_est)
-    return SyncResult("C", t0_est, None, best, auth_ok=True, attack_flag=False, detail="")
+    minimum_alice = (float(shifts_alice[i_alice]), float(mean_alice[i_alice]))
+    minimum_bob = (float(shifts_bob[i_bob]), float(mean_bob[i_bob]))
+    result = decide("C", "", (minimum_alice, minimum_bob), config)
+    # Bob, the non-master, corrects his clock by a clean estimate
+    if not result.attack_flag:
+        scenario.bob_clock = scenario.bob_clock.corrected(result.t0_est)
+    return result
 
 
 def combined_check(scenario: Scenario) -> SyncResult:
-    """Full verdict: Protocol C plus a random-time authenticated probe.
-
-    Passes only when (a) the probe's offset estimate is zero within
-    tolerance (C already corrected Bob's clock), (b) the probe's delay
-    estimate matches the nominal propagation time, and (c) the integrity
-    residual stayed below threshold. Failing any leg raises the attack
-    flag. When C flagged it made no correction, and the probe's offset is
-    not checked.
-    """
+    """Full verdict: Protocol C plus a random-time authenticated probe, a
+    protocol B exchange, which decide judges together."""
     c_result = protocol_c(scenario)
 
     # probe at a random later instant, snapped to the clock grid (parties
@@ -569,31 +540,73 @@ def combined_check(scenario: Scenario) -> SyncResult:
     wait = float(rng.integers(1_000, PROBE_WAIT_QUANTA)) * q
     probe_start = (math.ceil(last / q) + 1) * q + wait
 
-    b_result = protocol_b(scenario, start_absolute=probe_start)
+    return decide("Combined", "", (c_result, protocol_b(scenario, start_absolute=probe_start)), scenario.config)
 
-    nominal_tau = scenario.config.channel.tau
-    tolerances = scenario.config.protocol
-    failures = []
-    if c_result.attack_flag:
-        failures.append(f"integrity check: {c_result.detail}")
-    if b_result.attack_flag:
-        failures.append(f"probe: {b_result.detail}")
-    else:
-        # a flagged C corrected nothing, so the probe sees the configured offset
-        if not c_result.attack_flag and abs(b_result.t0_est) > tolerances.t0_tol_quanta * q:
-            failures.append(f"offset after correction is {b_result.t0_est:.3e}s, not zero")
-        if abs(b_result.tau_est - nominal_tau) > tolerances.tau_tol_quanta * q:
-            failures.append(
-                f"propagation delay {b_result.tau_est:.6e}s deviates from "
-                f"nominal {nominal_tau:.6e}s"
-            )
 
-    return SyncResult(
-        "Combined",
-        b_result.t0_est,
-        b_result.tau_est,
-        c_result.residual,
-        auth_ok=c_result.auth_ok and b_result.auth_ok,
-        attack_flag=bool(failures),
-        detail="; ".join(failures),
-    )
+# ---------------------------------------------------------------------------
+# The verdict
+# ---------------------------------------------------------------------------
+
+
+def decide(kind: ProtocolKind, problem: str, seen: tuple, config: ScenarioConfig) -> SyncResult:
+    """The verdict of one run of protocol kind, built from what the parties
+    saw: the one function that builds a SyncResult. It reads its arguments
+    only, no scenario, channel, key ledger or random stream, so a run can be
+    judged again under another config.
+
+    problem is "" or the one thing wrong with an exchange: a stall, then a
+    failed tag, then a stale or mismatched record. For B and C it is the
+    flagged verdict, with auth_ok false. A has nothing to detect with: its
+    stall is reported unflagged, as incomplete. Otherwise seen holds:
+
+    - A and B: the four readings (t1, t1_star, t2_star, t2). Bob's offset
+      and the propagation delay fall out of the two one-way equations.
+    - C: Alice's and then Bob's (shift, residual) at the minimum of their
+      residual curves averaged over the BEPs. Each residual must reach
+      residual_threshold, or no shift explains the data: the line was
+      modified mid-record, or the model is wrong. The estimate is minus
+      Alice's shift, and since the searches are symmetric, the two shifts
+      must be mutual negatives to within one sample. A run flagged for its
+      residual keeps no offset estimate; one whose shifts disagree keeps
+      Alice's.
+    - Combined: C's verdict, then the probe's. It passes only when C and
+      the probe did not flag, the probe's offset is zero within
+      t0_tol_quanta clock quanta (C corrected Bob's clock), and its delay
+      is channel.tau within tau_tol_quanta. A flagged probe's estimates
+      are not checked, nor the probe's offset when C flagged: a flagged C
+      corrected nothing. Every failure is named, in that order, joined by
+      "; ", and auth_ok is true when both parts' are.
+    """
+    if kind == "Combined":
+        c_result, probe = seen
+        failures = [f"integrity check: {c_result.detail}"] if c_result.attack_flag else []
+        if probe.attack_flag:
+            failures.append(f"probe: {probe.detail}")
+        else:
+            q, tolerances, nominal_tau = config.clock.quantum, config.protocol, config.channel.tau
+            if not c_result.attack_flag and abs(probe.t0_est) > tolerances.t0_tol_quanta * q:
+                failures.append(f"offset after correction is {probe.t0_est:.3e}s, not zero")
+            if abs(probe.tau_est - nominal_tau) > tolerances.tau_tol_quanta * q:
+                delay = f"propagation delay {probe.tau_est:.6e}s deviates from nominal {nominal_tau:.6e}s"
+                failures.append(delay)
+        auth_ok = c_result.auth_ok and probe.auth_ok
+        return SyncResult(
+            kind, probe.t0_est, probe.tau_est, c_result.residual, auth_ok, bool(failures), "; ".join(failures)
+        )
+    if problem:
+        # A has nothing to detect with: a stall is a failure, not a flag
+        flagged = kind != "A"
+        detail = problem if flagged else "incomplete: synchronization exchange never finished"
+        return SyncResult(kind, None, None, None, not flagged, flagged, detail)
+    if kind == "C":
+        (dt_alice, best), (dt_bob, residual_bob) = seen
+        for residual in (best, residual_bob):
+            if not residual <= config.protocol.residual_threshold:
+                detail = f"no shift explains the data (residual {residual:.3e})"
+                return SyncResult(kind, None, None, residual, True, True, detail)
+        disagree = abs(dt_alice + dt_bob) > 1.0 / config.line.sample_rate
+        detail = "parties' shift estimates disagree" if disagree else ""
+        return SyncResult(kind, -dt_alice, None, best, True, disagree, detail)
+    t1, t1_star, t2_star, t2 = seen
+    t0, tau = (t1_star - t1 - t2 + t2_star) / 2.0, (t1_star - t1 + t2 - t2_star) / 2.0
+    return SyncResult(kind, t0, tau, None, True, False, "")

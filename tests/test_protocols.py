@@ -19,7 +19,7 @@ from kljnsync.errors import (
     KeyExhaustedError,
 )
 from kljnsync import bepfile, protocols
-from kljnsync.harness import ScenarioConfig, load_bundled, run_scenario
+from kljnsync.harness import ScenarioConfig, load_bundled, run_protocol, run_scenario
 from kljnsync.line import LineConfig, Party, ResistorChoice, simulate_bep
 from kljnsync.protocols import (
     MessageKind,
@@ -27,6 +27,7 @@ from kljnsync.protocols import (
     SyncResult,
     _pick_minimum,
     combined_check,
+    decide,
     exchange_files,
     protocol_a,
     protocol_b,
@@ -815,3 +816,95 @@ def test_combined_check_catches_mid_bep_wire_change():
     sc = scenario(seed=11, t0=7.0 / FS, attacks=(LineMod(r_wire_factor=1.5, at_bep=0, fraction=0.5),))
     res = combined_check(sc)
     assert res.attack_flag is True
+
+
+# --- the verdict ------------------------------------------------------------
+
+# stamps read over an honest channel, and C's and the probe's verdicts as
+# decide builds them, each by hand
+STAMPS = (0.0, 0.003, 0.004, 0.006)
+C_CLEAN = SyncResult("C", 3.5e-5, None, 1e-26, True, False, "")
+C_STALE = SyncResult("C", None, None, None, False, True, "stale or mismatched file")
+C_AUTH = SyncResult("C", None, None, None, False, True, "authentication failed")
+PROBE_CLEAN = SyncResult("B", 0.0, 0.002, None, True, False, "")
+PROBE_STALLED = SyncResult("B", None, None, None, False, True, "timeout: exchange stalled")
+# honest_combined's config: one-sample shifts are 5e-6 s, a clock quantum
+# is 1e-6 s, and the probe's offset may be 2 and its delay 1.5 quanta off
+VERDICTS = {
+    "A stalled": ("A", "timeout: exchange stalled", (), False, True,
+                  "incomplete: synchronization exchange never finished"),
+    "B stalled": ("B", "timeout: exchange stalled", (), True, False, "timeout: exchange stalled"),
+    "B failed tag": ("B", "authentication failed", STAMPS, True, False, "authentication failed"),
+    "C stalled": ("C", "timeout: file exchange stalled", (), True, False, "timeout: file exchange stalled"),
+    "C failed tag": ("C", "authentication failed", (), True, False, "authentication failed"),
+    "C stale record": ("C", "stale or mismatched file", (), True, False, "stale or mismatched file"),
+    "C Alice's residual": ("C", "", ((-1e-4, 0.5), (1e-4, 1e-26)), True, True,
+                           "no shift explains the data (residual 5.000e-01)"),
+    "C Bob's residual": ("C", "", ((-1e-4, 1e-26), (1e-4, 0.25)), True, True,
+                         "no shift explains the data (residual 2.500e-01)"),
+    "C shifts disagree": ("C", "", ((-1e-4, 1e-26), (-1e-4, 1e-26)), True, True,
+                          "parties' shift estimates disagree"),
+    "Combined C flagged": ("Combined", "", (C_STALE, PROBE_CLEAN), True, False,
+                           "integrity check: stale or mismatched file"),
+    "Combined probe flagged": ("Combined", "", (C_CLEAN, PROBE_STALLED), True, False,
+                               "probe: timeout: exchange stalled"),
+    "Combined offset": ("Combined", "", (C_CLEAN, PROBE_CLEAN._replace(t0_est=1e-5)), True, True,
+                        "offset after correction is 1.000e-05s, not zero"),
+    "Combined delay": ("Combined", "", (C_CLEAN, PROBE_CLEAN._replace(tau_est=0.0021)), True, True,
+                       "propagation delay 2.100000e-03s deviates from nominal 2.000000e-03s"),
+    "Combined both flagged": ("Combined", "", (C_AUTH, PROBE_STALLED), True, False,
+                              "integrity check: authentication failed; probe: timeout: exchange stalled"),
+    # a flagged C corrected nothing: the probe's offset is not checked, its delay is
+    "Combined C flagged, offset unchecked": (
+        "Combined", "", (C_STALE, PROBE_CLEAN._replace(t0_est=3.5e-5, tau_est=0.0021)), True, False,
+        "integrity check: stale or mismatched file; "
+        "propagation delay 2.100000e-03s deviates from nominal 2.000000e-03s",
+    ),
+    "A clean": ("A", "", STAMPS, False, True, ""),
+    "C clean": ("C", "", ((-1e-4, 1e-26), (1e-4, 2e-26)), False, True, ""),
+    "Combined clean": ("Combined", "", (C_CLEAN, PROBE_CLEAN), False, True, ""),
+}
+
+
+@pytest.mark.parametrize("kind,problem,seen,flagged,auth_ok,detail", VERDICTS.values(), ids=VERDICTS)
+def test_decide_writes_each_verdict_the_readme_lists(kind, problem, seen, flagged, auth_ok, detail):
+    # each row of README's "What a verdict's detail says", judged from
+    # what the parties saw, with no scenario built
+    result = decide(kind, problem, seen, load_bundled("honest_combined"))
+    assert (result.protocol, result.attack_flag, result.auth_ok, result.detail) == (kind, flagged, auth_ok, detail)
+
+
+RESCORED = {
+    "honest_protocol_c": [],
+    "wire step": [{"kind": "LineMod", "r_wire_factor": 1.1, "at_bep": 0, "fraction": 0.5}],
+}
+# around the honest residuals (below 1e-25) and the stepped ones (4e-3 to 6e-3)
+THRESHOLDS = (1e-4, 1e-3, 3e-3, 5e-3, 0.01, 0.1, 0.3)
+
+
+def test_decide_rescores_one_run_as_a_run_at_each_threshold(monkeypatch):
+    # decide reads only its arguments, so C's minima from one run, judged
+    # under another residual_threshold, are that threshold's verdict bit
+    # for bit: a threshold sweep needs one simulation per seed
+    captured = []
+
+    def spy(kind, problem, seen, config, decide=protocols.decide):
+        captured.append((problem, seen))
+        return decide(kind, problem, seen, config)
+
+    flags = set()
+    for attacks in RESCORED.values():
+        doc = dict(load_bundled("honest_protocol_c").raw, attacks=attacks)
+        for seed in range(20):
+            with monkeypatch.context() as patch:
+                patch.setattr(protocols, "decide", spy)
+                run_protocol(ScenarioConfig.from_dict(dict(doc, seed=seed)).build_scenario())
+            ((problem, minima),) = captured
+            captured.clear()
+            for threshold in THRESHOLDS:
+                protocol = dict(doc["protocol"], residual_threshold=threshold)
+                config = ScenarioConfig.from_dict(dict(doc, seed=seed, protocol=protocol))
+                rescored, rerun = decide("C", problem, minima, config), run_protocol(config.build_scenario())
+                assert (rescored, repr(rescored)) == (rerun, repr(rerun)), (attacks, seed, threshold)
+                flags.add(rescored.attack_flag)
+    assert flags == {False, True}

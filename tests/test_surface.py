@@ -155,3 +155,28 @@ def test_protocols_read_clocks_only_through_a_clock():
         if isinstance(node, ast.Attribute) and node.attr == "offset"
     }
     assert readers == {"run_bep"}
+
+
+def test_protocols_build_every_verdict_in_decide_alone():
+    # decide is the one function in protocols.py that builds a SyncResult,
+    # and it judges only what it is handed: it names no run state, channel,
+    # key ledger, clock or random stream
+    path = Path(__file__).resolve().parents[1] / "src" / "kljnsync" / "protocols.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    builders = {
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SyncResult"
+    }
+    assert builders == {"decide"}
+
+    (decide,) = [fn for fn in functions if fn.name == "decide"]
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.arg
+        for node in ast.walk(decide)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.arg))
+    }
+    run_state = {"scenario", "scheduler", "ledger", "diagnostics", "bob_clock", "derive_seed", "default_rng"}
+    assert names & run_state == set()
